@@ -18,11 +18,11 @@ import argparse
 import csv
 import sys
 from dataclasses import replace
+from datetime import timedelta
 from pathlib import Path
 
 from . import errors, harness, mileage, scenario as scenario_mod
-from .optimizer import MODES, Mode, export_plan_csv, export_plan_geojson, generate_candidates, select_stop
-from .roadgraph import BuiltinRouter
+from .optimizer import MODES, Mode, export_plan_csv, export_plan_geojson, select_stop
 from .telemetry import detect_halts, integrate_daily_distance, load_trip_log
 from .tripgraph import assign_clusters, build_daily_flows, export_graph_csv, select_pois
 
@@ -31,7 +31,10 @@ def _mode_from_args(args) -> Mode:
     if args.mode == "custom":
         if args.k1 is None or args.k2 is None:
             raise errors.SchemaError("--mode custom requires --k1 and --k2")
-        return Mode(name="custom", k_cost=args.k1, k_time=args.k2)
+        try:
+            return Mode(name="custom", k_cost=args.k1, k_time=args.k2)
+        except ValueError as exc:
+            raise errors.SchemaError(f"--mode custom: {exc}") from None
     return MODES[args.mode]
 
 
@@ -85,7 +88,6 @@ def cmd_predict(args) -> int:
     if daily_km:
         lo, hi = min(daily_km), max(daily_km)
         for i in range((hi - lo).days + 1):
-            from datetime import timedelta
             daily_km.setdefault(lo + timedelta(days=i), 0.0)
     rows = mileage.build_features(daily_km)
     report = mileage.sliding_cv(rows, window_weeks=args.window, seed=args.seed)
@@ -114,11 +116,7 @@ def cmd_plan(args) -> int:
     if args.seed is not None:
         scn = replace(scn, seed=args.seed)
     ctx = harness.build_context(scn)
-    router = BuiltinRouter(scn.graph)
-    candidates = generate_candidates(
-        router, ctx.day_route, scn.graph, ctx.departure_node,
-        list(ctx.remaining_nodes), scn.stations, ctx.day_prices,
-        delta_km=ctx.delta_km, corridor_radius_m=scn.corridor_radius_m)
+    candidates = harness.corridor_candidates(ctx)
     plan = select_stop(candidates, scn.vehicle, scn.mode, day=ctx.day,
                        refuel_duration_s=scn.refuel_duration_s)
     out_csv = Path(args.out_dir) / "plan.csv"

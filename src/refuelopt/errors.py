@@ -63,10 +63,6 @@ class SeriesTooShort(RefuelOptError):
     pass
 
 
-class DegenerateTraining(RefuelOptError):
-    pass
-
-
 class FeatureMismatch(RefuelOptError):
     pass
 

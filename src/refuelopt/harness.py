@@ -11,6 +11,12 @@ only from how each picks its station:
   route_aware      the full pipeline: habitual day route, price-forecast
                    cheapest day, corridor candidates and weighted
                    cost/time selection.
+
+Strategy contract: `strategy_*(ctx, modes)` returns one Outcome per mode, in
+the order of `modes`. Routing happens once per call, whatever the number of
+modes. A raised RefuelOptError is mode-independent (reachability depends only
+on the vehicle, the corridor only on the route), so `run_scenario` turns it
+into one error row per mode.
 """
 
 from __future__ import annotations
@@ -26,8 +32,8 @@ from . import errors
 from .geo import haversine_m
 from .mileage import (build_features, evaluate_metrics, extra_mileage_delta,
                       fit_forest, forecast_next_week, gate, predict_week)
-from .optimizer import (CandidateStop, Mode, RefuelPlan, fuel_cost,
-                        generate_candidates, select_stop, time_cost)
+from .optimizer import (CandidateStop, Mode, fuel_cost, generate_candidates,
+                        route_candidate, select_stop)
 from .roadgraph import BuiltinRouter, Route
 from .scenario import OBSERVATION_START, Scenario
 from .stations import Station, forecast_week
@@ -159,52 +165,66 @@ def build_context(scn: Scenario) -> ScenarioContext:
                            context_hash=digest)
 
 
-def _station_candidate(ctx: ScenarioContext, station: Station) -> CandidateStop:
-    router = BuiltinRouter(ctx.scenario.graph)
-    node, _ = ctx.scenario.graph.nearest_node(station.lat, station.lon)
-    route = router.one_stop_route(ctx.departure_node, node, list(ctx.remaining_nodes))
-    return CandidateStop(station=station, route=route,
-                         distance_km=route.distance_km,
-                         corrected_km=route.distance_km + ctx.delta_km,
-                         time_s=route.time_s,
-                         price_eur_l=ctx.day_prices[station.station_id])
+def corridor_candidates(ctx: ScenarioContext) -> list[CandidateStop]:
+    """Corridor candidates on the context's day route, routed once.
+
+    An empty corridor is not fatal: widen it (doubling, three tries) until a
+    candidate appears, as sparse station coverage demands.
+    """
+    scn = ctx.scenario
+    router = BuiltinRouter(scn.graph)
+    for attempt in range(4):
+        try:
+            return generate_candidates(
+                router, ctx.day_route, scn.graph, ctx.departure_node,
+                list(ctx.remaining_nodes), scn.stations, ctx.day_prices,
+                delta_km=ctx.delta_km,
+                corridor_radius_m=scn.corridor_radius_m * 2 ** attempt)
+        except errors.NoCandidates:
+            if attempt == 3:
+                raise
 
 
 def _plan_outcome(ctx: ScenarioContext, strategy: str, mode: Mode,
-                  plan: RefuelPlan) -> Outcome:
+                  stop: CandidateStop) -> Outcome:
     # Reported time is the detour overhead over the habitual day route,
     # refueling duration included; the full-day driving time is common to
     # every strategy and would only obscure the comparison.
-    overhead_min = (plan.stop.time_s - ctx.day_route.time_s
+    overhead_min = (stop.time_s - ctx.day_route.time_s
                     + ctx.scenario.refuel_duration_s) / 60.0
     return Outcome(scenario=ctx.scenario.name, strategy=strategy, mode=mode.name,
                    k_cost=mode.k_cost, k_time=mode.k_time, day=ctx.day,
-                   station_id=plan.stop.station.station_id,
-                   cost_eur=plan.cost_eur, time_min=overhead_min,
+                   station_id=stop.station.station_id,
+                   cost_eur=fuel_cost(stop, ctx.scenario.vehicle), time_min=overhead_min,
                    gate_accepted=ctx.gate_accepted, delta_km=ctx.delta_km,
                    context_hash=ctx.context_hash)
 
 
-def strategy_nearest(ctx: ScenarioContext, mode: Mode) -> Outcome:
-    """Closest station to the departure point, price be damned."""
+def _first_reachable(ctx: ScenarioContext, order: list[Station],
+                     error: str) -> CandidateStop:
+    """Route the stations in `order` one at a time; the first in fuel range wins."""
     scn = ctx.scenario
-    order = sorted(scn.stations,
-                   key=lambda s: (haversine_m(*ctx.departure_coords, s.lat, s.lon),
-                                  s.station_id))
+    router = BuiltinRouter(scn.graph)
+    remaining = list(ctx.remaining_nodes)
     for st in order:
-        if st.station_id not in ctx.day_prices:
-            continue
-        cand = _station_candidate(ctx, st)
+        cand = route_candidate(router, scn.graph, ctx.departure_node, remaining, st,
+                               ctx.day_prices[st.station_id], ctx.delta_km)
         if cand.reachable(scn.vehicle):
-            plan = RefuelPlan(day=ctx.day, stop=cand, mode=mode,
-                              cost_eur=fuel_cost(cand, scn.vehicle),
-                              time_min=time_cost(cand, scn.refuel_duration_s) / 60.0,
-                              objective=0.0)
-            return _plan_outcome(ctx, "nearest", mode, plan)
-    raise errors.NoReachableStation("no station in fuel range")
+            return cand
+    raise errors.NoReachableStation(error)
 
 
-def strategy_cheapest_nearby(ctx: ScenarioContext, mode: Mode) -> Outcome:
+def strategy_nearest(ctx: ScenarioContext, modes: tuple[Mode, ...]) -> list[Outcome]:
+    """Closest station to the departure point, price be damned."""
+    priced = [s for s in ctx.scenario.stations if s.station_id in ctx.day_prices]
+    order = sorted(priced, key=lambda s: (
+        haversine_m(*ctx.departure_coords, s.lat, s.lon), s.station_id))
+    stop = _first_reachable(ctx, order, "no station in fuel range")
+    return [_plan_outcome(ctx, "nearest", mode, stop) for mode in modes]
+
+
+def strategy_cheapest_nearby(ctx: ScenarioContext,
+                             modes: tuple[Mode, ...]) -> list[Outcome]:
     """Cheapest station within a fixed radius of the departure point,
     selected without looking at the day's onward path."""
     scn = ctx.scenario
@@ -217,39 +237,20 @@ def strategy_cheapest_nearby(ctx: ScenarioContext, mode: Mode) -> Outcome:
     order = sorted(nearby, key=lambda s: (
         ctx.day_prices[s.station_id],
         haversine_m(*ctx.departure_coords, s.lat, s.lon), s.station_id))
-    for st in order:
-        cand = _station_candidate(ctx, st)
-        if cand.reachable(scn.vehicle):
-            plan = RefuelPlan(day=ctx.day, stop=cand, mode=mode,
-                              cost_eur=fuel_cost(cand, scn.vehicle),
-                              time_min=time_cost(cand, scn.refuel_duration_s) / 60.0,
-                              objective=0.0)
-            return _plan_outcome(ctx, "cheapest_nearby", mode, plan)
-    raise errors.NoReachableStation("no nearby station in fuel range")
+    stop = _first_reachable(ctx, order, "no nearby station in fuel range")
+    return [_plan_outcome(ctx, "cheapest_nearby", mode, stop) for mode in modes]
 
 
-def strategy_route_aware(ctx: ScenarioContext, mode: Mode) -> Outcome:
+def strategy_route_aware(ctx: ScenarioContext,
+                         modes: tuple[Mode, ...]) -> list[Outcome]:
     """Full pipeline: corridor candidates on the cheapest day's habitual
-    route, weighted cost/time selection."""
+    route, routed once, then a weighted cost/time selection per mode."""
     scn = ctx.scenario
-    router = BuiltinRouter(scn.graph)
-    candidates = None
-    # An empty corridor is not fatal: widen it (doubling, three tries) until
-    # a candidate appears, as sparse station coverage demands.
-    for attempt in range(4):
-        try:
-            candidates = generate_candidates(
-                router, ctx.day_route, scn.graph, ctx.departure_node,
-                list(ctx.remaining_nodes), scn.stations, ctx.day_prices,
-                delta_km=ctx.delta_km,
-                corridor_radius_m=scn.corridor_radius_m * 2 ** attempt)
-            break
-        except errors.NoCandidates:
-            if attempt == 3:
-                raise
-    plan = select_stop(candidates, scn.vehicle, mode, day=ctx.day,
-                       refuel_duration_s=scn.refuel_duration_s)
-    return _plan_outcome(ctx, "route_aware", mode, plan)
+    candidates = corridor_candidates(ctx)
+    return [_plan_outcome(ctx, "route_aware", mode,
+                          select_stop(candidates, scn.vehicle, mode, day=ctx.day,
+                                      refuel_duration_s=scn.refuel_duration_s).stop)
+            for mode in modes]
 
 
 _STRATEGY_FNS = {
@@ -259,28 +260,28 @@ _STRATEGY_FNS = {
 }
 
 
+def _error_rows(scn: Scenario, strategy: str, modes: tuple[Mode, ...],
+                exc: errors.RefuelOptError, context_hash: str = "") -> list[Outcome]:
+    return [Outcome(scenario=scn.name, strategy=strategy, mode=m.name,
+                    k_cost=m.k_cost, k_time=m.k_time, context_hash=context_hash,
+                    error=f"{type(exc).__name__}: {exc}")
+            for m in modes]
+
+
 def run_scenario(scn: Scenario, strategies: tuple[str, ...] = STRATEGIES,
                  modes: tuple[Mode, ...] | None = None) -> list[Outcome]:
     """All strategy x mode outcomes for one scenario; failures become rows."""
     modes = modes or (scn.mode,)
-    outcomes = []
     try:
         ctx = build_context(scn)
     except errors.RefuelOptError as exc:
-        return [Outcome(scenario=scn.name, strategy=s, mode=m.name,
-                        k_cost=m.k_cost, k_time=m.k_time,
-                        error=f"{type(exc).__name__}: {exc}")
-                for s in strategies for m in modes]
+        return [o for s in strategies for o in _error_rows(scn, s, modes, exc)]
+    outcomes = []
     for strategy in strategies:
-        for mode in modes:
-            try:
-                outcomes.append(_STRATEGY_FNS[strategy](ctx, mode))
-            except errors.RefuelOptError as exc:
-                outcomes.append(Outcome(
-                    scenario=scn.name, strategy=strategy, mode=mode.name,
-                    k_cost=mode.k_cost, k_time=mode.k_time,
-                    context_hash=ctx.context_hash,
-                    error=f"{type(exc).__name__}: {exc}"))
+        try:
+            outcomes += _STRATEGY_FNS[strategy](ctx, modes)
+        except errors.RefuelOptError as exc:
+            outcomes += _error_rows(scn, strategy, modes, exc, ctx.context_hash)
     return outcomes
 
 

@@ -78,6 +78,18 @@ class RefuelPlan:
     objective: float
 
 
+def route_candidate(router: RouterPort, graph: RoadGraph, current_node: str,
+                    remaining_nodes: list[str], station: Station, price_eur_l: float,
+                    delta_km: float) -> CandidateStop:
+    """Snap `station` to its nearest graph node and route the one-stop day
+    current_node -> station -> remaining_nodes through it."""
+    node, _snap_m = graph.nearest_node(station.lat, station.lon)
+    route = router.one_stop_route(current_node, node, remaining_nodes)
+    return CandidateStop(station=station, route=route, distance_km=route.distance_km,
+                         corrected_km=route.distance_km + delta_km, time_s=route.time_s,
+                         price_eur_l=price_eur_l)
+
+
 def generate_candidates(router: RouterPort, day_route: Route, graph: RoadGraph,
                         current_node: str, remaining_nodes: list[str],
                         stations: list[Station], prices: dict[str, float],
@@ -101,16 +113,8 @@ def generate_candidates(router: RouterPort, day_route: Route, graph: RoadGraph,
     if not keep:
         raise errors.NoCandidates(
             f"no station within {corridor_radius_m} m of the route")
-    candidates = []
-    for i in keep:
-        st = priced[i]
-        node, _snap_m = graph.nearest_node(st.lat, st.lon)
-        route = router.one_stop_route(current_node, node, remaining_nodes)
-        candidates.append(CandidateStop(
-            station=st, route=route, distance_km=route.distance_km,
-            corrected_km=route.distance_km + delta_km, time_s=route.time_s,
-            price_eur_l=prices[st.station_id]))
-    return candidates
+    return [route_candidate(router, graph, current_node, remaining_nodes, priced[i],
+                            prices[priced[i].station_id], delta_km) for i in keep]
 
 
 def fuel_cost(candidate: CandidateStop, vehicle: VehicleState) -> float:

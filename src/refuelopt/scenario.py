@@ -206,7 +206,6 @@ def make_station_catalog(seed: int, graph: RoadGraph, count: int,
             price = base - (0.02 if d.weekday() == cheap_day else 0.0)
             price += 0.002 * rng.uniform(-1.0, 1.0)
             obs.append((d, round(price, 3)))
-        st.prices[fuel_type] = obs[-1]
         series[(sid, fuel_type)] = tuple(obs)
         stations.append(st)
     return stations, PriceHistory(series=series)

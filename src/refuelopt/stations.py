@@ -10,7 +10,7 @@ forecast, and the refueling day is the weekday with the lowest area price.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, timedelta
 
 from . import errors
@@ -29,8 +29,6 @@ class Station:
     lat: float
     lon: float
     brand: str
-    # fuel_type -> (latest observation date, price €/L)
-    prices: dict[str, tuple[date, float]] = field(default_factory=dict, compare=False)
 
 
 @dataclass(frozen=True)
@@ -91,10 +89,7 @@ def load_stations(path: str) -> tuple[list[Station], PriceHistory]:
             raise errors.DuplicateId(f"duplicate observation for {sid}/{fuel} on {observed}")
         obs.append((observed, price))
 
-    for (sid, fuel), obs in series.items():
-        obs.sort()
-        stations[sid].prices[fuel] = obs[-1]
-    history = PriceHistory(series={k: tuple(v) for k, v in series.items()})
+    history = PriceHistory(series={k: tuple(sorted(v)) for k, v in series.items()})
     return list(stations.values()), history
 
 

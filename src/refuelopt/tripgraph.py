@@ -124,10 +124,6 @@ def assign_clusters(events: list[StopEvent],
         else:
             cluster = StopCluster(identifier=f"STOP_{len(clusters) + 1:03d}",
                                   centroid_lat=ev.lat, centroid_lon=ev.lon)
-            # Founder coordinates are the initial centroid; add() recomputes
-            # the running mean, so start the counter at zero.
-            cluster.centroid_lat, cluster.centroid_lon = ev.lat, ev.lon
-            cluster.visits_total = 0
             clusters.append(cluster)
             cluster.add(ev)
     return clusters

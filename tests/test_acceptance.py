@@ -111,7 +111,9 @@ def test_criterion_03_cohort_strategy_ordering():
         config = generate_scenario_dir(tmp, seed=3, n_seeds_per_profile=5)
         scenarios = load_scenarios(config)
         assert len(scenarios) == 15
-        latest = [s.prices["petrol"][1] for s in scenarios[0].stations]
+        history = scenarios[0].history
+        latest = [history.series[(s.station_id, "petrol")][-1][1]
+                  for s in scenarios[0].stations]
         dispersion = (max(latest) - min(latest)) / statistics.mean(latest)
         assert dispersion >= 0.05
         report = run_cohort(scenarios)

@@ -1,14 +1,17 @@
 import csv
+import hashlib
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+import yaml
 
 from refuelopt import errors
 from refuelopt.cli import main
 from refuelopt.harness import (STRATEGIES, build_context, run_cohort,
                                run_scenario, write_per_run_csv,
                                write_report_csv)
-from refuelopt.optimizer import MODES
+from refuelopt.optimizer import MODES, VehicleState
 from refuelopt.scenario import (PROFILE_TEMPLATES, load_scenarios, make_profile,
                                 make_station_catalog, parse_mode)
 from refuelopt.telemetry import generate_synthetic_log, save_trip_log
@@ -60,7 +63,7 @@ def test_make_profile_deterministic(city):
 def test_station_catalog_price_spread(city):
     stations, history = make_station_catalog(seed=1, graph=city, count=12)
     assert len(stations) == 12
-    latest = [s.prices["petrol"][1] for s in stations]
+    latest = [history.series[(s.station_id, "petrol")][-1][1] for s in stations]
     spread = (max(latest) - min(latest)) / (sum(latest) / len(latest))
     assert spread >= 0.02  # per-station bases differ by design
     assert all(len(obs) == 28 for obs in history.series.values())
@@ -127,6 +130,33 @@ def test_failed_scenario_becomes_error_rows(cohort):
     assert all(r.n_failed == 1 and r.n_runs == 0 for r in report.rows)
 
 
+# sha256 of (per_run.csv, report.csv) for every preset mode on the demo
+# cohort. Refactors of the strategies must keep these bytes; the narrow
+# corridor and the low tank pin the error rows as well.
+PINNED_DIGESTS = [
+    ({}, "1f2d1a63f73cd32b94f40dbe536ac69b483eeafac6ade9a769e0ba25f8eeb265",
+     "d65c24059bbb1e2606f05af9bffa3f4cef888762816b071a3d54b0020c8c41e5"),
+    ({"corridor_radius_m": 50, "nearby_radius_m": 300},
+     "020ac819299b9b3c1946e3e4b3887fc013daa279da35a6d8969c0e809725908b",
+     "643323d8e39a97a9777a15270749cd7603fe2dab63512ac3dfaee3744017ecb2"),
+    ({"vehicle": VehicleState(50, 0.5, 0.06)},
+     "00f8a54caf183fea4ce3913dde6bfe9b0ba10221d7a7fb14dfcf21f8682d9d55",
+     "0ea43033fd2ae990e2a63ce2038cf106702aead2e4fc1f37f5be3cc0d296da32"),
+]
+
+
+@pytest.mark.parametrize("overrides,per_run_sha,report_sha", PINNED_DIGESTS)
+def test_cohort_csv_bytes_are_pinned(cohort, tmp_path, overrides, per_run_sha,
+                                     report_sha):
+    report = run_cohort([replace(s, **overrides) for s in cohort],
+                        modes=tuple(MODES.values()))
+    pp, rp = tmp_path / "per_run.csv", tmp_path / "report.csv"
+    write_per_run_csv(report, str(pp))
+    write_report_csv(report, str(rp))
+    assert hashlib.sha256(pp.read_bytes()).hexdigest() == per_run_sha
+    assert hashlib.sha256(rp.read_bytes()).hexdigest() == report_sha
+
+
 def test_report_csv_layout(cohort, tmp_path):
     report = run_cohort(cohort)
     rp, pp = tmp_path / "report.csv", tmp_path / "per_run.csv"
@@ -177,10 +207,35 @@ def test_cli_plan_writes_csv_and_geojson(demo_scenario_config, tmp_path, capsys)
     assert (out / "plan.geojson").exists()
 
 
+def test_cli_plan_widens_corridor_like_simulate(demo_scenario_config, tmp_path):
+    # No station lies within 500 m of commuter_0's day route: plan must widen
+    # the corridor as simulate does and pick the same station.
+    base = Path(demo_scenario_config).parent
+    cfg = yaml.safe_load(Path(demo_scenario_config).read_text())
+    cfg["city"] = {k: str(base / v) for k, v in cfg["city"].items()}
+    cfg["stations"] = str(base / cfg["stations"])
+    cfg["simulation"]["corridor_radius_m"] = 500
+    config = tmp_path / "corridor_500.yaml"
+    config.write_text(yaml.safe_dump(cfg, sort_keys=False))
+    assert main(["plan", "--config", str(config), "--out-dir", str(tmp_path / "plan"),
+                 "--driver", "commuter_0"]) == 0
+    assert main(["simulate", "--config", str(config),
+                 "--out-dir", str(tmp_path / "sim")]) == 0
+    with open(tmp_path / "plan" / "plan.csv") as fh:
+        planned = [r["station_id"] for r in csv.DictReader(fh)]
+    with open(tmp_path / "sim" / "per_run.csv") as fh:
+        simulated = [r["station_id"] for r in csv.DictReader(fh)
+                     if (r["scenario"], r["strategy"]) == ("commuter_0", "route_aware")]
+    assert planned == simulated
+    assert len(planned) == 1
+
+
 def test_cli_custom_mode_requires_weights(demo_scenario_config, tmp_path, capsys):
     out = tmp_path / "plan"
-    assert main(["plan", "--config", demo_scenario_config,
-                 "--out-dir", str(out), "--mode", "custom"]) == 2
+    for command in ("plan", "simulate"):
+        for weights in ([], ["--k1", "0", "--k2", "0"]):
+            assert main([command, "--config", demo_scenario_config,
+                         "--out-dir", str(out), "--mode", "custom", *weights]) == 2
     assert main(["plan", "--config", demo_scenario_config,
                  "--out-dir", str(out), "--mode", "custom",
                  "--k1", "1", "--k2", "4"]) == 0

@@ -3,9 +3,8 @@ from datetime import date, timedelta
 import pytest
 
 from refuelopt import errors
-from refuelopt.stations import (STATIONS_HEADER, PriceHistory, Station,
-                                cheapest_day, forecast_week, load_stations,
-                                save_stations)
+from refuelopt.stations import (STATIONS_HEADER, PriceHistory, cheapest_day,
+                                forecast_week, load_stations, save_stations)
 
 MONDAY = date(2025, 1, 6)
 HEADER = ",".join(STATIONS_HEADER) + "\n"
@@ -31,7 +30,7 @@ def test_load_groups_observations_per_station(tmp_path):
     stations, hist = load_stations(str(p))
     assert sorted(s.station_id for s in stations) == ["S1", "S2"]
     s1 = next(s for s in stations if s.station_id == "S1")
-    assert s1.prices["diesel"] == (MONDAY + timedelta(days=1), 1.78)
+    assert hist.series[(s1.station_id, "diesel")][-1] == (MONDAY + timedelta(days=1), 1.78)
     assert hist.series[("S1", "diesel")] == ((MONDAY, 1.80),
                                              (MONDAY + timedelta(days=1), 1.78))
 
@@ -134,8 +133,3 @@ def test_cheapest_day_argmin_and_tie_order():
     obs = {("S1", "diesel"): list(zip(days, prices))}
     fc = forecast_week(history(obs), "diesel")
     assert cheapest_day(fc) == "Wed"
-
-
-def test_station_is_plain_catalog_row():
-    s = Station(station_id="S1", lat=44.65, lon=10.92, brand="AcmeFuel")
-    assert s.prices == {}
