@@ -150,8 +150,8 @@ def fit_forest(rows: list[DailyFeatureRow], n_trees: int = 150,
     if not any(scaler.kept):
         # All features constant: nothing to split on. A constant model is
         # still returned, flagged, so callers can surface it.
-        return ForestModel(trees=BaggedTrees(trees=(), seed=seed, max_depth=max_depth),
-                           scaler=scaler, seed=seed, degenerate=True,
+        empty = load_trees({"seed": seed, "max_depth": max_depth, "trees": []})
+        return ForestModel(trees=empty, scaler=scaler, seed=seed, degenerate=True,
                            constant_value=float(np.mean(y)))
     Xs = scaler.transform(X)
     trees = fit_bagged_trees(Xs, y, n_trees=n_trees, max_depth=max_depth, seed=seed)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
 
@@ -93,26 +94,40 @@ def detect_halts(trace: CanTrace, gps: list[TripSample],
                  gap_threshold: float = DEFAULT_GAP_THRESHOLD_S) -> list[StopEvent]:
     """Find vehicle stops as message gaps longer than `gap_threshold` seconds.
 
-    Each qualifying gap yields one StopEvent at the gap's start, located at
-    the GPS fix nearest in time to it. Raises NoLocationFix if no fix lies
-    within `gap_threshold` of a gap start.
+    Each qualifying gap yields one StopEvent at the gap's start t0, located at
+    the GPS fix nearest in time to it: the fix minimising (|t - t0|, t), and
+    of fixes with equal timestamps the one that comes first in `gps`. So a
+    tie between a fix before and one after t0 goes to the earlier one, and
+    the order of `gps` matters only among fixes with equal timestamps.
+    Fixes without coordinates are ignored. Raises NoLocationFix if no fix
+    lies within `gap_threshold` of a gap start.
     """
     if gap_threshold <= 0:
         raise ValueError("gap_threshold must be positive")
     if not trace.message_times:
         raise errors.EmptyTrace("trace has no messages")
     fixes = [s for s in gps if s.lat is not None]
+    fixes.sort(key=lambda s: s.timestamp)  # stable: equal timestamps keep gps order
+    times = [s.timestamp for s in fixes]
     events: list[StopEvent] = []
     for t0, t1 in zip(trace.message_times, trace.message_times[1:]):
         if t1 - t0 <= gap_threshold:
             continue
         if not fixes:
             raise errors.NoLocationFix(f"no GPS fix near gap at t={t0}")
-        nearest = min(fixes, key=lambda s: (abs(s.timestamp - t0), s.timestamp))
-        if abs(nearest.timestamp - t0) > gap_threshold:
+        # Start at the first fix at or after t0 and step back while the earlier
+        # fix is no farther. |t - t0| only grows going back, so this stops
+        # after the latest fix before t0, unless rounding makes earlier
+        # timestamps equally far, or fixes share its timestamp.
+        i = bisect_left(times, t0)
+        dist = abs(times[i] - t0) if i < len(times) else math.inf
+        while i > 0 and abs(times[i - 1] - t0) <= dist:
+            i -= 1
+            dist = abs(times[i] - t0)
+        if dist > gap_threshold:
             raise errors.NoLocationFix(f"no GPS fix within {gap_threshold}s of gap at t={t0}")
         events.append(StopEvent(timestamp=t0, day=ts_to_date(t0),
-                                lat=nearest.lat, lon=nearest.lon))
+                                lat=fixes[i].lat, lon=fixes[i].lon))
     return events
 
 
@@ -125,13 +140,19 @@ def integrate_daily_distance(samples: list[TripSample],
     to the day of its earlier sample.
     """
     totals: dict[date, float] = {}
+    # [day_lo, day_hi) holds timestamps known to fall on `day`; it stops 1 ms
+    # short of midnight because ts_to_date rounds to the microsecond.
+    day, day_lo, day_hi = None, math.inf, -math.inf
     for a, b in zip(samples, samples[1:]):
         dt = b.timestamp - a.timestamp
         if dt < 0:
             raise errors.NegativeInterval(f"timestamps decrease at t={a.timestamp}")
         if dt > gap_cutoff_s:
             continue
-        day = ts_to_date(a.timestamp)
+        if not day_lo <= a.timestamp < day_hi:
+            day = ts_to_date(a.timestamp)
+            day_lo = datetime(day.year, day.month, day.day, tzinfo=timezone.utc).timestamp()
+            day_hi = day_lo + 86_399.999
         totals[day] = totals.get(day, 0.0) + a.speed_kmh * dt / 3600.0
     return totals
 

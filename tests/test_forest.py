@@ -1,0 +1,177 @@
+import hashlib
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from refuelopt.forest import dump_trees, fit_bagged_trees, load_trees
+
+
+def forest_case(rows):
+    """Training inputs and 20 held-out rows for one pinned forest case.
+
+    Column 1 has four tied levels, column 2 is constant and column 3 is
+    rounded to one decimal, so splits meet tied values; targets are whole
+    numbers, so they repeat and some nodes are constant.
+    """
+    rng = np.random.default_rng(rows)
+
+    def features(k):
+        return np.column_stack([rng.normal(size=k),
+                                rng.integers(0, 4, size=k).astype(float),
+                                np.full(k, 1.5),
+                                np.round(rng.normal(size=k), 1)])
+
+    X = features(rows)
+    y = np.round(8.0 * X[:, 0] + 3.0 * X[:, 1] + rng.normal(size=rows) + 20.0)
+    return X, y, features(20)
+
+
+def sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of json.dumps(dump_trees(model)) (model format v1) and of
+# repr(model.predict(held_out).tolist()) for the default forest (150 trees,
+# depth 6). Any change to the tree-growing or prediction arithmetic moves
+# these bytes.
+FOREST_DIGESTS = {
+    (14, 0): ('66d66662bb4960c60d609aed0cc6a24caabced772258e9f32419dc08bee0de48',
+              'a6e3d9258c9d6b8fc9d16db8890ab9e081dc7e953015e148c819bf388d719a89'),
+    (14, 1): ('9dd0b52036ab4b48f2d850792e643c43b21b7cfd36d8c170f89716748cf72867',
+              '37d324f90f05675f69215551c5d9e2d2a56260a452b413d5481ee148220aed7f'),
+    (14, 2): ('006c3133734b573adfb3b8bac24f0b9977ad956eb55dfd35456647e8f4f7df79',
+              '6fcfe87f3e66171a2b71d22c2f1d3705790acc47cfd16e23daf7d528247897da'),
+    (35, 0): ('209594377c9c261d11aed7a54932cf5bc5cab995bd9b514ccd52a0e3dd45d147',
+              '31806be02a52318dd606a4ae0633b2f33619d45ae56aca8f607ee5ad856863c2'),
+    (35, 1): ('94af5bd93e07f443c3077b4fc478e2e63f3a3d5defd038ac7b426f9731d361ce',
+              'fd749e0794523fa413e6bcab6a2ab118ddb7feb735a08b1238ae33d8b8610562'),
+    (35, 2): ('419a998a5669e0f5a50333ecf744cf63f0abf90b873cba6e9bdd2ee6944c9f19',
+              '6e8376d832ff887b811fa2c3d447e15e75860f7f8c3d369bf0a9bf14f4d8d5b9'),
+    (42, 0): ('564cf21e06c5c18199a061b6f1bbad2d6ec7c1c945d2434b5b121a3ea24064fa',
+              '787ef7d078e6016970bf100e04158ab66ec8e63cbc39357835ecde88ac6fc750'),
+    (42, 1): ('d8ed1d1f12b22f77ab77713ad441be1d2b8de45fe7ccbfb46569beee2c3c1188',
+              'bdc02bd707eba08978261b2251ef3dc051f56e166be8a394c4b5d6f50a403586'),
+    (42, 2): ('1fa62c0aea2c947471b457ee7329a984f2d45d8d21ca6ad3d449d1157335d6b2',
+              'd6f14f39b42ab9d234bb370ebc39e3b79640d5b01ee997c08733d7bc17149489'),
+    (84, 0): ('8852d1ccb724b4014825737fc466ab20b4beaca6eaedb3dfaae2d7d6768d25f7',
+              'e54b5cb21a71320af25162aacfad1603f90c9e29516bafbc12cf7e0a7b727662'),
+    (84, 1): ('d8b56b09fffd91bc555287c0b60b0408b7ccfdff2f54fdb77375c6e03712015a',
+              'e196adf279013a8b080b51830ccee0df09e68ae99fa3a9e37b29d83b9137c38a'),
+    (84, 2): ('7baa4eb846e94b3329c281a89282f24665ab355e42068ca84b8dad66eca458ec',
+              'a34e2d81e613454b14cf57a37fc031c2f05533576a3b277a6e7f4803e34c8859'),
+    (168, 0): ('77e5a9fd7e9e7d067c966b8b01a8ee01065c5b7229d29584a26119f4a97611ce',
+              '570f74ef43e2f1c4f84c9834296d8f6a171341dd8239ea9c158dac2956213366'),
+    (168, 1): ('d563e570903576ef86c0d7d310dc142f087019da68385a5fff7d42b093070cd6',
+              '04c9cdf983800213d9b31cefa65661a9e39e644ed904642545032d3c6c079a30'),
+    (168, 2): ('4a69e6d0c167b77fa0298c44a36315b3e0a57521ca7ea7f2d4a863ecab18eff7',
+              '23eb7a5edb05ab2401be02001721a5693b7c8a91c5e3858890afe422c3353209'),
+}
+
+
+@pytest.mark.parametrize("rows,seed", sorted(FOREST_DIGESTS), ids=str)
+def test_forest_bytes_are_pinned(rows, seed):
+    X, y, held_out = forest_case(rows)
+    model = fit_bagged_trees(X, y, seed=seed)
+    dumped = dump_trees(model)
+    preds = model.predict(held_out)
+    assert (sha(json.dumps(dumped)), sha(repr(preds.tolist()))) == FOREST_DIGESTS[rows, seed]
+    loaded = load_trees(json.loads(json.dumps(dumped)))
+    assert dump_trees(loaded) == dumped
+    assert loaded.predict(held_out).tolist() == preds.tolist()
+
+
+def reference_forest(X, y, n_trees, max_depth, seed):
+    """dump_trees output of depth-first CART that argsorts every node."""
+    def best_split(X, y):
+        n = len(y)
+        order = np.argsort(X, axis=0, kind="stable")
+        xs = np.take_along_axis(X, order, axis=0)
+        ys = y[order]
+        csum = np.cumsum(ys, axis=0)[:-1]
+        csum_sq = np.cumsum(ys * ys, axis=0)[:-1]
+        total = csum[-1] + ys[-1]
+        total_sq = csum_sq[-1] + ys[-1] ** 2
+        nl = np.arange(1, n)[:, None]
+        scores = (csum_sq - csum ** 2 / nl) + (total_sq - csum_sq) - (total - csum) ** 2 / (n - nl)
+        scores[xs[:-1] == xs[1:]] = np.inf
+        j, i = divmod(int(np.argmin(scores.T)), n - 1)
+        if not np.isfinite(scores[i, j]):
+            return None
+        return j, float(xs[i, j] + xs[i + 1, j]) / 2.0
+
+    def grow(X, y, depth):
+        with np.errstate(all="ignore"):
+            value = float(np.mean(y)) if len(y) else float("nan")
+        split = (None if depth >= max_depth or len(y) < 2 or np.all(y == y[0])
+                 else best_split(X, y))
+        if split is None:
+            return {"v": value}
+        j, thr = split
+        mask = X[:, j] <= thr
+        return {"f": j, "t": thr, "l": grow(X[mask], y[mask], depth + 1),
+                "r": grow(X[~mask], y[~mask], depth + 1), "v": value}
+
+    trees = []
+    for t in range(n_trees):
+        idx = np.random.default_rng([seed, t]).integers(0, len(y), size=len(y))
+        trees.append(grow(X[idx], y[idx], 0))
+    return {"seed": seed, "max_depth": max_depth, "trees": trees}
+
+
+def reference_predict(dumped, X):
+    out = []
+    for x in X:
+        total = 0
+        for node in dumped["trees"]:
+            while "f" in node:
+                node = node["l"] if x[node["f"]] <= node["t"] else node["r"]
+            total += node["v"]
+        out.append(total / len(dumped["trees"]))
+    return out
+
+
+# Few distinct values, so features and targets tie; 1 + 2**-52 and
+# 1 + 2**-51 are adjacent floats whose midpoint rounds up to the larger one,
+# which sends every row of a node left and leaves an empty right child.
+forest_values = st.sampled_from([-3.0, 0.0, 1.0, 1.0 + 2 ** -52, 1.0 + 2 ** -51, 2.5, 1e6])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_forest_matches_depth_first_cart(d, data):
+    n = data.draw(st.integers(1, 30))
+    X = np.array(data.draw(st.lists(st.lists(forest_values, min_size=d, max_size=d),
+                                    min_size=n + 5, max_size=n + 5)))
+    y = np.array(data.draw(st.lists(st.one_of(forest_values, st.floats(-50, 50)),
+                                    min_size=n, max_size=n)))
+    n_trees, max_depth, seed = (data.draw(st.integers(1, 5)), data.draw(st.integers(0, 6)),
+                                data.draw(st.integers(0, 3)))
+    with np.errstate(all="ignore"):
+        model = fit_bagged_trees(X[:n], y, n_trees=n_trees, max_depth=max_depth, seed=seed)
+        preds = model.predict(X[n:])
+    expected = reference_forest(X[:n], y, n_trees, max_depth, seed)
+    assert json.dumps(dump_trees(model)) == json.dumps(expected)
+    assert repr(preds.tolist()) == repr(reference_predict(expected, X[n:]))
+
+
+def test_empty_child_matches_depth_first_cart():
+    # The midpoint of the two adjacent floats rounds up to the larger one.
+    X = np.array([[1.0], [1.0 + 2 ** -51], [1.0 + 2 ** -52]] * 2)
+    y = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    with np.errstate(all="ignore"):
+        model = fit_bagged_trees(X, y, n_trees=4, seed=1)
+    dumped = json.dumps(dump_trees(model))
+    assert "NaN" in dumped
+    assert dumped == json.dumps(reference_forest(X, y, 4, 6, 1))
+
+
+def test_node_means_match_np_mean():
+    # Node values are np.add.reduce(rows, axis=1) / n over nodes of one size;
+    # the pinned bytes rely on that equalling np.mean of each row, which a
+    # numpy release could change by summing in another order.
+    rng = np.random.default_rng(0)
+    for n in range(1, 257):
+        rows = rng.normal(size=(3, n)) * 10.0 ** rng.integers(-8, 9, size=(3, n))
+        assert (np.add.reduce(rows, axis=1) / n).tolist() == [float(np.mean(r)) for r in rows]

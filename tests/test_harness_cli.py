@@ -12,7 +12,8 @@ from refuelopt.harness import (STRATEGIES, build_context, run_cohort,
                                run_scenario, write_per_run_csv,
                                write_report_csv)
 from refuelopt.optimizer import MODES, VehicleState
-from refuelopt.scenario import (PROFILE_TEMPLATES, load_scenarios, make_profile,
+from refuelopt.scenario import (PROFILE_TEMPLATES, generate_scenario_dir,
+                                load_scenarios, make_profile,
                                 make_station_catalog, parse_mode)
 from refuelopt.telemetry import generate_synthetic_log, save_trip_log
 
@@ -155,6 +156,23 @@ def test_cohort_csv_bytes_are_pinned(cohort, tmp_path, overrides, per_run_sha,
     write_report_csv(report, str(rp))
     assert hashlib.sha256(pp.read_bytes()).hexdigest() == per_run_sha
     assert hashlib.sha256(rp.read_bytes()).hexdigest() == report_sha
+
+
+def test_accepted_gate_bytes_are_pinned(tmp_path):
+    # The demo cohort's gates all reject; in this 6-driver cohort
+    # commuter_1's accepts, so these bytes pin the full-model fit,
+    # forecast_next_week and delta_km as well.
+    config = generate_scenario_dir(str(tmp_path / "scn"), seed=3, n_seeds_per_profile=2)
+    report = run_cohort(load_scenarios(config), modes=tuple(MODES.values()))
+    accepted = {(o.scenario, round(o.delta_km, 3)) for o in report.outcomes if o.gate_accepted}
+    assert accepted == {("commuter_1", 7.612)}
+    pp, rp = tmp_path / "per_run.csv", tmp_path / "report.csv"
+    write_per_run_csv(report, str(pp))
+    write_report_csv(report, str(rp))
+    assert hashlib.sha256(pp.read_bytes()).hexdigest() == \
+        "4bee8b9c08cabaf4e90ec27deaca0558526c2ba0e793489f6d0265dbe098b820"
+    assert hashlib.sha256(rp.read_bytes()).hexdigest() == \
+        "97915aa3c56a41a42a5d93763c7056c8e015e9c40c53ddf0a58adc7afa7e7862"
 
 
 def test_report_csv_layout(cohort, tmp_path):

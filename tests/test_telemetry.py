@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from refuelopt import errors
 from refuelopt.geo import haversine_m
-from refuelopt.telemetry import (CanTrace, DriverProfile, TripSample,
+from refuelopt.scenario import OBSERVATION_START, generate_scenario_dir, load_scenarios
+from refuelopt.telemetry import (CanTrace, DriverProfile, StopEvent, TripSample,
                                  detect_halts, generate_synthetic_log,
                                  integrate_daily_distance, load_trip_log,
-                                 save_trip_log)
+                                 save_trip_log, ts_to_date)
 
 T0 = 1_736_150_400.0  # 2025-01-06 08:00 UTC
 
@@ -76,6 +77,73 @@ def test_halt_located_at_nearest_fix():
     assert events[0].lat == 44.2
 
 
+def full_scan_halts(trace, gps, gap_threshold):
+    """Reference detect_halts: scans every fix for every gap."""
+    if not trace.message_times:
+        raise errors.EmptyTrace("trace has no messages")
+    fixes = [s for s in gps if s.lat is not None]
+    events = []
+    for t0, t1 in zip(trace.message_times, trace.message_times[1:]):
+        if t1 - t0 <= gap_threshold:
+            continue
+        if not fixes:
+            raise errors.NoLocationFix(f"no GPS fix near gap at t={t0}")
+        nearest = min(fixes, key=lambda s: (abs(s.timestamp - t0), s.timestamp))
+        if abs(nearest.timestamp - t0) > gap_threshold:
+            raise errors.NoLocationFix(f"no GPS fix within {gap_threshold}s of gap at t={t0}")
+        events.append(StopEvent(timestamp=t0, day=ts_to_date(t0),
+                                lat=nearest.lat, lon=nearest.lon))
+    return events
+
+
+def halts_or_error(fn, trace, gps, gap_threshold):
+    try:
+        return fn(trace, gps, gap_threshold)
+    except errors.RefuelOptError as exc:
+        return type(exc), str(exc)
+
+
+def test_halt_ties_go_to_the_earlier_fix():
+    times = [T0, T0 + 300]
+    gps = [fix(T0 + 5, lat=44.3), fix(T0 - 5, lat=44.1), fix(T0 - 5, lat=44.2)]
+    assert detect_halts(CanTrace(times), gps, gap_threshold=120)[0].lat == 44.1
+    # 100 - 1e-20 and 100 - 2e-20 both round to 100: the earlier fix wins.
+    gps = [fix(2e-20, lat=44.2), fix(1e-20, lat=44.1), fix(200.0, lat=44.3)]
+    events = detect_halts(CanTrace([100.0, 400.0]), gps, gap_threshold=120)
+    assert events[0].lat == 44.1
+    assert events == full_scan_halts(CanTrace([100.0, 400.0]), gps, 120)
+
+
+# Small pools of timestamps so that fixes and messages share exact values;
+# the float ranges include subnormals, where distances round together.
+halt_times = st.one_of(st.floats(-1e4, 1e4), st.floats(T0, T0 + 1e4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_detect_halts_matches_full_scan(data):
+    pool = data.draw(st.lists(halt_times, min_size=1, max_size=6))
+    stamp = st.one_of(st.sampled_from(pool), halt_times)
+    drawn = data.draw(st.lists(st.tuples(stamp, st.booleans()), max_size=25))
+    gps = [fix(t, lat=40.0 + i / 1000) if located else TripSample(t, 0.0)
+           for i, (t, located) in enumerate(drawn)]
+    trace = CanTrace(sorted(data.draw(st.lists(stamp, max_size=12))))
+    threshold = data.draw(st.floats(0.5, 300.0))
+    assert halts_or_error(detect_halts, trace, gps, threshold) == \
+        halts_or_error(full_scan_halts, trace, gps, threshold)
+
+
+def test_detect_halts_matches_full_scan_on_cohort(tmp_path):
+    # The benchmark's seed-3 cohort: 9 drivers, 7 weeks each.
+    config = generate_scenario_dir(str(tmp_path), seed=3, n_seeds_per_profile=3)
+    for scn in load_scenarios(config):
+        trace, samples, _ = generate_synthetic_log(scn.profile, scn.observation_weeks,
+                                                   start_day=OBSERVATION_START)
+        events = detect_halts(trace, samples, scn.gap_threshold_s)
+        assert events == full_scan_halts(trace, samples, scn.gap_threshold_s)
+        assert detect_halts(trace, samples[::-1], scn.gap_threshold_s) == events
+
+
 # --- integrate_daily_distance ---------------------------------------------------
 
 def test_constant_speed_hour():
@@ -107,6 +175,43 @@ def test_dropout_pairs_contribute_nothing():
 def test_decreasing_timestamps_raise():
     with pytest.raises(errors.NegativeInterval):
         integrate_daily_distance([fix(T0 + 10), fix(T0)])
+
+
+def per_pair_daily_distance(samples, gap_cutoff_s=60.0):
+    """Reference integrate_daily_distance: derives the day of every pair."""
+    totals = {}
+    for a, b in zip(samples, samples[1:]):
+        dt = b.timestamp - a.timestamp
+        if dt < 0:
+            raise errors.NegativeInterval(f"timestamps decrease at t={a.timestamp}")
+        if dt > gap_cutoff_s:
+            continue
+        day = ts_to_date(a.timestamp)
+        totals[day] = totals.get(day, 0.0) + a.speed_kmh * dt / 3600.0
+    return totals
+
+
+MIDNIGHT = T0 + 16 * 3600.0  # 2025-01-07 00:00 UTC
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(-30.0, 30.0), st.floats(0.0, 120.0)), max_size=30),
+       st.integers(0, 3))
+def test_daily_distance_matches_per_pair_days(steps, late):
+    # Samples around midnight, one 0.4 us before it, which ts_to_date rounds
+    # to the next day; moving `late` samples to the end makes the log decrease.
+    assert ts_to_date(MIDNIGHT - 4e-7) == date(2025, 1, 7)
+    samples = [fix(MIDNIGHT + off, speed=v)
+               for off, v in sorted(steps + [(-4e-7, 50.0), (-1e-3, 40.0)])]
+    samples = samples[late:] + samples[:late]
+
+    def result(fn):
+        try:
+            return fn(samples)
+        except errors.NegativeInterval as exc:
+            return str(exc)
+
+    assert repr(result(integrate_daily_distance)) == repr(result(per_pair_daily_distance))
 
 
 # --- trip-log CSV ---------------------------------------------------------------
