@@ -1,6 +1,15 @@
-"""Geodesic primitives: great-circle distance and point-to-polyline distance."""
+"""Geodesic primitives: great-circle distance and point-to-polyline distance.
+
+The scalar functions are the definitions. `haversine_m_array` evaluates the
+same formula over numpy arrays; its results may differ from the scalar ones
+in the last bits (numpy's sin/cos/arcsin are not libm's), so callers use it
+only to screen candidates and let the scalar functions decide near a
+threshold.
+"""
 
 import math
+
+import numpy as np
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -12,6 +21,14 @@ def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     dlam = lam2 - lam1
     a = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
     return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(a)))
+
+
+def haversine_m_array(lat1, lon1, lat2, lon2) -> np.ndarray:
+    """`haversine_m` over numpy arrays (broadcast), with the same operations."""
+    phi1, lam1, phi2, lam2 = (np.radians(x) for x in (lat1, lon1, lat2, lon2))
+    a = (np.sin((phi2 - phi1) / 2.0) ** 2
+         + np.cos(phi1) * np.cos(phi2) * np.sin((lam2 - lam1) / 2.0) ** 2)
+    return 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(a)))
 
 
 def point_segment_distance_m(lat: float, lon: float,
@@ -37,6 +54,23 @@ def point_segment_distance_m(lat: float, lon: float,
     nearest_lon = lon1 + t * (lon2 - lon1)
     nearest_lat = lat1 + t * (lat2 - lat1)
     return haversine_m(lat, lon, nearest_lat, nearest_lon)
+
+
+def point_segment_distance_m_array(lat, lon, lat1: float, lon1: float,
+                                   lat2: float, lon2: float) -> np.ndarray:
+    """`point_segment_distance_m` from arrays of points to one segment."""
+    lat0 = math.radians((lat1 + lat2) / 2.0)
+    kx = EARTH_RADIUS_M * math.cos(lat0) * math.pi / 180.0
+    ky = EARTH_RADIUS_M * math.pi / 180.0
+
+    px, py = (lon - lon1) * kx, (lat - lat1) * ky
+    sx, sy = (lon2 - lon1) * kx, (lat2 - lat1) * ky
+
+    seg_sq = sx * sx + sy * sy
+    if seg_sq == 0.0:
+        return haversine_m_array(lat, lon, lat1, lon1)
+    t = np.maximum(0.0, np.minimum(1.0, (px * sx + py * sy) / seg_sq))
+    return haversine_m_array(lat, lon, lat1 + t * (lat2 - lat1), lon1 + t * (lon2 - lon1))
 
 
 def point_polyline_distance_m(lat: float, lon: float,

@@ -55,6 +55,9 @@ class ScenarioContext:
     """Everything the strategies share within one scenario run."""
 
     scenario: Scenario
+    # Lives as long as the context: its route memo and departure tree serve
+    # every strategy of this scenario run and no other.
+    router: BuiltinRouter
     day: str
     day_route: Route
     departure_node: str
@@ -158,7 +161,7 @@ def build_context(scn: Scenario) -> ScenarioContext:
         (scn.vehicle.tank_l, scn.vehicle.fuel_l, scn.vehicle.rate_l_per_km),
     )).encode()).hexdigest()
 
-    return ScenarioContext(scenario=scn, day=day, day_route=day_route,
+    return ScenarioContext(scenario=scn, router=router, day=day, day_route=day_route,
                            departure_node=dep_node, departure_coords=dep_coords,
                            remaining_nodes=remaining, day_prices=day_prices,
                            delta_km=delta_km, gate_accepted=accepted,
@@ -172,11 +175,10 @@ def corridor_candidates(ctx: ScenarioContext) -> list[CandidateStop]:
     candidate appears, as sparse station coverage demands.
     """
     scn = ctx.scenario
-    router = BuiltinRouter(scn.graph)
     for attempt in range(4):
         try:
             return generate_candidates(
-                router, ctx.day_route, scn.graph, ctx.departure_node,
+                ctx.router, ctx.day_route, scn.graph, ctx.departure_node,
                 list(ctx.remaining_nodes), scn.stations, ctx.day_prices,
                 delta_km=ctx.delta_km,
                 corridor_radius_m=scn.corridor_radius_m * 2 ** attempt)
@@ -204,10 +206,9 @@ def _first_reachable(ctx: ScenarioContext, order: list[Station],
                      error: str) -> CandidateStop:
     """Route the stations in `order` one at a time; the first in fuel range wins."""
     scn = ctx.scenario
-    router = BuiltinRouter(scn.graph)
     remaining = list(ctx.remaining_nodes)
     for st in order:
-        cand = route_candidate(router, scn.graph, ctx.departure_node, remaining, st,
+        cand = route_candidate(ctx.router, scn.graph, ctx.departure_node, remaining, st,
                                ctx.day_prices[st.station_id], ctx.delta_km)
         if cand.reachable(scn.vehicle):
             return cand

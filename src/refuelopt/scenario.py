@@ -48,12 +48,53 @@ class Scenario:
     cv_window_weeks: int = 6
 
 
+# The keys a cohort config may use, per mapping. An unknown key is rejected,
+# not ignored: a misspelled optional key would silently keep its default.
+CONFIG_KEYS = frozenset({"city", "stations", "fuel_type", "vehicle", "mode",
+                         "simulation", "drivers"})
+CITY_KEYS = frozenset({"nodes", "edges"})
+VEHICLE_KEYS = frozenset({"tank_l", "fuel_l", "rate_l_per_km"})
+SIMULATION_KEYS = frozenset({"observation_weeks", "cluster_radius_m", "gap_threshold_s",
+                             "corridor_radius_m", "nearby_radius_m", "refuel_duration_s",
+                             "cv_window_weeks"})
+DRIVER_KEYS = frozenset({"name", "departure", "profile"})
+PROFILE_KEYS = frozenset({"seed", "anchors", "schedule", "errand_targets", "errand_rate",
+                          "speed_noise_pct", "gps_noise_m", "cruise_speed_kmh"})
+MODE_KEYS = frozenset({"name", "k_cost", "k_time"})
+
+
+def _reject_unknown_keys(obj, allowed: frozenset, where: str) -> None:
+    if isinstance(obj, dict):
+        unknown = sorted(map(str, set(obj) - allowed))
+        if unknown:
+            raise errors.SchemaError(f"unknown key(s) {unknown} in {where}; "
+                                     f"allowed: {sorted(allowed)}")
+
+
+def _check_config_keys(cfg, where: str) -> None:
+    """Reject unknown keys at every level of a cohort config. Mappings of the
+    wrong type are left to the loader, which reports them as SchemaError."""
+    if not isinstance(cfg, dict):
+        return
+    _reject_unknown_keys(cfg, CONFIG_KEYS, where)
+    for key, allowed in (("city", CITY_KEYS), ("vehicle", VEHICLE_KEYS),
+                         ("simulation", SIMULATION_KEYS)):
+        _reject_unknown_keys(cfg.get(key), allowed, f"{where}: {key}")
+    drivers = cfg.get("drivers")
+    for i, drv in enumerate(drivers if isinstance(drivers, list) else ()):
+        _reject_unknown_keys(drv, DRIVER_KEYS, f"{where}: drivers[{i}]")
+        if isinstance(drv, dict):
+            _reject_unknown_keys(drv.get("profile"), PROFILE_KEYS,
+                                 f"{where}: drivers[{i}].profile")
+
+
 def parse_mode(spec) -> Mode:
     """Accept a preset name or an explicit {k_cost, k_time} mapping."""
     if isinstance(spec, str):
         if spec not in MODES:
             raise errors.SchemaError(f"unknown mode {spec!r}; presets: {sorted(MODES)}")
         return MODES[spec]
+    _reject_unknown_keys(spec, MODE_KEYS, "mode")
     return Mode(name=spec.get("name", "custom"),
                 k_cost=float(spec["k_cost"]), k_time=float(spec["k_time"]))
 
@@ -90,6 +131,7 @@ def load_scenarios(config_path: str) -> list[Scenario]:
     base = Path(config_path).parent
     with open(config_path, encoding="utf-8") as fh:
         cfg = yaml.safe_load(fh)
+    _check_config_keys(cfg, config_path)
     try:
         graph = load_road_graph(str(base / cfg["city"]["nodes"]),
                                 str(base / cfg["city"]["edges"]))

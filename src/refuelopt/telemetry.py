@@ -184,6 +184,12 @@ def load_trip_log(path: str) -> tuple[CanTrace, list[TripSample]]:
                 lon = float(row[3]) if row[3] != "" else None
                 fuel = float(row[4]) if row[4] != "" else None
                 can_msg = int(row[5])
+                # float() accepts nan/inf; a NaN timestamp would also slip
+                # past CanTrace's ordering check, since NaN compares false.
+                if not math.isfinite(ts):
+                    raise errors.ParseError(lineno, f"non-finite timestamp {row[0]!r}")
+                if fuel is not None and not math.isfinite(fuel):
+                    raise errors.ParseError(lineno, f"non-finite fuel level {row[4]!r}")
                 sample = TripSample(timestamp=ts, speed_kmh=speed, lat=lat, lon=lon, fuel_l=fuel)
             except (ValueError, TypeError) as exc:
                 raise errors.ParseError(lineno, str(exc)) from None

@@ -11,7 +11,7 @@ from refuelopt.cli import main
 from refuelopt.harness import (STRATEGIES, build_context, run_cohort,
                                run_scenario, write_per_run_csv,
                                write_report_csv)
-from refuelopt.optimizer import MODES, VehicleState
+from refuelopt.optimizer import MODES, Mode, VehicleState
 from refuelopt.scenario import (PROFILE_TEMPLATES, generate_scenario_dir,
                                 load_scenarios, make_profile,
                                 make_station_catalog, parse_mode)
@@ -75,6 +75,32 @@ def test_load_scenarios_rejects_broken_config(tmp_path, demo_scenario_config):
     cfg.write_text("city: {nodes: missing.csv, edges: missing.csv}\n")
     with pytest.raises((errors.SchemaError, errors.IoError)):
         load_scenarios(str(cfg))
+
+
+@pytest.mark.parametrize("path", [
+    ("simulaton",),
+    ("city", "node"),
+    ("vehicle", "fuel"),
+    ("simulation", "corridor_radius"),
+    ("drivers", 1, "departur"),
+    ("drivers", 0, "profile", "errand_rat"),
+    ("mode", "k_costs"),
+], ids=lambda p: ".".join(map(str, p)))
+def test_load_scenarios_rejects_unknown_keys(tmp_path, demo_scenario_config, path):
+    # A misspelled key next to the real ones must not fall back to a default.
+    with open(demo_scenario_config, encoding="utf-8") as fh:
+        cfg = yaml.safe_load(fh)
+    cfg["mode"] = {"k_cost": 1.0, "k_time": 1.0}
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = 1
+    config = Path(demo_scenario_config).parent / f"typo_{'_'.join(map(str, path))}.yaml"
+    with open(config, "w", encoding="utf-8") as fh:
+        yaml.safe_dump(cfg, fh, sort_keys=False)
+    with pytest.raises(errors.SchemaError, match=str(path[-1])):
+        load_scenarios(str(config))
+    assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path)]) == 2
 
 
 # --- harness --------------------------------------------------------------------
@@ -173,6 +199,43 @@ def test_accepted_gate_bytes_are_pinned(tmp_path):
         "4bee8b9c08cabaf4e90ec27deaca0558526c2ba0e793489f6d0265dbe098b820"
     assert hashlib.sha256(rp.read_bytes()).hexdigest() == \
         "97915aa3c56a41a42a5d93763c7056c8e015e9c40c53ddf0a58adc7afa7e7862"
+
+
+@pytest.fixture(scope="module")
+def metro_cohort(tmp_path_factory):
+    """A routing-heavy cohort: 40x40 city, 300 stations, one driver per profile."""
+    config = generate_scenario_dir(str(tmp_path_factory.mktemp("metro")), seed=3,
+                                   n_seeds_per_profile=1, city_rows=40, city_cols=40,
+                                   station_count=300, observation_weeks=4)
+    return load_scenarios(config)
+
+
+# sha256 of (per_run.csv, report.csv) on the metro cohort under the preset
+# modes plus one custom mode: departure trees, station snaps, corridor
+# screening and stop -> waypoint legs at city scale. The narrow corridor
+# widens and fails; the low tank makes the baselines route every station.
+METRO_MODES = tuple(MODES.values()) + (Mode("k0.3_4", 0.3, 4.0),)
+PINNED_METRO_DIGESTS = [
+    ({}, "6709f5170a665be74e1b2858eebdd2d622c3384641ee5f7f26262a2b1b04bfe6",
+     "fa1e5d64bdfdc85f6d018dfbc3bfd0acb457a73deabadef3365b1c101a1365b9"),
+    ({"corridor_radius_m": 60, "nearby_radius_m": 400},
+     "dd97b54d0fc4e7550a817453daba67a6e70401e3da10848b4a79fadd0f8766b6",
+     "0a289333b75378feb343eac55a1da01db166ef906d8ed83b1e10cb6074c2e2ee"),
+    ({"vehicle": VehicleState(50, 0.9, 0.06)},
+     "6427fa60b2137afe284cce806d333272d1f57257dbbb4f0e4a6b84393c9ca38e",
+     "a624587b00e10b017438541e440e123c136ba431a86e939d2f34e1be15b28f59"),
+]
+
+
+@pytest.mark.parametrize("overrides,per_run_sha,report_sha", PINNED_METRO_DIGESTS)
+def test_metro_cohort_csv_bytes_are_pinned(metro_cohort, tmp_path, overrides,
+                                           per_run_sha, report_sha):
+    report = run_cohort([replace(s, **overrides) for s in metro_cohort], modes=METRO_MODES)
+    pp, rp = tmp_path / "per_run.csv", tmp_path / "report.csv"
+    write_per_run_csv(report, str(pp))
+    write_report_csv(report, str(rp))
+    assert hashlib.sha256(pp.read_bytes()).hexdigest() == per_run_sha
+    assert hashlib.sha256(rp.read_bytes()).hexdigest() == report_sha
 
 
 def test_report_csv_layout(cohort, tmp_path):

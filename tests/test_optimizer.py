@@ -3,7 +3,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from refuelopt import errors
 from refuelopt.optimizer import (MODES, CandidateStop, Mode, VehicleState,
@@ -136,6 +136,58 @@ def test_select_matches_exhaustive_argmin(seed):
         return
     plan = select_stop(cands, VEHICLE, mode)
     assert plan.stop.station.station_id == min(finite)[3]
+
+
+def oracle_pick(candidates, vehicle, mode, refuel_duration_s):
+    """Exhaustive reference: every candidate in range with its
+    (L, fuel cost, routed time, station id) key, written out from the
+    formulas; the smallest key wins, or None if nothing is in range."""
+    keyed = []
+    for c in candidates:
+        if vehicle.rate_l_per_km * c.corrected_km > vehicle.fuel_l:
+            continue
+        liters = vehicle.tank_l - vehicle.fuel_l + vehicle.rate_l_per_km * c.corrected_km
+        cost = liters * c.price_eur_l
+        seconds = c.time_s + refuel_duration_s
+        keyed.append(((mode.k_cost * cost + mode.k_time * seconds / 60.0,
+                       cost, c.time_s, c.station.station_id), c, seconds / 60.0))
+    return min(keyed, key=lambda k: k[0], default=None)
+
+
+# Few distinct values, so objectives, fuel costs and times tie often; 300 km
+# and a 240 km delta are beyond the 233 km range of VEHICLE. At 0 km the fuel costs
+# are exact (36 l x 1.5 / 1.75 / 2.0 EUR = 54 / 63 / 72 EUR) and the times
+# differ by 9 min, so under equal weights L ties while cost and time
+# disagree (54 EUR + 24 min = 63 EUR + 15 min).
+candidate_sets = st.lists(
+    st.tuples(st.sampled_from([0.0, 10.0, 300.0]), st.sampled_from([0.0, 240.0]),
+              st.sampled_from([600.0, 1140.0]), st.sampled_from([1.5, 1.75, 2.0])),
+    min_size=1, max_size=10)
+
+
+@settings(max_examples=300)
+@given(specs=candidate_sets, ids=st.permutations([f"S{i}" for i in range(10)]),
+       weights=st.sampled_from([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.5, 3.0)]),
+       refuel_s=st.sampled_from([0.0, 300.0]), order=st.permutations(range(10)))
+@example(specs=[(0.0, 0.0, 600.0, 1.75), (0.0, 0.0, 1140.0, 1.5)], ids=["S1", "S0"],
+         weights=(1.0, 1.0), refuel_s=300.0, order=range(10))
+@example(specs=[(0.0, 0.0, 600.0, 1.5), (0.0, 0.0, 1140.0, 1.5)], ids=["S1", "S0"],
+         weights=(1.0, 0.0), refuel_s=0.0, order=range(10))
+def test_select_stop_matches_oracle_with_ties(specs, ids, weights, refuel_s, order):
+    cands = [cand(sid, distance_km=d, delta_km=delta, time_s=t, price=p)
+             for sid, (d, delta, t, p) in zip(ids, specs)]
+    shuffled = [cands[i] for i in order if i < len(cands)]
+    mode = Mode("custom", *weights)
+    best = oracle_pick(cands, VEHICLE, mode, refuel_s)
+    if best is None:
+        with pytest.raises(errors.NoReachableStation):
+            select_stop(shuffled, VEHICLE, mode, refuel_duration_s=refuel_s)
+        return
+    (objective_value, cost, _t, sid), stop, minutes = best
+    plan = select_stop(shuffled, VEHICLE, mode, day="Mon", refuel_duration_s=refuel_s)
+    assert plan.stop is stop and plan.stop.station.station_id == sid
+    assert (plan.objective, plan.cost_eur, plan.time_min) == (objective_value, cost, minutes)
+    assert (plan.day, plan.mode) == ("Mon", mode)
 
 
 # --- candidate generation -------------------------------------------------------

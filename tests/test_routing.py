@@ -1,14 +1,17 @@
+import heapq
 import itertools
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from refuelopt import errors
-from refuelopt.geo import haversine_m, point_polyline_distance_m
-from refuelopt.roadgraph import (BuiltinRouter, RoadGraph, corridor_filter,
-                                 generate_city, load_road_graph,
-                                 save_road_graph)
+from refuelopt.geo import haversine_m, haversine_m_array, point_polyline_distance_m
+from refuelopt.roadgraph import (BuiltinRouter, RoadGraph, Route,
+                                 corridor_filter, generate_city,
+                                 load_road_graph, save_road_graph)
 
 M_PER_DEG = 111_194.9
 
@@ -226,3 +229,221 @@ def test_generate_city_deterministic_and_connected():
     for src, edges in a.adj.items():
         for to, length_m, _ in edges:
             assert length_m >= haversine_m(*a.nodes[src], *a.nodes[to]) * 0.999
+
+
+# --- equivalence with the scans the screened and memoised code replaced ---------
+
+class PathHeapRouter:
+    """Reference router: Dijkstra whose heap holds (cost, full path) tuples,
+    so equal costs pop in path order, and which looks each edge up again to
+    sum the route. No memo, no tree."""
+
+    def __init__(self, graph):
+        self.graph = graph
+
+    def shortest_route(self, src, dst, metric="time"):
+        graph = self.graph
+        if src not in graph.nodes or dst not in graph.nodes:
+            raise errors.Unreachable(f"unknown node in query {src}->{dst}")
+        if metric not in ("time", "distance"):
+            raise ValueError(f"unknown metric {metric!r}")
+        weight_idx = 2 if metric == "time" else 1
+        heap = [(0.0, (src,))]
+        done = set()
+        while heap:
+            cost, path = heapq.heappop(heap)
+            node = path[-1]
+            if node in done:
+                continue
+            done.add(node)
+            if node == dst:
+                dist_m = 0.0
+                total_time_s = 0.0
+                for a, b in zip(path, path[1:]):
+                    edge = min((e for e in graph.adj[a] if e[0] == b),
+                               key=lambda e: e[weight_idx])
+                    dist_m += edge[1]
+                    total_time_s += edge[2]
+                return Route(nodes=path, distance_km=dist_m / 1000.0, time_s=total_time_s)
+            for to, length_m, time_s in graph.adj.get(node, []):
+                if to not in done:
+                    heapq.heappush(heap, (cost + (length_m, time_s)[weight_idx - 1],
+                                          path + (to,)))
+        raise errors.Unreachable(f"no path {src}->{dst}")
+
+    def one_stop_route(self, start, stop, remaining, metric="time"):
+        legs = []
+        waypoints = [start, stop] + list(remaining)
+        for a, b in zip(waypoints, waypoints[1:]):
+            legs.append(self.shortest_route(a, b, metric=metric))
+        nodes = legs[0].nodes
+        for leg in legs[1:]:
+            nodes = nodes + leg.nodes[1:]
+        return Route(nodes=nodes,
+                     distance_km=sum(l.distance_km for l in legs),
+                     time_s=sum(l.time_s for l in legs))
+
+
+def full_scan_nearest(graph, lat, lon):
+    best_id, best_d = None, math.inf
+    for nid in sorted(graph.nodes):
+        d = haversine_m(lat, lon, *graph.nodes[nid])
+        if d < best_d:
+            best_id, best_d = nid, d
+    return best_id, best_d
+
+
+def outcome(fn, *args, **kwargs):
+    """A call's result, or its exception's type and message."""
+    try:
+        return fn(*args, **kwargs)
+    except (errors.RefuelOptError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+# Small integer weights make exact cost ties common; 1 + 2**-52 adds to an
+# integer cost >= 2 exactly as 1.0 does, so parallel edges tie on cost while
+# their weights differ.
+WEIGHTS = st.sampled_from([1.0, 2.0, 3.0, 1.0 + 2.0 ** -52])
+NODE_IDS = st.sampled_from([f"V{i}" for i in range(7)])
+
+
+@st.composite
+def small_graphs(draw):
+    ids = draw(st.lists(NODE_IDS, min_size=2, max_size=7, unique=True))
+    g = RoadGraph()
+    for i, nid in enumerate(ids):
+        # All nodes within a metre, so any length >= 1 m passes the geodesic check.
+        g.add_node(nid, 44.65 + i * 1e-6, 10.92)
+    edges = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids),
+                                    WEIGHTS, WEIGHTS), max_size=24))
+    for a, b, length_m, time_s in edges:
+        g.add_edge(a, b, length_m, time_s)
+    return g
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_router_matches_path_heap_router(data):
+    g = data.draw(small_graphs())
+    ids = sorted(g.nodes) + ["missing"]
+    router, ref = BuiltinRouter(g), PathHeapRouter(g)
+    metric = st.sampled_from(["time", "distance"])
+    queries = data.draw(st.lists(st.one_of(
+        st.tuples(st.just("shortest_route"), st.sampled_from(ids), st.sampled_from(ids),
+                  metric),
+        st.tuples(st.just("one_stop_route"), st.sampled_from(ids), st.sampled_from(ids),
+                  st.lists(st.sampled_from(ids), max_size=3), metric)),
+        min_size=1, max_size=20))
+    for name, *args in queries:
+        assert outcome(getattr(router, name), *args) == outcome(getattr(ref, name), *args)
+    # Every (src, dst) pair again on the same router: memo and trees hit.
+    for a, b in itertools.product(ids, ids):
+        for m in ("time", "distance"):
+            assert outcome(router.shortest_route, a, b, m) == \
+                outcome(ref.shortest_route, a, b, m)
+
+
+def test_unknown_metric_raises_like_path_heap_router():
+    g = diamond_graph()
+    for router in (BuiltinRouter(g), PathHeapRouter(g)):
+        with pytest.raises(ValueError, match="unknown metric 'hops'"):
+            router.shortest_route("A", "D", metric="hops")
+        with pytest.raises(ValueError, match="unknown metric 'hops'"):
+            router.one_stop_route("A", "D", ["B"], metric="hops")
+
+
+def test_one_stop_routes_on_a_city_match_path_heap_router():
+    g = generate_city(seed=9, rows=8, cols=8)
+    router, ref = BuiltinRouter(g), PathHeapRouter(g)
+    tail = ["N07_07", "N00_07", "N03_02"]
+    for stop in sorted(g.nodes):
+        for metric in ("time", "distance"):
+            assert router.one_stop_route("N04_04", stop, tail, metric) == \
+                ref.one_stop_route("N04_04", stop, tail, metric)
+
+
+COORD = st.floats(-0.01, 0.01, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nodes=st.lists(st.tuples(st.text("abcXYZ09", min_size=1, max_size=3), COORD, COORD),
+                      min_size=1, max_size=40, unique_by=lambda n: n[0]),
+       copies=st.lists(st.text("abcXYZ09", min_size=1, max_size=3), max_size=6),
+       query=st.tuples(COORD, COORD))
+def test_nearest_node_matches_full_scan(nodes, copies, query):
+    g = RoadGraph()
+    for nid, dlat, dlon in nodes:
+        g.add_node(nid, 44.65 + dlat, 10.92 + dlon)
+    # Equidistant nodes: the same coordinates under other ids, and the
+    # query point mirrored through the first node.
+    _nid, dlat, dlon = nodes[0]
+    for i, nid in enumerate(copies):
+        if nid not in g.nodes:
+            g.add_node(nid, *g.nodes[nodes[i % len(nodes)][0]])
+    lat, lon = 44.65 + query[0], 10.92 + query[1]
+    g.add_node("~mirror", 2 * (44.65 + dlat) - lat, 2 * (10.92 + dlon) - lon)
+    assert g.nearest_node(lat, lon) == full_scan_nearest(g, lat, lon)
+    assert g.nearest_node(*g.nodes[nodes[0][0]]) == \
+        full_scan_nearest(g, *g.nodes[nodes[0][0]])
+
+
+def test_nearest_node_sees_nodes_added_after_a_snap():
+    g = diamond_graph()
+    lat, lon = grid_coords(0.3, 0.3)
+    assert g.nearest_node(lat, lon)[0] == "A"
+    g.add_node("E", lat, lon)
+    assert g.nearest_node(lat, lon) == ("E", 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(line=st.lists(st.tuples(COORD, COORD), min_size=1, max_size=6),
+       points=st.lists(st.tuples(COORD, COORD), min_size=1, max_size=12),
+       pick=st.integers(0, 11), ulps=st.sampled_from([-1, 0, 1]))
+def test_corridor_filter_matches_scalar_scan(line, points, pick, ulps):
+    polyline = [(44.65 + a, 10.92 + b) for a, b in line]
+    pts = [(44.65 + a, 10.92 + b) for a, b in points]
+    dist = [point_polyline_distance_m(lat, lon, polyline) for lat, lon in pts]
+    # The radius is a point's exact scalar distance, or one ulp either side.
+    radius = dist[pick % len(pts)]
+    for _ in range(abs(ulps)):
+        radius = math.nextafter(radius, math.copysign(math.inf, ulps))
+    assert corridor_filter(polyline, pts, radius_m=radius) == \
+        [i for i, d in enumerate(dist) if d <= radius]
+
+
+def test_corridor_filter_without_points():
+    assert corridor_filter([grid_coords(0, 0), grid_coords(0, 1)], []) == []
+
+
+# Points whose numpy-screened distance from QUERY is one ulp off the scalar
+# haversine_m (numpy's arcsin is not libm's): 557.2095238945577 m screened
+# one ulp above, 1527.3243724779702 m screened one ulp below.
+QUERY = (44.66, 10.93)
+SCREENED_HIGH = (44.66023093547619, 10.922962379721508)
+SCREENED_LOW = (44.66493516540588, 10.911977992763937)
+
+
+def test_screened_points_differ_from_scalar_distance():
+    # Guard for the two tests below: if numpy and libm agree on these
+    # points, the tests no longer reach the scalar decision.
+    screened = haversine_m_array(*QUERY, np.array([SCREENED_HIGH[0], SCREENED_LOW[0]]),
+                                 np.array([SCREENED_HIGH[1], SCREENED_LOW[1]]))
+    high, low = haversine_m(*QUERY, *SCREENED_HIGH), haversine_m(*QUERY, *SCREENED_LOW)
+    if (screened[0], screened[1]) == (high, low):
+        pytest.skip("numpy's haversine agrees with the scalar one on this platform")
+    assert screened[0] == math.nextafter(high, math.inf)
+    assert screened[1] == math.nextafter(low, -math.inf)
+
+
+def test_corridor_boundary_is_decided_by_the_scalar_distance():
+    high, low = haversine_m(*QUERY, *SCREENED_HIGH), haversine_m(*QUERY, *SCREENED_LOW)
+    assert corridor_filter([QUERY], [SCREENED_HIGH, SCREENED_LOW], radius_m=high) == [0]
+    assert corridor_filter([QUERY], [SCREENED_LOW], radius_m=math.nextafter(low, -math.inf)) == []
+
+
+def test_nearest_node_returns_the_scalar_distance():
+    g = RoadGraph()
+    g.add_node("B", *SCREENED_LOW)
+    g.add_node("A", *SCREENED_HIGH)
+    assert g.nearest_node(*QUERY) == ("A", haversine_m(*QUERY, *SCREENED_HIGH))

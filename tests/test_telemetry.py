@@ -250,6 +250,22 @@ def test_load_rejects_out_of_range_latitude(tmp_path):
     assert exc.value.line == 2
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", ["timestamp", "fuel_l"])
+def test_load_rejects_non_finite_timestamp_and_fuel(tmp_path, bad, column):
+    p = tmp_path / "log.csv"
+    row = {"timestamp": f"{T0 + 1}", "fuel_l": "40.0"}
+    row[column] = bad
+    p.write_text(LOG_HEADER
+                 + f"{T0},30.0,44.0,11.0,40.0,1\n"
+                 + f"{row['timestamp']},31.0,44.0,11.0,{row['fuel_l']},1\n"
+                 + f"{T0 + 2},32.0,44.0,11.0,40.0,1\n")
+    with pytest.raises(errors.ParseError) as exc:
+        load_trip_log(str(p))
+    assert exc.value.line == 3
+    assert "non-finite" in str(exc.value)
+
+
 def test_load_rejects_wrong_header(tmp_path):
     p = tmp_path / "log.csv"
     p.write_text("time,speed\n1,2\n")
