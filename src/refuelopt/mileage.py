@@ -10,7 +10,6 @@ correction applied to candidate refueling routes.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import statistics
 from dataclasses import dataclass, replace
@@ -19,13 +18,11 @@ from datetime import date, timedelta
 import numpy as np
 
 from . import errors
-from .forest import BaggedTrees, dump_trees, fit_bagged_trees, load_trees
+from .forest import BaggedTrees, fit_bagged_trees, load_trees
 
 FEATURE_NAMES = ("day_of_week", "month", "lag_1", "lag_7", "roll_7_mean",
                  "n_trips", "has_trip_stats", "avg_speed", "max_speed",
                  "has_speed_stats")
-
-MODEL_FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -248,40 +245,6 @@ def extra_mileage_delta(y_hat_day: float, routed_day_km: float) -> float:
     if y_hat_day < 0 or routed_day_km < 0:
         raise ValueError("inputs must be non-negative")
     return max(y_hat_day - routed_day_km, 0.0)
-
-
-# --- persistence ----------------------------------------------------------------
-
-def save_model(model: ForestModel, path: str) -> None:
-    obj = {
-        "version": MODEL_FORMAT_VERSION,
-        "seed": model.seed,
-        "degenerate": model.degenerate,
-        "constant_value": model.constant_value,
-        "scaler": {
-            "feature_names": list(model.scaler.feature_names),
-            "means": list(model.scaler.means),
-            "stds": list(model.scaler.stds),
-            "kept": list(model.scaler.kept),
-        },
-        "forest": dump_trees(model.trees),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh)
-
-
-def load_model(path: str) -> ForestModel:
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if obj.get("version") != MODEL_FORMAT_VERSION:
-        raise errors.SchemaError(f"unsupported model version {obj.get('version')}")
-    sc = obj["scaler"]
-    scaler = ScalerStats(feature_names=tuple(sc["feature_names"]),
-                         means=tuple(sc["means"]), stds=tuple(sc["stds"]),
-                         kept=tuple(sc["kept"]))
-    return ForestModel(trees=load_trees(obj["forest"]), scaler=scaler,
-                       seed=obj["seed"], degenerate=obj["degenerate"],
-                       constant_value=obj["constant_value"])
 
 
 def export_metrics_csv(folds, path: str) -> None:

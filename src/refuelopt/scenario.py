@@ -130,7 +130,10 @@ def load_scenarios(config_path: str) -> list[Scenario]:
     """Read a cohort config: shared city/stations/vehicle plus a driver list."""
     base = Path(config_path).parent
     with open(config_path, encoding="utf-8") as fh:
-        cfg = yaml.safe_load(fh)
+        try:
+            cfg = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise errors.SchemaError(f"{config_path}: malformed YAML: {exc}") from exc
     _check_config_keys(cfg, config_path)
     try:
         graph = load_road_graph(str(base / cfg["city"]["nodes"]),

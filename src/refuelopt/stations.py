@@ -122,11 +122,13 @@ def forecast_week(history: PriceHistory, fuel_type: str,
         last_date, last_price = obs[-1]
         if last_date < stale_cutoff:
             stale.add(sid)
-        per_day: dict[str, float] = {}
-        for wd_index, wd in enumerate(WEEKDAYS):
-            vals = [p for d, p in obs if d.weekday() == wd_index and d > horizon]
-            per_day[wd] = sum(vals) / len(vals) if vals else last_price
-        station_prices[sid] = per_day
+        # Grouped in observation order, so each mean sums in date order.
+        by_weekday: list[list[float]] = [[] for _ in WEEKDAYS]
+        for d, p in obs:
+            if d > horizon:
+                by_weekday[d.weekday()].append(p)
+        station_prices[sid] = {wd: sum(vals) / len(vals) if vals else last_price
+                               for wd, vals in zip(WEEKDAYS, by_weekday)}
 
     area = {wd: min(prices[wd] for prices in station_prices.values())
             for wd in WEEKDAYS}

@@ -5,6 +5,25 @@ while the engine runs messages arrive continuously, so a gap longer than a
 threshold marks a stop. Daily traveled distance is integrated from speed
 samples rather than GPS displacement, so it keeps working through GPS
 outages.
+
+A synthetic log is a pure function of (profile, weeks, sample_period_s,
+start_day), and its bytes are pinned by tests. `random.Random(profile.seed)`
+is its only source of randomness, so the order of the draws is part of the
+output and must not change:
+
+1. For each week in turn, the errands: `_poisson` draws `random()` until
+   the product falls under exp(-errand_rate); each errand then draws
+   `choice(days with visits)` and `choice(errand_targets)`.
+2. Then, day by day and leg by leg: one `random()` for the leg's speed
+   factor, `uniform(-0.1, 0.1)`. Each moving fix draws one `random()` for its
+   speed noise, `uniform(-1, 1)`, and two for its GPS offset, one Box-Muller
+   pair: `gauss(0, gps_noise_m)` east, then north. The arrival fix draws one
+   more pair, and the parked time one `random()`, `uniform(1800, 5400)`.
+
+`generate_synthetic_log` inlines `uniform` and `gauss` with CPython's own
+arithmetic (`a + (b - a) * r`, and `gauss`'s Box-Muller with `gauss_next`
+always empty, since the calls come in pairs); the tests check the inlined
+draws against the library calls.
 """
 
 from __future__ import annotations
@@ -15,6 +34,8 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
+from itertools import repeat
+from typing import NamedTuple
 
 from . import errors
 from .geo import haversine_m, valid_coords
@@ -43,23 +64,40 @@ class CanTrace:
             raise ValueError("message times must be non-decreasing")
 
 
-@dataclass(frozen=True)
-class TripSample:
+class _TripSampleFields(NamedTuple):
     timestamp: float
     speed_kmh: float
     lat: float | None = None
     lon: float | None = None
     fuel_l: float | None = None
 
-    def __post_init__(self):
-        if not math.isfinite(self.speed_kmh) or self.speed_kmh < 0:
-            raise ValueError(f"invalid speed {self.speed_kmh}")
-        if (self.lat is None) != (self.lon is None):
+
+class TripSample(_TripSampleFields):
+    """One speed reading, with an optional GPS fix and fuel level.
+
+    An immutable tuple: it also compares equal to a plain 5-tuple of its
+    fields. Construction validates; `generate_synthetic_log` validates a
+    whole log at once and then builds its samples with `tuple.__new__`.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, timestamp: float, speed_kmh: float, lat: float | None = None,
+                lon: float | None = None, fuel_l: float | None = None):
+        if not math.isfinite(speed_kmh) or speed_kmh < 0:
+            raise ValueError(f"invalid speed {speed_kmh}")
+        if (lat is None) != (lon is None):
             raise ValueError("lat and lon must be given together")
-        if self.lat is not None and not valid_coords(self.lat, self.lon):
-            raise ValueError(f"invalid coordinates ({self.lat}, {self.lon})")
-        if self.fuel_l is not None and self.fuel_l < 0:
-            raise ValueError(f"invalid fuel level {self.fuel_l}")
+        if lat is not None and not valid_coords(lat, lon):
+            raise ValueError(f"invalid coordinates ({lat}, {lon})")
+        if fuel_l is not None and fuel_l < 0:
+            raise ValueError(f"invalid fuel level {fuel_l}")
+        return super().__new__(cls, timestamp, speed_kmh, lat, lon, fuel_l)
+
+    @classmethod
+    def _make(cls, iterable) -> "TripSample":
+        # namedtuple's _make (and so _replace) would skip __new__'s checks.
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -232,10 +270,7 @@ def _poisson(rng: random.Random, lam: float) -> int:
         k += 1
 
 
-def _offset_deg(lat: float, dx_m: float, dy_m: float) -> tuple[float, float]:
-    dlat = dy_m / 111_194.9
-    dlon = dx_m / (111_194.9 * max(0.01, math.cos(math.radians(lat))))
-    return dlat, dlon
+_TWOPI = 2.0 * math.pi  # random.gauss's TWOPI
 
 
 def generate_synthetic_log(profile: DriverProfile, weeks: int,
@@ -253,6 +288,8 @@ def generate_synthetic_log(profile: DriverProfile, weeks: int,
         raise ValueError("weeks must be >= 1")
     if start_day.weekday() != 0:
         raise ValueError("start_day must be a Monday")
+    if not sample_period_s > 0:
+        raise ValueError("sample_period_s must be positive")
     for day_name, seq in profile.schedule.items():
         if day_name not in WEEKDAYS:
             raise errors.InvalidProfile(f"unknown weekday {day_name!r}")
@@ -273,7 +310,6 @@ def generate_synthetic_log(profile: DriverProfile, weeks: int,
     for w in range(weeks):
         week_plans: list[list[str]] = []
         for d in range(7):
-            cal_day = start_day + timedelta(days=7 * w + d)
             week_plans.append(list(profile.schedule.get(WEEKDAYS[d], [])))
         for _ in range(_poisson(rng, profile.errand_rate)):
             candidates = [i for i, seq in enumerate(week_plans) if seq]
@@ -288,45 +324,90 @@ def generate_synthetic_log(profile: DriverProfile, weeks: int,
         for d in range(7):
             day_plans.append((start_day + timedelta(days=7 * w + d), week_plans[d]))
 
-    samples: list[TripSample] = []
-    message_times: list[float] = []
+    # One column per field; every fix is also a bus message, so `times` is
+    # the message trace as well.
+    times: list[float] = []
+    speeds: list[float] = []
+    lats: list[float] = []
+    lons: list[float] = []
     truth: dict[date, float] = {}
-    noise_frac = profile.speed_noise_pct / 100.0
+    try:
+        _drive(profile, rng, day_plans, sample_period_s, truth, times, speeds, lats, lons)
+    except Exception:
+        # An invalid fix made before the failure is reported instead, as if
+        # each fix had been checked when it was made.
+        _check_fixes(times, speeds, lats, lons)
+        raise
+    _check_fixes(times, speeds, lats, lons)
+    samples = list(map(tuple.__new__, repeat(TripSample),
+                       zip(times, speeds, lats, lons, repeat(None))))
+    return CanTrace(message_times=times), samples, truth
 
+
+def _check_fixes(times, speeds, lats, lons) -> None:
+    """Raise the error `TripSample` raises for the first invalid fix, if any."""
+    if (all(0.0 <= v < math.inf for v in speeds)
+            and all(map(valid_coords, lats, lons))):
+        return
+    for fix in zip(times, speeds, lats, lons):
+        TripSample(*fix)
+
+
+def _drive(profile: DriverProfile, rng: random.Random,
+           day_plans: list[tuple[date, list[str]]], sample_period_s: float,
+           truth: dict[date, float], times: list[float], speeds: list[float],
+           lats: list[float], lons: list[float]) -> None:
+    """Append every day's fixes to the columns and its leg lengths to `truth`.
+
+    Draws in the order the module docstring fixes.
+    """
+    rnd = rng.random
+    sqrt, log, cos, sin, radians = math.sqrt, math.log, math.cos, math.sin, math.radians
+    add_t, add_speed, add_lat, add_lon = times.append, speeds.append, lats.append, lons.append
+    anchors = profile.anchors
+    cruise = profile.cruise_speed_kmh
+    sigma = profile.gps_noise_m
+    noise_frac = profile.speed_noise_pct / 100.0
     for cal_day, seq in day_plans:
         truth.setdefault(cal_day, 0.0)
         if len(seq) < 2:
             continue
-        day_start = datetime(cal_day.year, cal_day.month, cal_day.day,
-                             7, 0, 0, tzinfo=timezone.utc).timestamp()
-        t = day_start
+        t = datetime(cal_day.year, cal_day.month, cal_day.day,
+                     7, 0, 0, tzinfo=timezone.utc).timestamp()
         for a_name, b_name in zip(seq, seq[1:]):
-            a = profile.anchors[a_name]
-            b = profile.anchors[b_name]
-            dist_km = haversine_m(a[0], a[1], b[0], b[1]) / 1000.0
+            a = anchors[a_name]
+            b = anchors[b_name]
+            a_lat, a_lon, b_lat, b_lon = a[0], a[1], b[0], b[1]
+            leg_dlat, leg_dlon = b_lat - a_lat, b_lon - a_lon
+            dist_km = haversine_m(a_lat, a_lon, b_lat, b_lon) / 1000.0
             truth[cal_day] += dist_km
-            trip_speed = profile.cruise_speed_kmh * (1.0 + rng.uniform(-0.1, 0.1))
+            trip_speed = cruise * (1.0 + (-0.1 + 0.2 * rnd()))
             covered = 0.0
             while covered < dist_km:
-                speed = max(1.0, trip_speed * (1.0 + noise_frac * rng.uniform(-1.0, 1.0)))
-                frac = min(1.0, covered / dist_km) if dist_km > 0 else 1.0
-                lat = a[0] + frac * (b[0] - a[0])
-                lon = a[1] + frac * (b[1] - a[1])
-                dlat, dlon = _offset_deg(lat,
-                                         rng.gauss(0.0, profile.gps_noise_m),
-                                         rng.gauss(0.0, profile.gps_noise_m))
-                samples.append(TripSample(timestamp=t, speed_kmh=speed,
-                                          lat=lat + dlat, lon=lon + dlon))
-                message_times.append(t)
+                speed = trip_speed * (1.0 + noise_frac * (-1.0 + 2.0 * rnd()))
+                if not speed > 1.0:  # max(1.0, speed), NaN included
+                    speed = 1.0
+                frac = covered / dist_km  # in [0, 1], as covered < dist_km
+                lat = a_lat + frac * leg_dlat
+                x2pi = rnd() * _TWOPI
+                g2rad = sqrt(-2.0 * log(1.0 - rnd()))
+                dx = 0.0 + cos(x2pi) * g2rad * sigma
+                dy = 0.0 + sin(x2pi) * g2rad * sigma
+                c = cos(radians(lat))
+                add_t(t)
+                add_speed(speed)
+                add_lat(lat + dy / 111_194.9)
+                add_lon(a_lon + frac * leg_dlon + dx / (111_194.9 * (c if c > 0.01 else 0.01)))
                 covered += speed * sample_period_s / 3600.0
                 t += sample_period_s
             # Arrival fix: zero speed, parked at the destination.
-            dlat, dlon = _offset_deg(b[0],
-                                     rng.gauss(0.0, profile.gps_noise_m),
-                                     rng.gauss(0.0, profile.gps_noise_m))
-            samples.append(TripSample(timestamp=t, speed_kmh=0.0,
-                                      lat=b[0] + dlat, lon=b[1] + dlon))
-            message_times.append(t)
-            t += rng.uniform(1800.0, 5400.0)  # parked: bus silent
-
-    return CanTrace(message_times=message_times), samples, truth
+            x2pi = rnd() * _TWOPI
+            g2rad = sqrt(-2.0 * log(1.0 - rnd()))
+            dx = 0.0 + cos(x2pi) * g2rad * sigma
+            dy = 0.0 + sin(x2pi) * g2rad * sigma
+            c = cos(radians(b_lat))
+            add_t(t)
+            add_speed(0.0)
+            add_lat(b_lat + dy / 111_194.9)
+            add_lon(b_lon + dx / (111_194.9 * (c if c > 0.01 else 0.01)))
+            t += 1800.0 + 3600.0 * rnd()  # parked: bus silent

@@ -103,6 +103,16 @@ def test_load_scenarios_rejects_unknown_keys(tmp_path, demo_scenario_config, pat
     assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("command", ["simulate", "plan"])
+def test_malformed_yaml_is_a_schema_error(tmp_path, capsys, command):
+    config = tmp_path / "broken.yaml"
+    config.write_text("city: [unclosed\n")
+    with pytest.raises(errors.SchemaError, match="broken.yaml"):
+        load_scenarios(str(config))
+    assert main([command, "--config", str(config), "--out-dir", str(tmp_path)]) == 2
+    assert "broken.yaml" in capsys.readouterr().err
+
+
 # --- harness --------------------------------------------------------------------
 
 def test_build_context_is_reproducible(cohort):

@@ -11,8 +11,8 @@ from refuelopt.forest import fit_bagged_trees
 from refuelopt.mileage import (FEATURE_NAMES, GateThresholds, ScalerStats,
                                build_features, evaluate_metrics,
                                extra_mileage_delta, fit_forest,
-                               forecast_next_week, gate, load_model,
-                               predict_week, save_model, sliding_cv)
+                               forecast_next_week, gate, predict_week,
+                               sliding_cv)
 
 MONDAY = date(2025, 1, 6)
 
@@ -237,25 +237,3 @@ def test_delta_is_clamped_surplus(y_hat, routed):
 def test_delta_rejects_negative_inputs():
     with pytest.raises(ValueError):
         extra_mileage_delta(-1.0, 5.0)
-
-
-# --- persistence ----------------------------------------------------------------
-
-def test_save_load_round_trip(tmp_path):
-    km = weekly_pattern(5, noise=1.5)
-    rows = build_features(km)
-    model = fit_forest(rows, n_trees=20, seed=4)
-    p = tmp_path / "model.json"
-    save_model(model, str(p))
-    loaded = load_model(str(p))
-    probe = [replace(r, target=None) for r in rows[-7:]]
-    assert predict_week(loaded, probe) == predict_week(model, probe)
-    save_model(loaded, str(tmp_path / "model2.json"))
-    assert p.read_bytes() == (tmp_path / "model2.json").read_bytes()
-
-
-def test_load_rejects_unknown_version(tmp_path):
-    p = tmp_path / "model.json"
-    p.write_text('{"version": 99}')
-    with pytest.raises(errors.SchemaError):
-        load_model(str(p))

@@ -1,10 +1,13 @@
 from datetime import date, timedelta
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from refuelopt import errors
-from refuelopt.stations import (STATIONS_HEADER, PriceHistory, cheapest_day,
-                                forecast_week, load_stations, save_stations)
+from refuelopt.stations import (STALE_AFTER_DAYS, STATIONS_HEADER, PriceHistory,
+                                WeeklyPriceForecast, cheapest_day, forecast_week,
+                                load_stations, save_stations)
+from refuelopt.telemetry import WEEKDAYS
 
 MONDAY = date(2025, 1, 6)
 HEADER = ",".join(STATIONS_HEADER) + "\n"
@@ -133,3 +136,42 @@ def test_cheapest_day_argmin_and_tie_order():
     obs = {("S1", "diesel"): list(zip(days, prices))}
     fc = forecast_week(history(obs), "diesel")
     assert cheapest_day(fc) == "Wed"
+
+
+def reference_forecast_week(history, fuel_type, lookback_weeks=4):
+    """forecast_week as one list scan per weekday: the definition it must match."""
+    keys = [k for k in history.series if k[1] == fuel_type]
+    anchor = history.latest_date()
+    horizon = anchor - timedelta(weeks=lookback_weeks)
+    stale_cutoff = anchor - timedelta(days=STALE_AFTER_DAYS)
+    station_prices, stale = {}, set()
+    for sid, fuel in keys:
+        obs = history.series[(sid, fuel)]
+        last_date, last_price = obs[-1]
+        if last_date < stale_cutoff:
+            stale.add(sid)
+        per_day = {}
+        for wd_index, wd in enumerate(WEEKDAYS):
+            vals = [p for d, p in obs if d.weekday() == wd_index and d > horizon]
+            per_day[wd] = sum(vals) / len(vals) if vals else last_price
+        station_prices[sid] = per_day
+    area = {wd: min(prices[wd] for prices in station_prices.values()) for wd in WEEKDAYS}
+    return WeeklyPriceForecast(fuel_type=fuel_type, station_prices=station_prices,
+                               area_prices=area, stale_stations=frozenset(stale))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(
+           st.tuples(st.sampled_from(["S1", "S2", "S3"]), st.sampled_from(["diesel", "petrol"])),
+           st.dictionaries(st.integers(0, 90), st.integers(500, 3000).map(lambda c: c / 1000),
+                           min_size=1, max_size=60),
+           min_size=1, max_size=6),
+       st.integers(1, 12))
+def test_forecast_week_matches_per_weekday_scans(series, lookback_weeks):
+    hist = history({k: [(MONDAY + timedelta(days=i), p) for i, p in obs.items()]
+                    for k, obs in series.items()})
+    for fuel in {fuel for _, fuel in series}:
+        got = forecast_week(hist, fuel, lookback_weeks=lookback_weeks)
+        want = reference_forecast_week(hist, fuel, lookback_weeks=lookback_weeks)
+        assert got == want
+        assert list(got.station_prices) == list(want.station_prices)

@@ -1,5 +1,8 @@
+import hashlib
+import math
+import random
 import statistics
-from datetime import date
+from datetime import date, datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 from refuelopt import errors
 from refuelopt.geo import haversine_m
 from refuelopt.scenario import OBSERVATION_START, generate_scenario_dir, load_scenarios
-from refuelopt.telemetry import (CanTrace, DriverProfile, StopEvent, TripSample,
-                                 detect_halts, generate_synthetic_log,
-                                 integrate_daily_distance, load_trip_log,
-                                 save_trip_log, ts_to_date)
+from refuelopt.telemetry import (_TWOPI, WEEKDAYS, CanTrace, DriverProfile, StopEvent,
+                                 TripSample, _poisson, detect_halts,
+                                 generate_synthetic_log, integrate_daily_distance,
+                                 load_trip_log, save_trip_log, ts_to_date)
 
 T0 = 1_736_150_400.0  # 2025-01-06 08:00 UTC
 
@@ -340,3 +343,220 @@ def test_halts_cluster_at_anchors():
     anchors = list(profile().anchors.values())
     for ev in events:
         assert min(haversine_m(ev.lat, ev.lon, a[0], a[1]) for a in anchors) < 100
+
+
+def reference_generate_synthetic_log(profile, weeks, sample_period_s=5.0,
+                                     start_day=date(2025, 1, 6)):
+    """generate_synthetic_log with library draws and one validated TripSample
+    per fix: the definition the fast generator must match (valid profiles only)."""
+    def offset_deg(lat, dx_m, dy_m):
+        dlat = dy_m / 111_194.9
+        dlon = dx_m / (111_194.9 * max(0.01, math.cos(math.radians(lat))))
+        return dlat, dlon
+
+    rng = random.Random(profile.seed)
+    day_plans = []
+    for w in range(weeks):
+        week_plans = [list(profile.schedule.get(WEEKDAYS[d], [])) for d in range(7)]
+        for _ in range(_poisson(rng, profile.errand_rate)):
+            candidates = [i for i, seq in enumerate(week_plans) if seq]
+            if not candidates:
+                break
+            seq = week_plans[rng.choice(candidates)]
+            seq.extend([rng.choice(profile.errand_targets), seq[-1]])
+        for d in range(7):
+            day_plans.append((start_day + timedelta(days=7 * w + d), week_plans[d]))
+
+    samples, message_times, truth = [], [], {}
+    noise_frac = profile.speed_noise_pct / 100.0
+    for cal_day, seq in day_plans:
+        truth.setdefault(cal_day, 0.0)
+        if len(seq) < 2:
+            continue
+        t = datetime(cal_day.year, cal_day.month, cal_day.day,
+                     7, 0, 0, tzinfo=timezone.utc).timestamp()
+        for a_name, b_name in zip(seq, seq[1:]):
+            a = profile.anchors[a_name]
+            b = profile.anchors[b_name]
+            dist_km = haversine_m(a[0], a[1], b[0], b[1]) / 1000.0
+            truth[cal_day] += dist_km
+            trip_speed = profile.cruise_speed_kmh * (1.0 + rng.uniform(-0.1, 0.1))
+            covered = 0.0
+            while covered < dist_km:
+                speed = max(1.0, trip_speed * (1.0 + noise_frac * rng.uniform(-1.0, 1.0)))
+                frac = min(1.0, covered / dist_km) if dist_km > 0 else 1.0
+                lat = a[0] + frac * (b[0] - a[0])
+                lon = a[1] + frac * (b[1] - a[1])
+                dlat, dlon = offset_deg(lat, rng.gauss(0.0, profile.gps_noise_m),
+                                        rng.gauss(0.0, profile.gps_noise_m))
+                samples.append(TripSample(timestamp=t, speed_kmh=speed,
+                                          lat=lat + dlat, lon=lon + dlon))
+                message_times.append(t)
+                covered += speed * sample_period_s / 3600.0
+                t += sample_period_s
+            dlat, dlon = offset_deg(b[0], rng.gauss(0.0, profile.gps_noise_m),
+                                    rng.gauss(0.0, profile.gps_noise_m))
+            samples.append(TripSample(timestamp=t, speed_kmh=0.0,
+                                      lat=b[0] + dlat, lon=b[1] + dlon))
+            message_times.append(t)
+            t += rng.uniform(1800.0, 5400.0)
+    return CanTrace(message_times=message_times), samples, truth
+
+
+def outcome(generate, *args, **kwargs):
+    """The log's repr, or the type and message of the exception raised."""
+    try:
+        trace, samples, truth = generate(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return "ok", repr((trace.message_times, samples, truth))
+
+
+# sha256 of repr((message_times, samples, truth)), pinned from the generator
+# that built one validated TripSample per fix with rng.uniform/rng.gauss.
+LOG_CASES = {
+    "errands": (lambda: profile(seed=7, errand_rate=3.0), 2,
+                "22bf5807064eb800ffbc10ba5f1db9f4ff58b6c5e1329f679d04d09fb662a495"),
+    "zero_length_leg": (lambda: DriverProfile(
+        seed=2, anchors={"home": (44.6, 10.9), "work": (44.65, 10.96)},
+        schedule={"Mon": ["home", "home", "work"], "Sat": ["work", "home"]}), 1,
+        "1079767f529065c419f70d726b81084f61ddf90df60905e9af38855d81ec4d4f"),
+    "no_gps_noise": (lambda: profile(seed=3, gps_noise_m=0), 1,
+                     "75448aa70d9d03a6812fd7fc20a71808d23ce6926a8deb5557d2a07bdfe64a37"),
+    "no_speed_noise": (lambda: profile(seed=4, speed_noise_pct=0), 1,
+                       "03d9d6837f5e4cd2b9f5402c12037a53a5c8d945bd73c9b68571c3ac67b3d405"),
+    "one_week": (lambda: profile(seed=5), 1,
+                 "ddb743163d495f4fb305688a9f4d2a24d7756213826ef7c970fe244fd45a87a1"),
+    "thirteen_weeks": (lambda: profile(seed=6, errand_rate=1.5), 13,
+                       "e11234e1f8887b1f71ebcf2180b3acda725be53c9b18723318fe51b9e70d0410"),
+    # cos(89.6 deg) < 0.01: the east offset's cos clamp is in effect.
+    "near_pole": (lambda: DriverProfile(
+        seed=8, anchors={"a": (89.60, 10.0), "b": (89.75, 30.0)},
+        schedule={"Tue": ["a", "b", "a"], "Sun": ["b", "a"]},
+        errand_targets=["b"], errand_rate=2.0), 2,
+        "cfdfafb8a8a78d76b83466a55a180dc784fa40c2edb3c3aacfe2d45e3cf6105a"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOG_CASES))
+def test_generated_log_bytes_are_pinned(case):
+    make, weeks, digest = LOG_CASES[case]
+    trace, samples, truth = generate_synthetic_log(make(), weeks)
+    assert trace.message_times == [s.timestamp for s in samples]
+    assert hashlib.sha256(repr((trace.message_times, samples, truth)).encode()).hexdigest() == digest
+
+
+@st.composite
+def driver_profiles(draw):
+    # Anchors cluster around a base point, so legs stay short; bases near a
+    # pole or the antimeridian let the noise push fixes out of range.
+    base_lat = draw(st.sampled_from([89.97, -89.97]) | st.floats(-89.99, 89.99))
+    base_lon = draw(st.sampled_from([179.97, -179.97]) | st.floats(-179.99, 179.99))
+    offset = st.floats(-0.05, 0.05)
+    names = [f"a{i}" for i in range(draw(st.integers(1, 4)))]
+    anchors = {n: (base_lat + draw(offset), base_lon + draw(offset)) for n in names}
+    schedule = {d: draw(st.lists(st.sampled_from(names), max_size=4))
+                for d in draw(st.sets(st.sampled_from(WEEKDAYS), min_size=1))}
+    targets = draw(st.lists(st.sampled_from(names), max_size=3))
+    return DriverProfile(
+        seed=draw(st.integers(0, 2**32)), anchors=anchors, schedule=schedule,
+        errand_targets=targets,
+        errand_rate=draw(st.floats(0.0, 4.0)) if targets else 0.0,
+        speed_noise_pct=draw(st.sampled_from([0.0, 5.0]) | st.floats(0.0, 150.0)),
+        gps_noise_m=draw(st.sampled_from([0, 10]) | st.floats(0.0, 5000.0)),
+        cruise_speed_kmh=draw(st.sampled_from([50.0, math.nan, math.inf])
+                              | st.floats(5.0, 150.0)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(driver_profiles(), st.integers(1, 2), st.sampled_from([5.0, 1.0, 37.5]))
+def test_generator_matches_reference(p, weeks, period):
+    assert (outcome(generate_synthetic_log, p, weeks, sample_period_s=period)
+            == outcome(reference_generate_synthetic_log, p, weeks, sample_period_s=period))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024, 2**40 + 3])
+def test_inlined_draws_match_the_random_library(seed):
+    # The generator spells out uniform(a, b) and gauss(0, sigma) in CPython's
+    # arithmetic; this fails if the library's definitions change.
+    assert _TWOPI == random.TWOPI
+    lib, raw = random.Random(seed), random.Random(seed)
+    for sigma in (10.0, 0, 0.0, 37.5, 5000.0):
+        for _ in range(40):
+            assert lib.uniform(-0.1, 0.1) == -0.1 + 0.2 * raw.random()
+            assert lib.uniform(-1.0, 1.0) == -1.0 + 2.0 * raw.random()
+            x2pi = raw.random() * _TWOPI
+            g2rad = math.sqrt(-2.0 * math.log(1.0 - raw.random()))
+            assert repr(lib.gauss(0.0, sigma)) == repr(0.0 + math.cos(x2pi) * g2rad * sigma)
+            assert repr(lib.gauss(0.0, sigma)) == repr(0.0 + math.sin(x2pi) * g2rad * sigma)
+            assert lib.uniform(1800.0, 5400.0) == 1800.0 + 3600.0 * raw.random()
+    assert lib.getstate() == raw.getstate()
+
+
+HOME_WORK = {"home": (44.6, 10.9), "work": (44.65, 10.96)}
+
+
+@pytest.mark.parametrize("anchors, schedule, cruise, expected", [
+    # A leg that ends past the pole: its first fix is out of range.
+    ({**HOME_WORK, "far": (95.0, 10.9)}, {"Mon": ["home", "far"]}, 50.0,
+     (ValueError, "invalid coordinates (90.0004625053669, 10.90261347029511)")),
+    # The same, with a later leg whose anchor makes haversine_m fail: the
+    # invalid fix comes first, so its error is the one raised.
+    ({**HOME_WORK, "far": (95.0, 10.9), "bad": (math.inf, 1.0)},
+     {"Mon": ["home", "far"], "Tue": ["home", "bad"]}, 50.0,
+     (ValueError, "invalid coordinates (90.0004625053669, 10.90261347029511)")),
+    (HOME_WORK, {"Mon": ["home", "work", "home"]}, math.inf,
+     (ValueError, "invalid speed inf")),
+    # max(1.0, nan) is 1.0: a NaN cruise speed yields 1 km/h, not an error.
+    (HOME_WORK, {"Mon": ["home", "work", "home"]}, math.nan, "ok"),
+], ids=["out_of_range", "out_of_range_then_inf", "inf_cruise", "nan_cruise"])
+def test_generator_error_paths_match_reference(anchors, schedule, cruise, expected):
+    p = DriverProfile(seed=1, anchors=anchors, schedule=schedule, cruise_speed_kmh=cruise)
+    got = outcome(generate_synthetic_log, p, 1)
+    assert got == outcome(reference_generate_synthetic_log, p, 1)
+    if expected == "ok":
+        assert got[0] == "ok"
+    else:
+        assert got == expected
+
+
+def test_generator_rejects_non_positive_period():
+    for period in (0.0, -5.0, math.nan):
+        with pytest.raises(ValueError, match="sample_period_s"):
+            generate_synthetic_log(profile(), weeks=1, sample_period_s=period)
+
+
+# --- TripSample -----------------------------------------------------------------
+
+def test_trip_sample_contract():
+    s = TripSample(1.5, 30.0, 44.0, 11.0)
+    assert s == TripSample(timestamp=1.5, speed_kmh=30.0, lat=44.0, lon=11.0)
+    assert hash(s) == hash(TripSample(timestamp=1.5, speed_kmh=30.0, lat=44.0, lon=11.0))
+    assert repr(s) == "TripSample(timestamp=1.5, speed_kmh=30.0, lat=44.0, lon=11.0, fuel_l=None)"
+    assert repr(TripSample(2.0, 0.0, fuel_l=7.5)) == (
+        "TripSample(timestamp=2.0, speed_kmh=0.0, lat=None, lon=None, fuel_l=7.5)")
+    bare = TripSample(2.0, 0.0)
+    assert (bare.timestamp, bare.speed_kmh, bare.lat, bare.lon, bare.fuel_l) == (
+        2.0, 0.0, None, None, None)
+    assert s == (1.5, 30.0, 44.0, 11.0, None)  # a tuple now
+    for name in ("timestamp", "speed_kmh", "lat", "lon", "fuel_l", "other"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, 0.0)
+    with pytest.raises(ValueError, match="invalid speed -1.0"):
+        s._replace(speed_kmh=-1.0)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"speed_kmh": math.nan}, "invalid speed nan"),
+    ({"speed_kmh": math.inf}, "invalid speed inf"),
+    ({"speed_kmh": -1.0}, "invalid speed -1.0"),
+    ({"lat": 44.0}, "lat and lon must be given together"),
+    ({"lon": 11.0}, "lat and lon must be given together"),
+    ({"lat": 91.0, "lon": 0.0}, "invalid coordinates (91.0, 0.0)"),
+    ({"lat": 0.0, "lon": math.nan}, "invalid coordinates (0.0, nan)"),
+    ({"fuel_l": -2.0}, "invalid fuel level -2.0"),
+])
+def test_trip_sample_validation_messages(kwargs, message):
+    with pytest.raises(ValueError) as exc:
+        TripSample(**({"timestamp": 0.0, "speed_kmh": 10.0} | kwargs))
+    assert str(exc.value) == message
