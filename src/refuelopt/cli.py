@@ -15,7 +15,6 @@ error.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import replace
 from datetime import timedelta
@@ -23,6 +22,7 @@ from pathlib import Path
 
 from . import errors, harness, mileage, scenario as scenario_mod
 from .optimizer import MODES, Mode, export_plan_csv, export_plan_geojson, select_stop
+from .tables import write_table
 from .telemetry import detect_halts, integrate_daily_distance, load_trip_log
 from .tripgraph import assign_clusters, build_daily_flows, export_graph_csv, select_pois
 
@@ -57,12 +57,9 @@ def cmd_ingest(args) -> int:
     trace, samples = load_trip_log(args.log)
     events = detect_halts(trace, samples, gap_threshold=args.gap_threshold)
     out = Path(args.out_dir) / "stops.csv"
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["timestamp", "date", "lat", "lon"])
-        for ev in events:
-            writer.writerow([repr(ev.timestamp), ev.day.isoformat(),
-                             repr(ev.lat), repr(ev.lon)])
+    write_table(str(out), ["timestamp", "date", "lat", "lon"],
+                ([repr(ev.timestamp), ev.day.isoformat(), repr(ev.lat), repr(ev.lon)]
+                 for ev in events))
     print(f"{len(events)} stop events -> {out}")
     return 0
 

@@ -21,7 +21,6 @@ into one error row per mode.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import statistics
 from concurrent.futures import ProcessPoolExecutor
@@ -36,7 +35,8 @@ from .optimizer import (CandidateStop, Mode, fuel_cost, generate_candidates,
                         route_candidate, select_stop)
 from .roadgraph import BuiltinRouter, Route
 from .scenario import OBSERVATION_START, Scenario
-from .stations import Station, forecast_week
+from .stations import Station, cheapest_day, forecast_week
+from .tables import write_table
 from .telemetry import (WEEKDAYS, detect_halts, generate_synthetic_log,
                         integrate_daily_distance)
 from .tripgraph import assign_clusters, build_daily_flows, select_pois
@@ -135,8 +135,7 @@ def build_context(scn: Scenario) -> ScenarioContext:
     usable = [wd for wd in WEEKDAYS if trip_graph.edges.get(wd)]
     if not usable:
         raise errors.EmptyDayGraph(f"{scn.name}: no weekday has a habitual route")
-    area = forecast.area_prices
-    day = min(usable, key=lambda wd: (area[wd], WEEKDAYS.index(wd)))
+    day = cheapest_day(forecast, usable)
 
     dep_coords = scn.profile.anchors[scn.departure]
     dep_node, _ = graph.nearest_node(*dep_coords)
@@ -328,23 +327,16 @@ def run_cohort(scenarios: list[Scenario], strategies: tuple[str, ...] = STRATEGI
 
 
 def write_per_run_csv(report: AggregateReport, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(PER_RUN_HEADER)
-        for o in report.outcomes:
-            writer.writerow([o.scenario, o.strategy, o.mode, repr(o.k_cost),
-                             repr(o.k_time), o.day, o.station_id,
-                             repr(o.cost_eur), repr(o.time_min),
-                             int(o.gate_accepted), repr(o.delta_km),
-                             o.context_hash, o.error or ""])
+    write_table(path, PER_RUN_HEADER,
+                ([o.scenario, o.strategy, o.mode, repr(o.k_cost), repr(o.k_time),
+                  o.day, o.station_id, repr(o.cost_eur), repr(o.time_min),
+                  int(o.gate_accepted), repr(o.delta_km), o.context_hash, o.error or ""]
+                 for o in report.outcomes))
 
 
 def write_report_csv(report: AggregateReport, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(REPORT_HEADER)
-        for r in report.rows:
-            writer.writerow([r.strategy, r.mode, repr(r.k_cost), repr(r.k_time),
-                             repr(r.cost_mean), repr(r.cost_std),
-                             repr(r.time_mean), repr(r.time_std),
-                             r.n_runs, r.n_failed])
+    write_table(path, REPORT_HEADER,
+                ([r.strategy, r.mode, repr(r.k_cost), repr(r.k_time),
+                  repr(r.cost_mean), repr(r.cost_std), repr(r.time_mean),
+                  repr(r.time_std), r.n_runs, r.n_failed]
+                 for r in report.rows))

@@ -9,7 +9,6 @@ correction applied to candidate refueling routes.
 
 from __future__ import annotations
 
-import csv
 import math
 import statistics
 from dataclasses import dataclass, replace
@@ -19,6 +18,7 @@ import numpy as np
 
 from . import errors
 from .forest import BaggedTrees, fit_bagged_trees, load_trees
+from .tables import write_table
 
 FEATURE_NAMES = ("day_of_week", "month", "lag_1", "lag_7", "roll_7_mean",
                  "n_trips", "has_trip_stats", "avg_speed", "max_speed",
@@ -248,8 +248,6 @@ def extra_mileage_delta(y_hat_day: float, routed_day_km: float) -> float:
 
 
 def export_metrics_csv(folds, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["fold", "mae", "e_week", "e_week_pct"])
-        for i, m in enumerate(folds):
-            writer.writerow([i, repr(m.mae), repr(m.e_week), repr(m.e_week_pct)])
+    write_table(path, ["fold", "mae", "e_week", "e_week_pct"],
+                ([i, repr(m.mae), repr(m.e_week), repr(m.e_week_pct)]
+                 for i, m in enumerate(folds)))

@@ -8,7 +8,6 @@ current fuel range are unreachable and score infinity.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -17,6 +16,7 @@ from . import errors
 from .roadgraph import (DEFAULT_CORRIDOR_RADIUS_M, RoadGraph, Route,
                         RouterPort, corridor_filter)
 from .stations import Station
+from .tables import write_table
 
 DEFAULT_REFUEL_DURATION_S = 300.0
 
@@ -167,14 +167,11 @@ def select_stop(candidates: list[CandidateStop], vehicle: VehicleState, mode: Mo
 
 
 def export_plan_csv(plan: RefuelPlan, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(PLAN_CSV_HEADER)
-        st = plan.stop.station
-        writer.writerow([plan.day, st.station_id, repr(st.lat), repr(st.lon),
-                         repr(plan.stop.price_eur_l), f"{plan.cost_eur:.2f}",
-                         f"{plan.time_min:.2f}", repr(plan.objective),
-                         plan.mode.name])
+    st = plan.stop.station
+    write_table(path, PLAN_CSV_HEADER,
+                [[plan.day, st.station_id, repr(st.lat), repr(st.lon),
+                  repr(plan.stop.price_eur_l), f"{plan.cost_eur:.2f}",
+                  f"{plan.time_min:.2f}", repr(plan.objective), plan.mode.name]])
 
 
 def export_plan_geojson(plan: RefuelPlan, candidates: list[CandidateStop],

@@ -18,7 +18,6 @@ scalar scan returns.
 
 from __future__ import annotations
 
-import csv
 import heapq
 import math
 import random
@@ -30,6 +29,7 @@ import numpy as np
 from . import errors
 from .geo import (haversine_m, haversine_m_array, point_polyline_distance_m,
                   point_segment_distance_m_array, valid_coords)
+from .tables import read_table, write_table
 
 NODES_HEADER = ["id", "lat", "lon"]
 EDGES_HEADER = ["from", "to", "length_m", "time_s"]
@@ -269,46 +269,21 @@ def corridor_filter(polyline: list[tuple[float, float]], points: list[tuple[floa
 def load_road_graph(nodes_path: str, edges_path: str) -> RoadGraph:
     """Load the graph CSV pair, rejecting dangling or degenerate edges."""
     graph = RoadGraph()
-    try:
-        with open(nodes_path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            if next(reader, None) != NODES_HEADER:
-                raise errors.SchemaError(f"{nodes_path}: bad header")
-            for lineno, row in enumerate(reader, start=2):
-                try:
-                    graph.add_node(row[0], float(row[1]), float(row[2]))
-                except (ValueError, IndexError) as exc:
-                    raise errors.ParseError(lineno, str(exc)) from None
-        with open(edges_path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            if next(reader, None) != EDGES_HEADER:
-                raise errors.SchemaError(f"{edges_path}: bad header")
-            for lineno, row in enumerate(reader, start=2):
-                try:
-                    graph.add_edge(row[0], row[1], float(row[2]), float(row[3]))
-                except (ValueError, IndexError) as exc:
-                    raise errors.ParseError(lineno, str(exc)) from None
-    except OSError as exc:
-        raise errors.IoError(str(exc)) from exc
+    read_table(nodes_path, NODES_HEADER,
+               lambda row: graph.add_node(row[0], float(row[1]), float(row[2])))
+    read_table(edges_path, EDGES_HEADER,
+               lambda row: graph.add_edge(row[0], row[1], float(row[2]), float(row[3])))
     return graph
 
 
 def save_road_graph(graph: RoadGraph, nodes_path: str, edges_path: str) -> None:
-    try:
-        with open(nodes_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(NODES_HEADER)
-            for nid in sorted(graph.nodes):
-                lat, lon = graph.nodes[nid]
-                writer.writerow([nid, repr(lat), repr(lon)])
-        with open(edges_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(EDGES_HEADER)
-            for src in sorted(graph.adj):
-                for to, length_m, time_s in sorted(graph.adj[src]):
-                    writer.writerow([src, to, repr(length_m), repr(time_s)])
-    except OSError as exc:
-        raise errors.IoError(str(exc)) from exc
+    write_table(nodes_path, NODES_HEADER,
+                ([nid, repr(lat), repr(lon)]
+                 for nid, (lat, lon) in sorted(graph.nodes.items())))
+    write_table(edges_path, EDGES_HEADER,
+                ([src, to, repr(length_m), repr(time_s)]
+                 for src in sorted(graph.adj)
+                 for to, length_m, time_s in sorted(graph.adj[src])))
 
 
 def generate_city(seed: int, rows: int = 12, cols: int = 12,

@@ -10,6 +10,7 @@ the city and station CSVs plus a YAML config referencing them.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass, field
 from datetime import date, timedelta
@@ -18,6 +19,7 @@ from pathlib import Path
 import yaml
 
 from . import errors
+from .geo import valid_coords
 from .optimizer import MODES, Mode, VehicleState
 from .roadgraph import (RoadGraph, generate_city, load_road_graph,
                         save_road_graph)
@@ -45,7 +47,6 @@ class Scenario:
     corridor_radius_m: float = 2000.0
     nearby_radius_m: float = 5000.0
     refuel_duration_s: float = 300.0
-    cv_window_weeks: int = 6
 
 
 # The keys a cohort config may use, per mapping. An unknown key is rejected,
@@ -55,8 +56,7 @@ CONFIG_KEYS = frozenset({"city", "stations", "fuel_type", "vehicle", "mode",
 CITY_KEYS = frozenset({"nodes", "edges"})
 VEHICLE_KEYS = frozenset({"tank_l", "fuel_l", "rate_l_per_km"})
 SIMULATION_KEYS = frozenset({"observation_weeks", "cluster_radius_m", "gap_threshold_s",
-                             "corridor_radius_m", "nearby_radius_m", "refuel_duration_s",
-                             "cv_window_weeks"})
+                             "corridor_radius_m", "nearby_radius_m", "refuel_duration_s"})
 DRIVER_KEYS = frozenset({"name", "departure", "profile"})
 PROFILE_KEYS = frozenset({"seed", "anchors", "schedule", "errand_targets", "errand_rate",
                           "speed_noise_pct", "gps_noise_m", "cruise_speed_kmh"})
@@ -100,9 +100,14 @@ def parse_mode(spec) -> Mode:
 
 
 def _profile_from_dict(obj: dict) -> DriverProfile:
+    """Build a profile, rejecting out-of-range values with ValueError: a NaN
+    errand rate would make the errand draw loop forever."""
     anchors = {name: (float(lat), float(lon))
                for name, (lat, lon) in obj["anchors"].items()}
-    return DriverProfile(
+    for name, (lat, lon) in anchors.items():
+        if not valid_coords(lat, lon):
+            raise ValueError(f"anchor {name!r} has invalid coordinates ({lat}, {lon})")
+    profile = DriverProfile(
         seed=int(obj["seed"]),
         anchors=anchors,
         schedule={day: list(seq) for day, seq in obj["schedule"].items()},
@@ -111,6 +116,14 @@ def _profile_from_dict(obj: dict) -> DriverProfile:
         speed_noise_pct=float(obj.get("speed_noise_pct", 5.0)),
         gps_noise_m=float(obj.get("gps_noise_m", 10.0)),
         cruise_speed_kmh=float(obj.get("cruise_speed_kmh", 50.0)))
+    if not (math.isfinite(profile.cruise_speed_kmh) and profile.cruise_speed_kmh > 0):
+        raise ValueError(f"cruise_speed_kmh must be finite and > 0, "
+                         f"got {profile.cruise_speed_kmh}")
+    for key in ("errand_rate", "speed_noise_pct", "gps_noise_m"):
+        value = getattr(profile, key)
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{key} must be finite and >= 0, got {value}")
+    return profile
 
 
 def _profile_to_dict(p: DriverProfile) -> dict:
@@ -159,8 +172,7 @@ def load_scenarios(config_path: str) -> list[Scenario]:
                 gap_threshold_s=float(sim.get("gap_threshold_s", 120.0)),
                 corridor_radius_m=float(sim.get("corridor_radius_m", 2000.0)),
                 nearby_radius_m=float(sim.get("nearby_radius_m", 5000.0)),
-                refuel_duration_s=float(sim.get("refuel_duration_s", 300.0)),
-                cv_window_weeks=int(sim.get("cv_window_weeks", 6))))
+                refuel_duration_s=float(sim.get("refuel_duration_s", 300.0))))
     except (KeyError, TypeError, ValueError) as exc:
         raise errors.SchemaError(f"{config_path}: {exc}") from exc
     return scenarios

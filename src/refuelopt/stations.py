@@ -9,12 +9,13 @@ forecast, and the refueling day is the weekday with the lowest area price.
 
 from __future__ import annotations
 
-import csv
+from collections.abc import Iterable
 from dataclasses import dataclass
 from datetime import date, timedelta
 
 from . import errors
 from .geo import valid_coords
+from .tables import read_table, write_table
 from .telemetry import WEEKDAYS
 
 STATIONS_HEADER = ["station_id", "lat", "lon", "brand", "fuel_type",
@@ -52,27 +53,17 @@ class WeeklyPriceForecast:
 
 def load_stations(path: str) -> tuple[list[Station], PriceHistory]:
     """Read the station CSV (one row per station x fuel x observation date)."""
-    rows = []
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            if next(reader, None) != STATIONS_HEADER:
-                raise errors.SchemaError(f"{path}: bad header")
-            for lineno, row in enumerate(reader, start=2):
-                try:
-                    sid, brand, fuel = row[0], row[3], row[4]
-                    lat, lon = float(row[1]), float(row[2])
-                    price = float(row[5])
-                    observed = date.fromisoformat(row[6])
-                except (ValueError, IndexError) as exc:
-                    raise errors.ParseError(lineno, str(exc)) from None
-                if not valid_coords(lat, lon):
-                    raise errors.ParseError(lineno, f"invalid coordinates ({lat}, {lon})")
-                if price <= 0:
-                    raise errors.ParseError(lineno, f"price must be positive, got {price}")
-                rows.append((sid, lat, lon, brand, fuel, price, observed))
-    except OSError as exc:
-        raise errors.IoError(str(exc)) from exc
+    def parse(row):
+        sid, brand, fuel = row[0], row[3], row[4]
+        lat, lon, price = float(row[1]), float(row[2]), float(row[5])
+        observed = date.fromisoformat(row[6])
+        if not valid_coords(lat, lon):
+            raise ValueError(f"invalid coordinates ({lat}, {lon})")
+        if price <= 0:
+            raise ValueError(f"price must be positive, got {price}")
+        return sid, lat, lon, brand, fuel, price, observed
+
+    rows = read_table(path, STATIONS_HEADER, parse)
 
     stations: dict[str, Station] = {}
     series: dict[tuple[str, str], list[tuple[date, float]]] = {}
@@ -94,15 +85,11 @@ def load_stations(path: str) -> tuple[list[Station], PriceHistory]:
 
 
 def save_stations(stations: list[Station], history: PriceHistory, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(STATIONS_HEADER)
-        by_id = {s.station_id: s for s in stations}
-        for (sid, fuel) in sorted(history.series):
-            st = by_id[sid]
-            for d, price in history.series[(sid, fuel)]:
-                writer.writerow([sid, repr(st.lat), repr(st.lon), st.brand,
-                                 fuel, repr(price), d.isoformat()])
+    identity = {s.station_id: [repr(s.lat), repr(s.lon), s.brand] for s in stations}
+    write_table(path, STATIONS_HEADER,
+                ([sid, *identity[sid], fuel, repr(price), d.isoformat()]
+                 for sid, fuel in sorted(history.series)
+                 for d, price in history.series[(sid, fuel)]))
 
 
 def forecast_week(history: PriceHistory, fuel_type: str,
@@ -136,6 +123,7 @@ def forecast_week(history: PriceHistory, fuel_type: str,
                                area_prices=area, stale_stations=frozenset(stale))
 
 
-def cheapest_day(forecast: WeeklyPriceForecast) -> str:
-    """Weekday with the lowest area price; ties go to the earliest weekday."""
-    return min(WEEKDAYS, key=lambda wd: (forecast.area_prices[wd], WEEKDAYS.index(wd)))
+def cheapest_day(forecast: WeeklyPriceForecast, days: Iterable[str] = WEEKDAYS) -> str:
+    """Weekday of `days` with the lowest area price; ties go to the earliest
+    weekday."""
+    return min(days, key=lambda wd: (forecast.area_prices[wd], WEEKDAYS.index(wd)))

@@ -28,7 +28,6 @@ draws against the library calls.
 
 from __future__ import annotations
 
-import csv
 import math
 import random
 from bisect import bisect_left
@@ -39,6 +38,7 @@ from typing import NamedTuple
 
 from . import errors
 from .geo import haversine_m, valid_coords
+from .tables import read_table, write_table
 
 WEEKDAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
 
@@ -202,59 +202,37 @@ def load_trip_log(path: str) -> tuple[CanTrace, list[TripSample]]:
     be empty. Raises SchemaError on a wrong header and ParseError with the
     offending line number otherwise.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise errors.SchemaError(f"{path}: empty file") from None
-        if header != TRIP_LOG_HEADER:
-            raise errors.SchemaError(f"{path}: expected header {TRIP_LOG_HEADER}, got {header}")
-        samples: list[TripSample] = []
-        message_times: list[float] = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(TRIP_LOG_HEADER):
-                raise errors.ParseError(lineno, f"expected {len(TRIP_LOG_HEADER)} fields, got {len(row)}")
-            try:
-                ts = float(row[0])
-                speed = float(row[1])
-                lat = float(row[2]) if row[2] != "" else None
-                lon = float(row[3]) if row[3] != "" else None
-                fuel = float(row[4]) if row[4] != "" else None
-                can_msg = int(row[5])
-                # float() accepts nan/inf; a NaN timestamp would also slip
-                # past CanTrace's ordering check, since NaN compares false.
-                if not math.isfinite(ts):
-                    raise errors.ParseError(lineno, f"non-finite timestamp {row[0]!r}")
-                if fuel is not None and not math.isfinite(fuel):
-                    raise errors.ParseError(lineno, f"non-finite fuel level {row[4]!r}")
-                sample = TripSample(timestamp=ts, speed_kmh=speed, lat=lat, lon=lon, fuel_l=fuel)
-            except (ValueError, TypeError) as exc:
-                raise errors.ParseError(lineno, str(exc)) from None
-            if can_msg not in (0, 1):
-                raise errors.ParseError(lineno, f"can_msg must be 0 or 1, got {can_msg}")
-            samples.append(sample)
-            if can_msg == 1:
-                message_times.append(ts)
-    samples.sort(key=lambda s: s.timestamp)
-    message_times.sort()
+    def parse(row):
+        ts, speed = float(row[0]), float(row[1])
+        lat, lon, fuel = (float(v) if v != "" else None for v in row[2:5])
+        can_msg = int(row[5])
+        # float() accepts nan/inf; a NaN timestamp would also slip past
+        # CanTrace's ordering check, since NaN compares false.
+        if not math.isfinite(ts):
+            raise ValueError(f"non-finite timestamp {row[0]!r}")
+        if fuel is not None and not math.isfinite(fuel):
+            raise ValueError(f"non-finite fuel level {row[4]!r}")
+        sample = TripSample(timestamp=ts, speed_kmh=speed, lat=lat, lon=lon, fuel_l=fuel)
+        if can_msg not in (0, 1):
+            raise ValueError(f"can_msg must be 0 or 1, got {can_msg}")
+        return can_msg, sample
+
+    rows = read_table(path, TRIP_LOG_HEADER, parse)
+    samples = sorted((s for _, s in rows), key=lambda s: s.timestamp)
+    message_times = sorted(s.timestamp for can_msg, s in rows if can_msg == 1)
     return CanTrace(message_times=message_times), samples
 
 
 def save_trip_log(path: str, trace: CanTrace, samples: list[TripSample]) -> None:
     """Write a trip-log CSV (inverse of load_trip_log for message-bearing samples)."""
     msg_times = set(trace.message_times)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRIP_LOG_HEADER)
-        for s in sorted(samples, key=lambda s: s.timestamp):
-            writer.writerow([
-                repr(s.timestamp), repr(s.speed_kmh),
-                "" if s.lat is None else repr(s.lat),
-                "" if s.lon is None else repr(s.lon),
-                "" if s.fuel_l is None else repr(s.fuel_l),
-                1 if s.timestamp in msg_times else 0,
-            ])
+    write_table(path, TRIP_LOG_HEADER,
+                ([repr(s.timestamp), repr(s.speed_kmh),
+                  "" if s.lat is None else repr(s.lat),
+                  "" if s.lon is None else repr(s.lon),
+                  "" if s.fuel_l is None else repr(s.fuel_l),
+                  1 if s.timestamp in msg_times else 0]
+                 for s in sorted(samples, key=lambda s: s.timestamp)))
 
 
 def _poisson(rng: random.Random, lam: float) -> int:

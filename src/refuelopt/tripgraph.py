@@ -10,7 +10,6 @@ destinations, stored as a chain of transition edges.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from collections import Counter
@@ -19,6 +18,7 @@ from datetime import date
 
 from . import errors
 from .geo import haversine_m
+from .tables import read_table, write_table
 from .telemetry import WEEKDAYS, StopEvent
 
 DEFAULT_CLUSTER_RADIUS_M = 100.0
@@ -221,60 +221,27 @@ def build_daily_flows(pois: list[PoiNode], events: list[StopEvent]) -> DailyTrip
 def export_graph_csv(nodes: list[PoiNode], graph: DailyTripGraph,
                      nodes_path: str, edges_path: str) -> None:
     """Write the nodes and edges CSV pair; re-importing round-trips exactly."""
-    try:
-        with open(nodes_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(NODES_HEADER)
-            for n in nodes:
-                days = "|".join(d for d in WEEKDAYS if d in n.days_visited)
-                writer.writerow([n.identifier, repr(n.lat), repr(n.lon),
-                                 n.visits_total, n.visits_weekday, n.visits_weekend,
-                                 n.category.name, days])
-        with open(edges_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(EDGES_HEADER)
-            for wd in WEEKDAYS:
-                for e in graph.edges.get(wd, ()):
-                    writer.writerow([e.day_id, e.seq_index, e.dest_poi_id,
-                                     repr(e.dest_lat), repr(e.dest_lon)])
-    except OSError as exc:
-        raise errors.IoError(str(exc)) from exc
+    write_table(nodes_path, NODES_HEADER,
+                ([n.identifier, repr(n.lat), repr(n.lon), n.visits_total,
+                  n.visits_weekday, n.visits_weekend, n.category.name,
+                  "|".join(d for d in WEEKDAYS if d in n.days_visited)]
+                 for n in nodes))
+    write_table(edges_path, EDGES_HEADER,
+                ([e.day_id, e.seq_index, e.dest_poi_id, repr(e.dest_lat), repr(e.dest_lon)]
+                 for wd in WEEKDAYS for e in graph.edges.get(wd, ())))
 
 
 def import_graph_csv(nodes_path: str, edges_path: str,
                      ) -> tuple[list[PoiNode], DailyTripGraph]:
     """Inverse of export_graph_csv (member events are not persisted)."""
-    nodes: list[PoiNode] = []
-    try:
-        with open(nodes_path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != NODES_HEADER:
-                raise errors.SchemaError(f"{nodes_path}: bad header {header}")
-            for lineno, row in enumerate(reader, start=2):
-                try:
-                    nodes.append(PoiNode(
-                        identifier=row[0], lat=float(row[1]), lon=float(row[2]),
-                        visits_total=int(row[3]), visits_weekday=int(row[4]),
-                        visits_weekend=int(row[5]),
-                        category=FrequencyCategory[row[6]],
-                        days_visited=frozenset(row[7].split("|")) if row[7] else frozenset()))
-                except (ValueError, KeyError, IndexError) as exc:
-                    raise errors.ParseError(lineno, str(exc)) from None
-        edges: dict[str, list[TripEdge]] = {wd: [] for wd in WEEKDAYS}
-        with open(edges_path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != EDGES_HEADER:
-                raise errors.SchemaError(f"{edges_path}: bad header {header}")
-            for lineno, row in enumerate(reader, start=2):
-                try:
-                    edges[row[0]].append(TripEdge(
-                        day_id=row[0], seq_index=int(row[1]), dest_poi_id=row[2],
-                        dest_lat=float(row[3]), dest_lon=float(row[4])))
-                except (ValueError, KeyError, IndexError) as exc:
-                    raise errors.ParseError(lineno, str(exc)) from None
-    except OSError as exc:
-        raise errors.IoError(str(exc)) from exc
+    nodes = read_table(nodes_path, NODES_HEADER, lambda row: PoiNode(
+        identifier=row[0], lat=float(row[1]), lon=float(row[2]),
+        visits_total=int(row[3]), visits_weekday=int(row[4]),
+        visits_weekend=int(row[5]), category=FrequencyCategory[row[6]],
+        days_visited=frozenset(row[7].split("|")) if row[7] else frozenset()))
+    edges: dict[str, list[TripEdge]] = {wd: [] for wd in WEEKDAYS}
+    read_table(edges_path, EDGES_HEADER, lambda row: edges[row[0]].append(TripEdge(
+        day_id=row[0], seq_index=int(row[1]), dest_poi_id=row[2],
+        dest_lat=float(row[3]), dest_lon=float(row[4]))))
     graph = DailyTripGraph(edges={wd: tuple(es) for wd, es in edges.items()})
     return nodes, graph

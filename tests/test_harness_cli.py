@@ -77,30 +77,60 @@ def test_load_scenarios_rejects_broken_config(tmp_path, demo_scenario_config):
         load_scenarios(str(cfg))
 
 
-@pytest.mark.parametrize("path", [
-    ("simulaton",),
-    ("city", "node"),
-    ("vehicle", "fuel"),
-    ("simulation", "corridor_radius"),
-    ("drivers", 1, "departur"),
-    ("drivers", 0, "profile", "errand_rat"),
-    ("mode", "k_costs"),
-], ids=lambda p: ".".join(map(str, p)))
-def test_load_scenarios_rejects_unknown_keys(tmp_path, demo_scenario_config, path):
-    # A misspelled key next to the real ones must not fall back to a default.
+def _edited_config(demo_scenario_config, path, value, name):
+    """The demo config with the entry at `path` set to `value`, written next
+    to the demo CSVs as `name`.yaml. Its mode is a mapping, so that `mode.*`
+    paths exist."""
     with open(demo_scenario_config, encoding="utf-8") as fh:
         cfg = yaml.safe_load(fh)
     cfg["mode"] = {"k_cost": 1.0, "k_time": 1.0}
     node = cfg
     for key in path[:-1]:
         node = node[key]
-    node[path[-1]] = 1
-    config = Path(demo_scenario_config).parent / f"typo_{'_'.join(map(str, path))}.yaml"
+    node[path[-1]] = value
+    config = Path(demo_scenario_config).parent / f"{name}.yaml"
     with open(config, "w", encoding="utf-8") as fh:
         yaml.safe_dump(cfg, fh, sort_keys=False)
+    return str(config)
+
+
+@pytest.mark.parametrize("path", [
+    ("simulaton",),
+    ("city", "node"),
+    ("vehicle", "fuel"),
+    ("simulation", "corridor_radius"),
+    ("simulation", "cv_window_weeks"),
+    ("drivers", 1, "departur"),
+    ("drivers", 0, "profile", "errand_rat"),
+    ("mode", "k_costs"),
+], ids=lambda p: ".".join(map(str, p)))
+def test_load_scenarios_rejects_unknown_keys(tmp_path, demo_scenario_config, path):
+    # A misspelled key next to the real ones must not fall back to a default.
+    config = _edited_config(demo_scenario_config, path, 1, tmp_path.name)
     with pytest.raises(errors.SchemaError, match=str(path[-1])):
-        load_scenarios(str(config))
-    assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path)]) == 2
+        load_scenarios(config)
+    assert main(["simulate", "--config", config, "--out-dir", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("key,value", [
+    (("anchors", "home"), [95.0, 10.9]),
+    (("cruise_speed_kmh",), float("nan")),
+    (("cruise_speed_kmh",), 0.0),
+    (("errand_rate",), float("nan")),
+    (("errand_rate",), -1.0),
+    (("speed_noise_pct",), float("inf")),
+    (("gps_noise_m",), -1.0),
+], ids=["anchor_lat_95", "cruise_nan", "cruise_zero", "errand_nan", "errand_negative",
+        "speed_noise_inf", "gps_noise_negative"])
+def test_load_scenarios_rejects_out_of_range_profiles(tmp_path, demo_scenario_config,
+                                                      key, value):
+    # A NaN errand rate made the errand draw loop forever; a bad anchor or
+    # cruise speed ended `simulate` with a raw traceback.
+    config = _edited_config(demo_scenario_config, ("drivers", 0, "profile", *key),
+                            value, tmp_path.name)
+    with pytest.raises(errors.SchemaError, match=key[-1]):
+        load_scenarios(config)
+    assert main(["simulate", "--config", config, "--out-dir", str(tmp_path)]) == 2
 
 
 @pytest.mark.parametrize("command", ["simulate", "plan"])
