@@ -126,7 +126,7 @@ def build_context(scn: Scenario) -> ScenarioContext:
     metrics = evaluate_metrics([r.target for r in rows[-7:]], preds)
     accepted = gate(metrics)
 
-    forecast = forecast_week(scn.history, scn.fuel_type)
+    forecast = scn.forecast or forecast_week(scn.history, scn.fuel_type)
     graph = scn.graph
     router = BuiltinRouter(graph)
 

@@ -5,12 +5,16 @@ tie-break on the node sequence) stands in for an external engine. The
 RouterPort protocol keeps the rest of the system engine-agnostic, so a
 different router can be plugged in without touching the optimizer.
 
-What is computed once: a `BuiltinRouter` memoises every route it returns
-and keeps one full shortest-path tree per one-stop start node, so the legs
-that many one-stop routes share (departure -> stop, stop -> first
-waypoint, the waypoint tail) are each searched once. The harness builds one
+What is computed once: a `BuiltinRouter` memoises every route it returns,
+keeps one full shortest-path tree per one-stop start node (every
+departure -> stop leg), and keeps one resumable reverse search per
+destination (every stop -> first waypoint leg, and the waypoint tail). A
+reverse-search path is used only when a certificate shows that no other
+path comes within rounding of it, which makes it the path the forward
+search returns; otherwise the forward search runs. The harness builds one
 router per scenario run and drops it with the run's context; the graph
-itself holds no routes, only a coordinate index for `nearest_node`.
+itself holds no routes, only a coordinate index for `nearest_node` and the
+in-edge lists the reverse searches read, shared by the routers of a cohort.
 Snapping and corridor filtering screen with numpy and let the scalar
 `geo` functions decide every close call, so they return exactly what a
 scalar scan returns.
@@ -42,6 +46,12 @@ DEFAULT_CORRIDOR_RADIUS_M = 2000.0
 SNAP_MARGIN_M = 1e-6
 SNAP_MARGIN_REL = 1e-9
 CORRIDOR_MARGIN_M = 1e-3
+# Certificate margin of a reverse-search path, in seconds or metres. An
+# n-edge float path sum is within about n * 2**-53 of its value, relative,
+# so 1e-9 of the path cost covers paths of millions of edges; the absolute
+# term keeps a margin on paths of near-zero cost.
+CERTIFY_MARGIN_REL = 1e-9
+CERTIFY_MARGIN_ABS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -63,6 +73,11 @@ class RoadGraph:
     # on the first snap, reset by add_node.
     _index: tuple[list[str], np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False)
+    # In-edges: to -> list of (from, length_m, time_s), parallel edges in
+    # adj order; built on the first reverse search, reset by add_node and
+    # add_edge.
+    _in_edges: dict[str, list[tuple[str, float, float]]] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def add_node(self, node_id: str, lat: float, lon: float) -> None:
         if not valid_coords(lat, lon):
@@ -70,6 +85,7 @@ class RoadGraph:
         self.nodes[node_id] = (lat, lon)
         self.adj.setdefault(node_id, [])
         self._index = None
+        self._in_edges = None
 
     def add_edge(self, src: str, dst: str, length_m: float, time_s: float) -> None:
         if src not in self.nodes or dst not in self.nodes:
@@ -81,6 +97,17 @@ class RoadGraph:
             raise ValueError(f"edge {src}->{dst} shorter than the geodesic "
                              f"({length_m:.1f} m < {geo:.1f} m)")
         self.adj.setdefault(src, []).append((dst, length_m, time_s))
+        self._in_edges = None
+
+    def in_edges(self) -> dict[str, list[tuple[str, float, float]]]:
+        """Every node's in-edges as (from, length_m, time_s)."""
+        if self._in_edges is None:
+            in_edges: dict[str, list[tuple[str, float, float]]] = {n: [] for n in self.nodes}
+            for src, edges in self.adj.items():
+                for to, length_m, time_s in edges:
+                    in_edges[to].append((src, length_m, time_s))
+            self._in_edges = in_edges
+        return self._in_edges
 
     def nearest_node(self, lat: float, lon: float) -> tuple[str, float]:
         """Snap a coordinate to the closest graph node; returns (id, meters).
@@ -125,16 +152,31 @@ class BuiltinRouter:
     A route's distance and time are summed along its path from 0.0, in path
     order.
 
-    The router memoises every route by (src, dst, metric) and keeps one full
-    tree per one-stop start node and metric, so it assumes the graph does
-    not change while it lives: build one per scenario run (the harness
-    keeps it in the run's context) and drop it afterwards.
+    The router memoises every route by (src, dst, metric) and keeps, per
+    metric, one full tree per one-stop start node and one reverse Dijkstra
+    search per destination. A leg whose source has no tree resumes the
+    destination's reverse search until the source is settled, then walks
+    the successor chain. The chain is taken only if, at each node u on it,
+    every out-edge (u, w) that leaves the chain costs more than
+    `CERTIFY_MARGIN_REL * d(src) + CERTIFY_MARGIN_ABS` over the chain:
+    `weight(u, w) + d(w) - d(u)`, with d(w) bounded below by the last
+    settled cost while w is unsettled. No other path then sums to within
+    rounding of the chain, forward or in reverse, so the forward search
+    would return the chain too; parallel edges into the next chain node
+    follow the forward rule. Otherwise, or when the source cannot reach the
+    destination, the forward search runs and `fallbacks` counts it.
+
+    The router assumes the graph does not change while it lives: build one
+    per scenario run (the harness keeps it in the run's context) and drop
+    it afterwards.
     """
 
     def __init__(self, graph: RoadGraph):
         self.graph = graph
         self._routes: dict[tuple[str, str, str], Route] = {}
         self._trees: dict[tuple[str, str], dict] = {}
+        self._reverse: dict[tuple[str, str], _ReverseSearch] = {}
+        self.fallbacks = 0
 
     def _check(self, src: str, dst: str, metric: str) -> None:
         if src not in self.graph.nodes or dst not in self.graph.nodes:
@@ -193,10 +235,50 @@ class BuiltinRouter:
         if route is None:
             self._check(src, dst, metric)
             pred = self._trees.get((src, metric))
-            if pred is None:
-                pred = self._search(src, metric, dst)
-            route = self._routes[key] = _route(pred, src, dst)
+            if pred is not None:
+                route = _route(pred, src, dst)
+            else:
+                route = self._certified_route(src, dst, metric)
+                if route is None:
+                    self.fallbacks += 1
+                    route = _route(self._search(src, metric, dst), src, dst)
+            self._routes[key] = route
         return route
+
+    def _certified_route(self, src: str, dst: str, metric: str) -> Route | None:
+        """The reverse-search path src -> dst if it passes the certificate,
+        else None (also when src cannot reach dst)."""
+        search = self._reverse.get((dst, metric))
+        if search is None:
+            search = self._reverse[(dst, metric)] = _ReverseSearch(
+                self.graph.in_edges(), dst, metric == "time")
+        if not search.settle(src):
+            return None
+        k = 2 if metric == "time" else 1  # the weight's index in an adj tuple
+        dist, succ, done = search.dist, search.succ, search.done
+        # Unsettled nodes cost at least the last settled cost, or cannot
+        # reach dst at all once the search is exhausted.
+        floor = search.last if search.heap else math.inf
+        margin = CERTIFY_MARGIN_REL * dist[src] + CERTIFY_MARGIN_ABS
+        adj = self.graph.adj
+        nodes = [src]
+        dist_m = time_s = 0.0
+        u = src
+        while u != dst:
+            nxt, d_u = succ[u], dist[u]
+            edge = None
+            for e in adj[u]:
+                to = e[0]
+                if to == nxt:
+                    if edge is None or e[k] < edge[k]:
+                        edge = e
+                elif e[k] + (dist[to] if to in done else floor) - d_u <= margin:
+                    return None
+            dist_m += edge[1]
+            time_s += edge[2]
+            nodes.append(nxt)
+            u = nxt
+        return Route(nodes=tuple(nodes), distance_km=dist_m / 1000.0, time_s=time_s)
 
     def one_stop_route(self, start: str, stop: str,
                        remaining: list[str], metric: str = "time") -> Route:
@@ -217,6 +299,50 @@ class BuiltinRouter:
         return Route(nodes=nodes,
                      distance_km=sum(l.distance_km for l in legs),
                      time_s=sum(l.time_s for l in legs))
+
+
+class _ReverseSearch:
+    """Dijkstra into `dst` over in-edges, advanced only as far as asked.
+
+    `dist[v]` is v's cost to dst and `succ[v]` the next node on its path;
+    both are final once v is in `done`. `last` is the cost of the node
+    settled last, a lower bound on the cost of every unsettled node.
+    """
+
+    def __init__(self, in_edges: dict, dst: str, by_time: bool):
+        self.in_edges = in_edges
+        self.by_time = by_time
+        self.dist = {dst: 0.0}
+        self.succ: dict[str, str] = {}
+        self.done: set[str] = set()
+        self.heap = [(0.0, dst)]
+        self.last = 0.0
+
+    def settle(self, node: str) -> bool:
+        """Resume until `node` is settled; False if it cannot reach dst."""
+        done = self.done
+        if node in done:
+            return True
+        in_edges, by_time = self.in_edges, self.by_time
+        dist, succ, heap = self.dist, self.succ, self.heap
+        while heap:
+            c, v = heapq.heappop(heap)
+            if v in done:
+                continue
+            done.add(v)
+            self.last = c
+            for u, length_m, time_s in in_edges[v]:
+                if u in done:
+                    continue
+                new = c + (time_s if by_time else length_m)
+                old = dist.get(u)
+                if old is None or new < old:
+                    dist[u] = new
+                    succ[u] = v
+                    heapq.heappush(heap, (new, u))
+            if v == node:
+                return True
+        return False
 
 
 def _path(pred: dict, src: str, node: str) -> tuple[str, ...]:

@@ -23,7 +23,8 @@ from .geo import valid_coords
 from .optimizer import MODES, Mode, VehicleState
 from .roadgraph import (RoadGraph, generate_city, load_road_graph,
                         save_road_graph)
-from .stations import PriceHistory, Station, load_stations, save_stations
+from .stations import (PriceHistory, Station, WeeklyPriceForecast, forecast_week,
+                       load_stations, save_stations)
 from .telemetry import WEEKDAYS, DriverProfile
 
 OBSERVATION_START = date(2025, 1, 6)  # a Monday; schedules align to weekdays
@@ -47,6 +48,9 @@ class Scenario:
     corridor_radius_m: float = 2000.0
     nearby_radius_m: float = 5000.0
     refuel_duration_s: float = 300.0
+    # forecast_week(history, fuel_type), computed once by load_scenarios and
+    # shared by the cohort; None makes build_context compute it.
+    forecast: WeeklyPriceForecast | None = field(default=None, compare=False)
 
 
 # The keys a cohort config may use, per mapping. An unknown key is rejected,
@@ -158,6 +162,11 @@ def load_scenarios(config_path: str) -> list[Scenario]:
                                rate_l_per_km=float(veh["rate_l_per_km"]))
         mode = parse_mode(cfg.get("mode", "balanced"))
         sim = cfg.get("simulation", {})
+        fuel_type = cfg.get("fuel_type", "petrol")
+        try:
+            forecast = forecast_week(history, fuel_type)
+        except errors.EmptyHistory:
+            forecast = None  # every driver's run fails with it, as a row
         scenarios = []
         for drv in cfg["drivers"]:
             profile = _profile_from_dict(drv["profile"])
@@ -165,14 +174,15 @@ def load_scenarios(config_path: str) -> list[Scenario]:
                 name=drv["name"], seed=int(drv["profile"]["seed"]),
                 profile=profile, graph=graph, stations=stations,
                 history=history, vehicle=vehicle, mode=mode,
-                fuel_type=cfg.get("fuel_type", "petrol"),
+                fuel_type=fuel_type,
                 departure=drv["departure"],
                 observation_weeks=int(sim.get("observation_weeks", 7)),
                 cluster_radius_m=float(sim.get("cluster_radius_m", 100.0)),
                 gap_threshold_s=float(sim.get("gap_threshold_s", 120.0)),
                 corridor_radius_m=float(sim.get("corridor_radius_m", 2000.0)),
                 nearby_radius_m=float(sim.get("nearby_radius_m", 5000.0)),
-                refuel_duration_s=float(sim.get("refuel_duration_s", 300.0))))
+                refuel_duration_s=float(sim.get("refuel_duration_s", 300.0)),
+                forecast=forecast))
     except (KeyError, TypeError, ValueError) as exc:
         raise errors.SchemaError(f"{config_path}: {exc}") from exc
     return scenarios

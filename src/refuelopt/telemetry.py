@@ -277,6 +277,9 @@ def generate_synthetic_log(profile: DriverProfile, weeks: int,
     for name in profile.errand_targets:
         if name not in profile.anchors:
             raise errors.InvalidProfile(f"errand target {name!r} not an anchor")
+    if not math.isfinite(profile.errand_rate):
+        # The errand draw would never end on NaN, nor in practice on inf.
+        raise errors.InvalidProfile(f"errand_rate must be finite, got {profile.errand_rate!r}")
     if profile.errand_rate > 0 and not profile.errand_targets:
         raise errors.InvalidProfile("errand_rate > 0 but no errand_targets")
 

@@ -6,15 +6,17 @@ from pathlib import Path
 import pytest
 import yaml
 
-from refuelopt import errors
+from refuelopt import errors, harness
 from refuelopt.cli import main
 from refuelopt.harness import (STRATEGIES, build_context, run_cohort,
                                run_scenario, write_per_run_csv,
                                write_report_csv)
 from refuelopt.optimizer import MODES, Mode, VehicleState
+from refuelopt.roadgraph import BuiltinRouter
 from refuelopt.scenario import (PROFILE_TEMPLATES, generate_scenario_dir,
                                 load_scenarios, make_profile,
                                 make_station_catalog, parse_mode)
+from refuelopt.stations import forecast_week
 from refuelopt.telemetry import generate_synthetic_log, save_trip_log
 
 
@@ -41,6 +43,27 @@ def test_load_scenarios_shapes(cohort):
     assert scn.mode.name == "balanced"
     assert scn.departure in scn.profile.anchors
     assert len(scn.stations) == 10
+
+
+def test_load_scenarios_forecasts_prices_once(cohort, monkeypatch):
+    assert all(s.forecast is cohort[0].forecast for s in cohort)
+    assert cohort[0].forecast == forecast_week(cohort[0].history, cohort[0].fuel_type)
+
+    def no_forecast(*args):
+        raise AssertionError("build_context forecast again")
+
+    monkeypatch.setattr(harness, "forecast_week", no_forecast)
+    assert build_context(cohort[0]).day_prices
+
+
+def test_fuel_type_without_prices_fails_each_run(demo_scenario_config, tmp_path):
+    config = _edited_config(demo_scenario_config, ("fuel_type",), "diesel", tmp_path.name)
+    scenarios = load_scenarios(config)
+    assert all(s.forecast is None for s in scenarios)
+    outcomes = run_scenario(scenarios[0])
+    assert len(outcomes) == len(STRATEGIES)
+    assert {o.error for o in outcomes} == {
+        "EmptyHistory: no observations for fuel type 'diesel'"}
 
 
 def test_parse_mode_presets_and_custom():
@@ -276,6 +299,24 @@ def test_metro_cohort_csv_bytes_are_pinned(metro_cohort, tmp_path, overrides,
     write_report_csv(report, str(rp))
     assert hashlib.sha256(pp.read_bytes()).hexdigest() == per_run_sha
     assert hashlib.sha256(rp.read_bytes()).hexdigest() == report_sha
+
+
+@pytest.mark.parametrize("overrides", [o for o, _p, _r in PINNED_METRO_DIGESTS])
+def test_metro_cohort_routes_without_fallbacks(metro_cohort, monkeypatch, overrides):
+    # A router that fell back to the forward search on every leg would keep
+    # every pinned byte; only its counter shows it.
+    routers = []
+
+    class CountingRouter(BuiltinRouter):
+        def __init__(self, graph):
+            super().__init__(graph)
+            routers.append(self)
+
+    monkeypatch.setattr(harness, "BuiltinRouter", CountingRouter)
+    run_cohort([replace(s, **overrides) for s in metro_cohort], modes=METRO_MODES)
+    assert len(routers) == len(metro_cohort)
+    assert all(r._reverse for r in routers)
+    assert [r.fallbacks for r in routers] == [0] * len(routers)
 
 
 def test_report_csv_layout(cohort, tmp_path):

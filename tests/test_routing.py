@@ -344,6 +344,119 @@ def test_router_matches_path_heap_router(data):
                 outcome(ref.shortest_route, a, b, m)
 
 
+class ForwardRouter(BuiltinRouter):
+    """The router with every certificate refused: each leg without a
+    departure tree runs the forward search."""
+
+    def _certified_route(self, src, dst, metric):
+        return None
+
+
+def tie_graph(edges):
+    """Nodes at one point, so any positive length passes the geodesic
+    check; (a, b, weight) edges whose length and time are both `weight`."""
+    g = RoadGraph()
+    for nid in sorted({n for a, b, _w in edges for n in (a, b)}):
+        g.add_node(nid, 44.65, 10.92)
+    for a, b, w in edges:
+        g.add_edge(a, b, w, w)
+    return g
+
+
+def test_rounding_tie_falls_back_to_the_forward_path():
+    # A -> C -> D sums to exactly 2; A -> B -> D to 2 + 2**-52, which rounds
+    # to 2 as well, so the forward search takes the smaller node sequence
+    # A -> B -> D. The reverse chain is within rounding of that path and
+    # must not be trusted.
+    g = tie_graph([("A", "B", 1.0 + 2.0 ** -52), ("B", "D", 1.0),
+                   ("A", "C", 1.0), ("C", "D", 1.0)])
+    router = BuiltinRouter(g)
+    for metric in ("time", "distance"):
+        route = router.shortest_route("A", "D", metric)
+        assert route == ForwardRouter(g).shortest_route("A", "D", metric) == \
+            PathHeapRouter(g).shortest_route("A", "D", metric)
+        assert route.nodes == ("A", "B", "D") and route.time_s == 2.0
+    assert router.fallbacks == 2
+
+
+def test_unsettled_neighbour_within_rounding_falls_back():
+    # S -> W -> X -> Z costs 1 + 2e-20, which rounds to 1, the cost of
+    # S -> Z, and is the smaller node sequence. When the reverse search
+    # settles S, X ties with it unsettled and W is unreached: only the
+    # last-settled-cost bound on W shows that the chain S -> Z is not alone.
+    g = tie_graph([("S", "Z", 1.0), ("S", "W", 1e-20), ("W", "X", 1e-20),
+                   ("X", "Z", 1.0)])
+    router = BuiltinRouter(g)
+    route = router.shortest_route("S", "Z")
+    assert route == PathHeapRouter(g).shortest_route("S", "Z")
+    assert route.nodes == ("S", "W", "X", "Z") and route.time_s == 1.0
+    assert router.fallbacks == 1
+
+
+def test_exact_ties_on_a_uniform_grid_fall_back():
+    g = RoadGraph()
+    for r, c in itertools.product(range(4), range(4)):
+        g.add_node(f"G{r}{c}", *grid_coords(r, c))
+    for r, c in itertools.product(range(4), range(4)):
+        for r2, c2 in ((r + 1, c), (r, c + 1)):
+            if r2 < 4 and c2 < 4:
+                g.add_edge(f"G{r}{c}", f"G{r2}{c2}", 600.0, 60.0)
+                g.add_edge(f"G{r2}{c2}", f"G{r}{c}", 600.0, 60.0)
+    router, forward, ref = BuiltinRouter(g), ForwardRouter(g), PathHeapRouter(g)
+    for a, b in itertools.product(sorted(g.nodes), repeat=2):
+        assert router.shortest_route(a, b) == forward.shortest_route(a, b) == \
+            ref.shortest_route(a, b)
+    assert router.fallbacks > 0
+    # Straight legs have one shortest path and are certified.
+    assert router.fallbacks < forward.fallbacks
+
+
+def test_city_stop_legs_are_all_certified():
+    g = generate_city(seed=3, rows=12, cols=12)
+    router, forward = BuiltinRouter(g), ForwardRouter(g)
+    tail = ["N08_09", "N11_00"]
+    for metric in ("time", "distance"):
+        for stop in sorted(g.nodes):
+            assert router.one_stop_route("N02_03", stop, tail, metric) == \
+                forward.one_stop_route("N02_03", stop, tail, metric)
+    assert router.fallbacks == 0
+    # Every stop -> N08_09 leg and the N08_09 -> N11_00 leg, per metric.
+    assert forward.fallbacks == 2 * len(g.nodes)
+
+
+def test_reverse_index_sees_edges_added_after_a_route():
+    g = diamond_graph()
+    assert BuiltinRouter(g).shortest_route("A", "D").nodes == ("A", "B", "D")
+    g.add_edge("A", "D", 800.0, 30.0)
+    router = BuiltinRouter(g)
+    assert router.shortest_route("A", "D") == Route(("A", "D"), 0.8, 30.0)
+    # Certified from the new in-edge, not rescued by the forward search.
+    assert router.fallbacks == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_shared_destinations_match_path_heap_router(data):
+    ids = [f"V{i}" for i in range(data.draw(st.integers(2, 10)))]
+    g = RoadGraph()
+    for i, nid in enumerate(ids):
+        g.add_node(nid, 44.65 + i * 1e-6, 10.92)
+    weight = st.one_of(WEIGHTS, st.floats(1.0, 4.0))
+    for a, b, length_m, time_s in data.draw(st.lists(
+            st.tuples(st.sampled_from(ids), st.sampled_from(ids), weight, weight),
+            max_size=40)):
+        g.add_edge(a, b, length_m, time_s)
+    dsts = data.draw(st.lists(st.sampled_from(ids), min_size=1, max_size=3))
+    router, ref = BuiltinRouter(g), PathHeapRouter(g)
+    # Sources in drawn order, destinations interleaved: each query resumes
+    # the reverse search its destination left off.
+    for src, dst, metric in data.draw(st.lists(
+            st.tuples(st.sampled_from(ids), st.sampled_from(dsts),
+                      st.sampled_from(["time", "distance"])), min_size=1, max_size=40)):
+        assert outcome(router.shortest_route, src, dst, metric) == \
+            outcome(ref.shortest_route, src, dst, metric)
+
+
 def test_unknown_metric_raises_like_path_heap_router():
     g = diamond_graph()
     for router in (BuiltinRouter(g), PathHeapRouter(g)):

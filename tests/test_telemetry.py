@@ -337,6 +337,12 @@ def test_invalid_profile_rejected():
         generate_synthetic_log(bad, weeks=1)
 
 
+@pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+def test_non_finite_errand_rate_rejected(rate):
+    with pytest.raises(errors.InvalidProfile, match="errand_rate must be finite"):
+        generate_synthetic_log(profile(errand_rate=rate), weeks=1)
+
+
 def test_halts_cluster_at_anchors():
     trace, samples, _ = generate_synthetic_log(profile(), weeks=2)
     events = detect_halts(trace, samples, gap_threshold=120)
