@@ -80,6 +80,9 @@ def cmd_graph(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    if args.window < 2:
+        raise errors.SchemaError(f"--window must be >= 2 weeks (a fit needs 14 rows), "
+                                 f"got {args.window}")
     _trace, samples = load_trip_log(args.log)
     daily_km = integrate_daily_distance(samples)
     if daily_km:

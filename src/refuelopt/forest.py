@@ -9,20 +9,25 @@ stream seeded by (seed, t), so parallel and sequential training agree
 bit-for-bit.
 
 Trees are grown level by level in numpy, a batch of trees at a time, not
-node by node. As in CART presorting (Breiman et al., 1984), a batch keeps
-one index array per feature that lists every node's rows sorted by that
-feature, plus one in bootstrap order; a node owns the same contiguous
-segment of each, and a split partitions the segments stably, so no node is
-sorted again. The result equals depth-first CART that argsorts each node,
-bit for bit:
+node by node. As in CART presorting (Breiman et al., 1984) and XGBoost's
+presorted column blocks (Chen & Guestrin, 2016), a batch keeps one index
+array per feature that lists every node's rows sorted by that feature, with
+their feature values and targets, plus one in bootstrap order; a node owns
+the same contiguous segment of each, and a split partitions the segments
+stably, so no node is sorted again. The result equals depth-first CART that
+argsorts each node, bit for bit:
 - a stable partition of a stable sort is the stable sort of the child, so
   each node sees its rows in the same order;
-- split search is batched over the nodes of one level that have exactly
-  the same size (never padded), so each node's prefix sums, children-SSE
-  scores and column-major argmin see the same operands, accumulated in the
-  same sequence;
-- node values are `np.add.reduce(rows, axis=1) / n` over same-size nodes,
-  which equals `np.mean` of each row (tests/test_forest.py guards this).
+- split search pads the nodes of one level, largest first, to the largest
+  size in a chunk. A pad lane repeats its node's last row, so every real
+  lane's prefix sums accumulate the same operands in the same sequence; a
+  node's totals are its own last real lane and `n - nl` is per node, so its
+  children-SSE scores see the same operands. Lanes with `nl >= n` are +inf
+  by an explicit mask, so the column-major argmin over (feature, lane)
+  picks the same lowest feature, then lowest threshold;
+- node values are `np.add.reduce(rows, axis=1) / n` over same-size nodes
+  (never padded: the pairwise grouping depends on the length), which equals
+  `np.mean` of each row (tests/test_forest.py guards this).
 
 A fitted forest is stored flat: node k has `feature[k]` (-1 for a leaf),
 `threshold[k]`, children `left[k]`/`right[k]` and `value[k]`, the mean
@@ -43,7 +48,8 @@ MIN_SAMPLES_SPLIT = 2
 # Memory bounds, whatever the number of trees and rows: a fit's numpy
 # buffers add to the process's peak memory. A batch of trees holds at most
 # BATCH_ELEMENTS row positions (rows x (features + 1)); one split search or
-# presort works on at most CHUNK_ELEMENTS (nodes x features x rows).
+# presort works on at most CHUNK_ELEMENTS (nodes x features x rows, rows
+# padded to the chunk's largest node), unless one node alone is larger.
 BATCH_ELEMENTS = 1 << 16
 CHUNK_ELEMENTS = 1 << 12
 
@@ -78,42 +84,52 @@ class BaggedTrees:
         return out / len(self.roots)
 
 
-def _best_splits(XT: np.ndarray, y: np.ndarray, boot: np.ndarray, order: np.ndarray,
-                 pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Best (feature, threshold) of each node whose segment positions are `pos`.
+def _best_splits(xv: np.ndarray, yv: np.ndarray, starts: np.ndarray,
+                 sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best (feature, threshold) of each node, in one search padded to the largest.
 
-    `pos` is (nodes, n) for nodes of one size n. The children's summed SSE is
-    minimised with ties broken on the lowest feature index, then the lowest
-    threshold. Returns (feature, threshold, ok); ok is False where no split
-    separates any rows.
+    Node i owns columns `starts[i] : starts[i] + sizes[i]` of the per-feature
+    sorted values `xv`/`yv` (d, width). The children's summed SSE is minimised
+    with ties broken on the lowest feature index, then the lowest threshold.
+    Returns (feature, threshold, ok); ok is False where no split separates
+    any rows.
     """
-    g, n = pos.shape
-    features = np.arange(len(XT))[:, None]
-    rows = boot[order[1:][features, pos[:, None, :]]]  # (g, d, n), sorted along n
-    xs = XT[features, rows]
-    ys = y[rows]
-    del rows
-    csum = np.cumsum(ys, axis=2)
-    csum_sq = np.cumsum(np.multiply(ys, ys, out=ys), axis=2, out=ys)
-    nl = np.arange(1.0, n)
-    cl, ql = csum[..., :-1], csum_sq[..., :-1]
-    # (csum_sq - csum**2/nl) + (total_sq - csum_sq) - (total - csum)**2/(n - nl),
-    # evaluated in that order.
-    scores = np.square(cl)
-    scores /= nl
-    np.subtract(ql, scores, out=scores)
-    right = np.subtract(csum_sq[..., -1:], ql)
-    scores += right
-    np.subtract(csum[..., -1:], cl, out=right)
-    np.square(right, out=right)
-    right /= n - nl
-    scores -= right
-    np.copyto(scores, np.inf, where=xs[..., :-1] == xs[..., 1:])
-    flat = scores.reshape(g, -1)
-    best = flat.argmin(axis=1)
+    g = len(sizes)
+    pad = int(sizes.max())
+    lanes = starts[:, None] + np.minimum(np.arange(pad), sizes[:, None] - 1)
+    xs = np.take(xv, lanes, axis=1)  # (d, g, pad), sorted along pad
+    ys = np.take(yv, lanes, axis=1)
+    del lanes
     nodes = np.arange(g)
-    j, i = np.divmod(best, n - 1)
-    threshold = (xs[nodes, j, i] + xs[nodes, j, i + 1]) / 2.0
+    n = sizes[:, None].astype(float)
+    nl = np.arange(1.0, pad)
+    # Pad lanes divide by zero (n - nl == 0) or subtract infinities; the
+    # mask below overwrites every such lane with +inf.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        csum = np.cumsum(ys, axis=2)
+        csum_sq = np.cumsum(np.multiply(ys, ys, out=ys), axis=2, out=ys)
+        total, total_sq = csum[:, nodes, sizes - 1, None], csum_sq[:, nodes, sizes - 1, None]
+        cl, ql = csum[..., :-1], csum_sq[..., :-1]
+        # (csum_sq - csum**2/nl) + (total_sq - csum_sq) - (total - csum)**2/(n - nl),
+        # evaluated in that order.
+        scores = np.square(cl)
+        scores /= nl
+        np.subtract(ql, scores, out=scores)
+        right = np.subtract(total_sq, ql)
+        scores += right
+        np.subtract(total, cl, out=right)
+        np.square(right, out=right)
+        right /= n - nl
+        scores -= right
+    # Lanes at or past a node's last row are pads; an explicit mask, since
+    # NaN features make pad == pad false.
+    np.copyto(scores, np.inf, where=(xs[..., :-1] == xs[..., 1:]) | (nl >= n))
+    # Per node, feature-major: argmin prefers the lowest feature, then the
+    # lowest threshold.
+    flat = scores.transpose(1, 0, 2).reshape(g, -1)
+    best = flat.argmin(axis=1)
+    j, i = np.divmod(best, pad - 1)
+    threshold = (xs[j, nodes, i] + xs[j, nodes, i + 1]) / 2.0
     return j, threshold, np.isfinite(flat[nodes, best])
 
 
@@ -124,73 +140,116 @@ def _grow_batch(X: np.ndarray, y: np.ndarray, trees: range, seed: int,
     Nodes are numbered from `first_id` in level order. Returns the roots.
     """
     n, d = X.shape
-    XT = np.ascontiguousarray(X.T)
+    width = len(trees) * n
     boot = np.concatenate([np.random.default_rng([seed, t]).integers(0, n, size=n)
                            for t in trees])
-    # Positions index the batch's concatenated bootstraps. order[0] lists
-    # them in bootstrap order, order[1 + j] sorted by feature j (stable).
-    order = np.empty((d + 1, len(boot)), dtype=np.int32)
-    order[0] = np.arange(len(boot))
+    # A level's nodes own consecutive column segments, in node order, of
+    # every array below. Rows are positions into the batch's concatenated
+    # bootstraps: order[0] lists a segment's rows in bootstrap order and
+    # yb[c] is the target of row order[0, c]; order[1 + j] lists them sorted
+    # by feature j (stable), and xv[j, c], yv[j, c] are the feature-j value
+    # and the target of row order[1 + j, c].
+    order = np.empty((d + 1, width), dtype=np.int32)
+    order[0] = np.arange(width)
+    yb = y[boot]
+    xv = np.empty((d, width))
+    yv = np.empty((d, width))
     per_sort = max(1, CHUNK_ELEMENTS // max(1, n * d))
     for t in range(0, len(trees), per_sort):
         span = slice(t * n, (t + per_sort) * n)
-        ranked = np.argsort(X[boot[span]].reshape(-1, n, d), axis=1, kind="stable")
-        ranked += (t + np.arange(len(ranked)))[:, None, None] * n
+        xb = X[boot[span]].reshape(-1, n, d)
+        ranked = np.argsort(xb, axis=1, kind="stable")
+        xv[:, span] = np.take_along_axis(xb, ranked, axis=1).transpose(2, 0, 1).reshape(d, -1)
+        yv[:, span] = yb[span].reshape(-1, n)[np.arange(len(xb))[:, None, None],
+                                             ranked].transpose(2, 0, 1).reshape(d, -1)
+        ranked += (t + np.arange(len(xb)))[:, None, None] * n
         order[1:, span] = ranked.transpose(2, 0, 1).reshape(d, -1)
-    goes_left = np.zeros(len(boot), dtype=bool)
+    del boot
+    goes_left = np.zeros(width, dtype=bool)
 
-    starts = np.arange(len(trees)) * n
     sizes = np.full(len(trees), n)
     ids = first_id + np.arange(len(trees))
     roots = ids
     depth = 0
     while len(ids):
         k = len(ids)
+        starts = np.cumsum(sizes) - sizes
         value = np.empty(k)
         feature = np.full(k, -1)
         threshold = np.zeros(k)
-        n_left = np.zeros(k, dtype=np.intp)
-        # Not np.unique: its first call alone maps ~1.5 MB (numpy 2.4).
-        for size in sorted(set(sizes.tolist())):
-            sel = np.flatnonzero(sizes == size)
-            pos = starts[sel, None] + np.arange(size)
-            y_node = y[boot[order[0, pos]]]
-            value[sel] = np.add.reduce(y_node, axis=1) / size
-            if depth >= max_depth or size < MIN_SAMPLES_SPLIT:
-                continue
-            varied = ~(y_node == y_node[:, :1]).all(axis=1)
-            sel, pos = sel[varied], pos[varied]
-            step = max(1, CHUNK_ELEMENTS // (d * size))
-            for c in range(0, len(sel), step):
-                csel, cpos = sel[c:c + step], pos[c:c + step]
-                j, thr, ok = _best_splits(XT, y, boot, order, cpos)
-                csel, cpos, j, thr = csel[ok], cpos[ok], j[ok], thr[ok]
-                rows = order[0, cpos]
-                goes = XT[j[:, None], boot[rows]] <= thr[:, None]
-                goes_left[rows] = goes
-                feature[csel], threshold[csel] = j, thr
-                n_left[csel] = goes.sum(axis=1)
-                # Stable partition of every order row inside each segment.
-                segment = order[:, cpos].reshape(-1, size)
-                moved = np.argsort(~goes_left[segment], axis=1, kind="stable")
-                lanes = np.arange(len(segment))[:, None]
-                order[:, cpos] = segment[lanes, moved].reshape(d + 1, -1, size)
+        # Values are summed per node size, not padded: np.add.reduce's
+        # pairwise grouping depends on the length.
+        by_size = np.argsort(sizes, kind="stable")
+        cuts = [0, *(np.flatnonzero(np.diff(sizes[by_size])) + 1).tolist(), k]
+        for a, b in zip(cuts, cuts[1:]):
+            sel = by_size[a:b]
+            size = int(sizes[sel[0]])
+            value[sel] = np.add.reduce(yb.take(starts[sel, None] + np.arange(size)), axis=1) / size
+        if depth < max_depth:
+            # Nodes with at least MIN_SAMPLES_SPLIT rows whose targets differ
+            # (NaN differs from everything), largest first.
+            big = np.flatnonzero(sizes >= MIN_SAMPLES_SPLIT)
+            used = starts[-1] + sizes[-1]
+            changes = np.concatenate([[0], np.cumsum(yb[1:used] != yb[:used - 1])])
+            ends = starts[big] + sizes[big] - 1
+            todo = big[changes[ends] > changes[starts[big]]]
+            todo = todo[np.argsort(-sizes[todo], kind="stable")]
+            c = 0
+            while c < len(todo):
+                chunk = todo[c:c + max(1, CHUNK_ELEMENTS // (d * sizes[todo[c]]))]
+                j, thr, ok = _best_splits(xv, yv, starts[chunk], sizes[chunk])
+                feature[chunk[ok]], threshold[chunk[ok]] = j[ok], thr[ok]
+                c += len(chunk)
         split = np.flatnonzero(feature >= 0)
         children = ids[-1] + 1 + np.arange(2 * len(split))
         left = np.full(k, -1)
         right = np.full(k, -1)
         left[split], right[split] = children[0::2], children[1::2]
         out.append((feature, threshold, left, right, value))
-        nl = n_left[split]
-        starts = np.column_stack([starts[split], starts[split] + nl]).ravel()
-        sizes = np.column_stack([nl, sizes[split] - nl]).ravel()
+        if len(split):
+            nl = _partition(order, xv, yv, yb, goes_left, starts[split], sizes[split],
+                            feature[split], threshold[split])
+            sizes = np.column_stack([nl, sizes[split] - nl]).ravel()
         ids = children
         depth += 1
     return roots
 
 
+def _partition(order, xv, yv, yb, goes_left, starts, sizes, feature, threshold) -> np.ndarray:
+    """Split the given nodes' segments; return each node's left-child size.
+
+    Every array is partitioned stably inside each segment, rows going left
+    first, and the segments are written back in node order from column 0,
+    so the children own consecutive segments in child order.
+    """
+    m = int(sizes.sum())
+    offsets = np.cumsum(sizes) - sizes
+    rank = np.repeat(np.arange(len(sizes)), sizes)
+    cols = np.arange(m) + np.repeat(starts - offsets, sizes)
+    j = feature[rank]
+    goes = xv[j, cols] <= threshold[rank]
+    goes_left[order[1 + j, cols]] = goes
+    del j
+    # 16-bit keys take numpy's radix sort.
+    key = 2 * rank.astype(np.int16 if 2 * len(sizes) + 1 < 1 << 15 else np.int32)
+    # np.take, not fancy indexing: it is about twice as fast on 1-d arrays.
+    for r, row in enumerate(order):
+        moved = cols.take(np.argsort(key + ~goes_left.take(row.take(cols)), kind="stable"))
+        row[:m] = row.take(moved)
+        if r:
+            xv[r - 1, :m] = xv[r - 1].take(moved)
+            yv[r - 1, :m] = yv[r - 1].take(moved)
+        else:
+            yb[:m] = yb.take(moved)
+    return np.add.reduceat(goes, offsets, dtype=np.intp)
+
+
 def fit_bagged_trees(X: np.ndarray, y: np.ndarray, n_trees: int = DEFAULT_N_TREES,
                      max_depth: int = DEFAULT_MAX_DEPTH, seed: int = 0) -> BaggedTrees:
+    if n_trees < 1:
+        raise ValueError(f"n_trees must be >= 1, got {n_trees}")
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be >= 0, got {max_depth}")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     # Equal batches of at most BATCH_ELEMENTS order entries each.

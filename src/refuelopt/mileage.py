@@ -195,6 +195,8 @@ def sliding_cv(rows: list[DailyFeatureRow], window_weeks: int,
     The window advances one week per fold; train and test never overlap and
     the test week always follows the training window.
     """
+    if window_weeks < 2:
+        raise ValueError(f"window_weeks must be >= 2 (a fit needs 14 rows), got {window_weeks}")
     w = window_weeks * 7
     n_folds = (len(rows) - w) // 7
     if n_folds < 1:

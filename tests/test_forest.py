@@ -1,10 +1,12 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from refuelopt import forest
 from refuelopt.forest import dump_trees, fit_bagged_trees, load_trees
 
 
@@ -82,30 +84,32 @@ def test_forest_bytes_are_pinned(rows, seed):
     assert loaded.predict(held_out).tolist() == preds.tolist()
 
 
+def reference_best_split(X, y):
+    """(feature, threshold) of depth-first CART's best split of one node, or None."""
+    n = len(y)
+    order = np.argsort(X, axis=0, kind="stable")
+    xs = np.take_along_axis(X, order, axis=0)
+    ys = y[order]
+    csum = np.cumsum(ys, axis=0)[:-1]
+    csum_sq = np.cumsum(ys * ys, axis=0)[:-1]
+    total = csum[-1] + ys[-1]
+    total_sq = csum_sq[-1] + ys[-1] ** 2
+    nl = np.arange(1, n)[:, None]
+    scores = (csum_sq - csum ** 2 / nl) + (total_sq - csum_sq) - (total - csum) ** 2 / (n - nl)
+    scores[xs[:-1] == xs[1:]] = np.inf
+    j, i = divmod(int(np.argmin(scores.T)), n - 1)
+    if not np.isfinite(scores[i, j]):
+        return None
+    return j, float(xs[i, j] + xs[i + 1, j]) / 2.0
+
+
 def reference_forest(X, y, n_trees, max_depth, seed):
     """dump_trees output of depth-first CART that argsorts every node."""
-    def best_split(X, y):
-        n = len(y)
-        order = np.argsort(X, axis=0, kind="stable")
-        xs = np.take_along_axis(X, order, axis=0)
-        ys = y[order]
-        csum = np.cumsum(ys, axis=0)[:-1]
-        csum_sq = np.cumsum(ys * ys, axis=0)[:-1]
-        total = csum[-1] + ys[-1]
-        total_sq = csum_sq[-1] + ys[-1] ** 2
-        nl = np.arange(1, n)[:, None]
-        scores = (csum_sq - csum ** 2 / nl) + (total_sq - csum_sq) - (total - csum) ** 2 / (n - nl)
-        scores[xs[:-1] == xs[1:]] = np.inf
-        j, i = divmod(int(np.argmin(scores.T)), n - 1)
-        if not np.isfinite(scores[i, j]):
-            return None
-        return j, float(xs[i, j] + xs[i + 1, j]) / 2.0
-
     def grow(X, y, depth):
         with np.errstate(all="ignore"):
             value = float(np.mean(y)) if len(y) else float("nan")
         split = (None if depth >= max_depth or len(y) < 2 or np.all(y == y[0])
-                 else best_split(X, y))
+                 else reference_best_split(X, y))
         if split is None:
             return {"v": value}
         j, thr = split
@@ -175,3 +179,80 @@ def test_node_means_match_np_mean():
     for n in range(1, 257):
         rows = rng.normal(size=(3, n)) * 10.0 ** rng.integers(-8, 9, size=(3, n))
         assert (np.add.reduce(rows, axis=1) / n).tolist() == [float(np.mean(r)) for r in rows]
+
+
+@pytest.mark.parametrize("chunk", [64, 1 << 20])
+def test_forest_bytes_do_not_depend_on_chunking(monkeypatch, chunk):
+    # 64 searches one node at a time; 1 << 20 pads a whole level into one search.
+    monkeypatch.setattr(forest, "CHUNK_ELEMENTS", chunk)
+    for rows, seed in sorted(FOREST_DIGESTS):
+        test_forest_bytes_are_pinned(rows, seed)
+
+
+@pytest.mark.parametrize("kwargs", [{"n_trees": 0}, {"n_trees": -2}, {"max_depth": -1}])
+def test_fit_rejects_empty_forest_and_negative_depth(kwargs):
+    X, y, _ = forest_case(14)
+    with pytest.raises(ValueError, match="must be >= "):
+        fit_bagged_trees(X, y, **kwargs)
+
+
+def test_fit_memory_stays_bounded():
+    # A fit's numpy buffers add to the benchmark's peak RSS, which has a 5 %
+    # bound; this fit peaks at ≈1.1 MB with numpy 2.4.
+    rng = np.random.default_rng(5)
+    X = np.column_stack([rng.normal(size=35), rng.integers(0, 7, size=35),
+                         rng.normal(size=(35, 3))])
+    y = np.round(8.0 * X[:, 0] + rng.normal(size=35) + 20.0)
+    fit_bagged_trees(X, y)
+    tracemalloc.start()
+    try:
+        fit_bagged_trees(X, y, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6
+
+
+def crafted_level():
+    """Nodes of sizes 2..35 with three features and whole-number targets.
+
+    Feature 0 has a constant tail, so pad lanes past a node's last row tie
+    with it; feature 1 has a NaN tail, which no equality test masks, so a
+    pad lane scored as if real would win the node's argmin.
+    """
+    rng = np.random.default_rng(11)
+    nodes = []
+    for n in range(2, 36):
+        tail = n // 3
+        x0 = np.concatenate([rng.normal(size=n - tail), np.full(tail, 4.0)])
+        x1 = np.concatenate([rng.integers(0, 5, size=n - tail - 1).astype(float),
+                             np.full(tail + 1, np.nan)])
+        X = np.column_stack([x0, x1, np.round(rng.normal(size=n), 1)])
+        perm = rng.permutation(n)
+        nodes.append((X[perm], np.round(rng.normal(size=n) * 4.0)))
+    return nodes
+
+
+def test_padded_level_search_matches_depth_first_cart():
+    nodes = crafted_level()
+    sizes = np.array([len(y) for _, y in nodes])
+    starts = np.cumsum(sizes) - sizes
+    xv = np.concatenate([np.take_along_axis(X, np.argsort(X, axis=0, kind="stable"), axis=0)
+                         for X, _ in nodes]).T.copy()
+    yv = np.concatenate([y[np.argsort(X, axis=0, kind="stable")] for X, y in nodes]).T.copy()
+    # One search pads all 34 nodes to 35 lanes, largest first as a level is searched.
+    by_size = np.argsort(-sizes, kind="stable")
+    j, thr, ok = forest._best_splits(xv, yv, starts[by_size], sizes[by_size])
+    got = [(int(f), float(t)) if good else None for f, t, good in zip(j, thr, ok)]
+    with np.errstate(all="ignore"):
+        expected = [reference_best_split(*nodes[k]) for k in by_size]
+    assert repr(got) == repr(expected)
+    assert sum(g is not None and np.isnan(g[1]) for g in got) > 0
+
+
+def test_forest_with_nan_tails_matches_depth_first_cart():
+    X, y = crafted_level()[-1]
+    with np.errstate(all="ignore"):
+        model = fit_bagged_trees(X, y, n_trees=12, seed=2)
+        expected = reference_forest(X, y, 12, 6, 2)
+    assert json.dumps(dump_trees(model)) == json.dumps(expected)

@@ -416,6 +416,15 @@ def test_cli_ingest_graph_predict(trip_log_path, tmp_path, capsys):
     assert "gate verdict" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("window", ["-1", "0", "1"])
+def test_cli_predict_window_below_two_weeks_is_a_validation_error(trip_log_path, tmp_path,
+                                                                  capsys, window):
+    assert main(["predict", "--log", trip_log_path, "--out-dir", str(tmp_path),
+                 "--window", window]) == 2
+    assert "--window must be >= 2 weeks" in capsys.readouterr().err
+    assert not (tmp_path / "cv_metrics.csv").exists()
+
+
 def test_cli_validation_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("nonsense\n")

@@ -203,6 +203,13 @@ def test_sliding_cv_insufficient_history():
         sliding_cv(rows, window_weeks=6, n_trees=5)
 
 
+@pytest.mark.parametrize("window", [-1, 0, 1])
+def test_sliding_cv_rejects_window_below_two_weeks(window):
+    rows = build_features(weekly_pattern(6))
+    with pytest.raises(ValueError, match="window_weeks must be >= 2"):
+        sliding_cv(rows, window_weeks=window, n_trees=5)
+
+
 # --- recursive forecast ---------------------------------------------------------
 
 def test_forecast_covers_next_seven_days():
