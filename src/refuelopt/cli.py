@@ -15,6 +15,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from datetime import timedelta
@@ -53,7 +54,14 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _check_gap_threshold(value: float) -> None:
+    # Before reading the log: detect_halts would raise a bare ValueError.
+    if not 0 < value < math.inf:
+        raise errors.SchemaError(f"--gap-threshold must be positive and finite, got {value}")
+
+
 def cmd_ingest(args) -> int:
+    _check_gap_threshold(args.gap_threshold)
     trace, samples = load_trip_log(args.log)
     events = detect_halts(trace, samples, gap_threshold=args.gap_threshold)
     out = Path(args.out_dir) / "stops.csv"
@@ -65,6 +73,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_graph(args) -> int:
+    _check_gap_threshold(args.gap_threshold)
     trace, samples = load_trip_log(args.log)
     events = detect_halts(trace, samples, gap_threshold=args.gap_threshold)
     clusters = assign_clusters(events, cluster_radius_m=args.cluster_radius)

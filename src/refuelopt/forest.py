@@ -252,6 +252,8 @@ def fit_bagged_trees(X: np.ndarray, y: np.ndarray, n_trees: int = DEFAULT_N_TREE
         raise ValueError(f"max_depth must be >= 0, got {max_depth}")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
+    if X.ndim != 2 or 0 in X.shape:
+        raise ValueError(f"X must have at least one row and one feature, got shape {X.shape}")
     # Equal batches of at most BATCH_ELEMENTS order entries each.
     per_tree = max(1, len(y) * (X.shape[1] + 1))
     n_batches = max(1, -(-n_trees * per_tree // BATCH_ELEMENTS))

@@ -143,6 +143,32 @@ def _profile_to_dict(p: DriverProfile) -> dict:
     }
 
 
+# Simulation settings that must be > 0; refuel_duration_s may also be 0.
+POSITIVE_SIMULATION_KEYS = ("cluster_radius_m", "gap_threshold_s", "corridor_radius_m",
+                            "nearby_radius_m")
+
+
+def _simulation_settings(sim: dict | None) -> dict:
+    """The `simulation` block as Scenario fields, defaults filled in.
+
+    Raises ValueError for an out-of-range value: a NaN radius or threshold
+    fails every comparison, so runs went on without clusters or stations.
+    """
+    if sim is None:  # `simulation:` with nothing under it
+        sim = {}
+    if not isinstance(sim, dict):
+        raise TypeError(f"simulation must be a mapping, got {type(sim).__name__}")
+    settings = {"observation_weeks": int(sim.get("observation_weeks",
+                                                 Scenario.observation_weeks))}
+    for key in (*POSITIVE_SIMULATION_KEYS, "refuel_duration_s"):
+        value = settings[key] = float(sim.get(key, getattr(Scenario, key)))
+        if key in POSITIVE_SIMULATION_KEYS and not (math.isfinite(value) and value > 0):
+            raise ValueError(f"simulation.{key} must be finite and > 0, got {value}")
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"simulation.{key} must be finite and >= 0, got {value}")
+    return settings
+
+
 def load_scenarios(config_path: str) -> list[Scenario]:
     """Read a cohort config: shared city/stations/vehicle plus a driver list."""
     base = Path(config_path).parent
@@ -161,7 +187,7 @@ def load_scenarios(config_path: str) -> list[Scenario]:
                                fuel_l=float(veh["fuel_l"]),
                                rate_l_per_km=float(veh["rate_l_per_km"]))
         mode = parse_mode(cfg.get("mode", "balanced"))
-        sim = cfg.get("simulation", {})
+        settings = _simulation_settings(cfg.get("simulation"))
         fuel_type = cfg.get("fuel_type", "petrol")
         try:
             forecast = forecast_week(history, fuel_type)
@@ -176,13 +202,8 @@ def load_scenarios(config_path: str) -> list[Scenario]:
                 history=history, vehicle=vehicle, mode=mode,
                 fuel_type=fuel_type,
                 departure=drv["departure"],
-                observation_weeks=int(sim.get("observation_weeks", 7)),
-                cluster_radius_m=float(sim.get("cluster_radius_m", 100.0)),
-                gap_threshold_s=float(sim.get("gap_threshold_s", 120.0)),
-                corridor_radius_m=float(sim.get("corridor_radius_m", 2000.0)),
-                nearby_radius_m=float(sim.get("nearby_radius_m", 5000.0)),
-                refuel_duration_s=float(sim.get("refuel_duration_s", 300.0)),
-                forecast=forecast))
+                forecast=forecast,
+                **settings))
     except (KeyError, TypeError, ValueError) as exc:
         raise errors.SchemaError(f"{config_path}: {exc}") from exc
     return scenarios

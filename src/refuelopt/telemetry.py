@@ -6,6 +6,13 @@ threshold marks a stop. Daily traveled distance is integrated from speed
 samples rather than GPS displacement, so it keeps working through GPS
 outages.
 
+Samples travel as a `TripLog`: one read-only float64 array per field, with
+masks for the rows whose coordinates and fuel level are given, so an absent
+value stays distinct from a NaN one. It iterates and indexes as
+`TripSample` rows, made on demand. `detect_halts` and
+`integrate_daily_distance` work on its columns; a list of rows, as
+`load_trip_log` returns, goes through `TripLog.of` first.
+
 A synthetic log is a pure function of (profile, weeks, sample_period_s,
 start_day), and its bytes are pinned by tests. `random.Random(profile.seed)`
 is its only source of randomness, so the order of the draws is part of the
@@ -23,7 +30,8 @@ output and must not change:
 `generate_synthetic_log` inlines `uniform` and `gauss` with CPython's own
 arithmetic (`a + (b - a) * r`, and `gauss`'s Box-Muller with `gauss_next`
 always empty, since the calls come in pairs); the tests check the inlined
-draws against the library calls.
+draws against the library calls. It returns its fixes as a `TripLog`,
+checked as a whole.
 """
 
 from __future__ import annotations
@@ -31,10 +39,13 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
 from itertools import repeat
 from typing import NamedTuple
+
+import numpy as np
 
 from . import errors
 from .geo import haversine_m, valid_coords
@@ -59,8 +70,8 @@ class CanTrace:
     message_times: list[float]
 
     def __post_init__(self):
-        times = self.message_times
-        if any(b < a for a, b in zip(times, times[1:])):
+        times = np.asarray(self.message_times, dtype=float)
+        if (times[1:] < times[:-1]).any():
             raise ValueError("message times must be non-decreasing")
 
 
@@ -76,8 +87,8 @@ class TripSample(_TripSampleFields):
     """One speed reading, with an optional GPS fix and fuel level.
 
     An immutable tuple: it also compares equal to a plain 5-tuple of its
-    fields. Construction validates; `generate_synthetic_log` validates a
-    whole log at once and then builds its samples with `tuple.__new__`.
+    fields. Construction validates; `TripLog` validates a whole log at once
+    and then builds its rows with `tuple.__new__`.
     """
 
     __slots__ = ()
@@ -98,6 +109,104 @@ class TripSample(_TripSampleFields):
     def _make(cls, iterable) -> "TripSample":
         # namedtuple's _make (and so _replace) would skip __new__'s checks.
         return cls(*iterable)
+
+
+class TripLog(Sequence):
+    """Trip samples held as columns: one read-only float64 array per field.
+
+    `located` marks the rows with coordinates and `fueled` the rows with a
+    fuel level; elsewhere `lat`, `lon` and `fuel_l` hold NaN, which a given
+    fuel level may also be. Indexing and iteration give `TripSample` rows, a
+    slice gives a TripLog, and a log equals a TripLog or list with equal rows.
+
+    The constructor takes one sequence per field; `lat`, `lon` and `fuel_l`
+    may be None (absent from every row) or hold None in the absent rows. It
+    checks every row as `TripSample` does, with array comparisons; if one
+    fails, it walks the rows and raises `TripSample`'s error for the first
+    invalid one.
+    """
+
+    __slots__ = ("timestamp", "speed_kmh", "lat", "lon", "fuel_l", "located", "fueled")
+    __hash__ = None
+
+    def __init__(self, timestamp, speed_kmh, lat=None, lon=None, fuel_l=None):
+        ts = np.array(timestamp, dtype=float)
+        speed = np.array(speed_kmh, dtype=float)
+        n = len(ts)
+        (lat, has_lat), (lon, has_lon), (fuel, fueled) = (
+            _column(c, n) for c in (lat, lon, fuel_l))
+        if not len(speed) == len(lat) == len(lon) == len(fuel) == n:
+            raise ValueError("trip log columns differ in length")
+        # NaN fails every comparison, as in TripSample and valid_coords.
+        in_range = (lat >= -90.0) & (lat <= 90.0) & (lon >= -180.0) & (lon <= 180.0)
+        if not (((speed >= 0.0) & (speed < math.inf)).all()
+                and (has_lat == has_lon).all() and (in_range | ~has_lat).all()
+                and not (fuel[fueled] < 0.0).any()):
+            for row in zip(ts.tolist(), speed.tolist(), _or_none(lat, has_lat),
+                           _or_none(lon, has_lon), _or_none(fuel, fueled)):
+                TripSample(*row)
+        self._set(ts, speed, lat, lon, fuel, has_lat, fueled)
+
+    def _set(self, *columns) -> None:
+        for name, column in zip(self.__slots__, columns):
+            column.flags.writeable = False
+            setattr(self, name, column)
+
+    @classmethod
+    def of(cls, samples) -> "TripLog":
+        """`samples` as a TripLog: itself if it is one, else built from its rows."""
+        if isinstance(samples, TripLog):
+            return samples
+        return cls(*(list(zip(*samples)) or ((), ())))
+
+    def __len__(self) -> int:
+        return len(self.timestamp)
+
+    def __iter__(self):
+        return map(tuple.__new__, repeat(TripSample), zip(
+            self.timestamp.tolist(), self.speed_kmh.tolist(),
+            _or_none(self.lat, self.located), _or_none(self.lon, self.located),
+            _or_none(self.fuel_l, self.fueled)))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            log = TripLog.__new__(TripLog)
+            log._set(*(getattr(self, name)[index] for name in self.__slots__))
+            return log
+        i = range(len(self))[index]
+        located, fueled = self.located[i], self.fueled[i]
+        return tuple.__new__(TripSample, (
+            self.timestamp[i].item(), self.speed_kmh[i].item(),
+            self.lat[i].item() if located else None, self.lon[i].item() if located else None,
+            self.fuel_l[i].item() if fueled else None))
+
+    def __eq__(self, other):
+        if isinstance(other, (TripLog, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"TripLog({len(self)} rows)"
+
+
+def _column(values, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """A float column and the mask of its given entries (None is absent)."""
+    if values is None:
+        return np.full(n, math.nan), np.zeros(n, dtype=bool)
+    column = np.array(values, dtype=float)
+    given = ~np.isnan(column)
+    if not given.all():  # a None entry, or a given NaN
+        given = np.array([v is not None for v in values], dtype=bool)
+    return column, given
+
+
+def _or_none(column: np.ndarray, given: np.ndarray) -> list:
+    """The column as floats, with None where no value is given."""
+    if given.all():
+        return column.tolist()
+    if not given.any():
+        return [None] * len(column)
+    return [v if g else None for v, g in zip(column.tolist(), given.tolist())]
 
 
 @dataclass(frozen=True)
@@ -128,7 +237,7 @@ class DriverProfile:
     cruise_speed_kmh: float = 50.0
 
 
-def detect_halts(trace: CanTrace, gps: list[TripSample],
+def detect_halts(trace: CanTrace, gps: Sequence[TripSample],
                  gap_threshold: float = DEFAULT_GAP_THRESHOLD_S) -> list[StopEvent]:
     """Find vehicle stops as message gaps longer than `gap_threshold` seconds.
 
@@ -140,18 +249,20 @@ def detect_halts(trace: CanTrace, gps: list[TripSample],
     Fixes without coordinates are ignored. Raises NoLocationFix if no fix
     lies within `gap_threshold` of a gap start.
     """
-    if gap_threshold <= 0:
-        raise ValueError("gap_threshold must be positive")
-    if not trace.message_times:
+    if not 0 < gap_threshold < math.inf:
+        raise ValueError(f"gap_threshold must be positive and finite, got {gap_threshold}")
+    message_times = trace.message_times
+    if not message_times:
         raise errors.EmptyTrace("trace has no messages")
-    fixes = [s for s in gps if s.lat is not None]
-    fixes.sort(key=lambda s: s.timestamp)  # stable: equal timestamps keep gps order
-    times = [s.timestamp for s in fixes]
+    log = TripLog.of(gps)
+    gaps = np.flatnonzero(~(np.diff(np.asarray(message_times, dtype=float)) <= gap_threshold))
+    located = np.flatnonzero(log.located)
+    order = located[np.argsort(log.timestamp[located], kind="stable")]
+    times = log.timestamp[order].tolist()
     events: list[StopEvent] = []
-    for t0, t1 in zip(trace.message_times, trace.message_times[1:]):
-        if t1 - t0 <= gap_threshold:
-            continue
-        if not fixes:
+    for g in gaps.tolist():
+        t0 = message_times[g]
+        if not times:
             raise errors.NoLocationFix(f"no GPS fix near gap at t={t0}")
         # Start at the first fix at or after t0 and step back while the earlier
         # fix is no farther. |t - t0| only grows going back, so this stops
@@ -164,35 +275,53 @@ def detect_halts(trace: CanTrace, gps: list[TripSample],
             dist = abs(times[i] - t0)
         if dist > gap_threshold:
             raise errors.NoLocationFix(f"no GPS fix within {gap_threshold}s of gap at t={t0}")
+        k = order[i]
         events.append(StopEvent(timestamp=t0, day=ts_to_date(t0),
-                                lat=fixes[i].lat, lon=fixes[i].lon))
+                                lat=log.lat[k].item(), lon=log.lon[k].item()))
     return events
 
 
-def integrate_daily_distance(samples: list[TripSample],
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+
+
+def integrate_daily_distance(samples: Sequence[TripSample],
                              gap_cutoff_s: float = DEFAULT_DROPOUT_CUTOFF_S) -> dict[date, float]:
     """Per-calendar-day traveled km as the sum of speed_i * dt_i over sample pairs.
 
     Pairs spanning more than `gap_cutoff_s` contribute nothing: a stale speed
     must not be multiplied across a sensor dropout. Each pair is attributed
-    to the day of its earlier sample.
+    to the day of its earlier sample. Each day's total adds its pairs left
+    to right, starting from 0.0, and the days keep the order of their first
+    pair.
     """
-    totals: dict[date, float] = {}
-    # [day_lo, day_hi) holds timestamps known to fall on `day`; it stops 1 ms
-    # short of midnight because ts_to_date rounds to the microsecond.
-    day, day_lo, day_hi = None, math.inf, -math.inf
-    for a, b in zip(samples, samples[1:]):
-        dt = b.timestamp - a.timestamp
-        if dt < 0:
-            raise errors.NegativeInterval(f"timestamps decrease at t={a.timestamp}")
-        if dt > gap_cutoff_s:
-            continue
-        if not day_lo <= a.timestamp < day_hi:
-            day = ts_to_date(a.timestamp)
-            day_lo = datetime(day.year, day.month, day.day, tzinfo=timezone.utc).timestamp()
-            day_hi = day_lo + 86_399.999
-        totals[day] = totals.get(day, 0.0) + a.speed_kmh * dt / 3600.0
-    return totals
+    if not gap_cutoff_s >= 0:
+        raise ValueError(f"gap_cutoff_s must be >= 0, got {gap_cutoff_s}")
+    log = TripLog.of(samples)
+    ts = log.timestamp
+    with np.errstate(invalid="ignore", over="ignore"):  # inf and NaN as in floats
+        dt = ts[1:] - ts[:-1]
+        back = np.flatnonzero(dt < 0)
+        # Pairs before the first decrease, as a pair-by-pair walk sees them.
+        pairs = np.flatnonzero(~(dt[:back[0] if back.size else len(dt)] > gap_cutoff_s))
+        t = ts[pairs]
+        km = log.speed_kmh[pairs] * dt[pairs] / 3600.0
+        days = np.floor(t / 86_400.0)
+        into_day = t - days * 86_400.0
+    # ts_to_date rounds to the microsecond, so within 1 ms of midnight the
+    # day comes from ts_to_date. So it does for inf, NaN and |t| >= 6e10 s,
+    # near or past the ends of datetime's range, where ts_to_date raises.
+    exact = (into_day >= 0.001) & (into_day < 86_399.999) & (np.abs(t) < 6e10)
+    ordinals = np.where(exact, days, 0.0).astype(np.int64) + _EPOCH_ORDINAL
+    for j in np.flatnonzero(~exact).tolist():
+        ordinals[j] = ts_to_date(t[j].item()).toordinal()
+    if back.size:
+        raise errors.NegativeInterval(f"timestamps decrease at t={ts[back[0]].item()}")
+    # Without an error, the pairs' earlier samples are finite and in time
+    # order, so each day's pairs form one run. cumsum adds left to right.
+    starts = np.flatnonzero(np.diff(ordinals, prepend=-1)).tolist()
+    return {date.fromordinal(ordinals[lo].item()):
+            np.concatenate(([0.0], km[lo:hi])).cumsum()[-1].item()
+            for lo, hi in zip(starts, starts[1:] + [len(ordinals)])}
 
 
 def load_trip_log(path: str) -> tuple[CanTrace, list[TripSample]]:
@@ -254,7 +383,7 @@ _TWOPI = 2.0 * math.pi  # random.gauss's TWOPI
 def generate_synthetic_log(profile: DriverProfile, weeks: int,
                            sample_period_s: float = 5.0,
                            start_day: date = date(2025, 1, 6),
-                           ) -> tuple[CanTrace, list[TripSample], dict[date, float]]:
+                           ) -> tuple[CanTrace, TripLog, dict[date, float]]:
     """Simulate `weeks` of driving for a synthetic driver.
 
     Returns the message trace, GPS/speed samples and the ground-truth daily
@@ -317,21 +446,10 @@ def generate_synthetic_log(profile: DriverProfile, weeks: int,
     except Exception:
         # An invalid fix made before the failure is reported instead, as if
         # each fix had been checked when it was made.
-        _check_fixes(times, speeds, lats, lons)
+        TripLog(times, speeds, lats, lons)
         raise
-    _check_fixes(times, speeds, lats, lons)
-    samples = list(map(tuple.__new__, repeat(TripSample),
-                       zip(times, speeds, lats, lons, repeat(None))))
+    samples = TripLog(times, speeds, lats, lons)
     return CanTrace(message_times=times), samples, truth
-
-
-def _check_fixes(times, speeds, lats, lons) -> None:
-    """Raise the error `TripSample` raises for the first invalid fix, if any."""
-    if (all(0.0 <= v < math.inf for v in speeds)
-            and all(map(valid_coords, lats, lons))):
-        return
-    for fix in zip(times, speeds, lats, lons):
-        TripSample(*fix)
 
 
 def _drive(profile: DriverProfile, rng: random.Random,

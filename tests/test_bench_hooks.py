@@ -1,0 +1,53 @@
+"""The benchmark's outside-in spans must still fit the package they wrap.
+
+`perfbench/spans.py` patches names in `refuelopt` and reads call arguments
+in its hooks; a change of a name, a signature or a return type in `src`
+would break the traced benchmark without failing any other tier-1 test.
+"""
+
+import importlib
+import sys
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from refuelopt import harness
+from refuelopt.scenario import OBSERVATION_START, load_scenarios
+from refuelopt.telemetry import generate_synthetic_log
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def spans(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # no __pycache__ in perfbench/
+    return importlib.import_module("spans")
+
+
+def patch_targets(spans):
+    """Everything `spans.Tracer` replaces while it is active."""
+    targets = [getattr(harness, n) for names in spans.HARNESS_STAGES.values() for n in names]
+    targets += list(harness._STRATEGY_FNS.values())
+    targets += [getattr(owner, attr) for owner, attr, _p in spans.METHODS + spans.MODULE_FNS]
+    return targets
+
+
+def test_telemetry_spans_and_hooks_fit_src(spans, demo_scenario_config):
+    scenarios = load_scenarios(demo_scenario_config)
+    before = patch_targets(spans)
+    with spans.Tracer() as tracer:
+        assert not any(a is b for a, b in zip(patch_targets(spans), before))
+        harness.run_cohort(scenarios, jobs=1)
+    assert all(a is b for a, b in zip(patch_targets(spans), before))
+
+    telemetry = [f"telemetry.{n}" for n in spans.HARNESS_STAGES["telemetry"]]
+    fired = Counter((s[0], s[4]) for s in tracer.spans if s[0] in telemetry)
+    assert fired == Counter({(name, scn.name): 1 for name in telemetry for scn in scenarios})
+    fixes_in = {s[4]: s[5]["fixes_in"] for s in tracer.spans if s[0] == "telemetry.detect_halts"}
+    for scn in scenarios:
+        _trace, log, _truth = generate_synthetic_log(scn.profile, scn.observation_weeks,
+                                                     start_day=OBSERVATION_START)
+        assert fixes_in[scn.name] == np.count_nonzero(log.located) > 0

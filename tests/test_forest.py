@@ -196,6 +196,12 @@ def test_fit_rejects_empty_forest_and_negative_depth(kwargs):
         fit_bagged_trees(X, y, **kwargs)
 
 
+@pytest.mark.parametrize("shape", [(0, 3), (5, 0)])
+def test_fit_rejects_empty_input_with_its_shape(shape):
+    with pytest.raises(ValueError, match=rf"got shape \({shape[0]}, {shape[1]}\)"):
+        fit_bagged_trees(np.empty(shape), np.zeros(shape[0]))
+
+
 def test_fit_memory_stays_bounded():
     # A fit's numpy buffers add to the benchmark's peak RSS, which has a 5 %
     # bound; this fit peaks at ≈1.1 MB with numpy 2.4.

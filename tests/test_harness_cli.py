@@ -156,6 +156,43 @@ def test_load_scenarios_rejects_out_of_range_profiles(tmp_path, demo_scenario_co
     assert main(["simulate", "--config", config, "--out-dir", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("key,value", [
+    ("gap_threshold_s", float("nan")),
+    ("gap_threshold_s", 0.0),
+    ("cluster_radius_m", float("nan")),
+    ("cluster_radius_m", -100.0),
+    ("corridor_radius_m", float("nan")),
+    ("corridor_radius_m", float("inf")),
+    ("nearby_radius_m", 0.0),
+    ("refuel_duration_s", float("nan")),
+    ("refuel_duration_s", -1.0),
+])
+def test_load_scenarios_rejects_out_of_range_simulation(tmp_path, demo_scenario_config,
+                                                        key, value):
+    # A NaN cluster radius made every run an EmptyDayGraph row, and a NaN
+    # corridor reported "no station within nan m"; both exited 0.
+    config = _edited_config(demo_scenario_config, ("simulation", key), value, tmp_path.name)
+    with pytest.raises(errors.SchemaError, match=f"simulation.{key} must be finite"):
+        load_scenarios(config)
+    assert main(["simulate", "--config", config, "--out-dir", str(tmp_path)]) == 2
+
+
+def test_load_scenarios_accepts_zero_refuel_duration(tmp_path, demo_scenario_config):
+    config = _edited_config(demo_scenario_config, ("simulation", "refuel_duration_s"), 0.0,
+                            tmp_path.name)
+    assert {s.refuel_duration_s for s in load_scenarios(config)} == {0.0}
+
+
+def test_load_scenarios_simulation_block_shape(tmp_path, demo_scenario_config):
+    # An empty `simulation:` block keeps every default; a list is a schema error.
+    config = _edited_config(demo_scenario_config, ("simulation",), None, tmp_path.name)
+    assert {(s.observation_weeks, s.gap_threshold_s) for s in load_scenarios(config)} == \
+        {(7, 120.0)}
+    config = _edited_config(demo_scenario_config, ("simulation",), [7], tmp_path.name)
+    with pytest.raises(errors.SchemaError, match="simulation must be a mapping"):
+        load_scenarios(config)
+
+
 @pytest.mark.parametrize("command", ["simulate", "plan"])
 def test_malformed_yaml_is_a_schema_error(tmp_path, capsys, command):
     config = tmp_path / "broken.yaml"
@@ -423,6 +460,17 @@ def test_cli_predict_window_below_two_weeks_is_a_validation_error(trip_log_path,
                  "--window", window]) == 2
     assert "--window must be >= 2 weeks" in capsys.readouterr().err
     assert not (tmp_path / "cv_metrics.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["ingest", "graph"])
+@pytest.mark.parametrize("threshold", ["0", "-5", "nan", "inf"])
+def test_cli_gap_threshold_is_checked_before_the_log(tmp_path, capsys, command, threshold):
+    # A NaN threshold wrote one "stop" per message pair; 0 died with a traceback.
+    weeks = ["--weeks", "8"] if command == "graph" else []
+    assert main([command, "--log", str(tmp_path / "missing.csv"), "--out-dir", str(tmp_path),
+                 "--gap-threshold", threshold, *weeks]) == 2
+    assert "--gap-threshold must be positive and finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_validation_exit_code(tmp_path, capsys):

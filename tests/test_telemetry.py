@@ -11,7 +11,7 @@ from refuelopt import errors
 from refuelopt.geo import haversine_m
 from refuelopt.scenario import OBSERVATION_START, generate_scenario_dir, load_scenarios
 from refuelopt.telemetry import (_TWOPI, WEEKDAYS, CanTrace, DriverProfile, StopEvent,
-                                 TripSample, _poisson, detect_halts,
+                                 TripLog, TripSample, _poisson, detect_halts,
                                  generate_synthetic_log, integrate_daily_distance,
                                  load_trip_log, save_trip_log, ts_to_date)
 
@@ -64,6 +64,13 @@ def test_halt_count_matches_bruteforce_gap_scan(gaps):
 def test_empty_trace_raises():
     with pytest.raises(errors.EmptyTrace):
         detect_halts(CanTrace([]), [fix(T0)])
+
+
+@pytest.mark.parametrize("threshold", [0.0, -1.0, math.nan, math.inf])
+def test_detect_halts_rejects_non_finite_or_non_positive_threshold(threshold):
+    # A NaN threshold made every message pair a stop.
+    with pytest.raises(ValueError, match="gap_threshold must be positive and finite"):
+        detect_halts(CanTrace([T0, T0 + 1]), [fix(T0)], gap_threshold=threshold)
 
 
 def test_no_location_fix_raises():
@@ -136,6 +143,16 @@ def test_detect_halts_matches_full_scan(data):
         halts_or_error(full_scan_halts, trace, gps, threshold)
 
 
+def test_fixes_sharing_a_timestamp_keep_their_order():
+    # Enough fixes that numpy's default sort would not be an insertion sort.
+    gps = [fix(T0 + 10.0 * (i % 3), lat=40.0 + i / 1000) for i in range(1000)]
+    trace = CanTrace([T0 + 5.0, T0 + 300.0])  # T0 and T0 + 10 tie: T0 wins
+    for fixes, lat in ((gps, 40.0), (gps[::-1], 40.999)):
+        events = detect_halts(trace, fixes, gap_threshold=120)
+        assert events == full_scan_halts(trace, fixes, 120)
+        assert [e.lat for e in events] == [lat]
+
+
 def test_detect_halts_matches_full_scan_on_cohort(tmp_path):
     # The benchmark's seed-3 cohort: 9 drivers, 7 weeks each.
     config = generate_scenario_dir(str(tmp_path), seed=3, n_seeds_per_profile=3)
@@ -170,6 +187,12 @@ def test_piecewise_profile_matches_rectangle_rule():
     assert totals[date(2025, 1, 6)] == pytest.approx(expected, rel=1e-9)
 
 
+def test_negative_zero_speed_adds_up_to_zero():
+    # A day's sum starts from 0.0, and 0.0 + -0.0 is 0.0.
+    samples = [fix(T0 + i, speed=-0.0) for i in range(3)]
+    assert repr(integrate_daily_distance(samples)) == "{datetime.date(2025, 1, 6): 0.0}"
+
+
 def test_dropout_pairs_contribute_nothing():
     samples = [fix(T0, speed=50.0), fix(T0 + 3600, speed=50.0)]
     assert integrate_daily_distance(samples).get(date(2025, 1, 6), 0.0) == 0.0
@@ -178,6 +201,18 @@ def test_dropout_pairs_contribute_nothing():
 def test_decreasing_timestamps_raise():
     with pytest.raises(errors.NegativeInterval):
         integrate_daily_distance([fix(T0 + 10), fix(T0)])
+
+
+@pytest.mark.parametrize("cutoff", [math.nan, -1.0])
+def test_daily_distance_rejects_nan_or_negative_cutoff(cutoff):
+    # A NaN cutoff integrated across a 480 s silence.
+    with pytest.raises(ValueError, match="gap_cutoff_s must be >= 0"):
+        integrate_daily_distance([fix(T0), fix(T0 + 480)], gap_cutoff_s=cutoff)
+
+
+def test_infinite_cutoff_integrates_across_any_gap():
+    samples = [fix(T0, speed=60.0), fix(T0 + 480)]
+    assert integrate_daily_distance(samples, gap_cutoff_s=math.inf) == {date(2025, 1, 6): 8.0}
 
 
 def per_pair_daily_distance(samples, gap_cutoff_s=60.0):
@@ -215,6 +250,14 @@ def test_daily_distance_matches_per_pair_days(steps, late):
             return str(exc)
 
     assert repr(result(integrate_daily_distance)) == repr(result(per_pair_daily_distance))
+
+
+def test_daily_distance_reports_errors_in_pair_order():
+    # The first pair's NaN day fails before the later decrease is seen.
+    samples = [TripSample(math.nan, 10.0), fix(T0), fix(T0 - 1)]
+    for fn in (per_pair_daily_distance, integrate_daily_distance):
+        with pytest.raises(ValueError, match="NaN"):
+            fn(samples)
 
 
 # --- trip-log CSV ---------------------------------------------------------------
@@ -415,7 +458,7 @@ def outcome(generate, *args, **kwargs):
         trace, samples, truth = generate(*args, **kwargs)
     except Exception as exc:
         return type(exc), str(exc)
-    return "ok", repr((trace.message_times, samples, truth))
+    return "ok", repr((trace.message_times, list(samples), truth))
 
 
 # sha256 of repr((message_times, samples, truth)), pinned from the generator
@@ -449,7 +492,8 @@ def test_generated_log_bytes_are_pinned(case):
     make, weeks, digest = LOG_CASES[case]
     trace, samples, truth = generate_synthetic_log(make(), weeks)
     assert trace.message_times == [s.timestamp for s in samples]
-    assert hashlib.sha256(repr((trace.message_times, samples, truth)).encode()).hexdigest() == digest
+    rows = repr((trace.message_times, list(samples), truth))
+    assert hashlib.sha256(rows.encode()).hexdigest() == digest
 
 
 @st.composite
@@ -552,7 +596,7 @@ def test_trip_sample_contract():
         s._replace(speed_kmh=-1.0)
 
 
-@pytest.mark.parametrize("kwargs, message", [
+TRIP_SAMPLE_ERRORS = [
     ({"speed_kmh": math.nan}, "invalid speed nan"),
     ({"speed_kmh": math.inf}, "invalid speed inf"),
     ({"speed_kmh": -1.0}, "invalid speed -1.0"),
@@ -561,8 +605,77 @@ def test_trip_sample_contract():
     ({"lat": 91.0, "lon": 0.0}, "invalid coordinates (91.0, 0.0)"),
     ({"lat": 0.0, "lon": math.nan}, "invalid coordinates (0.0, nan)"),
     ({"fuel_l": -2.0}, "invalid fuel level -2.0"),
-])
+]
+
+
+@pytest.mark.parametrize("kwargs, message", TRIP_SAMPLE_ERRORS)
 def test_trip_sample_validation_messages(kwargs, message):
     with pytest.raises(ValueError) as exc:
         TripSample(**({"timestamp": 0.0, "speed_kmh": 10.0} | kwargs))
     assert str(exc.value) == message
+
+
+# --- TripLog --------------------------------------------------------------------
+
+@pytest.mark.parametrize("kwargs, message", TRIP_SAMPLE_ERRORS)
+def test_trip_log_reports_the_first_invalid_row(kwargs, message):
+    rows = [{"timestamp": 0.0, "speed_kmh": 10.0, "lat": 44.0, "lon": 11.0, "fuel_l": math.nan},
+            {"timestamp": 1.0, "speed_kmh": 10.0} | kwargs,
+            {"timestamp": 2.0, "speed_kmh": -5.0}]
+    with pytest.raises(ValueError) as exc:
+        TripLog(*([row.get(name) for row in rows] for name in TripSample._fields))
+    assert str(exc.value) == message
+
+
+trip_rows = st.builds(
+    lambda t, speed, where, fuel: TripSample(t, speed, *where, fuel),
+    st.floats(),  # TripSample leaves timestamps unchecked
+    st.sampled_from([0.0, -0.0]) | st.floats(0.0, 300.0),
+    st.just((None, None)) | st.tuples(st.floats(-90.0, 90.0), st.floats(-180.0, 180.0)),
+    st.none() | st.just(math.nan) | st.floats(0.0, 80.0))
+
+
+@given(st.lists(trip_rows, max_size=20))
+def test_trip_log_round_trip_is_exact(rows):
+    # repr tells -0.0 from 0.0, NaN from None and float from np.float64.
+    log = TripLog.of(rows)
+    assert len(log) == len(rows)
+    assert repr(list(log)) == repr(rows)
+    assert repr([log[i] for i in range(-len(log), 0)]) == repr(rows)
+    assert repr(list(log[::-1])) == repr(rows[::-1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_column_log_and_its_rows_agree(data):
+    pool = data.draw(st.lists(halt_times, min_size=1, max_size=6))
+    stamp = st.one_of(st.sampled_from(pool), halt_times)
+    speed = st.sampled_from([0.0, -0.0]) | st.floats(0.0, 120.0)
+    drawn = data.draw(st.lists(st.tuples(stamp, speed, st.booleans()), max_size=25))
+    if data.draw(st.booleans()):
+        drawn.sort(key=lambda d: d[0])
+    rows = [fix(t, lat=40.0 + i / 1000, speed=v) if located else TripSample(t, v)
+            for i, (t, v, located) in enumerate(drawn)]
+    log = TripLog(*([r[k] for r in rows] for k in range(5)))
+    trace = CanTrace(sorted(data.draw(st.lists(stamp, max_size=12))))
+    threshold = data.draw(st.floats(0.5, 300.0))
+    assert halts_or_error(detect_halts, trace, log, threshold) == \
+        halts_or_error(detect_halts, trace, rows, threshold)
+
+    def km(fn, samples):
+        try:
+            return repr(fn(samples))
+        except errors.NegativeInterval as exc:
+            return str(exc)
+
+    assert km(integrate_daily_distance, log) == km(integrate_daily_distance, rows) == \
+        km(per_pair_daily_distance, rows)
+
+
+def test_daily_distance_matches_per_pair_days_on_cohort(tmp_path):
+    config = generate_scenario_dir(str(tmp_path), seed=3, n_seeds_per_profile=1)
+    for scn in load_scenarios(config):
+        _, samples, _ = generate_synthetic_log(scn.profile, scn.observation_weeks,
+                                               start_day=OBSERVATION_START)
+        assert repr(integrate_daily_distance(samples)) == \
+            repr(per_pair_daily_distance(list(samples)))

@@ -2,11 +2,11 @@ import math
 from datetime import date, timedelta
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from refuelopt import errors
 from refuelopt.geo import haversine_m
-from refuelopt.telemetry import StopEvent
+from refuelopt.telemetry import WEEKDAYS, StopEvent
 from refuelopt.tripgraph import (ACCEPTED_CATEGORIES, FrequencyCategory,
                                  assign_clusters, build_daily_flows,
                                  categorize_clusters, categorize_frequency,
@@ -67,6 +67,37 @@ def test_every_event_lands_in_exactly_one_cluster(points):
     assert sum(c.visits_total for c in clusters) == len(events)
     seen = [e for c in clusters for e in c.member_events]
     assert sorted(seen, key=lambda e: e.timestamp) == events
+
+
+# Stops on 21 days within about 1 km, so streams mix merges and new clusters.
+stop_streams = st.lists(st.tuples(st.integers(0, 20), st.floats(44.0, 44.01),
+                                  st.floats(10.0, 10.01), st.integers(0, 86_399)),
+                        max_size=40)
+
+
+@settings(deadline=None)
+@given(stop_streams, st.floats(20.0, 2000.0))
+def test_cluster_assignment_invariants(stream, radius):
+    events = sorted((ev(d, lat, lon, second=s) for d, lat, lon, s in stream),
+                    key=lambda e: e.timestamp)
+    clusters = assign_clusters(events, cluster_radius_m=radius)
+    # Every halt is in exactly one cluster (events may be equal, so by identity).
+    assert sorted(id(e) for c in clusters for e in c.member_events) == sorted(map(id, events))
+    assert [c.identifier for c in clusters] == [f"STOP_{i:03d}" for i in range(1, len(clusters) + 1)]
+    founders = [c.member_events[0] for c in clusters]
+    assert [events.index(e) for e in founders] == sorted(events.index(e) for e in founders)
+    for c in clusters:
+        members = c.member_events
+        assert c.visits_total == len(members) == c.visits_weekday + c.visits_weekend
+        assert c.visits_weekday == sum(e.day.weekday() < 5 for e in members)
+        assert c.days_visited == {WEEKDAYS[e.day.weekday()] for e in members}
+        assert [e.timestamp for e in members] == sorted(e.timestamp for e in members)
+        assert c.centroid_lat == pytest.approx(sum(e.lat for e in members) / len(members))
+        assert c.centroid_lon == pytest.approx(sum(e.lon for e in members) / len(members))
+    # The result depends on the stream alone, not on the run.
+    again = assign_clusters(list(events), cluster_radius_m=radius)
+    assert [(c.identifier, c.centroid_lat, c.centroid_lon, c.member_events) for c in again] == \
+        [(c.identifier, c.centroid_lat, c.centroid_lon, c.member_events) for c in clusters]
 
 
 def test_invalid_radius_rejected():
