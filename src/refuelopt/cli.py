@@ -4,7 +4,7 @@ Subcommands:
   gen       write a synthetic city + driver cohort scenario directory
   ingest    trip log -> stop events CSV
   graph     trip log -> habitual trip graph CSV pair
-  predict   trip log -> sliding-window CV report and gate verdict
+  predict   trip log -> hold-out gate verdict (optional sliding-window CV report)
   plan      scenario config -> one refuel plan (CSV + GeoJSON)
   simulate  scenario config -> cohort comparison report
 
@@ -54,14 +54,14 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _check_gap_threshold(value: float) -> None:
-    # Before reading the log: detect_halts would raise a bare ValueError.
+def _check_positive(flag: str, value: float) -> None:
+    # Before reading the log: the stage would raise a bare ValueError or take NaN.
     if not 0 < value < math.inf:
-        raise errors.SchemaError(f"--gap-threshold must be positive and finite, got {value}")
+        raise errors.SchemaError(f"{flag} must be positive and finite, got {value}")
 
 
 def cmd_ingest(args) -> int:
-    _check_gap_threshold(args.gap_threshold)
+    _check_positive("--gap-threshold", args.gap_threshold)
     trace, samples = load_trip_log(args.log)
     events = detect_halts(trace, samples, gap_threshold=args.gap_threshold)
     out = Path(args.out_dir) / "stops.csv"
@@ -73,7 +73,8 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    _check_gap_threshold(args.gap_threshold)
+    _check_positive("--gap-threshold", args.gap_threshold)
+    _check_positive("--cluster-radius", args.cluster_radius)
     trace, samples = load_trip_log(args.log)
     events = detect_halts(trace, samples, gap_threshold=args.gap_threshold)
     clusters = assign_clusters(events, cluster_radius_m=args.cluster_radius)
@@ -89,24 +90,25 @@ def cmd_graph(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    if args.window < 2:
+    if args.window is not None and args.window < 2:
         raise errors.SchemaError(f"--window must be >= 2 weeks (a fit needs 14 rows), "
                                  f"got {args.window}")
     _trace, samples = load_trip_log(args.log)
     daily_km = integrate_daily_distance(samples)
-    if daily_km:
-        lo, hi = min(daily_km), max(daily_km)
-        for i in range((hi - lo).days + 1):
-            daily_km.setdefault(lo + timedelta(days=i), 0.0)
-    rows = mileage.build_features(daily_km)
-    report = mileage.sliding_cv(rows, window_weeks=args.window, seed=args.seed)
+    if not daily_km:
+        raise errors.SeriesTooShort("the log has no driving")
+    # Whole weeks, from the Monday of the first day with driving to the Sunday of the last.
+    monday = min(daily_km) - timedelta(days=min(daily_km).weekday())
+    _series, rows, metrics, accepted = harness.mileage_verdict(
+        daily_km, monday, (max(daily_km) - monday).days // 7 + 1, seed=args.seed)
+    report = (mileage.sliding_cv(rows, window_weeks=args.window, seed=args.seed)
+              if args.window else mileage.CvReport((metrics,), metrics))
     out = Path(args.out_dir) / "cv_metrics.csv"
     mileage.export_metrics_csv(report.folds, str(out))
-    verdict = "accepted" if mileage.gate(report.folds[-1]) else "rejected"
     print(f"{len(report.folds)} folds; mean MAE {report.mean.mae:.2f} km/day, "
           f"mean E_week {report.mean.e_week:.2f} km, "
           f"mean E_week% {report.mean.e_week_pct:.1f}")
-    print(f"gate verdict on most recent week: {verdict}")
+    print(f"gate verdict on most recent week: {('rejected', 'accepted')[accepted]}")
     print(f"per-fold metrics -> {out}")
     return 0
 
@@ -184,10 +186,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cluster-radius", type=float, default=100.0)
     p.set_defaults(fn=cmd_graph)
 
-    p = sub.add_parser("predict", help="sliding-window CV report and gate verdict")
+    p = sub.add_parser("predict", help="hold-out gate verdict and CV report")
     p.add_argument("--log", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--window", type=int, default=6, help="training window in weeks")
+    p.add_argument("--window", type=int, help="also report sliding CV of N-week windows")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_predict)
 
@@ -222,10 +224,7 @@ def main(argv: list[str] | None = None) -> int:
     except (errors.SchemaError, errors.ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except errors.RefuelOptError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (errors.RefuelOptError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -29,8 +29,9 @@ from datetime import date
 
 from . import errors
 from .geo import haversine_m
-from .mileage import (build_features, evaluate_metrics, extra_mileage_delta,
-                      fit_forest, forecast_next_week, gate, predict_week)
+from .mileage import (DailyFeatureRow, PredictionMetrics, build_features,
+                      evaluate_metrics, extra_mileage_delta, fill_weeks, fit_forest,
+                      forecast_next_week, gate, predict_week)
 from .optimizer import (CandidateStop, Mode, fuel_cost, generate_candidates,
                         route_candidate, select_stop)
 from .roadgraph import BuiltinRouter, Route
@@ -66,6 +67,7 @@ class ScenarioContext:
     day_prices: dict[str, float]
     delta_km: float
     gate_accepted: bool
+    gate_metrics: PredictionMetrics   # of the held-out last observation week
     context_hash: str
 
 
@@ -106,6 +108,19 @@ class AggregateReport:
     outcomes: tuple[Outcome, ...]
 
 
+def mileage_verdict(daily_km: dict[date, float], monday: date, weeks: int, seed: int,
+                    ) -> tuple[dict[date, float], list[DailyFeatureRow], PredictionMetrics, bool]:
+    """`simulate`'s and `predict`'s one gate: fill whole weeks, fit on every row
+    before the last week, then score and gate that held-out week. The stages go
+    through this module's names, which the benchmark's tracer replaces."""
+    series = fill_weeks(daily_km, monday, weeks)
+    rows = build_features(series)
+    model = fit_forest(rows[:-7], seed=seed)
+    preds = predict_week(model, [replace(r, target=None) for r in rows[-7:]])
+    metrics = evaluate_metrics([r.target for r in rows[-7:]], preds)
+    return series, rows, metrics, gate(metrics)
+
+
 def build_context(scn: Scenario) -> ScenarioContext:
     """Replay the scenario's observation period and fix the shared context."""
     trace, samples, _truth = generate_synthetic_log(scn.profile, scn.observation_weeks,
@@ -114,17 +129,8 @@ def build_context(scn: Scenario) -> ScenarioContext:
     clusters = assign_clusters(halts, cluster_radius_m=scn.cluster_radius_m)
     pois, _all = select_pois(clusters, scn.observation_weeks)
     trip_graph = build_daily_flows(pois, halts)
-
-    daily_km = integrate_daily_distance(samples)
-    for i in range(scn.observation_weeks * 7):
-        d = date.fromordinal(OBSERVATION_START.toordinal() + i)
-        daily_km.setdefault(d, 0.0)
-
-    rows = build_features(daily_km)
-    model = fit_forest(rows[:-7], seed=scn.seed)
-    preds = predict_week(model, [replace(r, target=None) for r in rows[-7:]])
-    metrics = evaluate_metrics([r.target for r in rows[-7:]], preds)
-    accepted = gate(metrics)
+    daily_km, rows, metrics, accepted = mileage_verdict(
+        integrate_daily_distance(samples), OBSERVATION_START, scn.observation_weeks, scn.seed)
 
     forecast = scn.forecast or forecast_week(scn.history, scn.fuel_type)
     graph = scn.graph
@@ -141,8 +147,7 @@ def build_context(scn: Scenario) -> ScenarioContext:
     dep_node, _ = graph.nearest_node(*dep_coords)
     remaining = tuple(graph.nearest_node(e.dest_lat, e.dest_lon)[0]
                       for e in trip_graph.edges[day])
-    day_route = router.one_stop_route(dep_node, remaining[0], list(remaining[1:])) \
-        if remaining else None
+    day_route = router.one_stop_route(dep_node, remaining[0], list(remaining[1:]))
 
     delta_km = 0.0
     if accepted:
@@ -164,7 +169,7 @@ def build_context(scn: Scenario) -> ScenarioContext:
                            departure_node=dep_node, departure_coords=dep_coords,
                            remaining_nodes=remaining, day_prices=day_prices,
                            delta_km=delta_km, gate_accepted=accepted,
-                           context_hash=digest)
+                           gate_metrics=metrics, context_hash=digest)
 
 
 def corridor_candidates(ctx: ScenarioContext) -> list[CandidateStop]:
@@ -304,15 +309,11 @@ def run_cohort(scenarios: list[Scenario], strategies: tuple[str, ...] = STRATEGI
         per_scenario = [run_scenario(s, strategies, modes) for s in scenarios]
     outcomes = [o for group in per_scenario for o in group]
 
-    rows = []
-    mode_keys = []
+    cells: dict[tuple, list[Outcome]] = {}  # first-seen order
     for o in outcomes:
-        key = (o.strategy, o.mode, o.k_cost, o.k_time)
-        if key not in mode_keys:
-            mode_keys.append(key)
-    for strategy, mode_name, k1, k2 in mode_keys:
-        cell = [o for o in outcomes
-                if (o.strategy, o.mode, o.k_cost, o.k_time) == (strategy, mode_name, k1, k2)]
+        cells.setdefault((o.strategy, o.mode, o.k_cost, o.k_time), []).append(o)
+    rows = []
+    for (strategy, mode_name, k1, k2), cell in cells.items():
         ok = [o for o in cell if o.error is None]
         costs = [o.cost_eur for o in ok]
         times = [o.time_min for o in ok]

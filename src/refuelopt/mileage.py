@@ -101,7 +101,15 @@ class GateThresholds:
 class CvReport:
     folds: tuple[PredictionMetrics, ...]
     mean: PredictionMetrics
-    std: PredictionMetrics
+
+
+def fill_weeks(daily_km: dict[date, float], monday: date, weeks: int) -> dict[date, float]:
+    """`daily_km` over `weeks` whole weeks from `monday`, with 0 km on each day
+    without driving. Days outside those weeks are kept as given."""
+    if monday.weekday() != 0:
+        raise ValueError(f"weeks must start on a Monday, got {monday}")
+    days = (monday + timedelta(days=i) for i in range(7 * weeks))
+    return {**dict.fromkeys(days, 0.0), **daily_km}
 
 
 def build_features(daily_km: dict[date, float],
@@ -209,17 +217,9 @@ def sliding_cv(rows: list[DailyFeatureRow], window_weeks: int,
         model = fit_forest(train, n_trees=n_trees, max_depth=max_depth, seed=seed)
         preds = predict_week(model, [replace(r, target=None) for r in test])
         folds.append(evaluate_metrics([r.target for r in test], preds))
-
-    def agg(stat):
-        if len(folds) == 1:
-            mean = folds[0]
-            return (mean, PredictionMetrics(0.0, 0.0, 0.0))[stat == "std"]
-        vals = {name: [getattr(m, name) for m in folds]
-                for name in ("mae", "e_week", "e_week_pct")}
-        fn = statistics.mean if stat == "mean" else statistics.pstdev
-        return PredictionMetrics(**{k: fn(v) for k, v in vals.items()})
-
-    return CvReport(folds=tuple(folds), mean=agg("mean"), std=agg("std"))
+    return CvReport(folds=tuple(folds), mean=PredictionMetrics(
+        *(statistics.mean(getattr(m, name) for m in folds)
+          for name in ("mae", "e_week", "e_week_pct"))))
 
 
 def forecast_next_week(model: ForestModel, daily_km: dict[date, float],

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 from dataclasses import replace
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
@@ -13,11 +14,12 @@ from refuelopt.harness import (STRATEGIES, build_context, run_cohort,
                                write_report_csv)
 from refuelopt.optimizer import MODES, Mode, VehicleState
 from refuelopt.roadgraph import BuiltinRouter
-from refuelopt.scenario import (PROFILE_TEMPLATES, generate_scenario_dir,
+from refuelopt.scenario import (OBSERVATION_START, PROFILE_TEMPLATES, generate_scenario_dir,
                                 load_scenarios, make_profile,
                                 make_station_catalog, parse_mode)
 from refuelopt.stations import forecast_week
-from refuelopt.telemetry import generate_synthetic_log, save_trip_log
+from refuelopt.telemetry import (generate_synthetic_log, integrate_daily_distance,
+                                 save_trip_log)
 
 
 @pytest.fixture(scope="module")
@@ -453,6 +455,37 @@ def test_cli_ingest_graph_predict(trip_log_path, tmp_path, capsys):
     assert "gate verdict" in capsys.readouterr().out
 
 
+@pytest.fixture(scope="module")
+def two_per_profile(tmp_path_factory):
+    """Six seed-3 drivers: commuter_1's 7-week gate accepts."""
+    out = tmp_path_factory.mktemp("two_per_profile")
+    return load_scenarios(generate_scenario_dir(str(out), seed=3, n_seeds_per_profile=2))
+
+
+@pytest.mark.parametrize("weeks", [7, 8])
+@pytest.mark.parametrize("driver", range(6))
+def test_cli_predict_gives_the_simulate_verdict(two_per_profile, tmp_path, capsys,
+                                                driver, weeks):
+    # With no --window, `predict` gates the same held-out week of the same
+    # whole-week series as `simulate`, and writes that week's metrics. The
+    # commuters' logs end in a quiet Sunday, a 0 km day of that series.
+    scn = replace(two_per_profile[driver], observation_weeks=weeks)
+    trace, log, _ = generate_synthetic_log(scn.profile, weeks, start_day=OBSERVATION_START)
+    if scn.name.startswith("commuter"):
+        last_sunday = OBSERVATION_START + timedelta(days=7 * weeks - 1)
+        assert max(integrate_daily_distance(log)) < last_sunday
+    path = str(tmp_path / "log.csv")
+    save_trip_log(path, trace, log)
+    assert main(["predict", "--log", path, "--seed", str(scn.seed),
+                 "--out-dir", str(tmp_path)]) == 0
+    ctx = build_context(scn)
+    expected = "accepted" if ctx.gate_accepted else "rejected"
+    assert f"gate verdict on most recent week: {expected}\n" in capsys.readouterr().out
+    m = ctx.gate_metrics
+    assert (tmp_path / "cv_metrics.csv").read_text() == \
+        f"fold,mae,e_week,e_week_pct\n0,{m.mae!r},{m.e_week!r},{m.e_week_pct!r}\n"
+
+
 @pytest.mark.parametrize("window", ["-1", "0", "1"])
 def test_cli_predict_window_below_two_weeks_is_a_validation_error(trip_log_path, tmp_path,
                                                                   capsys, window):
@@ -470,6 +503,15 @@ def test_cli_gap_threshold_is_checked_before_the_log(tmp_path, capsys, command, 
     assert main([command, "--log", str(tmp_path / "missing.csv"), "--out-dir", str(tmp_path),
                  "--gap-threshold", threshold, *weeks]) == 2
     assert "--gap-threshold must be positive and finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("radius", ["0", "-1", "nan", "inf"])
+def test_cli_cluster_radius_is_checked_before_the_log(tmp_path, capsys, radius):
+    # A NaN radius made one cluster per halt; 0 and -1 died with a traceback.
+    assert main(["graph", "--log", str(tmp_path / "missing.csv"), "--out-dir", str(tmp_path),
+                 "--weeks", "8", "--cluster-radius", radius]) == 2
+    assert "--cluster-radius must be positive and finite" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

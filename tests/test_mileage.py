@@ -10,7 +10,7 @@ from refuelopt import errors
 from refuelopt.forest import fit_bagged_trees
 from refuelopt.mileage import (FEATURE_NAMES, GateThresholds, ScalerStats,
                                build_features, evaluate_metrics,
-                               extra_mileage_delta, fit_forest,
+                               extra_mileage_delta, fill_weeks, fit_forest,
                                forecast_next_week, gate, predict_week,
                                sliding_cv)
 
@@ -46,6 +46,18 @@ def test_build_features_lags_and_rolling_mean():
     assert r.day_of_week == 1 and r.month == 1
     last = rows[-1]
     assert (last.lag_1, last.lag_7, last.target) == (18.0, 12.0, 19.0)
+
+
+def test_fill_weeks_zeroes_quiet_days_and_keeps_the_rest():
+    km = {MONDAY + timedelta(days=2): 5.0, MONDAY + timedelta(days=15): 7.0}
+    filled = fill_weeks(km, MONDAY, 2)
+    assert sorted(filled) == [MONDAY + timedelta(days=i) for i in (*range(14), 15)]
+    assert filled[MONDAY + timedelta(days=2)] == 5.0
+    assert filled[MONDAY + timedelta(days=13)] == 0.0  # a quiet last Sunday
+    assert filled[MONDAY + timedelta(days=15)] == 7.0  # outside the weeks: kept
+    assert len(km) == 2
+    with pytest.raises(ValueError, match="Monday"):
+        fill_weeks(km, MONDAY + timedelta(days=1), 2)
 
 
 def test_build_features_requires_14_consecutive_days():
@@ -195,6 +207,12 @@ def test_sliding_cv_fold_layout():
     assert all(math.isfinite(m.mae) for m in report.folds)
     assert report.mean.mae == pytest.approx(
         sum(m.mae for m in report.folds) / 4.0, rel=1e-12)
+
+
+def test_sliding_cv_mean_of_one_fold_is_that_fold():
+    rows = build_features(weekly_pattern(6, noise=1.0))  # 35 rows = 5 weeks
+    report = sliding_cv(rows, window_weeks=4, n_trees=10, seed=0)
+    assert report.folds == (report.mean,)
 
 
 def test_sliding_cv_insufficient_history():

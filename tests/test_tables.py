@@ -54,8 +54,9 @@ def written(tmp_path_factory):
      "0d21d6badd104e33c7893a5dcb7f2bddbd943af8e2674aa1f3534d5c4c49afab"),
     ("edges.csv",
      "2affcfb06827dd71eb16398aa54fd902c2cbd78018e5910ba2a74e8cc5cecfe1"),
+    # The log's quiet last Sunday is a 0 km day of the series: two folds.
     ("cv_metrics.csv",
-     "6fc8a1dc1fe1adfe6b2b23fde5e1acbad279b9f0ec714355b9d9d6c5ae384ec3"),
+     "21208dae208152f7192d75797dc4684d7356fd714e4886bcc9a0d4ce3480f52c"),
     ("plan.csv",
      "ea2b2a27c584d5021de2c556820a756aaa270c53ce365e9e836ab14915f79af2"),
 ])
