@@ -114,6 +114,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_plan(args) -> int:
+    mode = _mode_from_args(args) if args.mode else None
     scenarios = scenario_mod.load_scenarios(args.config)
     if args.driver:
         matching = [s for s in scenarios if s.name == args.driver]
@@ -122,8 +123,8 @@ def cmd_plan(args) -> int:
         scn = matching[0]
     else:
         scn = scenarios[0]
-    if args.mode:
-        scn = replace(scn, mode=_mode_from_args(args))
+    if mode:
+        scn = replace(scn, mode=mode)
     if args.seed is not None:
         scn = replace(scn, seed=args.seed)
     ctx = harness.build_context(scn)
@@ -141,10 +142,12 @@ def cmd_plan(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.jobs < 1:
+        raise errors.SchemaError(f"--jobs must be >= 1, got {args.jobs}")
+    modes = (_mode_from_args(args),) if args.mode else None
     scenarios = scenario_mod.load_scenarios(args.config)
     if args.seed is not None:
         scenarios = [replace(s, seed=args.seed) for s in scenarios]
-    modes = (_mode_from_args(args),) if args.mode else None
     report = harness.run_cohort(scenarios, modes=modes, jobs=args.jobs)
     out_dir = Path(args.out_dir)
     harness.write_per_run_csv(report, str(out_dir / "per_run.csv"))
@@ -219,7 +222,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+        if args.fn is not cmd_gen:  # gen checks its flags before it writes the directory
+            Path(args.out_dir).mkdir(parents=True, exist_ok=True)
         return args.fn(args)
     except (errors.SchemaError, errors.ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)

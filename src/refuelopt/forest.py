@@ -4,9 +4,19 @@ Each tree is grown greedily by variance reduction on a bootstrap resample
 (with replacement, same size as the training set), considering every
 feature at every split, to a maximum depth with a minimum of two samples to
 split. The ensemble prediction is the mean of the tree outputs. Everything
-is deterministic given (data, seed): tree t draws its bootstrap from a
-stream seeded by (seed, t), so parallel and sequential training agree
-bit-for-bit.
+is deterministic given (data, seed): tree t's bootstrap is
+`np.random.default_rng([seed, t]).integers(0, n, size=n)`, so parallel and
+sequential training agree bit-for-bit.
+
+A batch draws all of its trees' bootstraps in one vectorised pass that
+reproduces those numpy streams word for word (`_bootstraps`): SeedSequence
+mixing of the entropy words `[seed, t]` into a pool of four and
+`generate_state(4, uint64)`, one lane per tree; PCG64 seeded from those
+words (XSL-RR output, each state reached in one affine jump); and
+Generator.integers' Lemire draw over the 32-bit halves of each output, low
+half first. A word that Lemire rejects shifts the rest of its stream, so a
+tree whose first n words hold a rejected one (under n²/2³² of trees) is
+drawn again with `default_rng` itself.
 
 Trees are grown level by level in numpy, a batch of trees at a time, not
 node by node. As in CART presorting (Breiman et al., 1984) and XGBoost's
@@ -38,6 +48,8 @@ adds their outputs in tree order, one tree at a time.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,6 +145,117 @@ def _best_splits(xv: np.ndarray, yv: np.ndarray, starts: np.ndarray,
     return j, threshold, np.isfinite(flat[nodes, best])
 
 
+# numpy's SeedSequence hash constants (pool of four 32-bit words) and the
+# PCG64 multiplier.
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hasher(init: int, mult: int):
+    """SeedSequence's hash of uint32 words; its constant moves on at every call."""
+    const = init
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const
+        return value ^ (value >> 16)
+
+    return hashmix
+
+
+def _seed_pool(entropy: list) -> list:
+    """SeedSequence(entropy).pool, one lane per element of the uint32 word arrays."""
+    hashmix = _hasher(_INIT_A, _MULT_A)
+
+    def mix(x, y):
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ (result >> 16)
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    return pool
+
+
+@functools.lru_cache(maxsize=16)
+def _pcg_jumps(k: int) -> tuple:
+    """PCG64's state j = 1..k after seeding, as A_j·init + C_j·inc mod 2¹²⁸.
+
+    Seeding sets state = ((inc + init)·M + inc) and output j steps j more
+    times, so A_j = M^(j+1) and C_j = 1 + M + ... + M^(j+1). Each is returned
+    as uint64 rows (high, low, low & 2³²-1, low >> 32) of length k.
+    """
+    mod = (1 << 128) - 1
+    a, c = _PCG_MULT ** 2 & mod, (1 + _PCG_MULT + _PCG_MULT ** 2) & mod
+    jumps = []
+    for _ in range(k):
+        jumps.append((a, c))
+        a, c = a * _PCG_MULT & mod, (c * _PCG_MULT + 1) & mod
+    return tuple(np.array([[v >> 64, v & _MASK64, v & _MASK32, v >> 32 & _MASK32] for v in column],
+                          dtype=np.uint64).T.copy() for column in zip(*jumps))
+
+
+def _mul128(hi: np.ndarray, lo: np.ndarray, const: np.ndarray) -> tuple:
+    """(hi, lo) · const mod 2¹²⁸ on uint64 halves; const as from `_pcg_jumps`."""
+    c_hi, c_lo, c0, c1 = const
+    a0, a1 = lo & _MASK32, lo >> 32
+    p00, p01, p10 = a0 * c0, a0 * c1, a1 * c0
+    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    high = (a1 * c1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+            + hi * c_lo + lo * c_hi)
+    return high, mid << 32 | p00 & _MASK32
+
+
+def _bootstraps(seed: int, trees: range, n: int) -> np.ndarray:
+    """Row t - trees.start is `np.random.default_rng([seed, t]).integers(0, n, size=n)`.
+
+    Raises as SeedSequence does: TypeError for a non-integer seed, ValueError
+    for a negative one. Tree indices are below 2³², one entropy word each.
+    """
+    rest = operator.index(seed)
+    if rest < 0:
+        raise ValueError(f"expected non-negative integer, got seed {seed}")
+    entropy = []
+    while True:
+        entropy.append(np.full(len(trees), rest & _MASK32, dtype=np.uint32))
+        rest >>= 32
+        if not rest:
+            break
+    entropy.append(np.arange(trees.start, trees.stop, dtype=np.uint32))
+    # generate_state(4, uint64): eight hashed pool words, paired low word first.
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    words = [hashmix(word).astype(np.uint64)[:, None] for word in _seed_pool(entropy) * 2]
+    init_hi, init_lo, seq_hi, seq_lo = (lo | hi << 32 for lo, hi in zip(words[0::2], words[1::2]))
+    # PCG64: the first uint64 of each pair is the high half; inc = 2·seq + 1.
+    a, c = _pcg_jumps(-(-n // 2))
+    hi_a, lo_a = _mul128(init_hi, init_lo, a)
+    hi_c, lo_c = _mul128(seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1, c)
+    lo = lo_a + lo_c
+    hi = hi_a + hi_c + (lo < lo_a)
+    # XSL-RR output: (hi ^ lo) rotated right by the top six bits.
+    out = hi ^ lo
+    rot = hi >> 58
+    out = out >> rot | out << ((64 - rot) & 63)
+    # Lemire: word u maps to u·n >> 32 unless u·n mod 2³² < 2³² mod n.
+    m = np.stack([out & _MASK32, out >> 32], axis=2).reshape(len(trees), -1)[:, :n] * n
+    boot = (m >> 32).astype(np.int64)
+    for i in np.flatnonzero(((m & _MASK32) < (1 << 32) % n).any(axis=1)):
+        boot[i] = np.random.default_rng([seed, trees[i]]).integers(0, n, size=n)
+    return boot
+
+
 def _grow_batch(X: np.ndarray, y: np.ndarray, trees: range, seed: int,
                 max_depth: int, first_id: int, out: list) -> np.ndarray:
     """Grow `trees` level by level; append each level's node arrays to `out`.
@@ -141,8 +264,7 @@ def _grow_batch(X: np.ndarray, y: np.ndarray, trees: range, seed: int,
     """
     n, d = X.shape
     width = len(trees) * n
-    boot = np.concatenate([np.random.default_rng([seed, t]).integers(0, n, size=n)
-                           for t in trees])
+    boot = _bootstraps(seed, trees, n).ravel()
     # A level's nodes own consecutive column segments, in node order, of
     # every array below. Rows are positions into the batch's concatenated
     # bootstraps: order[0] lists a segment's rows in bootstrap order and

@@ -23,6 +23,8 @@ from .tables import write_table
 FEATURE_NAMES = ("day_of_week", "month", "lag_1", "lag_7", "roll_7_mean",
                  "n_trips", "has_trip_stats", "avg_speed", "max_speed",
                  "has_speed_stats")
+# A forest fit needs at least this many feature rows.
+MIN_TRAIN_ROWS = 14
 
 
 @dataclass(frozen=True)
@@ -145,8 +147,8 @@ def build_features(daily_km: dict[date, float],
 def fit_forest(rows: list[DailyFeatureRow], n_trees: int = 150,
                max_depth: int = 6, seed: int = 0) -> ForestModel:
     """Train the ensemble on feature rows carrying targets."""
-    if len(rows) < 14:
-        raise errors.SeriesTooShort(f"need >= 14 training rows, got {len(rows)}")
+    if len(rows) < MIN_TRAIN_ROWS:
+        raise errors.SeriesTooShort(f"need >= {MIN_TRAIN_ROWS} training rows, got {len(rows)}")
     if any(r.target is None or not math.isfinite(r.target) for r in rows):
         raise ValueError("every training row needs a finite target")
     X = np.array([r.vector() for r in rows])

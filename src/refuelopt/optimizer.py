@@ -44,8 +44,10 @@ class Mode:
     k_time: float   # weight on minutes
 
     def __post_init__(self):
-        if self.k_cost < 0 or self.k_time < 0 or self.k_cost + self.k_time == 0:
-            raise ValueError("weights must be non-negative and not both zero")
+        # NaN fails both comparisons; an infinite weight scores every stop inf.
+        if not (0 <= self.k_cost < math.inf and 0 <= self.k_time < math.inf
+                and self.k_cost + self.k_time > 0):
+            raise ValueError("weights must be finite, non-negative and not both zero")
 
 
 MODES = {

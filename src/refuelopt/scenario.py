@@ -20,6 +20,7 @@ import yaml
 
 from . import errors
 from .geo import valid_coords
+from .mileage import MIN_TRAIN_ROWS
 from .optimizer import MODES, Mode, VehicleState
 from .roadgraph import (RoadGraph, generate_city, load_road_graph,
                         save_road_graph)
@@ -28,6 +29,10 @@ from .stations import (PriceHistory, Station, WeeklyPriceForecast, forecast_week
 from .telemetry import WEEKDAYS, DriverProfile
 
 OBSERVATION_START = date(2025, 1, 6)  # a Monday; schedules align to weekdays
+# The gate's fit trains on every feature row but the held-out last week:
+# 7·weeks days, less the first week (it only feeds lag_7) and the held-out
+# week, so 7·weeks - 14 rows, and a fit needs MIN_TRAIN_ROWS of them.
+MIN_OBSERVATION_WEEKS = -(-(MIN_TRAIN_ROWS + 14) // 7)
 
 
 @dataclass(frozen=True)
@@ -143,6 +148,15 @@ def _profile_to_dict(p: DriverProfile) -> dict:
     }
 
 
+def _whole_at_least(what: str, value, least: int) -> int:
+    """`value` as an int if it is a whole number >= least, else SchemaError."""
+    whole = (isinstance(value, int) and not isinstance(value, bool)
+             or isinstance(value, float) and value.is_integer())
+    if not (whole and value >= least):
+        raise errors.SchemaError(f"{what} must be a whole number >= {least}, got {value!r}")
+    return int(value)
+
+
 # Simulation settings that must be > 0; refuel_duration_s may also be 0.
 POSITIVE_SIMULATION_KEYS = ("cluster_radius_m", "gap_threshold_s", "corridor_radius_m",
                             "nearby_radius_m")
@@ -153,13 +167,16 @@ def _simulation_settings(sim: dict | None) -> dict:
 
     Raises ValueError for an out-of-range value: a NaN radius or threshold
     fails every comparison, so runs went on without clusters or stations.
+    Fewer than MIN_OBSERVATION_WEEKS weeks is a SchemaError: every run would
+    fail as SeriesTooShort.
     """
     if sim is None:  # `simulation:` with nothing under it
         sim = {}
     if not isinstance(sim, dict):
         raise TypeError(f"simulation must be a mapping, got {type(sim).__name__}")
-    settings = {"observation_weeks": int(sim.get("observation_weeks",
-                                                 Scenario.observation_weeks))}
+    settings = {"observation_weeks": _whole_at_least(
+        "simulation.observation_weeks",
+        sim.get("observation_weeks", Scenario.observation_weeks), MIN_OBSERVATION_WEEKS)}
     for key in (*POSITIVE_SIMULATION_KEYS, "refuel_duration_s"):
         value = settings[key] = float(sim.get(key, getattr(Scenario, key)))
         if key in POSITIVE_SIMULATION_KEYS and not (math.isfinite(value) and value > 0):
@@ -188,6 +205,8 @@ def load_scenarios(config_path: str) -> list[Scenario]:
                                rate_l_per_km=float(veh["rate_l_per_km"]))
         mode = parse_mode(cfg.get("mode", "balanced"))
         settings = _simulation_settings(cfg.get("simulation"))
+        if not cfg["drivers"]:
+            raise errors.SchemaError("drivers must list at least one driver")
         fuel_type = cfg.get("fuel_type", "petrol")
         try:
             forecast = forecast_week(history, fuel_type)
@@ -204,7 +223,7 @@ def load_scenarios(config_path: str) -> list[Scenario]:
                 departure=drv["departure"],
                 forecast=forecast,
                 **settings))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, errors.SchemaError) as exc:
         raise errors.SchemaError(f"{config_path}: {exc}") from exc
     return scenarios
 
@@ -304,7 +323,14 @@ def generate_scenario_dir(out_dir: str, seed: int, n_seeds_per_profile: int = 5,
                           station_count: int = 10, city_rows: int = 12,
                           city_cols: int = 12, observation_weeks: int = 7,
                           mode: str = "balanced") -> str:
-    """Write city CSVs, station CSV and a cohort config; returns the config path."""
+    """Write city CSVs, station CSV and a cohort config; returns the config path.
+
+    Raises SchemaError, before writing anything, for a config that
+    load_scenarios would reject or in which every run would fail.
+    """
+    _whole_at_least("observation_weeks", observation_weeks, MIN_OBSERVATION_WEEKS)
+    _whole_at_least("n_seeds_per_profile", n_seeds_per_profile, 1)
+    _whole_at_least("station_count", station_count, 1)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     graph = generate_city(seed, rows=city_rows, cols=city_cols)

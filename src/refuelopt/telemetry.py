@@ -71,6 +71,8 @@ class CanTrace:
 
     def __post_init__(self):
         times = np.asarray(self.message_times, dtype=float)
+        if not np.isfinite(times).all():
+            raise ValueError("message times must be finite")
         if (times[1:] < times[:-1]).any():
             raise ValueError("message times must be non-decreasing")
 
@@ -95,6 +97,9 @@ class TripSample(_TripSampleFields):
 
     def __new__(cls, timestamp: float, speed_kmh: float, lat: float | None = None,
                 lon: float | None = None, fuel_l: float | None = None):
+        # A NaN day would reach datetime only when daily distance is summed.
+        if not math.isfinite(timestamp):
+            raise ValueError(f"non-finite timestamp {timestamp}")
         if not math.isfinite(speed_kmh) or speed_kmh < 0:
             raise ValueError(f"invalid speed {speed_kmh}")
         if (lat is None) != (lon is None):
@@ -139,7 +144,7 @@ class TripLog(Sequence):
             raise ValueError("trip log columns differ in length")
         # NaN fails every comparison, as in TripSample and valid_coords.
         in_range = (lat >= -90.0) & (lat <= 90.0) & (lon >= -180.0) & (lon <= 180.0)
-        if not (((speed >= 0.0) & (speed < math.inf)).all()
+        if not (np.isfinite(ts).all() and ((speed >= 0.0) & (speed < math.inf)).all()
                 and (has_lat == has_lon).all() and (in_range | ~has_lat).all()
                 and not (fuel[fueled] < 0.0).any()):
             for row in zip(ts.tolist(), speed.tolist(), _or_none(lat, has_lat),
@@ -308,8 +313,8 @@ def integrate_daily_distance(samples: Sequence[TripSample],
         days = np.floor(t / 86_400.0)
         into_day = t - days * 86_400.0
     # ts_to_date rounds to the microsecond, so within 1 ms of midnight the
-    # day comes from ts_to_date. So it does for inf, NaN and |t| >= 6e10 s,
-    # near or past the ends of datetime's range, where ts_to_date raises.
+    # day comes from ts_to_date. So it does for |t| >= 6e10 s, near or past
+    # the ends of datetime's range, where ts_to_date raises.
     exact = (into_day >= 0.001) & (into_day < 86_399.999) & (np.abs(t) < 6e10)
     ordinals = np.where(exact, days, 0.0).astype(np.int64) + _EPOCH_ORDINAL
     for j in np.flatnonzero(~exact).tolist():
@@ -335,10 +340,7 @@ def load_trip_log(path: str) -> tuple[CanTrace, list[TripSample]]:
         ts, speed = float(row[0]), float(row[1])
         lat, lon, fuel = (float(v) if v != "" else None for v in row[2:5])
         can_msg = int(row[5])
-        # float() accepts nan/inf; a NaN timestamp would also slip past
-        # CanTrace's ordering check, since NaN compares false.
-        if not math.isfinite(ts):
-            raise ValueError(f"non-finite timestamp {row[0]!r}")
+        # float() accepts nan/inf; TripSample rejects a non-finite timestamp.
         if fuel is not None and not math.isfinite(fuel):
             raise ValueError(f"non-finite fuel level {row[4]!r}")
         sample = TripSample(timestamp=ts, speed_kmh=speed, lat=lat, lon=lon, fuel_l=fuel)

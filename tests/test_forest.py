@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from refuelopt import forest
 from refuelopt.forest import dump_trees, fit_bagged_trees, load_trees
@@ -200,6 +200,59 @@ def test_fit_rejects_empty_forest_and_negative_depth(kwargs):
 def test_fit_rejects_empty_input_with_its_shape(shape):
     with pytest.raises(ValueError, match=rf"got shape \({shape[0]}, {shape[1]}\)"):
         fit_bagged_trees(np.empty(shape), np.zeros(shape[0]))
+
+
+def default_rng_rows(seed, trees, n):
+    return [np.random.default_rng([seed, t]).integers(0, n, size=n).tolist() for t in trees]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 3) | st.integers(1 << 32, 1 << 130), first=st.integers(0, 500),
+       count=st.integers(1, 6), n=st.integers(1, 3000))
+@example(seed=0, first=0, count=150, n=35)
+@example(seed=(1 << 32) + 5, first=100, count=50, n=168)
+def test_bootstraps_match_default_rng(seed, first, count, n):
+    trees = range(first, first + count)
+    boot = forest._bootstraps(seed, trees, n)
+    assert boot.dtype == np.int64
+    assert boot.tolist() == default_rng_rows(seed, trees, n)
+
+
+def test_rejected_word_redraws_its_tree(monkeypatch):
+    # Tree 3831 of seed 1, found by search: one of the first 1000 32-bit words
+    # of its PCG64 stream (low half of each output first) is one that
+    # Lemire's bounded draw rejects, which shifts the rest of its bootstrap.
+    n = 1000
+    raw = np.random.default_rng([1, 3831]).bit_generator.random_raw(n // 2)
+    words = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).ravel()
+    assert ((words * n) % (1 << 32) < (1 << 32) % n).any()
+    expected = default_rng_rows(1, range(3830, 3833), n)
+    real = np.random.default_rng
+    redrawn = []
+    monkeypatch.setattr(np.random, "default_rng", lambda s: redrawn.append(s) or real(s))
+    assert forest._bootstraps(1, range(3830, 3833), n).tolist() == expected
+    assert redrawn == [[1, 3831]]
+
+
+@pytest.mark.parametrize("rows,seed", [(35, 1), (168, 2)], ids=str)
+def test_fit_draws_without_generators(monkeypatch, rows, seed):
+    X, y, _ = forest_case(rows)
+
+    def no_generator(*args):
+        raise AssertionError("a Generator was built")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    model = fit_bagged_trees(X, y, seed=seed)
+    assert sha(json.dumps(dump_trees(model))) == FOREST_DIGESTS[rows, seed][0]
+
+
+@pytest.mark.parametrize("seed,error", [(-1, ValueError), (1.5, TypeError)])
+def test_fit_rejects_bad_seed_as_numpy_does(seed, error):
+    with pytest.raises(error):
+        np.random.default_rng([seed, 0])
+    X, y, _ = forest_case(14)
+    with pytest.raises(error):
+        fit_bagged_trees(X, y, seed=seed)
 
 
 def test_fit_memory_stays_bounded():

@@ -195,6 +195,33 @@ def test_load_scenarios_simulation_block_shape(tmp_path, demo_scenario_config):
         load_scenarios(config)
 
 
+@pytest.mark.parametrize("weeks", [0, -1, 3, 4.5, float("nan"), "7", True])
+def test_load_scenarios_rejects_too_few_observation_weeks(tmp_path, demo_scenario_config,
+                                                           weeks):
+    # 0 ended `simulate` with a raw ValueError; 1-3 loaded, and then every run
+    # failed as SeriesTooShort (the gate fits on 7·weeks - 14 rows of 14).
+    config = _edited_config(demo_scenario_config, ("simulation", "observation_weeks"), weeks,
+                            tmp_path.name)
+    with pytest.raises(errors.SchemaError,
+                       match="observation_weeks must be a whole number >= 4"):
+        load_scenarios(config)
+    assert main(["simulate", "--config", config, "--out-dir", str(tmp_path)]) == 2
+
+
+def test_load_scenarios_accepts_four_whole_weeks(tmp_path, demo_scenario_config):
+    config = _edited_config(demo_scenario_config, ("simulation", "observation_weeks"), 4.0,
+                            tmp_path.name)
+    assert {repr(s.observation_weeks) for s in load_scenarios(config)} == {"4"}
+
+
+def test_load_scenarios_rejects_empty_cohort(tmp_path, demo_scenario_config):
+    # `gen --seeds-per-profile 0` wrote this; simulate died with a raw ValueError.
+    config = _edited_config(demo_scenario_config, ("drivers",), [], tmp_path.name)
+    with pytest.raises(errors.SchemaError, match="at least one driver"):
+        load_scenarios(config)
+    assert main(["simulate", "--config", config, "--out-dir", str(tmp_path)]) == 2
+
+
 @pytest.mark.parametrize("command", ["simulate", "plan"])
 def test_malformed_yaml_is_a_schema_error(tmp_path, capsys, command):
     config = tmp_path / "broken.yaml"
@@ -440,6 +467,54 @@ def test_cli_custom_mode_requires_weights(demo_scenario_config, tmp_path, capsys
     assert main(["plan", "--config", demo_scenario_config,
                  "--out-dir", str(out), "--mode", "custom",
                  "--k1", "1", "--k2", "4"]) == 0
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("where", ["plan", "simulate", "yaml"])
+def test_non_finite_mode_weight_is_a_validation_error(demo_scenario_config, tmp_path, capsys,
+                                                      weight, where):
+    # --k1 nan exited 0 and wrote nan into per_run.csv; plan --k1 inf exited 1
+    # with every stop "out of fuel range".
+    if where == "yaml":
+        config = _edited_config(demo_scenario_config, ("mode", "k_cost"), float(weight),
+                                tmp_path.name)
+        with pytest.raises(errors.SchemaError, match="weights must be finite"):
+            load_scenarios(config)
+        commands = [["simulate", "--config", config], ["plan", "--config", config]]
+    else:
+        # The config is missing: the flags are checked before it is read.
+        commands = [[where, "--config", str(tmp_path / "missing.yaml"), "--mode", "custom",
+                     f"--k1={weight}", "--k2", "1"]]
+    out = tmp_path / "out"
+    for command in commands:
+        assert main([*command, "--out-dir", str(out)]) == 2
+        assert "weights must be finite" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_cli_simulate_jobs_below_one_is_checked_before_the_config(tmp_path, capsys, jobs):
+    # Both ran the cohort sequentially without a word.
+    assert main(["simulate", "--config", str(tmp_path / "missing.yaml"),
+                 "--out-dir", str(tmp_path), f"--jobs={jobs}"]) == 2
+    assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag,value,what", [
+    ("--weeks", "3", "observation_weeks must be a whole number >= 4"),
+    ("--weeks", "0", "observation_weeks must be a whole number >= 4"),
+    ("--weeks", "-1", "observation_weeks must be a whole number >= 4"),
+    ("--seeds-per-profile", "0", "n_seeds_per_profile must be a whole number >= 1"),
+    ("--stations", "0", "station_count must be a whole number >= 1"),
+    ("--stations", "-2", "station_count must be a whole number >= 1"),
+])
+def test_cli_gen_rejects_cohorts_that_cannot_run(tmp_path, capsys, flag, value, what):
+    # Each wrote a config and exited 0; simulate then died or failed every run.
+    out = tmp_path / "scn"
+    assert main(["gen", "--out-dir", str(out), f"{flag}={value}"]) == 2
+    assert what in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_ingest_graph_predict(trip_log_path, tmp_path, capsys):

@@ -66,6 +66,13 @@ def test_empty_trace_raises():
         detect_halts(CanTrace([]), [fix(T0)])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_can_trace_rejects_non_finite_times(bad):
+    # NaN compares false, so it slipped past the ordering check.
+    with pytest.raises(ValueError, match="message times must be finite"):
+        CanTrace([T0, bad, T0 + 1])
+
+
 @pytest.mark.parametrize("threshold", [0.0, -1.0, math.nan, math.inf])
 def test_detect_halts_rejects_non_finite_or_non_positive_threshold(threshold):
     # A NaN threshold made every message pair a stop.
@@ -253,10 +260,11 @@ def test_daily_distance_matches_per_pair_days(steps, late):
 
 
 def test_daily_distance_reports_errors_in_pair_order():
-    # The first pair's NaN day fails before the later decrease is seen.
-    samples = [TripSample(math.nan, 10.0), fix(T0), fix(T0 - 1)]
+    # The first pair's day is past datetime's range and fails before the
+    # later decrease is seen.
+    samples = [TripSample(1e20, 10.0), TripSample(1e20, 10.0), fix(T0)]
     for fn in (per_pair_daily_distance, integrate_daily_distance):
-        with pytest.raises(ValueError, match="NaN"):
+        with pytest.raises(OverflowError, match="out of range"):
             fn(samples)
 
 
@@ -605,6 +613,8 @@ TRIP_SAMPLE_ERRORS = [
     ({"lat": 91.0, "lon": 0.0}, "invalid coordinates (91.0, 0.0)"),
     ({"lat": 0.0, "lon": math.nan}, "invalid coordinates (0.0, nan)"),
     ({"fuel_l": -2.0}, "invalid fuel level -2.0"),
+    ({"timestamp": math.nan}, "non-finite timestamp nan"),
+    ({"timestamp": -math.inf}, "non-finite timestamp -inf"),
 ]
 
 
@@ -629,7 +639,7 @@ def test_trip_log_reports_the_first_invalid_row(kwargs, message):
 
 trip_rows = st.builds(
     lambda t, speed, where, fuel: TripSample(t, speed, *where, fuel),
-    st.floats(),  # TripSample leaves timestamps unchecked
+    st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([0.0, -0.0]) | st.floats(0.0, 300.0),
     st.just((None, None)) | st.tuples(st.floats(-90.0, 90.0), st.floats(-180.0, 180.0)),
     st.none() | st.just(math.nan) | st.floats(0.0, 80.0))
