@@ -18,7 +18,7 @@ import argparse
 import math
 import sys
 from dataclasses import replace
-from datetime import timedelta
+from datetime import date, timedelta
 from pathlib import Path
 
 from . import errors, harness, mileage, scenario as scenario_mod
@@ -72,13 +72,27 @@ def cmd_ingest(args) -> int:
     return 0
 
 
+def _log_weeks(samples) -> tuple[dict, date, int]:
+    """The log's daily km, the Monday of its first day with driving, and its
+    whole weeks from that Monday to the Sunday of its last day with driving."""
+    daily_km = integrate_daily_distance(samples)
+    if not daily_km:
+        raise errors.SeriesTooShort("the log has no driving")
+    monday = min(daily_km) - timedelta(days=min(daily_km).weekday())
+    return daily_km, monday, (max(daily_km) - monday).days // 7 + 1
+
+
 def cmd_graph(args) -> int:
     _check_positive("--gap-threshold", args.gap_threshold)
     _check_positive("--cluster-radius", args.cluster_radius)
     trace, samples = load_trip_log(args.log)
+    _daily_km, _monday, weeks = _log_weeks(samples)
+    if args.weeks is not None and args.weeks != weeks:
+        raise errors.SchemaError(f"--weeks {args.weeks} disagrees with the log, "
+                                 f"which covers {weeks} weeks")
     events = detect_halts(trace, samples, gap_threshold=args.gap_threshold)
     clusters = assign_clusters(events, cluster_radius_m=args.cluster_radius)
-    pois, all_nodes = select_pois(clusters, args.weeks)
+    pois, all_nodes = select_pois(clusters, weeks)
     graph = build_daily_flows(pois, events)
     nodes_path = Path(args.out_dir) / "nodes.csv"
     edges_path = Path(args.out_dir) / "edges.csv"
@@ -94,13 +108,8 @@ def cmd_predict(args) -> int:
         raise errors.SchemaError(f"--window must be >= 2 weeks (a fit needs 14 rows), "
                                  f"got {args.window}")
     _trace, samples = load_trip_log(args.log)
-    daily_km = integrate_daily_distance(samples)
-    if not daily_km:
-        raise errors.SeriesTooShort("the log has no driving")
-    # Whole weeks, from the Monday of the first day with driving to the Sunday of the last.
-    monday = min(daily_km) - timedelta(days=min(daily_km).weekday())
     _series, rows, metrics, accepted = harness.mileage_verdict(
-        daily_km, monday, (max(daily_km) - monday).days // 7 + 1, seed=args.seed)
+        *_log_weeks(samples), seed=args.seed)
     report = (mileage.sliding_cv(rows, window_weeks=args.window, seed=args.seed)
               if args.window else mileage.CvReport((metrics,), metrics))
     out = Path(args.out_dir) / "cv_metrics.csv"
@@ -183,8 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("graph", help="trip log -> habitual trip graph CSVs")
     p.add_argument("--log", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--weeks", type=int, required=True,
-                   help="observation weeks covered by the log")
+    p.add_argument("--weeks", type=int, default=None,
+                   help="check: the whole weeks the log covers (default: taken from the log)")
     p.add_argument("--gap-threshold", type=float, default=120.0)
     p.add_argument("--cluster-radius", type=float, default=100.0)
     p.set_defaults(fn=cmd_graph)

@@ -63,10 +63,6 @@ class SeriesTooShort(RefuelOptError):
     pass
 
 
-class FeatureMismatch(RefuelOptError):
-    pass
-
-
 class LengthMismatch(RefuelOptError):
     pass
 

@@ -56,17 +56,16 @@ class DailyFeatureRow:
 class ScalerStats:
     """Per-feature mean/std from the training window; constant features dropped."""
 
-    feature_names: tuple[str, ...]
     means: tuple[float, ...]
     stds: tuple[float, ...]
     kept: tuple[bool, ...]
 
     @classmethod
-    def fit(cls, X: np.ndarray, names: tuple[str, ...]) -> "ScalerStats":
+    def fit(cls, X: np.ndarray) -> "ScalerStats":
         means = X.mean(axis=0)
         stds = X.std(axis=0)
         kept = stds > 0
-        return cls(feature_names=names, means=tuple(map(float, means)),
+        return cls(means=tuple(map(float, means)),
                    stds=tuple(map(float, stds)), kept=tuple(map(bool, kept)))
 
     def transform(self, X: np.ndarray) -> np.ndarray:
@@ -153,7 +152,7 @@ def fit_forest(rows: list[DailyFeatureRow], n_trees: int = 150,
         raise ValueError("every training row needs a finite target")
     X = np.array([r.vector() for r in rows])
     y = np.array([r.target for r in rows])
-    scaler = ScalerStats.fit(X, FEATURE_NAMES)
+    scaler = ScalerStats.fit(X)
     if not any(scaler.kept):
         # All features constant: nothing to split on. A constant model is
         # still returned, flagged, so callers can surface it.
@@ -167,9 +166,6 @@ def fit_forest(rows: list[DailyFeatureRow], n_trees: int = 150,
 
 def predict_week(model: ForestModel, rows: list[DailyFeatureRow]) -> list[float]:
     """Forecast daily km for feature rows; negative tree means clamp to 0."""
-    if model.scaler.feature_names != FEATURE_NAMES:
-        raise errors.FeatureMismatch(
-            f"model trained on {model.scaler.feature_names}, expected {FEATURE_NAMES}")
     if model.degenerate:
         return [max(0.0, model.constant_value)] * len(rows)
     X = np.array([r.vector() for r in rows])

@@ -27,11 +27,25 @@ output and must not change:
    pair: `gauss(0, gps_noise_m)` east, then north. The arrival fix draws one
    more pair, and the parked time one `random()`, `uniform(1800, 5400)`.
 
-`generate_synthetic_log` inlines `uniform` and `gauss` with CPython's own
+`generate_synthetic_log` spells out `uniform` and `gauss` in CPython's own
 arithmetic (`a + (b - a) * r`, and `gauss`'s Box-Muller with `gauss_next`
-always empty, since the calls come in pairs); the tests check the inlined
-draws against the library calls. It returns its fixes as a `TripLog`,
-checked as a whole.
+always empty, since the calls come in pairs); the tests check this against
+the library calls. After the errands it hands the generator's state to
+numpy's MT19937, whose `random()` gives the same doubles, and makes the
+fixes in two phases over one buffer of draws:
+
+- Phase 1 walks the legs in order, since where a leg's draws start depends
+  on how many fixes the legs before it took. For a window of the leg's
+  stride-3 speed draws it computes the speeds and their running sum with
+  `cumsum`, which adds in order as a per-fix `covered += step` does, and
+  finds the fix count by bisection. Days sum their time steps the same way.
+- Phase 2 places the fixes of a block of whole legs: the position on the
+  leg plus the GPS offset, with the operations of a per-fix loop in its
+  order. `log`, `sin` and `cos` go through `math` one value at a time,
+  because numpy's versions may differ from libm's in the last bit.
+
+It returns its fixes as a `TripLog`, checked as a whole, so an invalid fix
+is reported before an error that the legs after it would raise.
 """
 
 from __future__ import annotations
@@ -59,8 +73,18 @@ DEFAULT_GAP_THRESHOLD_S = 120.0
 DEFAULT_DROPOUT_CUTOFF_S = 60.0
 
 
+# The timestamps `ts_to_date` converts: UTC years 1 to 9999.
+FIRST_TIMESTAMP = datetime(1, 1, 1, tzinfo=timezone.utc).timestamp()
+END_TIMESTAMP = datetime(9999, 12, 31, tzinfo=timezone.utc).timestamp() + 86_400.0
+
+
 def ts_to_date(ts: float) -> date:
     return datetime.fromtimestamp(ts, tz=timezone.utc).date()
+
+
+def _in_range(ts):
+    """Whether `ts_to_date` converts `ts` (a float or an array); NaN does not."""
+    return (ts >= FIRST_TIMESTAMP) & (ts < END_TIMESTAMP)
 
 
 @dataclass(frozen=True)
@@ -71,8 +95,8 @@ class CanTrace:
 
     def __post_init__(self):
         times = np.asarray(self.message_times, dtype=float)
-        if not np.isfinite(times).all():
-            raise ValueError("message times must be finite")
+        if not _in_range(times).all():
+            raise ValueError("message times must be finite and within UTC years 1-9999")
         if (times[1:] < times[:-1]).any():
             raise ValueError("message times must be non-decreasing")
 
@@ -97,9 +121,12 @@ class TripSample(_TripSampleFields):
 
     def __new__(cls, timestamp: float, speed_kmh: float, lat: float | None = None,
                 lon: float | None = None, fuel_l: float | None = None):
-        # A NaN day would reach datetime only when daily distance is summed.
+        # A day datetime cannot convert would fail only when daily distance
+        # is summed or a halt is dated.
         if not math.isfinite(timestamp):
             raise ValueError(f"non-finite timestamp {timestamp}")
+        if not _in_range(timestamp):
+            raise ValueError(f"timestamp {timestamp} outside UTC years 1-9999")
         if not math.isfinite(speed_kmh) or speed_kmh < 0:
             raise ValueError(f"invalid speed {speed_kmh}")
         if (lat is None) != (lon is None):
@@ -144,7 +171,7 @@ class TripLog(Sequence):
             raise ValueError("trip log columns differ in length")
         # NaN fails every comparison, as in TripSample and valid_coords.
         in_range = (lat >= -90.0) & (lat <= 90.0) & (lon >= -180.0) & (lon <= 180.0)
-        if not (np.isfinite(ts).all() and ((speed >= 0.0) & (speed < math.inf)).all()
+        if not (_in_range(ts).all() and ((speed >= 0.0) & (speed < math.inf)).all()
                 and (has_lat == has_lon).all() and (in_range | ~has_lat).all()
                 and not (fuel[fueled] < 0.0).any()):
             for row in zip(ts.tolist(), speed.tolist(), _or_none(lat, has_lat),
@@ -313,8 +340,8 @@ def integrate_daily_distance(samples: Sequence[TripSample],
         days = np.floor(t / 86_400.0)
         into_day = t - days * 86_400.0
     # ts_to_date rounds to the microsecond, so within 1 ms of midnight the
-    # day comes from ts_to_date. So it does for |t| >= 6e10 s, near or past
-    # the ends of datetime's range, where ts_to_date raises.
+    # day comes from ts_to_date. So it does for |t| >= 6e10 s, near the ends
+    # of the range a TripLog admits.
     exact = (into_day >= 0.001) & (into_day < 86_399.999) & (np.abs(t) < 6e10)
     ordinals = np.where(exact, days, 0.0).astype(np.int64) + _EPOCH_ORDINAL
     for j in np.flatnonzero(~exact).tolist():
@@ -380,6 +407,8 @@ def _poisson(rng: random.Random, lam: float) -> int:
 
 
 _TWOPI = 2.0 * math.pi  # random.gauss's TWOPI
+_DEG = math.pi / 180.0  # math.radians's factor
+BLOCK_FIXES = 4096  # fixes placed per phase-2 block; a block holds whole legs
 
 
 def generate_synthetic_log(profile: DriverProfile, weeks: int,
@@ -436,79 +465,169 @@ def generate_synthetic_log(profile: DriverProfile, weeks: int,
         for d in range(7):
             day_plans.append((start_day + timedelta(days=7 * w + d), week_plans[d]))
 
-    # One column per field; every fix is also a bus message, so `times` is
-    # the message trace as well.
-    times: list[float] = []
-    speeds: list[float] = []
-    lats: list[float] = []
-    lons: list[float] = []
+    # Every leg's length first, to size the draws. A leg whose length fails
+    # ends the log before it; the fixes of the legs before it are checked first.
     truth: dict[date, float] = {}
+    days: list[tuple[float, list[tuple]]] = []
+    failure = None
     try:
-        _drive(profile, rng, day_plans, sample_period_s, truth, times, speeds, lats, lons)
-    except Exception:
-        # An invalid fix made before the failure is reported instead, as if
-        # each fix had been checked when it was made.
-        TripLog(times, speeds, lats, lons)
-        raise
-    samples = TripLog(times, speeds, lats, lons)
-    return CanTrace(message_times=times), samples, truth
+        for cal_day, seq in day_plans:
+            truth.setdefault(cal_day, 0.0)
+            if len(seq) < 2:
+                continue
+            legs: list[tuple] = []
+            days.append((datetime(cal_day.year, cal_day.month, cal_day.day,
+                                  7, 0, 0, tzinfo=timezone.utc).timestamp(), legs))
+            for a_name, b_name in zip(seq, seq[1:]):
+                a, b = profile.anchors[a_name], profile.anchors[b_name]
+                dist_km = haversine_m(a[0], a[1], b[0], b[1]) / 1000.0
+                truth[cal_day] += dist_km
+                legs.append((a[0], a[1], b[0], b[1], dist_km))
+    except Exception as exc:
+        failure = exc
+    with np.errstate(all="ignore"):  # inf and NaN as in floats
+        columns = _drive(profile, rng, days, sample_period_s)
+    # Every fix is also a bus message, so its timestamps are the trace.
+    samples = TripLog(*columns)
+    del columns  # the spare rows go before the trace list is made
+    if failure is not None:
+        raise failure
+    return CanTrace(message_times=samples.timestamp.tolist()), samples, truth
 
 
-def _drive(profile: DriverProfile, rng: random.Random,
-           day_plans: list[tuple[date, list[str]]], sample_period_s: float,
-           truth: dict[date, float], times: list[float], speeds: list[float],
-           lats: list[float], lons: list[float]) -> None:
-    """Append every day's fixes to the columns and its leg lengths to `truth`.
+def _draw_stream(rng: random.Random) -> np.random.Generator:
+    """A numpy generator whose `random()` continues `rng.random()` bit for bit.
 
-    Draws in the order the module docstring fixes.
+    Both are MT19937 and build a double from two 32-bit words the same way,
+    so the state carries over as its 624 key words and its position.
     """
-    rnd = rng.random
-    sqrt, log, cos, sin, radians = math.sqrt, math.log, math.cos, math.sin, math.radians
-    add_t, add_speed, add_lat, add_lon = times.append, speeds.append, lats.append, lons.append
-    anchors = profile.anchors
+    state = rng.getstate()[1]
+    bits = np.random.MT19937(0)
+    bits.state = {"bit_generator": "MT19937",
+                  "state": {"key": np.array(state[:624], dtype=np.uint32), "pos": state[624]}}
+    return np.random.Generator(bits)
+
+
+def _fixes_at(dist_km: float, speed: float, period: float) -> int:
+    """About how many fixes a leg takes at `speed` km/h (floored at 1)."""
+    fixes = dist_km * 3600.0 / (period * (speed if speed > 1.0 else 1.0))
+    return int(fixes) if fixes < 1e6 else 1_000_000
+
+
+def _grown(a: np.ndarray, need: int) -> np.ndarray:
+    """`a` copied to the front of an array at least `need` and 1.5 x as long."""
+    out = np.empty(a.shape[:-1] + (max(need, a.shape[-1] * 3 // 2),))
+    out[..., :a.shape[-1]] = a
+    return out
+
+
+class _Draws:
+    """The stream's next `random()` values `u`, drawn ahead into one buffer,
+    and the speed factor `1 + noise_frac * uniform(-1, 1)` made from each."""
+
+    def __init__(self, rng: random.Random, size: int, noise_frac: float):
+        self.stream = _draw_stream(rng)
+        self.noise_frac = noise_frac
+        self.u = self.factor = np.empty(0)
+        self.reserve(size)
+
+    def reserve(self, need: int) -> None:
+        old = len(self.u)
+        if need > old:
+            self.u = _grown(self.u, need)
+            self.stream.random(out=self.u[old:])
+            self.factor = _grown(self.factor, len(self.u))
+            self.factor[old:] = 1.0 + self.noise_frac * (-1.0 + 2.0 * self.u[old:])
+
+
+def _drive(profile: DriverProfile, rng: random.Random, days: list[tuple[float, list[tuple]]],
+           period: float) -> np.ndarray:
+    """The fixes of `days` (each a 07:00 start and its legs) as four rows:
+    timestamp, speed, lat and lon.
+
+    Phase 1 walks the legs in order and finds each leg's fix count, speeds
+    and timestamps; phase 2 (`_place`) adds GPS noise a block of legs at a
+    time. Draws in the order the module docstring fixes.
+    """
     cruise = profile.cruise_speed_kmh
-    sigma = profile.gps_noise_m
-    noise_frac = profile.speed_noise_pct / 100.0
-    for cal_day, seq in day_plans:
-        truth.setdefault(cal_day, 0.0)
-        if len(seq) < 2:
-            continue
-        t = datetime(cal_day.year, cal_day.month, cal_day.day,
-                     7, 0, 0, tzinfo=timezone.utc).timestamp()
-        for a_name, b_name in zip(seq, seq[1:]):
-            a = anchors[a_name]
-            b = anchors[b_name]
-            a_lat, a_lon, b_lat, b_lon = a[0], a[1], b[0], b[1]
-            leg_dlat, leg_dlon = b_lat - a_lat, b_lon - a_lon
-            dist_km = haversine_m(a_lat, a_lon, b_lat, b_lon) / 1000.0
-            truth[cal_day] += dist_km
-            trip_speed = cruise * (1.0 + (-0.1 + 0.2 * rnd()))
-            covered = 0.0
-            while covered < dist_km:
-                speed = trip_speed * (1.0 + noise_frac * (-1.0 + 2.0 * rnd()))
-                if not speed > 1.0:  # max(1.0, speed), NaN included
-                    speed = 1.0
-                frac = covered / dist_km  # in [0, 1], as covered < dist_km
-                lat = a_lat + frac * leg_dlat
-                x2pi = rnd() * _TWOPI
-                g2rad = sqrt(-2.0 * log(1.0 - rnd()))
-                dx = 0.0 + cos(x2pi) * g2rad * sigma
-                dy = 0.0 + sin(x2pi) * g2rad * sigma
-                c = cos(radians(lat))
-                add_t(t)
-                add_speed(speed)
-                add_lat(lat + dy / 111_194.9)
-                add_lon(a_lon + frac * leg_dlon + dx / (111_194.9 * (c if c > 0.01 else 0.01)))
-                covered += speed * sample_period_s / 3600.0
-                t += sample_period_s
-            # Arrival fix: zero speed, parked at the destination.
-            x2pi = rnd() * _TWOPI
-            g2rad = sqrt(-2.0 * log(1.0 - rnd()))
-            dx = 0.0 + cos(x2pi) * g2rad * sigma
-            dy = 0.0 + sin(x2pi) * g2rad * sigma
-            c = cos(radians(b_lat))
-            add_t(t)
-            add_speed(0.0)
-            add_lat(b_lat + dy / 111_194.9)
-            add_lon(b_lon + dx / (111_194.9 * (c if c > 0.01 else 0.01)))
-            t += 1800.0 + 3600.0 * rnd()  # parked: bus silent
+    # A leg takes 3 draws per moving fix and 4 more.
+    estimate = sum(_fixes_at(leg[4], cruise, period) + 2 for _, legs in days for leg in legs)
+    draws = _Draws(rng, 3 * estimate + estimate // 8 + 64, profile.speed_noise_pct / 100.0)
+    # Row 0 holds time steps until each day is summed, and row 2 the km
+    # covered before each moving fix until `_place` turns it into a latitude.
+    cols = np.empty((4, estimate + estimate // 16 + 16))
+    cols[0] = period
+    p = n = 0  # the leg's first draw and first fix
+    block: list[tuple] = []
+    for start, legs in days:
+        day = n
+        for a_lat, a_lon, b_lat, b_lon, dist_km in legs:
+            draws.reserve(p + 4)
+            trip_speed = cruise * (1.0 + (-0.1 + 0.2 * draws.u.item(p)))
+            # w moving fixes are computed at once, k of them kept; a leg of
+            # length 0 has none, only its arrival fix.
+            w = _fixes_at(dist_km, trip_speed, period) + 8 if dist_km > 0.0 else 0
+            k = 0
+            while True:  # widen the window until the leg ends inside it
+                draws.reserve(p + 3 * w + 4)
+                if n + w + 1 > cols.shape[1]:
+                    old = cols.shape[1]
+                    cols = _grown(cols, n + w + 1)
+                    cols[0, old:] = period
+                if not w:
+                    break
+                speed = np.fmax(trip_speed * draws.factor[p + 1:p + 1 + 3 * w:3], 1.0,
+                                out=cols[1, n:n + w])
+                covered = (speed * period / 3600.0).cumsum()
+                k = int(covered.searchsorted(dist_km)) + 1  # fixes while covered < dist_km
+                if k <= w:
+                    cols[2, n + 1:n + k] = covered[:k - 1]
+                    break
+                w *= 2
+            cols[0, n] = start
+            cols[1, n + k] = 0.0  # the arrival fix, parked at b
+            cols[2, n] = 0.0
+            start = 1800.0 + 3600.0 * draws.u.item(p + 3 * k + 3)
+            block.append((p, k, n, dist_km, a_lat, a_lon, b_lat, b_lon,
+                          b_lat - a_lat, b_lon - a_lon))
+            p += 3 * k + 4
+            n += k + 1
+            if n - block[0][2] >= BLOCK_FIXES:
+                _place(cols, draws.u, block, profile.gps_noise_m)
+                block = []
+        np.cumsum(cols[0, day:n], out=cols[0, day:n])
+    if block:
+        _place(cols, draws.u, block, profile.gps_noise_m)
+    return cols[:, :n]
+
+
+def _libm(fn, values: list) -> np.ndarray:
+    # numpy's log, sin and cos may differ from libm's in the last bit.
+    return np.fromiter(map(fn, values), float, len(values))
+
+
+def _place(cols: np.ndarray, u: np.ndarray, block: list[tuple], sigma: float) -> None:
+    """Fill the lat and lon rows of a block of whole legs: each fix's spot on
+    its leg plus one `gauss(0, sigma)` pair east, then north."""
+    legs = np.array(block)
+    p, k, off = legs[:, :3].astype(np.int64).T
+    dist_km, a_lat, a_lon, b_lat, b_lon, d_lat, d_lon = legs[:, 3:].T
+    lo, hi = off[0], off[-1] + k[-1] + 1
+    leg = np.repeat(np.arange(len(block)), k + 1)
+    i = np.arange(lo, hi) - off[leg]
+    arrival = i == k[leg]
+    frac = cols[2, lo:hi] / dist_km[leg]
+    lat = np.where(arrival, b_lat[leg], a_lat[leg] + frac * d_lat[leg])
+    lon = np.where(arrival, b_lon[leg], a_lon[leg] + frac * d_lon[leg])
+    g = p[leg] + 2 + 3 * i - arrival  # the pair's first draw
+    x2pi = (u[g] * _TWOPI).tolist()
+    g2rad = np.sqrt(-2.0 * _libm(math.log, (1.0 - u[g + 1]).tolist()))
+    dx = 0.0 + _libm(math.cos, x2pi) * g2rad * sigma
+    dy = 0.0 + _libm(math.sin, x2pi) * g2rad * sigma
+    # math.cos raises on an infinite latitude. The first fix of its leg is
+    # then out of range and reported first, so NaN can stand in for it.
+    rad = lat * _DEG
+    rad[np.isinf(rad)] = math.nan
+    c = np.fmax(_libm(math.cos, rad.tolist()), 0.01)
+    cols[2, lo:hi] = lat + dy / 111_194.9
+    cols[3, lo:hi] = lon + dx / (111_194.9 * c)

@@ -530,6 +530,35 @@ def test_cli_ingest_graph_predict(trip_log_path, tmp_path, capsys):
     assert "gate verdict" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("weeks", [None, "8", "2", "40"])
+def test_cli_graph_takes_its_weeks_from_the_log(trip_log_path, tmp_path, capsys, weeks):
+    # --weeks scaled the visit frequencies: the 8-week log found 5, 3 or 0
+    # habitual destinations with --weeks 2, 8 or 40. The log's own weeks,
+    # counted as predict counts them, now decide, and --weeks only checks.
+    out = tmp_path / "graph"
+    flag = [] if weeks is None else ["--weeks", weeks]
+    code = main(["graph", "--log", trip_log_path, "--out-dir", str(out), *flag])
+    if weeks in (None, "8"):
+        assert code == 0
+        assert capsys.readouterr().out.startswith("3 habitual destinations")
+    else:
+        assert code == 2
+        assert f"--weeks {weeks} disagrees with the log, which covers 8 weeks" in \
+            capsys.readouterr().err
+        assert not (out / "nodes.csv").exists()
+
+
+def test_cli_ingest_rejects_timestamps_datetime_cannot_date(tmp_path, capsys):
+    # A finite timestamp past year 9999 died with OverflowError when its halt was dated.
+    log = tmp_path / "log.csv"
+    log.write_text("timestamp,speed_kmh,lat,lon,fuel_l,can_msg\n"
+                   "1736150400.0,30.0,44.0,11.0,,1\n"
+                   "1e20,0.0,44.0,11.0,,1\n")
+    assert main(["ingest", "--log", str(log), "--out-dir", str(tmp_path)]) == 2
+    assert "line 3: timestamp 1e+20 outside UTC years 1-9999" in capsys.readouterr().err
+    assert not (tmp_path / "stops.csv").exists()
+
+
 @pytest.fixture(scope="module")
 def two_per_profile(tmp_path_factory):
     """Six seed-3 drivers: commuter_1's 7-week gate accepts."""

@@ -1,19 +1,22 @@
 import hashlib
 import math
 import random
+import re
 import statistics
+import tracemalloc
 from datetime import date, datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from refuelopt import errors
+from refuelopt import errors, telemetry
 from refuelopt.geo import haversine_m
 from refuelopt.scenario import OBSERVATION_START, generate_scenario_dir, load_scenarios
-from refuelopt.telemetry import (_TWOPI, WEEKDAYS, CanTrace, DriverProfile, StopEvent,
-                                 TripLog, TripSample, _poisson, detect_halts,
-                                 generate_synthetic_log, integrate_daily_distance,
-                                 load_trip_log, save_trip_log, ts_to_date)
+from refuelopt.telemetry import (_TWOPI, END_TIMESTAMP, FIRST_TIMESTAMP, WEEKDAYS, CanTrace,
+                                 DriverProfile, StopEvent, TripLog, TripSample, _draw_stream,
+                                 _poisson, detect_halts, generate_synthetic_log,
+                                 integrate_daily_distance, load_trip_log, save_trip_log,
+                                 ts_to_date)
 
 T0 = 1_736_150_400.0  # 2025-01-06 08:00 UTC
 
@@ -259,13 +262,35 @@ def test_daily_distance_matches_per_pair_days(steps, late):
     assert repr(result(integrate_daily_distance)) == repr(result(per_pair_daily_distance))
 
 
-def test_daily_distance_reports_errors_in_pair_order():
-    # The first pair's day is past datetime's range and fails before the
-    # later decrease is seen.
-    samples = [TripSample(1e20, 10.0), TripSample(1e20, 10.0), fix(T0)]
-    for fn in (per_pair_daily_distance, integrate_daily_distance):
-        with pytest.raises(OverflowError, match="out of range"):
-            fn(samples)
+LAST_TIMESTAMP = math.nextafter(END_TIMESTAMP, 0.0)
+
+
+@pytest.mark.parametrize("ts", [1e20, -1e20, END_TIMESTAMP,
+                                math.nextafter(FIRST_TIMESTAMP, -math.inf)])
+def test_timestamps_outside_datetime_range_are_rejected(ts):
+    # Such a timestamp built a sample, and daily distance or a halt's date
+    # then died with datetime's OverflowError or ValueError.
+    with pytest.raises((OverflowError, ValueError)):
+        ts_to_date(ts)
+    message = re.escape(f"timestamp {ts} outside UTC years 1-9999")
+    with pytest.raises(ValueError, match=message):
+        TripSample(ts, 10.0)
+    with pytest.raises(ValueError, match=message):
+        TripLog([T0, ts], [10.0, 10.0])
+    with pytest.raises(ValueError, match="message times must be finite and within"):
+        CanTrace([T0, ts] if ts > T0 else [ts, T0])
+
+
+def test_daily_distance_at_the_ends_of_the_range():
+    # The first and last timestamps ts_to_date converts are valid, and their
+    # pairs land on the first and last days.
+    assert ts_to_date(FIRST_TIMESTAMP) == date(1, 1, 1)
+    assert ts_to_date(LAST_TIMESTAMP) == date(9999, 12, 31)
+    samples = [TripSample(FIRST_TIMESTAMP, 36.0), TripSample(FIRST_TIMESTAMP + 10.0, 0.0),
+               TripSample(LAST_TIMESTAMP - 10.0, 72.0), TripSample(LAST_TIMESTAMP, 0.0)]
+    last_km = 72.0 * (LAST_TIMESTAMP - (LAST_TIMESTAMP - 10.0)) / 3600.0
+    assert integrate_daily_distance(samples) == per_pair_daily_distance(samples) == {
+        date(1, 1, 1): 0.1, date(9999, 12, 31): last_km}
 
 
 # --- trip-log CSV ---------------------------------------------------------------
@@ -495,13 +520,27 @@ LOG_CASES = {
 }
 
 
+def log_digest(make, weeks):
+    trace, samples, truth = generate_synthetic_log(make(), weeks)
+    assert trace.message_times == [s.timestamp for s in samples]
+    return hashlib.sha256(repr((trace.message_times, list(samples), truth)).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("case", sorted(LOG_CASES))
 def test_generated_log_bytes_are_pinned(case):
     make, weeks, digest = LOG_CASES[case]
-    trace, samples, truth = generate_synthetic_log(make(), weeks)
-    assert trace.message_times == [s.timestamp for s in samples]
-    rows = repr((trace.message_times, list(samples), truth))
-    assert hashlib.sha256(rows.encode()).hexdigest() == digest
+    assert log_digest(make, weeks) == digest
+
+
+@pytest.mark.parametrize("guess, block", [(0, 1), (0, 10**9), (3, 7)])
+def test_log_bytes_do_not_depend_on_sizes(monkeypatch, guess, block):
+    # Fix-count guesses only size the buffers and the first window of each
+    # leg, and blocks only batch the legs: guessing 0 or 3 fixes makes every
+    # window widen and every buffer grow, and a block may hold one leg or all.
+    monkeypatch.setattr(telemetry, "_fixes_at", lambda *args: guess)
+    monkeypatch.setattr(telemetry, "BLOCK_FIXES", block)
+    for make, weeks, digest in LOG_CASES.values():
+        assert log_digest(make, weeks) == digest
 
 
 @st.composite
@@ -531,6 +570,49 @@ def driver_profiles(draw):
 def test_generator_matches_reference(p, weeks, period):
     assert (outcome(generate_synthetic_log, p, weeks, sample_period_s=period)
             == outcome(reference_generate_synthetic_log, p, weeks, sample_period_s=period))
+
+
+@st.composite
+def long_leg_profiles(draw):
+    # Legs of up to 0.7 deg, hundreds of fixes each, and speed noise past
+    # 100 %, so fix windows widen. A NaN cruise speed crawls at 1 km/h, so
+    # its anchors stay close.
+    cruise = draw(st.sampled_from([math.nan, math.inf]) | st.floats(40.0, 150.0))
+    offset = st.floats(-0.002, 0.002) if math.isnan(cruise) else st.floats(-0.25, 0.25)
+    base_lat, base_lon = draw(st.floats(-60.0, 60.0)), draw(st.floats(-170.0, 170.0))
+    names = [f"a{i}" for i in range(draw(st.integers(2, 4)))]
+    anchors = {n: (base_lat + draw(offset), base_lon + draw(offset)) for n in names}
+    schedule = {d: draw(st.lists(st.sampled_from(names), min_size=2, max_size=4))
+                for d in draw(st.sets(st.sampled_from(WEEKDAYS), min_size=1))}
+    return DriverProfile(
+        seed=draw(st.integers(0, 2**32)), anchors=anchors, schedule=schedule,
+        errand_targets=names[:1], errand_rate=draw(st.floats(0.0, 3.0)),
+        speed_noise_pct=draw(st.sampled_from([0.0, 5.0]) | st.floats(100.0, 400.0)),
+        gps_noise_m=draw(st.sampled_from([0, 10]) | st.floats(0.0, 5000.0)),
+        cruise_speed_kmh=cruise)
+
+
+@settings(max_examples=15, deadline=None)
+@given(long_leg_profiles(), st.integers(3, 4), st.sampled_from([5.0, 37.5]))
+def test_generator_matches_reference_on_long_logs(p, weeks, period):
+    assert (outcome(generate_synthetic_log, p, weeks, sample_period_s=period)
+            == outcome(reference_generate_synthetic_log, p, weeks, sample_period_s=period))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**40 + 3, 2**130], ids=["0", "7", "2**40+3", "2**130"])
+@pytest.mark.parametrize("words, pos", [(0, 624), (1, 1), (623, 623), (624, 624), (1300, 52)])
+def test_draw_stream_continues_random(seed, words, pos):
+    # The numpy generator takes over the 624 key words and the position in
+    # them; 32-bit draws move that position, and setstate can put it at 0.
+    rng = random.Random(seed)
+    for _ in range(words):
+        rng.getrandbits(32)
+    version, internal, gauss_next = rng.getstate()
+    assert internal[624] == pos
+    for state in ((version, internal, gauss_next), (version, internal[:624] + (0,), gauss_next)):
+        rng.setstate(state)
+        stream = _draw_stream(rng)
+        assert stream.random(1500).tolist() == [rng.random() for _ in range(1500)]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2024, 2**40 + 3])
@@ -567,7 +649,11 @@ HOME_WORK = {"home": (44.6, 10.9), "work": (44.65, 10.96)}
      (ValueError, "invalid speed inf")),
     # max(1.0, nan) is 1.0: a NaN cruise speed yields 1 km/h, not an error.
     (HOME_WORK, {"Mon": ["home", "work", "home"]}, math.nan, "ok"),
-], ids=["out_of_range", "out_of_range_then_inf", "inf_cruise", "nan_cruise"])
+    # b - a overflows: the first fix's latitude is NaN, and the second's is
+    # inf, whose cosine raises, but only after the first fix was made.
+    ({"a": (-1e308, 10.0), "b": (1e308, 10.0)}, {"Mon": ["a", "b"]}, 50.0,
+     (ValueError, "invalid coordinates (nan, 10.000596572405193)")),
+], ids=["out_of_range", "out_of_range_then_inf", "inf_cruise", "nan_cruise", "overflowing_leg"])
 def test_generator_error_paths_match_reference(anchors, schedule, cruise, expected):
     p = DriverProfile(seed=1, anchors=anchors, schedule=schedule, cruise_speed_kmh=cruise)
     got = outcome(generate_synthetic_log, p, 1)
@@ -576,6 +662,22 @@ def test_generator_error_paths_match_reference(anchors, schedule, cruise, expect
         assert got[0] == "ok"
     else:
         assert got == expected
+
+
+def test_generation_memory_stays_bounded():
+    # The log's buffers add to the benchmark's peak RSS, which has a 5 %
+    # bound. 20 weeks of this profile make 21.5 k fixes, about as many as the
+    # largest metro_sweep driver, whose log peaked at 3.76 MB when its fixes
+    # were appended to lists one at a time; this one peaks at about 2.5 MB.
+    generate_synthetic_log(profile(seed=9), weeks=1)
+    tracemalloc.start()
+    try:
+        _, samples, _ = generate_synthetic_log(profile(seed=9), weeks=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(samples) > 20_000
+    assert peak <= 3.0e6
 
 
 def test_generator_rejects_non_positive_period():
@@ -639,7 +741,7 @@ def test_trip_log_reports_the_first_invalid_row(kwargs, message):
 
 trip_rows = st.builds(
     lambda t, speed, where, fuel: TripSample(t, speed, *where, fuel),
-    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(FIRST_TIMESTAMP, END_TIMESTAMP, exclude_max=True),
     st.sampled_from([0.0, -0.0]) | st.floats(0.0, 300.0),
     st.just((None, None)) | st.tuples(st.floats(-90.0, 90.0), st.floats(-180.0, 180.0)),
     st.none() | st.just(math.nan) | st.floats(0.0, 80.0))
