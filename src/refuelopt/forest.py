@@ -3,8 +3,10 @@
 Each tree is grown greedily by variance reduction on a bootstrap resample
 (with replacement, same size as the training set), considering every
 feature at every split, to a maximum depth with a minimum of two samples to
-split. The ensemble prediction is the mean of the tree outputs. Everything
-is deterministic given (data, seed): tree t's bootstrap is
+split. A split's threshold is the midpoint of the two values it separates,
+or the lower one where that midpoint rounds up to the higher. The ensemble
+prediction is the mean of the tree outputs. Everything is deterministic
+given (data, seed): tree t's bootstrap is
 `np.random.default_rng([seed, t]).integers(0, n, size=n)`, so parallel and
 sequential training agree bit-for-bit.
 
@@ -141,7 +143,10 @@ def _best_splits(xv: np.ndarray, yv: np.ndarray, starts: np.ndarray,
     flat = scores.transpose(1, 0, 2).reshape(g, -1)
     best = flat.argmin(axis=1)
     j, i = np.divmod(best, pad - 1)
-    threshold = (xs[j, nodes, i] + xs[j, nodes, i + 1]) / 2.0
+    lo, hi = xs[j, nodes, i], xs[j, nodes, i + 1]
+    threshold = (lo + hi) / 2.0
+    # A midpoint rounded up to `hi` would send every row left.
+    np.copyto(threshold, lo, where=threshold == hi)
     return j, threshold, np.isfinite(flat[nodes, best])
 
 
@@ -391,7 +396,6 @@ def fit_bagged_trees(X: np.ndarray, y: np.ndarray, n_trees: int = DEFAULT_N_TREE
 
 def _forest(columns, roots, seed: int, max_depth: int) -> BaggedTrees:
     """A BaggedTrees from the (feature, threshold, left, right, value) columns."""
-    columns = columns or [()] * 5
     dtypes = (np.intp, float, np.intp, np.intp, float)
     return BaggedTrees(*(np.asarray(c, dtype=t) for c, t in zip(columns, dtypes)),
                        roots=np.asarray(roots, dtype=np.intp), seed=seed, max_depth=max_depth)

@@ -1,7 +1,10 @@
 """Next-week daily mileage forecasting and its acceptance gate.
 
 A bagged regression-tree ensemble (150 trees, depth 6) is trained on daily
-driving history with calendar and lag features. The forecast is only
+driving history with five features: day of week, month, `lag_1`, `lag_7`
+and `roll_7_mean` (the km one day, one week and the mean of the seven days
+before). There is no standardisation; constant columns are dropped, since
+a tree depends only on each feature's order. The forecast is only
 trusted when three error scores on a held-out validation week all fall
 under fixed thresholds; an accepted forecast yields the extra-mileage
 correction applied to candidate refueling routes.
@@ -20,9 +23,6 @@ from . import errors
 from .forest import BaggedTrees, fit_bagged_trees, load_trees
 from .tables import write_table
 
-FEATURE_NAMES = ("day_of_week", "month", "lag_1", "lag_7", "roll_7_mean",
-                 "n_trips", "has_trip_stats", "avg_speed", "max_speed",
-                 "has_speed_stats")
 # A forest fit needs at least this many feature rows.
 MIN_TRAIN_ROWS = 14
 
@@ -35,53 +35,19 @@ class DailyFeatureRow:
     lag_1: float
     lag_7: float
     roll_7_mean: float
-    n_trips: int | None = None
-    avg_speed: float | None = None
-    max_speed: float | None = None
     target: float | None = None
 
     def vector(self) -> list[float]:
-        has_trips = self.n_trips is not None
-        has_speeds = self.avg_speed is not None and self.max_speed is not None
         return [float(self.day_of_week), float(self.month),
-                self.lag_1, self.lag_7, self.roll_7_mean,
-                float(self.n_trips) if has_trips else 0.0,
-                1.0 if has_trips else 0.0,
-                self.avg_speed if has_speeds else 0.0,
-                self.max_speed if has_speeds else 0.0,
-                1.0 if has_speeds else 0.0]
-
-
-@dataclass(frozen=True)
-class ScalerStats:
-    """Per-feature mean/std from the training window; constant features dropped."""
-
-    means: tuple[float, ...]
-    stds: tuple[float, ...]
-    kept: tuple[bool, ...]
-
-    @classmethod
-    def fit(cls, X: np.ndarray) -> "ScalerStats":
-        means = X.mean(axis=0)
-        stds = X.std(axis=0)
-        kept = stds > 0
-        return cls(means=tuple(map(float, means)),
-                   stds=tuple(map(float, stds)), kept=tuple(map(bool, kept)))
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        means = np.asarray(self.means)
-        stds = np.asarray(self.stds)
-        kept = np.asarray(self.kept)
-        return (X[:, kept] - means[kept]) / stds[kept]
+                self.lag_1, self.lag_7, self.roll_7_mean]
 
 
 @dataclass(frozen=True)
 class ForestModel:
+    """Trees fitted on the `DailyFeatureRow.vector()` columns that vary in training."""
+
     trees: BaggedTrees
-    scaler: ScalerStats
-    seed: int
-    degenerate: bool = False
-    constant_value: float = 0.0
+    columns: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -113,13 +79,10 @@ def fill_weeks(daily_km: dict[date, float], monday: date, weeks: int) -> dict[da
     return {**dict.fromkeys(days, 0.0), **daily_km}
 
 
-def build_features(daily_km: dict[date, float],
-                   trip_stats: dict[date, tuple[int, float | None, float | None]] | None = None,
-                   ) -> list[DailyFeatureRow]:
+def build_features(daily_km: dict[date, float]) -> list[DailyFeatureRow]:
     """Turn a consecutive daily-km series into feature rows with targets.
 
-    Rows start at day 8 so the one-week lag exists. Missing per-day trip
-    stats are encoded through availability flags, never as imputed zeros.
+    Rows start at day 8 so the one-week lag exists.
     """
     days = sorted(daily_km)
     if len(days) < 14:
@@ -131,15 +94,10 @@ def build_features(daily_km: dict[date, float],
     rows = []
     for i in range(7, len(days)):
         d = days[i]
-        stats = (trip_stats or {}).get(d)
         rows.append(DailyFeatureRow(
             day=d, day_of_week=d.weekday() + 1, month=d.month,
             lag_1=km[i - 1], lag_7=km[i - 7],
-            roll_7_mean=sum(km[i - 7:i]) / 7.0,
-            n_trips=stats[0] if stats else None,
-            avg_speed=stats[1] if stats else None,
-            max_speed=stats[2] if stats else None,
-            target=km[i]))
+            roll_7_mean=sum(km[i - 7:i]) / 7.0, target=km[i]))
     return rows
 
 
@@ -152,24 +110,19 @@ def fit_forest(rows: list[DailyFeatureRow], n_trees: int = 150,
         raise ValueError("every training row needs a finite target")
     X = np.array([r.vector() for r in rows])
     y = np.array([r.target for r in rows])
-    scaler = ScalerStats.fit(X)
-    if not any(scaler.kept):
-        # All features constant: nothing to split on. A constant model is
-        # still returned, flagged, so callers can surface it.
-        empty = load_trees({"seed": seed, "max_depth": max_depth, "trees": []})
-        return ForestModel(trees=empty, scaler=scaler, seed=seed, degenerate=True,
-                           constant_value=float(np.mean(y)))
-    Xs = scaler.transform(X)
-    trees = fit_bagged_trees(Xs, y, n_trees=n_trees, max_depth=max_depth, seed=seed)
-    return ForestModel(trees=trees, scaler=scaler, seed=seed)
+    columns = np.flatnonzero(X.min(axis=0) < X.max(axis=0))
+    if len(columns):
+        trees = fit_bagged_trees(X[:, columns], y, n_trees=n_trees, max_depth=max_depth, seed=seed)
+    else:  # nothing to split on: one leaf holding the mean target
+        leaf = {"v": float(np.mean(y))}
+        trees = load_trees({"seed": seed, "max_depth": max_depth, "trees": [leaf]})
+    return ForestModel(trees, columns)
 
 
 def predict_week(model: ForestModel, rows: list[DailyFeatureRow]) -> list[float]:
     """Forecast daily km for feature rows; negative tree means clamp to 0."""
-    if model.degenerate:
-        return [max(0.0, model.constant_value)] * len(rows)
     X = np.array([r.vector() for r in rows])
-    preds = model.trees.predict(model.scaler.transform(X))
+    preds = model.trees.predict(X[:, model.columns])
     return [max(0.0, float(p)) for p in preds]
 
 

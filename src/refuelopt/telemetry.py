@@ -89,16 +89,22 @@ def _in_range(ts):
 
 @dataclass(frozen=True)
 class CanTrace:
-    """Timestamps (UTC seconds) at which a bus message was observed."""
+    """Timestamps (UTC seconds) of the observed bus messages, a read-only float64 array."""
 
-    message_times: list[float]
+    message_times: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.message_times, dtype=float)
+        times = np.array(self.message_times, dtype=float)
+        times.flags.writeable = False
+        object.__setattr__(self, "message_times", times)
         if not _in_range(times).all():
             raise ValueError("message times must be finite and within UTC years 1-9999")
         if (times[1:] < times[:-1]).any():
             raise ValueError("message times must be non-decreasing")
+
+    def __eq__(self, other):
+        return isinstance(other, CanTrace) and np.array_equal(self.message_times,
+                                                              other.message_times)
 
 
 class _TripSampleFields(NamedTuple):
@@ -284,16 +290,15 @@ def detect_halts(trace: CanTrace, gps: Sequence[TripSample],
     if not 0 < gap_threshold < math.inf:
         raise ValueError(f"gap_threshold must be positive and finite, got {gap_threshold}")
     message_times = trace.message_times
-    if not message_times:
+    if not len(message_times):
         raise errors.EmptyTrace("trace has no messages")
     log = TripLog.of(gps)
-    gaps = np.flatnonzero(~(np.diff(np.asarray(message_times, dtype=float)) <= gap_threshold))
+    gaps = np.flatnonzero(~(np.diff(message_times) <= gap_threshold))
     located = np.flatnonzero(log.located)
     order = located[np.argsort(log.timestamp[located], kind="stable")]
     times = log.timestamp[order].tolist()
     events: list[StopEvent] = []
-    for g in gaps.tolist():
-        t0 = message_times[g]
+    for t0 in message_times[gaps].tolist():
         if not times:
             raise errors.NoLocationFix(f"no GPS fix near gap at t={t0}")
         # Start at the first fix at or after t0 and step back while the earlier
@@ -383,7 +388,7 @@ def load_trip_log(path: str) -> tuple[CanTrace, list[TripSample]]:
 
 def save_trip_log(path: str, trace: CanTrace, samples: list[TripSample]) -> None:
     """Write a trip-log CSV (inverse of load_trip_log for message-bearing samples)."""
-    msg_times = set(trace.message_times)
+    msg_times = set(trace.message_times.tolist())
     write_table(path, TRIP_LOG_HEADER,
                 ([repr(s.timestamp), repr(s.speed_kmh),
                   "" if s.lat is None else repr(s.lat),
@@ -489,10 +494,10 @@ def generate_synthetic_log(profile: DriverProfile, weeks: int,
         columns = _drive(profile, rng, days, sample_period_s)
     # Every fix is also a bus message, so its timestamps are the trace.
     samples = TripLog(*columns)
-    del columns  # the spare rows go before the trace list is made
+    del columns  # the spare rows go before the trace copies its times
     if failure is not None:
         raise failure
-    return CanTrace(message_times=samples.timestamp.tolist()), samples, truth
+    return CanTrace(message_times=samples.timestamp), samples, truth
 
 
 def _draw_stream(rng: random.Random) -> np.random.Generator:

@@ -100,7 +100,9 @@ def reference_best_split(X, y):
     j, i = divmod(int(np.argmin(scores.T)), n - 1)
     if not np.isfinite(scores[i, j]):
         return None
-    return j, float(xs[i, j] + xs[i + 1, j]) / 2.0
+    lo, hi = float(xs[i, j]), float(xs[i + 1, j])
+    mid = (lo + hi) / 2.0
+    return j, lo if mid == hi else mid
 
 
 def reference_forest(X, y, n_trees, max_depth, seed):
@@ -138,7 +140,7 @@ def reference_predict(dumped, X):
 
 # Few distinct values, so features and targets tie; 1 + 2**-52 and
 # 1 + 2**-51 are adjacent floats whose midpoint rounds up to the larger one,
-# which sends every row of a node left and leaves an empty right child.
+# where a midpoint threshold would send every row of a node left.
 forest_values = st.sampled_from([-3.0, 0.0, 1.0, 1.0 + 2 ** -52, 1.0 + 2 ** -51, 2.5, 1e6])
 
 
@@ -161,14 +163,19 @@ def test_forest_matches_depth_first_cart(d, data):
 
 
 def test_empty_child_matches_depth_first_cart():
-    # The midpoint of the two adjacent floats rounds up to the larger one.
+    # The midpoint of the two adjacent floats rounds up to the larger one; a
+    # split there must still leave rows on both sides, so no leaf is a 0/0.
     X = np.array([[1.0], [1.0 + 2 ** -51], [1.0 + 2 ** -52]] * 2)
     y = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-    with np.errstate(all="ignore"):
-        model = fit_bagged_trees(X, y, n_trees=4, seed=1)
+    model = fit_bagged_trees(X, y, n_trees=4, seed=1)
     dumped = json.dumps(dump_trees(model))
-    assert "NaN" in dumped
+    assert "NaN" not in dumped
     assert dumped == json.dumps(reference_forest(X, y, 4, 6, 1))
+    a, b = 1 + 2 ** -52, 1 + 2 ** -51
+    pair = fit_bagged_trees(np.array([[a], [b]] * 4), np.array([0.0, 1.0] * 4),
+                            n_trees=3, max_depth=2, seed=0)
+    assert np.isfinite(pair.predict([[1.5], [a], [b]])).all()
+    assert pair.predict([[1.5]])[0] == pair.predict([[b]])[0]
 
 
 def test_node_means_match_np_mean():

@@ -8,8 +8,7 @@ from hypothesis import given, strategies as st
 
 from refuelopt import errors
 from refuelopt.forest import fit_bagged_trees
-from refuelopt.mileage import (FEATURE_NAMES, GateThresholds, ScalerStats,
-                               build_features, evaluate_metrics,
+from refuelopt.mileage import (GateThresholds, build_features, evaluate_metrics,
                                extra_mileage_delta, fill_weeks, fit_forest,
                                forecast_next_week, gate, predict_week,
                                sliding_cv)
@@ -21,7 +20,8 @@ def series(values, start=MONDAY):
     return {start + timedelta(days=i): float(v) for i, v in enumerate(values)}
 
 
-def weekly_pattern(weeks, pattern=(20, 22, 18, 25, 30, 5, 0), noise=None, seed=0):
+def weekly_pattern(weeks, pattern=(20, 22, 18, 25, 30, 5, 0), noise=None, seed=0,
+                   start=MONDAY):
     import random
     rng = random.Random(seed)
     vals = []
@@ -29,7 +29,7 @@ def weekly_pattern(weeks, pattern=(20, 22, 18, 25, 30, 5, 0), noise=None, seed=0
         for p in pattern:
             v = p + (rng.gauss(0, noise) if noise else 0.0)
             vals.append(max(0.0, v))
-    return series(vals)
+    return series(vals, start)
 
 
 # --- features -------------------------------------------------------------------
@@ -69,28 +69,17 @@ def test_build_features_requires_14_consecutive_days():
         build_features(km)
 
 
-def test_missing_trip_stats_use_flags_not_zeros():
-    km = series(range(20))
-    stats = {MONDAY + timedelta(days=8): (3, 41.0, 72.0)}
-    rows = build_features(km, trip_stats=stats)
-    with_stats = rows[1].vector()
-    without = rows[0].vector()
-    names = list(FEATURE_NAMES)
-    assert with_stats[names.index("has_trip_stats")] == 1.0
-    assert with_stats[names.index("n_trips")] == 3.0
-    assert with_stats[names.index("avg_speed")] == 41.0
-    assert without[names.index("has_trip_stats")] == 0.0
-    assert without[names.index("has_speed_stats")] == 0.0
-
-
-def test_scaler_drops_constant_features():
-    X = np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])
-    sc = ScalerStats.fit(X)
-    assert sc.kept == (True, False)
-    Xs = sc.transform(X)
-    assert Xs.shape == (3, 1)
-    assert Xs.mean() == pytest.approx(0.0, abs=1e-12)
-    assert Xs.std() == pytest.approx(1.0, abs=1e-12)
+def test_fit_drops_constant_features():
+    # Four weeks inside March: `month` is the one constant feature.
+    rows = build_features(weekly_pattern(4, noise=2.0, seed=5, start=date(2025, 3, 3)))
+    assert {r.month for r in rows} == {3}
+    model = fit_forest(rows[:-7], n_trees=20, seed=3)
+    assert model.columns.tolist() == [0, 2, 3, 4]  # all but month
+    test_rows = [replace(r, target=None) for r in rows[-7:]]
+    moved = [replace(r, month=9) for r in test_rows]
+    assert predict_week(model, moved) == predict_week(model, test_rows)
+    refit = fit_forest([replace(r, month=9) for r in rows[:-7]], n_trees=20, seed=3)
+    assert predict_week(refit, moved) == predict_week(model, test_rows)
 
 
 # --- ensemble -------------------------------------------------------------------
@@ -141,7 +130,8 @@ def test_degenerate_constant_features():
     const = [replace(r, day_of_week=3, month=1, lag_1=5.0, lag_7=5.0,
                      roll_7_mean=5.0) for r in rows]
     model = fit_forest(const, n_trees=10, seed=0)
-    assert model.degenerate
+    assert model.columns.tolist() == []
+    assert model.trees.feature.tolist() == [-1]  # one leaf, no split
     assert predict_week(model, const) == [10.0] * len(const)
 
 

@@ -95,15 +95,17 @@ def test_halt_located_at_nearest_fix():
     gps = [fix(T0 - 30, lat=44.1), fix(T0 + 5, lat=44.2), fix(T0 + 90, lat=44.3)]
     events = detect_halts(CanTrace(times), gps, gap_threshold=120)
     assert events[0].lat == 44.2
+    assert type(events[0].timestamp) is float  # not np.float64, whose repr differs
 
 
 def full_scan_halts(trace, gps, gap_threshold):
     """Reference detect_halts: scans every fix for every gap."""
-    if not trace.message_times:
+    message_times = trace.message_times.tolist()
+    if not message_times:
         raise errors.EmptyTrace("trace has no messages")
     fixes = [s for s in gps if s.lat is not None]
     events = []
-    for t0, t1 in zip(trace.message_times, trace.message_times[1:]):
+    for t0, t1 in zip(message_times, message_times[1:]):
         if t1 - t0 <= gap_threshold:
             continue
         if not fixes:
@@ -306,7 +308,8 @@ def test_load_well_formed(tmp_path):
                  + f"{T0 + 2},32.0,,,,0\n")
     trace, samples = load_trip_log(str(p))
     assert len(samples) == 3
-    assert trace.message_times == [T0, T0 + 1]
+    assert trace.message_times.tolist() == [T0, T0 + 1]
+    assert not trace.message_times.flags.writeable
     assert samples[2].lat is None
 
 
@@ -318,7 +321,7 @@ def test_load_sorts_shuffled_rows(tmp_path):
                  + f"{T0 + 1},31.0,,,,1\n")
     trace, samples = load_trip_log(str(p))
     assert [s.timestamp for s in samples] == [T0, T0 + 1, T0 + 2]
-    assert trace.message_times == [T0, T0 + 1, T0 + 2]
+    assert trace.message_times.tolist() == [T0, T0 + 1, T0 + 2]
 
 
 def test_load_rejects_out_of_range_latitude(tmp_path):
@@ -491,7 +494,7 @@ def outcome(generate, *args, **kwargs):
         trace, samples, truth = generate(*args, **kwargs)
     except Exception as exc:
         return type(exc), str(exc)
-    return "ok", repr((trace.message_times, list(samples), truth))
+    return "ok", repr((trace.message_times.tolist(), list(samples), truth))
 
 
 # sha256 of repr((message_times, samples, truth)), pinned from the generator
@@ -522,8 +525,9 @@ LOG_CASES = {
 
 def log_digest(make, weeks):
     trace, samples, truth = generate_synthetic_log(make(), weeks)
-    assert trace.message_times == [s.timestamp for s in samples]
-    return hashlib.sha256(repr((trace.message_times, list(samples), truth)).encode()).hexdigest()
+    message_times = trace.message_times.tolist()
+    assert message_times == [s.timestamp for s in samples]
+    return hashlib.sha256(repr((message_times, list(samples), truth)).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("case", sorted(LOG_CASES))
