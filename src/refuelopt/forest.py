@@ -3,10 +3,11 @@
 Each tree is grown greedily by variance reduction on a bootstrap resample
 (with replacement, same size as the training set), considering every
 feature at every split, to a maximum depth with a minimum of two samples to
-split. A split's threshold is the midpoint of the two values it separates,
-or the lower one where that midpoint rounds up to the higher. The ensemble
-prediction is the mean of the tree outputs. Everything is deterministic
-given (data, seed): tree t's bootstrap is
+split. A split's threshold is the midpoint of the two values it separates
+(halved before adding where their sum overflows), or the lower one where
+that midpoint rounds up to the higher. The ensemble prediction is the mean
+of the tree outputs. Everything is deterministic given (data, seed): tree
+t's bootstrap is
 `np.random.default_rng([seed, t]).integers(0, n, size=n)`, so parallel and
 sequential training agree bit-for-bit.
 
@@ -90,12 +91,12 @@ class BaggedTrees:
                 break
             go_left = X[rows, feature] <= self.threshold[node]
             node = np.where(inner, np.where(go_left, self.left[node], self.right[node]), node)
-        # One tree at a time, in tree order, as the pinned predictions were
-        # summed; a pairwise reduction over trees could round differently.
-        out = np.zeros(len(X))
-        for tree_out in self.value[node]:
-            out += tree_out
-        return out / len(self.roots)
+        # One tree at a time, in tree order, from 0.0, as the pinned
+        # predictions were summed; a pairwise reduction over trees could round
+        # differently. accumulate adds row after row, and the zero row keeps
+        # an all -0.0 sum at 0.0.
+        outputs = np.vstack((np.zeros((1, len(X))), self.value[node]))
+        return np.add.accumulate(outputs, axis=0)[-1] / len(self.roots)
 
 
 def _best_splits(xv: np.ndarray, yv: np.ndarray, starts: np.ndarray,
@@ -144,7 +145,11 @@ def _best_splits(xv: np.ndarray, yv: np.ndarray, starts: np.ndarray,
     best = flat.argmin(axis=1)
     j, i = np.divmod(best, pad - 1)
     lo, hi = xs[j, nodes, i], xs[j, nodes, i + 1]
-    threshold = (lo + hi) / 2.0
+    with np.errstate(over="ignore"):
+        threshold = (lo + hi) / 2.0
+    # Beyond about 9e307 the sum overflows; halve first there.
+    over = np.isinf(threshold)
+    threshold[over] = lo[over] / 2.0 + hi[over] / 2.0
     # A midpoint rounded up to `hi` would send every row left.
     np.copyto(threshold, lo, where=threshold == hi)
     return j, threshold, np.isfinite(flat[nodes, best])

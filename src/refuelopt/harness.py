@@ -26,6 +26,7 @@ import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from datetime import date
+from functools import cached_property
 
 from . import errors
 from .geo import haversine_m
@@ -56,7 +57,7 @@ class ScenarioContext:
     """Everything the strategies share within one scenario run."""
 
     scenario: Scenario
-    # Lives as long as the context: its route memo and departure tree serve
+    # Lives as long as the context: its route memo and departure search serve
     # every strategy of this scenario run and no other.
     router: BuiltinRouter
     day: str
@@ -69,6 +70,13 @@ class ScenarioContext:
     gate_accepted: bool
     gate_metrics: PredictionMetrics   # of the held-out last observation week
     context_hash: str
+
+    @cached_property
+    def station_distance_m(self) -> dict[str, float]:
+        """`haversine_m` from the departure point to every priced station,
+        computed once and shared by the strategies that rank by it."""
+        return {s.station_id: haversine_m(*self.departure_coords, s.lat, s.lon)
+                for s in self.scenario.stations if s.station_id in self.day_prices}
 
 
 @dataclass(frozen=True)
@@ -221,9 +229,9 @@ def _first_reachable(ctx: ScenarioContext, order: list[Station],
 
 def strategy_nearest(ctx: ScenarioContext, modes: tuple[Mode, ...]) -> list[Outcome]:
     """Closest station to the departure point, price be damned."""
-    priced = [s for s in ctx.scenario.stations if s.station_id in ctx.day_prices]
-    order = sorted(priced, key=lambda s: (
-        haversine_m(*ctx.departure_coords, s.lat, s.lon), s.station_id))
+    dist = ctx.station_distance_m
+    priced = [s for s in ctx.scenario.stations if s.station_id in dist]
+    order = sorted(priced, key=lambda s: (dist[s.station_id], s.station_id))
     stop = _first_reachable(ctx, order, "no station in fuel range")
     return [_plan_outcome(ctx, "nearest", mode, stop) for mode in modes]
 
@@ -233,15 +241,14 @@ def strategy_cheapest_nearby(ctx: ScenarioContext,
     """Cheapest station within a fixed radius of the departure point,
     selected without looking at the day's onward path."""
     scn = ctx.scenario
+    dist = ctx.station_distance_m
     nearby = [s for s in scn.stations
-              if s.station_id in ctx.day_prices
-              and haversine_m(*ctx.departure_coords, s.lat, s.lon) <= scn.nearby_radius_m]
+              if s.station_id in dist and dist[s.station_id] <= scn.nearby_radius_m]
     if not nearby:
         raise errors.NoReachableStation(
             f"no station within {scn.nearby_radius_m} m of the departure point")
     order = sorted(nearby, key=lambda s: (
-        ctx.day_prices[s.station_id],
-        haversine_m(*ctx.departure_coords, s.lat, s.lon), s.station_id))
+        ctx.day_prices[s.station_id], dist[s.station_id], s.station_id))
     stop = _first_reachable(ctx, order, "no nearby station in fuel range")
     return [_plan_outcome(ctx, "cheapest_nearby", mode, stop) for mode in modes]
 

@@ -6,15 +6,16 @@ RouterPort protocol keeps the rest of the system engine-agnostic, so a
 different router can be plugged in without touching the optimizer.
 
 What is computed once: a `BuiltinRouter` memoises every route it returns,
-keeps one full shortest-path tree per one-stop start node (every
-departure -> stop leg), and keeps one resumable reverse search per
-destination (every stop -> first waypoint leg, and the waypoint tail). A
-reverse-search path is used only when a certificate shows that no other
-path comes within rounding of it, which makes it the path the forward
-search returns; otherwise the forward search runs. The harness builds one
-router per scenario run and drops it with the run's context; the graph
-itself holds no routes, only a coordinate index for `nearest_node` and the
-in-edge lists the reverse searches read, shared by the routers of a cohort.
+keeps one resumable forward search per one-stop start node (every
+departure -> stop leg; it settles only as far as the farthest stop asked
+for), and keeps one resumable reverse search per destination (every stop
+-> first waypoint leg, and the waypoint tail). A reverse-search path is
+used only when a certificate shows that no other path comes within
+rounding of it, which makes it the path the forward search returns;
+otherwise a forward search runs. The harness builds one router per
+scenario run and drops it with the run's context; the graph itself holds
+no routes, only a coordinate index for `nearest_node` and the in-edge
+lists the reverse searches read, shared by the routers of a cohort.
 Snapping and corridor filtering screen with numpy and let the scalar
 `geo` functions decide every close call, so they return exactly what a
 scalar scan returns.
@@ -31,7 +32,7 @@ from typing import Protocol
 import numpy as np
 
 from . import errors
-from .geo import (haversine_m, haversine_m_array, point_polyline_distance_m,
+from .geo import (EARTH_RADIUS_M, haversine_m, point_polyline_distance_m,
                   point_segment_distance_m_array, valid_coords)
 from .tables import read_table, write_table
 
@@ -69,9 +70,10 @@ class RoadGraph:
     nodes: dict[str, tuple[float, float]] = field(default_factory=dict)
     # adjacency: from -> list of (to, length_m, time_s)
     adj: dict[str, list[tuple[str, float, float]]] = field(default_factory=dict)
-    # Sorted node ids and their (lats, lons) arrays for nearest_node; built
-    # on the first snap, reset by add_node.
-    _index: tuple[list[str], np.ndarray] | None = field(
+    # Sorted node ids with their latitudes and longitudes in radians and the
+    # latitudes' cosines, for nearest_node; built on the first snap, reset by
+    # add_node.
+    _index: tuple[list[str], np.ndarray, np.ndarray, np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False)
     # In-edges: to -> list of (from, length_m, time_s), parallel edges in
     # adj order; built on the first reverse search, reset by add_node and
@@ -113,17 +115,23 @@ class RoadGraph:
         """Snap a coordinate to the closest graph node; returns (id, meters).
 
         Equal distances go to the smallest id. A numpy haversine over all
-        nodes screens; `haversine_m` then decides, in id order, among the
-        nodes within the snap margin of the screened minimum, which gives
-        the scan of every node in id order.
+        nodes, with the nodes' side precomputed in the index, screens;
+        `haversine_m` then decides, in id order, among the nodes within the
+        snap margin of the screened minimum, which gives the scan of every
+        node in id order.
         """
         if not self.nodes:
             raise ValueError("empty graph")
         if self._index is None:
             ids = sorted(self.nodes)
-            self._index = (ids, np.array([self.nodes[n] for n in ids]).T)
-        ids, (lats, lons) = self._index
-        screened = haversine_m_array(lat, lon, lats, lons)
+            phi, lam = np.radians(np.array([self.nodes[n] for n in ids]).T)
+            self._index = (ids, phi, lam, np.cos(phi))
+        ids, phi, lam, cos_phi = self._index
+        phi0 = math.radians(lat)
+        # haversine_m_array's operations, in its order.
+        a = (np.sin((phi - phi0) / 2.0) ** 2
+             + math.cos(phi0) * cos_phi * np.sin((lam - math.radians(lon)) / 2.0) ** 2)
+        screened = 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(a)))
         floor = screened.min()
         best_id, best_d = None, math.inf
         for i in np.flatnonzero(screened <= floor + SNAP_MARGIN_M + SNAP_MARGIN_REL * floor):
@@ -153,8 +161,10 @@ class BuiltinRouter:
     order.
 
     The router memoises every route by (src, dst, metric) and keeps, per
-    metric, one full tree per one-stop start node and one reverse Dijkstra
-    search per destination. A leg whose source has no tree resumes the
+    metric, one forward search per one-stop start node and one reverse
+    Dijkstra search per destination. Both are resumed only until the node
+    asked for is settled. A leg from a start node resumes its forward
+    search; a leg whose source has no forward search resumes the
     destination's reverse search until the source is settled, then walks
     the successor chain. The chain is taken only if, at each node u on it,
     every out-edge (u, w) that leaves the chain costs more than
@@ -164,7 +174,8 @@ class BuiltinRouter:
     rounding of the chain, forward or in reverse, so the forward search
     would return the chain too; parallel edges into the next chain node
     follow the forward rule. Otherwise, or when the source cannot reach the
-    destination, the forward search runs and `fallbacks` counts it.
+    destination, a fresh forward search runs to the destination and
+    `fallbacks` counts it.
 
     The router assumes the graph does not change while it lives: build one
     per scenario run (the harness keeps it in the run's context) and drop
@@ -174,7 +185,7 @@ class BuiltinRouter:
     def __init__(self, graph: RoadGraph):
         self.graph = graph
         self._routes: dict[tuple[str, str, str], Route] = {}
-        self._trees: dict[tuple[str, str], dict] = {}
+        self._forward: dict[tuple[str, str], _ForwardSearch] = {}
         self._reverse: dict[tuple[str, str], _ReverseSearch] = {}
         self.fallbacks = 0
 
@@ -184,64 +195,20 @@ class BuiltinRouter:
         if metric not in ("time", "distance"):
             raise ValueError(f"unknown metric {metric!r}")
 
-    def _search(self, src: str, metric: str, dst: str | None = None) -> dict:
-        """Predecessor map of a Dijkstra search from `src`, run until `dst`
-        is settled (or the whole reachable graph when `dst` is None).
-
-        `pred[v] = (u, length_m, time_s)` is the edge into v; it is final for
-        every settled node, which includes `dst` and all its ancestors. An
-        exact cost tie goes to the smaller path, reconstructed from `pred`,
-        which gives the same paths as ordering the heap by (cost, path).
-        """
-        adj = self.graph.adj
-        by_time = metric == "time"
-        cost = {src: 0.0}
-        pred: dict[str, tuple[str, float, float]] = {}
-        done: set[str] = set()
-        heap = [(0.0, src)]
-        while heap:
-            c, node = heapq.heappop(heap)
-            if node in done:
-                continue
-            done.add(node)
-            if node == dst:
-                break
-            for to, length_m, time_s in adj.get(node, ()):
-                if to in done:
-                    continue
-                w = time_s if by_time else length_m
-                new = c + w
-                old = cost.get(to)
-                if old is None or new < old:
-                    cost[to] = new
-                    pred[to] = (node, length_m, time_s)
-                    heapq.heappush(heap, (new, to))
-                elif new == old:
-                    prev = pred[to]
-                    if prev[0] == node:
-                        # A parallel edge: keep the lighter one (costs can
-                        # round equal while weights differ), the first in
-                        # adj order on equal weight.
-                        if w < (prev[2] if by_time else prev[1]):
-                            pred[to] = (node, length_m, time_s)
-                    elif (_path(pred, src, node) + (to,)
-                          < _path(pred, src, prev[0]) + (to,)):
-                        pred[to] = (node, length_m, time_s)
-        return pred
-
     def shortest_route(self, src: str, dst: str, metric: str = "time") -> Route:
         key = (src, dst, metric)
         route = self._routes.get(key)
         if route is None:
             self._check(src, dst, metric)
-            pred = self._trees.get((src, metric))
-            if pred is not None:
-                route = _route(pred, src, dst)
-            else:
+            search = self._forward.get((src, metric))
+            if search is None:
                 route = self._certified_route(src, dst, metric)
                 if route is None:
                     self.fallbacks += 1
-                    route = _route(self._search(src, metric, dst), src, dst)
+                    search = _ForwardSearch(self.graph.adj, src, metric == "time")
+            if route is None:
+                search.settle(dst)
+                route = _route(search.pred, src, dst)
             self._routes[key] = route
         return route
 
@@ -284,12 +251,16 @@ class BuiltinRouter:
                        remaining: list[str], metric: str = "time") -> Route:
         """Route start -> stop -> every remaining waypoint, in order.
 
-        The first leg comes from one full tree from `start`, shared by every
-        one-stop route from it; the other legs are searched once each.
+        The first leg comes from one forward search from `start`, shared by
+        every one-stop route from it and resumed until `stop` is settled; the
+        other legs are searched once each.
         """
         self._check(start, stop, metric)
-        if (start, metric) not in self._trees:
-            self._trees[(start, metric)] = self._search(start, metric)
+        search = self._forward.get((start, metric))
+        if search is None:
+            search = self._forward[(start, metric)] = _ForwardSearch(
+                self.graph.adj, start, metric == "time")
+        search.settle(stop)
         waypoints = [start, stop] + list(remaining)
         legs = [self.shortest_route(a, b, metric=metric)
                 for a, b in zip(waypoints, waypoints[1:])]
@@ -299,6 +270,64 @@ class BuiltinRouter:
         return Route(nodes=nodes,
                      distance_km=sum(l.distance_km for l in legs),
                      time_s=sum(l.time_s for l in legs))
+
+
+class _ForwardSearch:
+    """Dijkstra from `src`, advanced only as far as asked.
+
+    `pred[v] = (u, length_m, time_s)` is the edge into v; it is final for
+    every node in `done`, which holds every settled node's ancestors too. An
+    exact cost tie goes to the smaller path, reconstructed from `pred`, which
+    gives the same paths as ordering the heap by (cost, path). A search
+    settled to any node has made the first moves of the search of the whole
+    graph, in its order, so its settled paths are that search's paths.
+    """
+
+    def __init__(self, adj: dict, src: str, by_time: bool):
+        self.adj = adj
+        self.src = src
+        self.by_time = by_time
+        self.cost = {src: 0.0}
+        self.pred: dict[str, tuple[str, float, float]] = {}
+        self.done: set[str] = set()
+        self.heap = [(0.0, src)]
+
+    def settle(self, node: str) -> bool:
+        """Resume until `node` is settled; False if `src` cannot reach it."""
+        done = self.done
+        if node in done:
+            return True
+        adj, by_time, src = self.adj, self.by_time, self.src
+        cost, pred, heap = self.cost, self.pred, self.heap
+        while heap:
+            c, v = heapq.heappop(heap)
+            if v in done:
+                continue
+            done.add(v)
+            for to, length_m, time_s in adj.get(v, ()):
+                if to in done:
+                    continue
+                w = time_s if by_time else length_m
+                new = c + w
+                old = cost.get(to)
+                if old is None or new < old:
+                    cost[to] = new
+                    pred[to] = (v, length_m, time_s)
+                    heapq.heappush(heap, (new, to))
+                elif new == old:
+                    prev = pred[to]
+                    if prev[0] == v:
+                        # A parallel edge: keep the lighter one (costs can
+                        # round equal while weights differ), the first in
+                        # adj order on equal weight.
+                        if w < (prev[2] if by_time else prev[1]):
+                            pred[to] = (v, length_m, time_s)
+                    elif (_path(pred, src, v) + (to,)
+                          < _path(pred, src, prev[0]) + (to,)):
+                        pred[to] = (v, length_m, time_s)
+            if v == node:
+                return True
+        return False
 
 
 class _ReverseSearch:

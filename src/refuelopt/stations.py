@@ -66,7 +66,7 @@ def load_stations(path: str) -> tuple[list[Station], PriceHistory]:
     rows = read_table(path, STATIONS_HEADER, parse)
 
     stations: dict[str, Station] = {}
-    series: dict[tuple[str, str], list[tuple[date, float]]] = {}
+    series: dict[tuple[str, str], dict[date, float]] = {}
     for sid, lat, lon, brand, fuel, price, observed in rows:
         if sid in stations:
             st = stations[sid]
@@ -74,13 +74,12 @@ def load_stations(path: str) -> tuple[list[Station], PriceHistory]:
                 raise errors.DuplicateId(f"station {sid} redefined with different identity")
         else:
             stations[sid] = Station(station_id=sid, lat=lat, lon=lon, brand=brand)
-        key = (sid, fuel)
-        obs = series.setdefault(key, [])
-        if any(d == observed for d, _ in obs):
+        obs = series.setdefault((sid, fuel), {})
+        if observed in obs:
             raise errors.DuplicateId(f"duplicate observation for {sid}/{fuel} on {observed}")
-        obs.append((observed, price))
+        obs[observed] = price
 
-    history = PriceHistory(series={k: tuple(sorted(v)) for k, v in series.items()})
+    history = PriceHistory(series={k: tuple(sorted(v.items())) for k, v in series.items()})
     return list(stations.values()), history
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -101,7 +102,8 @@ def reference_best_split(X, y):
     if not np.isfinite(scores[i, j]):
         return None
     lo, hi = float(xs[i, j]), float(xs[i + 1, j])
-    mid = (lo + hi) / 2.0
+    total = lo + hi
+    mid = lo / 2.0 + hi / 2.0 if math.isinf(total) else total / 2.0
     return j, lo if mid == hi else mid
 
 
@@ -176,6 +178,38 @@ def test_empty_child_matches_depth_first_cart():
                             n_trees=3, max_depth=2, seed=0)
     assert np.isfinite(pair.predict([[1.5], [a], [b]])).all()
     assert pair.predict([[1.5]])[0] == pair.predict([[b]])[0]
+
+
+def test_huge_features_split_at_a_finite_midpoint():
+    # Beyond about 9e307 the sum of two features overflows; the threshold is
+    # then halved first, so it still separates them, with no warning.
+    y = np.array([0.0, 1.0] * 4)
+    for sign in (1.0, -1.0):
+        X = sign * np.array([[1e308], [1.5e308]] * 4)
+        one = fit_bagged_trees(X, y, n_trees=1, seed=0)
+        assert one.threshold[one.feature >= 0].tolist() == [sign * 1.25e308]
+        assert one.predict(X[:2]).tolist() == [0.0, 1.0]
+        model = fit_bagged_trees(X, y, n_trees=20, seed=0)
+        assert np.isfinite(model.threshold[model.feature >= 0]).all()
+        assert not np.isnan(model.predict(X[:2])).any()
+        assert json.dumps(dump_trees(model)) == json.dumps(reference_forest(X, y, 20, 6, 0))
+
+
+def test_predict_sums_trees_in_order_from_zero():
+    # Leaves of both signs from 1e-300 to 1e300, -0.0 among them: the sum
+    # must be the tree-order loop from 0.0, byte for byte.
+    rng = np.random.default_rng(7)
+    X, y, held_out = forest_case(35)
+    model = fit_bagged_trees(X, y, seed=0)
+    scale = rng.choice([-1.0, 1.0], size=model.value.shape) * 10.0 ** rng.integers(
+        -300, 301, size=model.value.shape)
+    value = model.value * scale
+    value[rng.random(len(value)) < 0.3] = -0.0
+    for values in (value, np.full_like(value, -0.0)):
+        mixed = forest.BaggedTrees(model.feature, model.threshold, model.left, model.right,
+                                   values, model.roots, model.seed, model.max_depth)
+        expected = reference_predict(dump_trees(mixed), held_out)
+        assert mixed.predict(held_out).tobytes() == np.array(expected).tobytes()
 
 
 def test_node_means_match_np_mean():

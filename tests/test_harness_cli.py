@@ -9,6 +9,7 @@ import yaml
 
 from refuelopt import errors, harness
 from refuelopt.cli import main
+from refuelopt.geo import haversine_m
 from refuelopt.harness import (STRATEGIES, build_context, run_cohort,
                                run_scenario, write_per_run_csv,
                                write_report_csv)
@@ -17,7 +18,7 @@ from refuelopt.roadgraph import BuiltinRouter
 from refuelopt.scenario import (OBSERVATION_START, PROFILE_TEMPLATES, generate_scenario_dir,
                                 load_scenarios, make_profile,
                                 make_station_catalog, parse_mode)
-from refuelopt.stations import forecast_week
+from refuelopt.stations import Station, forecast_week
 from refuelopt.telemetry import (generate_synthetic_log, integrate_daily_distance,
                                  save_trip_log)
 
@@ -284,6 +285,52 @@ def test_failed_scenario_becomes_error_rows(cohort):
     assert all(o.error for o in outcomes)
     report = run_cohort([scn])
     assert all(r.n_failed == 1 and r.n_runs == 0 for r in report.rows)
+
+
+def test_baselines_rank_by_one_shared_distance_table(cohort, monkeypatch):
+    # The two distance-ranked baselines must order stations exactly as a
+    # per-call scalar scan does, computing each departure distance once.
+    ctx = build_context(cohort[0])
+    lat, lon = ctx.departure_coords
+    twin = (lat + 0.01, lon - 0.01)
+    stations = [Station("T2", *twin, "x"), Station("T1", *twin, "x"),  # equal distance
+                Station("FAR", lat + 0.2, lon, "x"), Station("NEAR", lat, lon + 0.004, "x"),
+                Station("UNPRICED", lat, lon, "x"), *cohort[0].stations]
+    prices = {**ctx.day_prices, "T1": 1.5, "T2": 1.5, "FAR": 1.0, "NEAR": 1.6}
+    ctx = replace(ctx, scenario=replace(ctx.scenario, stations=stations), day_prices=prices)
+    priced = [s for s in stations if s.station_id in prices]
+    scan = {s.station_id: haversine_m(lat, lon, s.lat, s.lon) for s in priced}
+    radius = ctx.scenario.nearby_radius_m
+    expected = {
+        "nearest": [s.station_id for s in sorted(priced, key=lambda s: (
+            haversine_m(lat, lon, s.lat, s.lon), s.station_id))],
+        "cheapest_nearby": [s.station_id for s in sorted(
+            (s for s in priced if haversine_m(lat, lon, s.lat, s.lon) <= radius),
+            key=lambda s: (prices[s.station_id], haversine_m(lat, lon, s.lat, s.lon),
+                           s.station_id))],
+    }
+    assert scan["T1"] == scan["T2"] and scan["FAR"] > radius and "NEAR" in expected[
+        "cheapest_nearby"]
+    calls, orders = [], {}
+
+    def counted(*args):
+        calls.append(args)
+        return haversine_m(*args)
+
+    def record(ctx, order, error):
+        orders[error] = [s.station_id for s in order]
+        raise errors.NoReachableStation(error)
+
+    monkeypatch.setattr(harness, "haversine_m", counted)
+    monkeypatch.setattr(harness, "_first_reachable", record)
+    for name in expected:
+        with pytest.raises(errors.NoReachableStation):
+            harness._STRATEGY_FNS[name](ctx, (cohort[0].mode,))
+    assert list(orders.values()) == list(expected.values())
+    assert orders["no station in fuel range"].index("T1") + 1 == \
+        orders["no station in fuel range"].index("T2")
+    assert ctx.station_distance_m == scan
+    assert len(calls) == len(priced)
 
 
 # sha256 of (per_run.csv, report.csv) for every preset mode on the demo

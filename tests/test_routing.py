@@ -476,6 +476,55 @@ def test_one_stop_routes_on_a_city_match_path_heap_router():
                 ref.one_stop_route("N04_04", stop, tail, metric)
 
 
+def path_heap_routes(graph, src, metric):
+    """`PathHeapRouter.shortest_route(src, v, metric)` for every v that src
+    reaches, from one run: that search pops the same entries whatever its
+    destination, up to the pop of the destination."""
+    k = 2 if metric == "time" else 1
+    routes, done, heap = {}, set(), [(0.0, (src,))]
+    while heap:
+        cost, path = heapq.heappop(heap)
+        node = path[-1]
+        if node in done:
+            continue
+        done.add(node)
+        dist_m = total_time_s = 0.0
+        for a, b in zip(path, path[1:]):
+            edge = min((e for e in graph.adj[a] if e[0] == b), key=lambda e: e[k])
+            dist_m += edge[1]
+            total_time_s += edge[2]
+        routes[node] = Route(nodes=path, distance_km=dist_m / 1000.0, time_s=total_time_s)
+        for to, length_m, time_s in graph.adj.get(node, []):
+            if to not in done:
+                heapq.heappush(heap, (cost + (length_m, time_s)[k - 1], path + (to,)))
+    return routes
+
+
+def test_departure_search_settles_only_as_far_as_its_stops():
+    g = generate_city(seed=3, rows=40, cols=40)
+    start, stops = "N20_20", sorted(g.nodes)
+    router = BuiltinRouter(g)
+    router.one_stop_route(start, "N20_21", ["N05_30"])
+    settled = router._forward[(start, "time")].done
+    assert "N20_21" in settled and len(settled) < len(g.nodes) // 10
+    # Every node as a stop, both metrics, in shuffled order on one router:
+    # each resumes the search the last left off, and the routes are those of
+    # a fresh router asked in sorted order and of the path-heap reference.
+    queries = random.Random(3).sample([(s, m) for s in stops for m in ("time", "distance")],
+                                      2 * len(stops))
+    shuffled = {(s, m): router.one_stop_route(start, s, [], m) for s, m in queries}
+    fresh = BuiltinRouter(g)
+    ref = PathHeapRouter(g)
+    for metric in ("time", "distance"):
+        heap_routes = path_heap_routes(g, start, metric)
+        for stop in stops[::200]:
+            assert heap_routes[stop] == ref.shortest_route(start, stop, metric)
+        for stop in stops:
+            assert shuffled[stop, metric] == fresh.one_stop_route(start, stop, [], metric) == \
+                heap_routes[stop]
+    assert len(router._forward[(start, "time")].done) == len(g.nodes)
+
+
 COORD = st.floats(-0.01, 0.01, allow_nan=False)
 
 

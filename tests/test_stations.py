@@ -51,6 +51,17 @@ def test_load_rejects_duplicate_observation(tmp_path):
     p.write_text(HEADER + row("S1", 1.80, MONDAY) + row("S1", 1.81, MONDAY))
     with pytest.raises(errors.DuplicateId):
         load_stations(str(p))
+    # The same day under another fuel or station is no duplicate; a repeat
+    # far down a long series is.
+    days = [MONDAY + timedelta(days=k) for k in range(400)]
+    rows = "".join(row("S1", 1.80, d) + row("S1", 1.70, d, fuel="petrol")
+                   + row("S2", 1.90, d, lat=44.66) for d in days)
+    p.write_text(HEADER + rows)
+    assert len(load_stations(str(p))[1].series[("S1", "petrol")]) == 400
+    p.write_text(HEADER + rows + row("S1", 1.79, days[123], fuel="petrol"))
+    with pytest.raises(errors.DuplicateId,
+                       match=r"^duplicate observation for S1/petrol on 2025-05-09$"):
+        load_stations(str(p))
 
 
 def test_load_rejects_nonpositive_price_and_bad_date(tmp_path):
