@@ -107,6 +107,8 @@ def cmd_predict(args) -> int:
     if args.window is not None and args.window < 2:
         raise errors.SchemaError(f"--window must be >= 2 weeks (a fit needs 14 rows), "
                                  f"got {args.window}")
+    if args.seed < 0:
+        raise errors.SchemaError(f"--seed must be >= 0, got {args.seed}")
     _trace, samples = load_trip_log(args.log)
     _series, rows, metrics, accepted = harness.mileage_verdict(
         *_log_weeks(samples), seed=args.seed)

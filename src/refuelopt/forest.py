@@ -67,6 +67,9 @@ MIN_SAMPLES_SPLIT = 2
 # padded to the chunk's largest node), unless one node alone is larger.
 BATCH_ELEMENTS = 1 << 16
 CHUNK_ELEMENTS = 1 << 12
+# The split search scales targets beyond 2**SCORE_EXP down below it, so that
+# squares of sums of up to 2**20 targets stay finite.
+SCORE_EXP = 480
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,6 +300,9 @@ def _grow_batch(X: np.ndarray, y: np.ndarray, trees: range, seed: int,
         ranked += (t + np.arange(len(xb)))[:, None, None] * n
         order[1:, span] = ranked.transpose(2, 0, 1).reshape(d, -1)
     del boot
+    top = np.abs(y[np.isfinite(y)]).max(initial=0.0)
+    if top >= 2.0 ** SCORE_EXP:  # a power of two scales every score exactly; yb is kept
+        yv *= 2.0 ** (SCORE_EXP - np.frexp(top)[1])
     goes_left = np.zeros(width, dtype=bool)
 
     sizes = np.full(len(trees), n)

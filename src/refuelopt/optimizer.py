@@ -31,10 +31,11 @@ class VehicleState:
     rate_l_per_km: float   # consumption rate
 
     def __post_init__(self):
-        if not (0 <= self.fuel_l <= self.tank_l):
-            raise ValueError(f"fuel level {self.fuel_l} outside [0, {self.tank_l}]")
-        if self.rate_l_per_km <= 0:
-            raise ValueError("consumption rate must be positive")
+        # NaN fails every comparison; an infinite tank or rate made costs or ranges inf.
+        if not 0 <= self.fuel_l <= self.tank_l < math.inf:
+            raise ValueError(f"need 0 <= fuel_l <= tank_l < inf, got {self.fuel_l}, {self.tank_l}")
+        if not 0 < self.rate_l_per_km < math.inf:
+            raise ValueError(f"consumption rate must be finite and > 0, got {self.rate_l_per_km}")
 
 
 @dataclass(frozen=True)
@@ -48,6 +49,8 @@ class Mode:
         if not (0 <= self.k_cost < math.inf and 0 <= self.k_time < math.inf
                 and self.k_cost + self.k_time > 0):
             raise ValueError("weights must be finite, non-negative and not both zero")
+        if not isinstance(self.name, str):  # a NaN name reached per_run.csv as "nan"
+            raise ValueError(f"mode name must be a string, got {self.name!r}")
 
 
 MODES = {

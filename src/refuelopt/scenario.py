@@ -15,11 +15,11 @@ import random
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from pathlib import Path
+from typing import ClassVar
 
 import yaml
 
 from . import errors
-from .geo import valid_coords
 from .mileage import MIN_TRAIN_ROWS
 from .optimizer import MODES, Mode, VehicleState
 from .roadgraph import (RoadGraph, generate_city, load_road_graph,
@@ -37,6 +37,11 @@ MIN_OBSERVATION_WEEKS = -(-(MIN_TRAIN_ROWS + 14) // 7)
 
 @dataclass(frozen=True)
 class Scenario:
+    """One driver's run. Construction, and so `dataclasses.replace`, raises
+    SchemaError unless every field is in range (see __post_init__)."""
+
+    MAX_OBSERVATION_WEEKS: ClassVar[int] = 104  # generation and halts grow with it
+
     name: str
     seed: int
     profile: DriverProfile
@@ -56,6 +61,24 @@ class Scenario:
     # forecast_week(history, fuel_type), computed once by load_scenarios and
     # shared by the cohort; None makes build_context compute it.
     forecast: WeeklyPriceForecast | None = field(default=None, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "seed", _whole_in("seed", self.seed, 0))
+        object.__setattr__(self, "observation_weeks", _whole_in(
+            "simulation.observation_weeks", self.observation_weeks, MIN_OBSERVATION_WEEKS,
+            self.MAX_OBSERVATION_WEEKS))
+        for key in ("name", "fuel_type"):
+            if not isinstance(getattr(self, key), str):
+                raise errors.SchemaError(f"{key} must be a string, got {getattr(self, key)!r}")
+        if self.departure not in self.profile.anchors:
+            raise errors.SchemaError(f"departure {self.departure!r} is not an anchor")
+        # NaN fails every comparison: a NaN radius ran on without clusters or stations.
+        for key in ("cluster_radius_m", "gap_threshold_s", "corridor_radius_m",
+                    "nearby_radius_m", "refuel_duration_s"):
+            value, zero_ok = getattr(self, key), key == "refuel_duration_s"
+            if not (0 < value < math.inf or zero_ok and value == 0):
+                raise errors.SchemaError(f"simulation.{key} must be finite and "
+                                         f"{'>=' if zero_ok else '>'} 0, got {value}")
 
 
 # The keys a cohort config may use, per mapping. An unknown key is rejected,
@@ -103,36 +126,23 @@ def parse_mode(spec) -> Mode:
         if spec not in MODES:
             raise errors.SchemaError(f"unknown mode {spec!r}; presets: {sorted(MODES)}")
         return MODES[spec]
+    if not isinstance(spec, dict):
+        raise errors.SchemaError(f"mode must be a preset name or a mapping, got {spec!r}")
     _reject_unknown_keys(spec, MODE_KEYS, "mode")
     return Mode(name=spec.get("name", "custom"),
                 k_cost=float(spec["k_cost"]), k_time=float(spec["k_time"]))
 
 
 def _profile_from_dict(obj: dict) -> DriverProfile:
-    """Build a profile, rejecting out-of-range values with ValueError: a NaN
-    errand rate would make the errand draw loop forever."""
-    anchors = {name: (float(lat), float(lon))
-               for name, (lat, lon) in obj["anchors"].items()}
-    for name, (lat, lon) in anchors.items():
-        if not valid_coords(lat, lon):
-            raise ValueError(f"anchor {name!r} has invalid coordinates ({lat}, {lon})")
-    profile = DriverProfile(
-        seed=int(obj["seed"]),
-        anchors=anchors,
+    return DriverProfile(
+        seed=obj["seed"],  # Scenario checks it
+        anchors={name: (float(lat), float(lon)) for name, (lat, lon) in obj["anchors"].items()},
         schedule={day: list(seq) for day, seq in obj["schedule"].items()},
         errand_targets=list(obj.get("errand_targets", [])),
         errand_rate=float(obj.get("errand_rate", 0.0)),
         speed_noise_pct=float(obj.get("speed_noise_pct", 5.0)),
         gps_noise_m=float(obj.get("gps_noise_m", 10.0)),
         cruise_speed_kmh=float(obj.get("cruise_speed_kmh", 50.0)))
-    if not (math.isfinite(profile.cruise_speed_kmh) and profile.cruise_speed_kmh > 0):
-        raise ValueError(f"cruise_speed_kmh must be finite and > 0, "
-                         f"got {profile.cruise_speed_kmh}")
-    for key in ("errand_rate", "speed_noise_pct", "gps_noise_m"):
-        value = getattr(profile, key)
-        if not (math.isfinite(value) and value >= 0):
-            raise ValueError(f"{key} must be finite and >= 0, got {value}")
-    return profile
 
 
 def _profile_to_dict(p: DriverProfile) -> dict:
@@ -148,42 +158,14 @@ def _profile_to_dict(p: DriverProfile) -> dict:
     }
 
 
-def _whole_at_least(what: str, value, least: int) -> int:
-    """`value` as an int if it is a whole number >= least, else SchemaError."""
+def _whole_in(what: str, value, least: int, most: float = math.inf) -> int:
+    """`value` as an int if it is a whole number in [least, most], else SchemaError."""
     whole = (isinstance(value, int) and not isinstance(value, bool)
              or isinstance(value, float) and value.is_integer())
-    if not (whole and value >= least):
-        raise errors.SchemaError(f"{what} must be a whole number >= {least}, got {value!r}")
+    if not (whole and least <= value <= most):
+        bounds = f">= {least}" + (f" and <= {most}" if most < math.inf else "")
+        raise errors.SchemaError(f"{what} must be a whole number {bounds}, got {value!r}")
     return int(value)
-
-
-# Simulation settings that must be > 0; refuel_duration_s may also be 0.
-POSITIVE_SIMULATION_KEYS = ("cluster_radius_m", "gap_threshold_s", "corridor_radius_m",
-                            "nearby_radius_m")
-
-
-def _simulation_settings(sim: dict | None) -> dict:
-    """The `simulation` block as Scenario fields, defaults filled in.
-
-    Raises ValueError for an out-of-range value: a NaN radius or threshold
-    fails every comparison, so runs went on without clusters or stations.
-    Fewer than MIN_OBSERVATION_WEEKS weeks is a SchemaError: every run would
-    fail as SeriesTooShort.
-    """
-    if sim is None:  # `simulation:` with nothing under it
-        sim = {}
-    if not isinstance(sim, dict):
-        raise TypeError(f"simulation must be a mapping, got {type(sim).__name__}")
-    settings = {"observation_weeks": _whole_at_least(
-        "simulation.observation_weeks",
-        sim.get("observation_weeks", Scenario.observation_weeks), MIN_OBSERVATION_WEEKS)}
-    for key in (*POSITIVE_SIMULATION_KEYS, "refuel_duration_s"):
-        value = settings[key] = float(sim.get(key, getattr(Scenario, key)))
-        if key in POSITIVE_SIMULATION_KEYS and not (math.isfinite(value) and value > 0):
-            raise ValueError(f"simulation.{key} must be finite and > 0, got {value}")
-        if not (math.isfinite(value) and value >= 0):
-            raise ValueError(f"simulation.{key} must be finite and >= 0, got {value}")
-    return settings
 
 
 def load_scenarios(config_path: str) -> list[Scenario]:
@@ -196,15 +178,21 @@ def load_scenarios(config_path: str) -> list[Scenario]:
             raise errors.SchemaError(f"{config_path}: malformed YAML: {exc}") from exc
     _check_config_keys(cfg, config_path)
     try:
-        graph = load_road_graph(str(base / cfg["city"]["nodes"]),
-                                str(base / cfg["city"]["edges"]))
-        stations, history = load_stations(str(base / cfg["stations"]))
+        files = (cfg["city"]["nodes"], cfg["city"]["edges"], cfg["stations"])
+        if not all(isinstance(name, str) and name for name in files):
+            raise errors.SchemaError(f"file names must be non-empty strings, got {files}")
+        graph = load_road_graph(str(base / files[0]), str(base / files[1]))
+        stations, history = load_stations(str(base / files[2]))
         veh = cfg["vehicle"]
         vehicle = VehicleState(tank_l=float(veh["tank_l"]),
                                fuel_l=float(veh["fuel_l"]),
                                rate_l_per_km=float(veh["rate_l_per_km"]))
         mode = parse_mode(cfg.get("mode", "balanced"))
-        settings = _simulation_settings(cfg.get("simulation"))
+        sim = {} if cfg.get("simulation") is None else cfg["simulation"]  # `simulation:`
+        if not isinstance(sim, dict):
+            raise TypeError(f"simulation must be a mapping, got {type(sim).__name__}")
+        settings = {key: value if key == "observation_weeks" else float(value)
+                    for key, value in sim.items()}
         if not cfg["drivers"]:
             raise errors.SchemaError("drivers must list at least one driver")
         fuel_type = cfg.get("fuel_type", "petrol")
@@ -216,14 +204,14 @@ def load_scenarios(config_path: str) -> list[Scenario]:
         for drv in cfg["drivers"]:
             profile = _profile_from_dict(drv["profile"])
             scenarios.append(Scenario(
-                name=drv["name"], seed=int(drv["profile"]["seed"]),
+                name=drv["name"], seed=profile.seed,
                 profile=profile, graph=graph, stations=stations,
                 history=history, vehicle=vehicle, mode=mode,
                 fuel_type=fuel_type,
                 departure=drv["departure"],
                 forecast=forecast,
                 **settings))
-    except (KeyError, TypeError, ValueError, errors.SchemaError) as exc:
+    except (KeyError, TypeError, ValueError, errors.SchemaError, errors.InvalidProfile) as exc:
         raise errors.SchemaError(f"{config_path}: {exc}") from exc
     return scenarios
 
@@ -328,9 +316,11 @@ def generate_scenario_dir(out_dir: str, seed: int, n_seeds_per_profile: int = 5,
     Raises SchemaError, before writing anything, for a config that
     load_scenarios would reject or in which every run would fail.
     """
-    _whole_at_least("observation_weeks", observation_weeks, MIN_OBSERVATION_WEEKS)
-    _whole_at_least("n_seeds_per_profile", n_seeds_per_profile, 1)
-    _whole_at_least("station_count", station_count, 1)
+    _whole_in("seed", seed, 0)
+    _whole_in("observation_weeks", observation_weeks, MIN_OBSERVATION_WEEKS,
+              Scenario.MAX_OBSERVATION_WEEKS)
+    _whole_in("n_seeds_per_profile", n_seeds_per_profile, 1)
+    _whole_in("station_count", station_count, 1)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     graph = generate_city(seed, rows=city_rows, cols=city_cols)

@@ -43,9 +43,6 @@ fixes in two phases over one buffer of draws:
   leg plus the GPS offset, with the operations of a per-fix loop in its
   order. `log`, `sin` and `cos` go through `math` one value at a time,
   because numpy's versions may differ from libm's in the last bit.
-
-It returns its fixes as a `TripLog`, checked as a whole, so an invalid fix
-is reported before an error that the legs after it would raise.
 """
 
 from __future__ import annotations
@@ -57,7 +54,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
 from itertools import repeat
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -263,7 +260,18 @@ class DriverProfile:
     names to the ordered anchor visits of that day (the first entry is where
     the day starts). `errand_rate` is the expected number of extra round
     trips per week, each one to a random member of `errand_targets`.
+
+    Construction raises InvalidProfile unless every anchor has valid
+    coordinates, the schedule's days are WEEKDAYS, its visits and the errand
+    targets are anchors, a positive errand rate has targets, 0 <
+    cruise_speed_kmh and 0 <= errand_rate, speed_noise_pct, gps_noise_m, each
+    at most its MAX_* (which keep a week's distance modest).
     """
+
+    MAX_CRUISE_SPEED_KMH: ClassVar[float] = 300.0
+    MAX_ERRAND_RATE: ClassVar[float] = 50.0  # errands per week
+    MAX_SPEED_NOISE_PCT: ClassVar[float] = 400.0
+    MAX_GPS_NOISE_M: ClassVar[float] = 5000.0
 
     seed: int
     anchors: dict[str, tuple[float, float]]
@@ -273,6 +281,28 @@ class DriverProfile:
     speed_noise_pct: float = 5.0
     gps_noise_m: float = 10.0
     cruise_speed_kmh: float = 50.0
+
+    def __post_init__(self):
+        for name, coords in self.anchors.items():
+            _check(valid_coords(*coords), f"anchor {name!r} has invalid coordinates {coords}")
+        for day_name, seq in self.schedule.items():
+            _check(day_name in WEEKDAYS, f"unknown weekday {day_name!r}")
+            for name in seq:
+                _check(name in self.anchors, f"schedule references undefined anchor {name!r}")
+        for name in self.errand_targets:
+            _check(name in self.anchors, f"errand target {name!r} not an anchor")
+        # NaN fails every comparison: a NaN errand rate made the errand draw loop forever.
+        for key in ("cruise_speed_kmh", "errand_rate", "speed_noise_pct", "gps_noise_m"):
+            value, top = getattr(self, key), getattr(self, f"MAX_{key.upper()}")
+            _check(0 <= value <= top, f"{key} must be finite and in [0, {top}], got {value}")
+        _check(self.cruise_speed_kmh > 0, "cruise_speed_kmh must be > 0, got 0")
+        _check(self.errand_targets or not self.errand_rate,
+               "errand_rate > 0 but no errand_targets")
+
+
+def _check(ok, message: str) -> None:
+    if not ok:
+        raise errors.InvalidProfile(message)
 
 
 def detect_halts(trace: CanTrace, gps: Sequence[TripSample],
@@ -426,6 +456,7 @@ def generate_synthetic_log(profile: DriverProfile, weeks: int,
     traveled km (geodesic leg lengths, for oracle comparisons). Deterministic
     for a fixed (profile, weeks): the only randomness source is the profile
     seed. `start_day` must be a Monday so schedules line up with weekdays.
+    Raises InvalidProfile for a log that fails the TripLog or CanTrace checks.
     """
     if weeks < 1:
         raise ValueError("weeks must be >= 1")
@@ -433,20 +464,6 @@ def generate_synthetic_log(profile: DriverProfile, weeks: int,
         raise ValueError("start_day must be a Monday")
     if not sample_period_s > 0:
         raise ValueError("sample_period_s must be positive")
-    for day_name, seq in profile.schedule.items():
-        if day_name not in WEEKDAYS:
-            raise errors.InvalidProfile(f"unknown weekday {day_name!r}")
-        for name in seq:
-            if name not in profile.anchors:
-                raise errors.InvalidProfile(f"schedule references undefined anchor {name!r}")
-    for name in profile.errand_targets:
-        if name not in profile.anchors:
-            raise errors.InvalidProfile(f"errand target {name!r} not an anchor")
-    if not math.isfinite(profile.errand_rate):
-        # The errand draw would never end on NaN, nor in practice on inf.
-        raise errors.InvalidProfile(f"errand_rate must be finite, got {profile.errand_rate!r}")
-    if profile.errand_rate > 0 and not profile.errand_targets:
-        raise errors.InvalidProfile("errand_rate > 0 but no errand_targets")
 
     rng = random.Random(profile.seed)
 
@@ -470,34 +487,30 @@ def generate_synthetic_log(profile: DriverProfile, weeks: int,
         for d in range(7):
             day_plans.append((start_day + timedelta(days=7 * w + d), week_plans[d]))
 
-    # Every leg's length first, to size the draws. A leg whose length fails
-    # ends the log before it; the fixes of the legs before it are checked first.
+    # Every leg's length first, to size the draws.
     truth: dict[date, float] = {}
     days: list[tuple[float, list[tuple]]] = []
-    failure = None
-    try:
-        for cal_day, seq in day_plans:
-            truth.setdefault(cal_day, 0.0)
-            if len(seq) < 2:
-                continue
-            legs: list[tuple] = []
-            days.append((datetime(cal_day.year, cal_day.month, cal_day.day,
-                                  7, 0, 0, tzinfo=timezone.utc).timestamp(), legs))
-            for a_name, b_name in zip(seq, seq[1:]):
-                a, b = profile.anchors[a_name], profile.anchors[b_name]
-                dist_km = haversine_m(a[0], a[1], b[0], b[1]) / 1000.0
-                truth[cal_day] += dist_km
-                legs.append((a[0], a[1], b[0], b[1], dist_km))
-    except Exception as exc:
-        failure = exc
-    with np.errstate(all="ignore"):  # inf and NaN as in floats
+    for cal_day, seq in day_plans:
+        truth.setdefault(cal_day, 0.0)
+        if len(seq) < 2:
+            continue
+        legs: list[tuple] = []
+        days.append((datetime(cal_day.year, cal_day.month, cal_day.day,
+                              7, 0, 0, tzinfo=timezone.utc).timestamp(), legs))
+        for a_name, b_name in zip(seq, seq[1:]):
+            a, b = profile.anchors[a_name], profile.anchors[b_name]
+            dist_km = haversine_m(a[0], a[1], b[0], b[1]) / 1000.0
+            truth[cal_day] += dist_km
+            legs.append((a[0], a[1], b[0], b[1], dist_km))
+    with np.errstate(all="ignore"):  # a zero-length leg's arrival divides 0 by 0
         columns = _drive(profile, rng, days, sample_period_s)
-    # Every fix is also a bus message, so its timestamps are the trace.
-    samples = TripLog(*columns)
-    del columns  # the spare rows go before the trace copies its times
-    if failure is not None:
-        raise failure
-    return CanTrace(message_times=samples.timestamp), samples, truth
+    try:
+        # Every fix is also a bus message, so its timestamps are the trace.
+        samples = TripLog(*columns)
+        del columns  # the spare rows go before the trace copies its times
+        return CanTrace(message_times=samples.timestamp), samples, truth
+    except ValueError as exc:
+        raise errors.InvalidProfile(str(exc)) from exc
 
 
 def _draw_stream(rng: random.Random) -> np.random.Generator:
@@ -629,10 +642,6 @@ def _place(cols: np.ndarray, u: np.ndarray, block: list[tuple], sigma: float) ->
     g2rad = np.sqrt(-2.0 * _libm(math.log, (1.0 - u[g + 1]).tolist()))
     dx = 0.0 + _libm(math.cos, x2pi) * g2rad * sigma
     dy = 0.0 + _libm(math.sin, x2pi) * g2rad * sigma
-    # math.cos raises on an infinite latitude. The first fix of its leg is
-    # then out of range and reported first, so NaN can stand in for it.
-    rad = lat * _DEG
-    rad[np.isinf(rad)] = math.nan
-    c = np.fmax(_libm(math.cos, rad.tolist()), 0.01)
+    c = np.fmax(_libm(math.cos, (lat * _DEG).tolist()), 0.01)
     cols[2, lo:hi] = lat + dy / 111_194.9
     cols[3, lo:hi] = lon + dx / (111_194.9 * c)

@@ -195,6 +195,21 @@ def test_huge_features_split_at_a_finite_midpoint():
         assert json.dumps(dump_trees(model)) == json.dumps(reference_forest(X, y, 20, 6, 0))
 
 
+def test_huge_targets_split_as_scaled_ones():
+    # Split scores square the targets: past about 1.3e154 they overflowed and
+    # no tree split. Scaled down by a power of two, such targets split as the
+    # same targets / 1e200 do, and the leaves keep their scale.
+    y = np.array([0.0, 0.0, 1e200, 1e200] * 2)
+    for X in (np.arange(8.0)[:, None], np.array([[0.0, 5], [1, 3], [2, 2], [3, 7], [4, 1],
+                                                  [5, 0], [6, 4], [7, 6]])):
+        huge = fit_bagged_trees(X, y, n_trees=20, seed=0)
+        small = fit_bagged_trees(X, y / 1e200, n_trees=20, seed=0)
+        assert (huge.feature >= 0).any()
+        assert huge.feature.tolist() == small.feature.tolist()
+        assert huge.threshold.tolist() == small.threshold.tolist()
+        np.testing.assert_allclose(huge.value / 1e200, small.value, rtol=1e-15)
+
+
 def test_predict_sums_trees_in_order_from_zero():
     # Leaves of both signs from 1e-300 to 1e300, -0.0 among them: the sum
     # must be the tree-order loop from 0.0, byte for byte.

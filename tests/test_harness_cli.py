@@ -1,11 +1,15 @@
 import csv
 import hashlib
+import math
+import re
+import tempfile
 from dataclasses import replace
 from datetime import timedelta
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from refuelopt import errors, harness
 from refuelopt.cli import main
@@ -75,6 +79,9 @@ def test_parse_mode_presets_and_custom():
     assert (m.k_cost, m.k_time) == (2.0, 0.5)
     with pytest.raises(errors.SchemaError):
         parse_mode("warp")
+    for spec in (0, None, [], 1e300):  # each died with AttributeError
+        with pytest.raises(errors.SchemaError, match="mode must be a preset name or a mapping"):
+            parse_mode(spec)
 
 
 def test_make_profile_deterministic(city):
@@ -138,25 +145,41 @@ def test_load_scenarios_rejects_unknown_keys(tmp_path, demo_scenario_config, pat
     assert main(["simulate", "--config", config, "--out-dir", str(tmp_path)]) == 2
 
 
-@pytest.mark.parametrize("key,value", [
-    (("anchors", "home"), [95.0, 10.9]),
-    (("cruise_speed_kmh",), float("nan")),
-    (("cruise_speed_kmh",), 0.0),
-    (("errand_rate",), float("nan")),
-    (("errand_rate",), -1.0),
-    (("speed_noise_pct",), float("inf")),
-    (("gps_noise_m",), -1.0),
+@pytest.mark.parametrize("key,value,message", [
+    (("profile", "anchors", "home"), [95.0, 10.9], "home"),
+    (("profile", "cruise_speed_kmh"), float("nan"), "cruise_speed_kmh"),
+    (("profile", "cruise_speed_kmh"), 0.0, "cruise_speed_kmh"),
+    (("profile", "errand_rate"), float("nan"), "errand_rate"),
+    (("profile", "errand_rate"), -1.0, "errand_rate"),
+    (("profile", "speed_noise_pct"), float("inf"), "speed_noise_pct"),
+    (("profile", "gps_noise_m"), -1.0, "gps_noise_m"),
+    (("profile", "schedule", "Mnday"), ["home", "work", "home"], "unknown weekday 'Mnday'"),
+    (("profile", "schedule", "Mon"), ["home", "wrk", "home"], "undefined anchor 'wrk'"),
+    (("profile", "errand_targets"), ["gym", "pool"], "errand target 'pool' not an anchor"),
+    (("profile", "errand_targets"), [], "errand_rate > 0 but no errand_targets"),
+    (("departure",), "nowhere", "departure 'nowhere' is not an anchor"),
+    (("profile", "seed"), -1, "seed must be a whole number >= 0, got -1"),
+    (("profile", "seed"), 1.5, "seed must be a whole number >= 0, got 1.5"),
+    (("profile", "cruise_speed_kmh"), 1e300, "cruise_speed_kmh must be finite and in [0, 300.0]"),
+    (("profile", "speed_noise_pct"), 1e300, "speed_noise_pct must be finite and in [0, 400.0]"),
+    (("profile", "gps_noise_m"), 1e300, "gps_noise_m must be finite and in [0, 5000.0]"),
+    (("profile", "errand_rate"), 1e300, "errand_rate must be finite and in [0, 50.0]"),
 ], ids=["anchor_lat_95", "cruise_nan", "cruise_zero", "errand_nan", "errand_negative",
-        "speed_noise_inf", "gps_noise_negative"])
+        "speed_noise_inf", "gps_noise_negative", "weekday_typo", "anchor_typo",
+        "target_not_anchor", "rate_without_targets", "departure_not_anchor", "seed_negative",
+        "seed_fraction", "cruise_huge", "speed_noise_huge", "gps_noise_huge", "errand_huge"])
 def test_load_scenarios_rejects_out_of_range_profiles(tmp_path, demo_scenario_config,
-                                                      key, value):
+                                                      key, value, message):
     # A NaN errand rate made the errand draw loop forever; a bad anchor or
-    # cruise speed ended `simulate` with a raw traceback.
-    config = _edited_config(demo_scenario_config, ("drivers", 0, "profile", *key),
-                            value, tmp_path.name)
-    with pytest.raises(errors.SchemaError, match=key[-1]):
+    # cruise speed ended `simulate` with a raw traceback, as did a negative
+    # seed. A schedule typo or an unknown departure failed every run of that
+    # driver with exit 0, a fractional seed ran as a whole one, and a huge
+    # speed noise overflowed the forest.
+    config = _edited_config(demo_scenario_config, ("drivers", 0, *key), value, tmp_path.name)
+    with pytest.raises(errors.SchemaError, match=re.escape(message)):
         load_scenarios(config)
     assert main(["simulate", "--config", config, "--out-dir", str(tmp_path)]) == 2
+    assert not (tmp_path / "per_run.csv").exists()
 
 
 @pytest.mark.parametrize("key,value", [
@@ -196,11 +219,12 @@ def test_load_scenarios_simulation_block_shape(tmp_path, demo_scenario_config):
         load_scenarios(config)
 
 
-@pytest.mark.parametrize("weeks", [0, -1, 3, 4.5, float("nan"), "7", True])
+@pytest.mark.parametrize("weeks", [0, -1, 3, 4.5, float("nan"), "7", True, 105, 1e300])
 def test_load_scenarios_rejects_too_few_observation_weeks(tmp_path, demo_scenario_config,
                                                            weeks):
     # 0 ended `simulate` with a raw ValueError; 1-3 loaded, and then every run
     # failed as SeriesTooShort (the gate fits on 7·weeks - 14 rows of 14).
+    # Past Scenario.MAX_OBSERVATION_WEEKS, 1e300 weeks would never finish.
     config = _edited_config(demo_scenario_config, ("simulation", "observation_weeks"), weeks,
                             tmp_path.name)
     with pytest.raises(errors.SchemaError,
@@ -285,6 +309,19 @@ def test_failed_scenario_becomes_error_rows(cohort):
     assert all(o.error for o in outcomes)
     report = run_cohort([scn])
     assert all(r.n_failed == 1 and r.n_runs == 0 for r in report.rows)
+
+
+def test_invalid_generated_log_fails_only_its_driver(cohort):
+    # A valid anchor near the pole whose GPS noise pushes a fix past it ended
+    # the whole `simulate` with a raw ValueError.
+    p = cohort[0].profile
+    polar = replace(p, anchors={name: (89.9999 - 0.002 * i, 10.0)
+                                for i, name in enumerate(p.anchors)}, gps_noise_m=5000.0)
+    report = run_cohort([replace(cohort[0], profile=polar), *cohort[1:]])
+    errors_by_driver = {o.scenario: o.error for o in report.outcomes}
+    assert errors_by_driver.pop(cohort[0].name).startswith(
+        "InvalidProfile: invalid coordinates (90.0")
+    assert list(errors_by_driver.values()) == [None] * (len(cohort) - 1)
 
 
 def test_baselines_rank_by_one_shared_distance_table(cohort, monkeypatch):
@@ -539,6 +576,17 @@ def test_non_finite_mode_weight_is_a_validation_error(demo_scenario_config, tmp_
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["simulate", "plan", "predict"])
+def test_cli_negative_seed_is_checked_before_any_work(demo_scenario_config, trip_log_path,
+                                                      tmp_path, capsys, command):
+    # Each died in numpy with "expected non-negative integer" (exit 1).
+    source = ["--log", trip_log_path] if command == "predict" else [
+        "--config", demo_scenario_config]
+    assert main([command, *source, "--out-dir", str(tmp_path), "--seed=-3"]) == 2
+    assert "seed must be" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_cli_simulate_jobs_below_one_is_checked_before_the_config(tmp_path, capsys, jobs):
     # Both ran the cohort sequentially without a word.
@@ -555,6 +603,7 @@ def test_cli_simulate_jobs_below_one_is_checked_before_the_config(tmp_path, caps
     ("--seeds-per-profile", "0", "n_seeds_per_profile must be a whole number >= 1"),
     ("--stations", "0", "station_count must be a whole number >= 1"),
     ("--stations", "-2", "station_count must be a whole number >= 1"),
+    ("--seed", "-1", "seed must be a whole number >= 0, got -1"),
 ])
 def test_cli_gen_rejects_cohorts_that_cannot_run(tmp_path, capsys, flag, value, what):
     # Each wrote a config and exited 0; simulate then died or failed every run.
@@ -673,3 +722,57 @@ def test_cli_validation_exit_code(tmp_path, capsys):
     assert main(["simulate", "--config", str(tmp_path / "none.yaml"),
                  "--out-dir", str(tmp_path)]) == 1
     assert main(["bogus-command"]) == 2
+
+
+# --- input oracle ---------------------------------------------------------------
+
+ORACLE_VALUES = [0, -1, 0.5, math.nan, math.inf, -math.inf, "", [], {}, None, 1e300]
+
+
+def _leaves(node, path=()):
+    """The path of every scalar in a parsed config."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        return [leaf for key, child in items for leaf in _leaves(child, (*path, key))]
+    return [path]
+
+
+@pytest.fixture(scope="module")
+def tiny_cohort(tmp_path_factory):
+    out = tmp_path_factory.mktemp("tiny")
+    config = generate_scenario_dir(str(out), seed=3, n_seeds_per_profile=1, observation_weeks=4)
+    return out, yaml.safe_load(Path(config).read_text())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_cli_simulate_input_oracle(tiny_cohort, data):
+    # One config leaf, or one of `simulate`'s --seed, --k1 and --k2, gets an
+    # odd value. `simulate` must exit 2 before writing a report, or exit 0
+    # with no NaN in per_run.csv; nothing may escape as a traceback. Anchor
+    # coordinates take only the values that are invalid: 0, -1 or 0.5 is a
+    # valid spot thousands of km from the city, whose log holds millions of
+    # fixes.
+    base, cfg = tiny_cohort
+    target = data.draw(st.sampled_from(["--seed", "--k1", "--k2", *_leaves(cfg)]))
+    values = [v for v in ORACLE_VALUES if "anchors" not in target or v not in (0, -1, 0.5)]
+    value = data.draw(st.sampled_from(values))
+    flags = {"--seed": [f"--seed={value}"],
+             "--k1": ["--mode", "custom", f"--k1={value}", "--k2", "1"],
+             "--k2": ["--mode", "custom", "--k1", "1", f"--k2={value}"]}.get(target, [])
+    edited = yaml.safe_load(yaml.safe_dump(cfg))
+    if not flags:
+        node = edited
+        for key in target[:-1]:
+            node = node[key]
+        node[target[-1]] = value
+    config = base / "oracle.yaml"
+    config.write_text(yaml.safe_dump(edited, sort_keys=False))
+    with tempfile.TemporaryDirectory() as out:
+        code = main(["simulate", "--config", str(config), "--out-dir", out, *flags])
+        per_run = Path(out) / "per_run.csv"
+        assert code in (0, 2)
+        if code == 0:
+            assert "nan" not in per_run.read_text()
+        else:
+            assert not per_run.exists()

@@ -31,6 +31,11 @@ def test_vehicle_state_validation():
         VehicleState(tank_l=50.0, fuel_l=60.0, rate_l_per_km=0.06)
     with pytest.raises(ValueError):
         VehicleState(tank_l=50.0, fuel_l=10.0, rate_l_per_km=0.0)
+    # NaN or infinite rates and infinite tanks were accepted: every stop was
+    # out of range, or every refill cost inf.
+    for tank, rate in ((50.0, math.nan), (50.0, math.inf), (math.inf, 0.06)):
+        with pytest.raises(ValueError):
+            VehicleState(tank_l=tank, fuel_l=10.0, rate_l_per_km=rate)
 
 
 def test_mode_presets_and_validation():
@@ -41,6 +46,8 @@ def test_mode_presets_and_validation():
         Mode("bad", -1.0, 1.0)
     with pytest.raises(ValueError):
         Mode("bad", 0.0, 0.0)
+    with pytest.raises(ValueError, match="mode name must be a string"):
+        Mode(math.nan, 1.0, 1.0)  # from a YAML `mode: {name: .nan, ...}`
 
 
 # --- cost components ------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from refuelopt import errors, telemetry
-from refuelopt.geo import haversine_m
+from refuelopt.geo import haversine_m, valid_coords
 from refuelopt.scenario import OBSERVATION_START, generate_scenario_dir, load_scenarios
 from refuelopt.telemetry import (_TWOPI, END_TIMESTAMP, FIRST_TIMESTAMP, WEEKDAYS, CanTrace,
                                  DriverProfile, StopEvent, TripLog, TripSample, _draw_stream,
@@ -410,10 +410,32 @@ def test_errand_rate_shifts_mean_weekly_distance(_):
 
 
 def test_invalid_profile_rejected():
-    bad = DriverProfile(seed=1, anchors={"home": (44.0, 11.0)},
-                        schedule={"Mon": ["home", "nowhere"]})
-    with pytest.raises(errors.InvalidProfile):
-        generate_synthetic_log(bad, weeks=1)
+    # Construction holds every profile check: a schedule typo reached only the
+    # generator, so a cohort config with one loaded and failed every run.
+    base = {"seed": 1, "anchors": {"home": (44.0, 11.0), "gym": (44.01, 11.0)},
+            "schedule": {"Mon": ["home", "gym", "home"]}}
+    for change, message in [
+        ({"schedule": {"Mon": ["home", "nowhere"]}},
+         "schedule references undefined anchor 'nowhere'"),
+        ({"schedule": {"Mnday": ["home", "gym"]}}, "unknown weekday 'Mnday'"),
+        ({"errand_targets": ["gym", "pool"], "errand_rate": 1.0},
+         "errand target 'pool' not an anchor"),
+        ({"errand_rate": 1.0}, "errand_rate > 0 but no errand_targets"),
+        ({"cruise_speed_kmh": 0.0}, "cruise_speed_kmh must be > 0, got 0"),
+        ({"cruise_speed_kmh": 300.5}, "cruise_speed_kmh must be finite and in [0, 300.0], "
+                                      "got 300.5"),
+        ({"speed_noise_pct": 1e300}, "speed_noise_pct must be finite and in [0, 400.0], "
+                                     "got 1e+300"),
+        ({"gps_noise_m": 5000.5}, "gps_noise_m must be finite and in [0, 5000.0], got 5000.5"),
+        ({"errand_targets": ["gym"], "errand_rate": 50.5},
+         "errand_rate must be finite and in [0, 50.0], got 50.5"),
+    ]:
+        with pytest.raises(errors.InvalidProfile) as exc:
+            DriverProfile(**(base | change))
+        assert str(exc.value) == message
+    # Each bound is itself valid.
+    DriverProfile(**base, errand_targets=["gym"], errand_rate=50.0, speed_noise_pct=400.0,
+                  gps_noise_m=5000.0, cruise_speed_kmh=300.0)
 
 
 @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
@@ -430,10 +452,17 @@ def test_halts_cluster_at_anchors():
         assert min(haversine_m(ev.lat, ev.lon, a[0], a[1]) for a in anchors) < 100
 
 
-def reference_generate_synthetic_log(profile, weeks, sample_period_s=5.0,
-                                     start_day=date(2025, 1, 6)):
+def reference_generate_synthetic_log(*args, **kwargs):
     """generate_synthetic_log with library draws and one validated TripSample
-    per fix: the definition the fast generator must match (valid profiles only)."""
+    per fix: the definition the fast generator must match. A log that fails a
+    check raises InvalidProfile with the check's message."""
+    try:
+        return reference_log(*args, **kwargs)
+    except ValueError as exc:
+        raise errors.InvalidProfile(str(exc)) from exc
+
+
+def reference_log(profile, weeks, sample_period_s=5.0, start_day=date(2025, 1, 6)):
     def offset_deg(lat, dx_m, dy_m):
         dlat = dy_m / 111_194.9
         dlon = dx_m / (111_194.9 * max(0.01, math.cos(math.radians(lat))))
@@ -547,10 +576,22 @@ def test_log_bytes_do_not_depend_on_sizes(monkeypatch, guess, block):
         assert log_digest(make, weeks) == digest
 
 
+def built(kwargs):
+    """DriverProfile(**kwargs), or None after checking that construction
+    rejects kwargs with an anchor past a pole or a non-finite cruise speed."""
+    if (all(valid_coords(*a) for a in kwargs["anchors"].values())
+            and 0 < kwargs["cruise_speed_kmh"] <= DriverProfile.MAX_CRUISE_SPEED_KMH):
+        return DriverProfile(**kwargs)
+    with pytest.raises(errors.InvalidProfile):
+        DriverProfile(**kwargs)
+    return None
+
+
 @st.composite
 def driver_profiles(draw):
-    # Anchors cluster around a base point, so legs stay short; bases near a
-    # pole or the antimeridian let the noise push fixes out of range.
+    # Keyword arguments for DriverProfile. Anchors cluster around a base
+    # point, so legs stay short; bases near a pole or the antimeridian let the
+    # noise push fixes out of range, and some anchors past the pole.
     base_lat = draw(st.sampled_from([89.97, -89.97]) | st.floats(-89.99, 89.99))
     base_lon = draw(st.sampled_from([179.97, -179.97]) | st.floats(-179.99, 179.99))
     offset = st.floats(-0.05, 0.05)
@@ -559,7 +600,7 @@ def driver_profiles(draw):
     schedule = {d: draw(st.lists(st.sampled_from(names), max_size=4))
                 for d in draw(st.sets(st.sampled_from(WEEKDAYS), min_size=1))}
     targets = draw(st.lists(st.sampled_from(names), max_size=3))
-    return DriverProfile(
+    return dict(
         seed=draw(st.integers(0, 2**32)), anchors=anchors, schedule=schedule,
         errand_targets=targets,
         errand_rate=draw(st.floats(0.0, 4.0)) if targets else 0.0,
@@ -571,24 +612,28 @@ def driver_profiles(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(driver_profiles(), st.integers(1, 2), st.sampled_from([5.0, 1.0, 37.5]))
-def test_generator_matches_reference(p, weeks, period):
-    assert (outcome(generate_synthetic_log, p, weeks, sample_period_s=period)
-            == outcome(reference_generate_synthetic_log, p, weeks, sample_period_s=period))
+def test_generator_matches_reference(kwargs, weeks, period):
+    p = built(kwargs)
+    if p is not None:
+        assert (outcome(generate_synthetic_log, p, weeks, sample_period_s=period)
+                == outcome(reference_generate_synthetic_log, p, weeks, sample_period_s=period))
 
 
 @st.composite
 def long_leg_profiles(draw):
-    # Legs of up to 0.7 deg, hundreds of fixes each, and speed noise past
-    # 100 %, so fix windows widen. A NaN cruise speed crawls at 1 km/h, so
-    # its anchors stay close.
-    cruise = draw(st.sampled_from([math.nan, math.inf]) | st.floats(40.0, 150.0))
-    offset = st.floats(-0.002, 0.002) if math.isnan(cruise) else st.floats(-0.25, 0.25)
+    # Keyword arguments for DriverProfile: legs of up to 0.7 deg, hundreds of
+    # fixes each, and speed noise past 100 %, so fix windows widen. A cruise
+    # speed below 1 km/h crawls at the 1 km/h floor, so its anchors stay close;
+    # a NaN or infinite one cannot be built.
+    cruise = draw(st.sampled_from([math.nan, math.inf]) | st.floats(0.01, 0.99)
+                  | st.floats(40.0, 150.0))
+    offset = st.floats(-0.002, 0.002) if cruise < 1.0 else st.floats(-0.25, 0.25)
     base_lat, base_lon = draw(st.floats(-60.0, 60.0)), draw(st.floats(-170.0, 170.0))
     names = [f"a{i}" for i in range(draw(st.integers(2, 4)))]
     anchors = {n: (base_lat + draw(offset), base_lon + draw(offset)) for n in names}
     schedule = {d: draw(st.lists(st.sampled_from(names), min_size=2, max_size=4))
                 for d in draw(st.sets(st.sampled_from(WEEKDAYS), min_size=1))}
-    return DriverProfile(
+    return dict(
         seed=draw(st.integers(0, 2**32)), anchors=anchors, schedule=schedule,
         errand_targets=names[:1], errand_rate=draw(st.floats(0.0, 3.0)),
         speed_noise_pct=draw(st.sampled_from([0.0, 5.0]) | st.floats(100.0, 400.0)),
@@ -598,9 +643,11 @@ def long_leg_profiles(draw):
 
 @settings(max_examples=15, deadline=None)
 @given(long_leg_profiles(), st.integers(3, 4), st.sampled_from([5.0, 37.5]))
-def test_generator_matches_reference_on_long_logs(p, weeks, period):
-    assert (outcome(generate_synthetic_log, p, weeks, sample_period_s=period)
-            == outcome(reference_generate_synthetic_log, p, weeks, sample_period_s=period))
+def test_generator_matches_reference_on_long_logs(kwargs, weeks, period):
+    p = built(kwargs)
+    if p is not None:
+        assert (outcome(generate_synthetic_log, p, weeks, sample_period_s=period)
+                == outcome(reference_generate_synthetic_log, p, weeks, sample_period_s=period))
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3, 2**130], ids=["0", "7", "2**40+3", "2**130"])
@@ -638,34 +685,46 @@ def test_inlined_draws_match_the_random_library(seed):
 
 
 HOME_WORK = {"home": (44.6, 10.9), "work": (44.65, 10.96)}
+ROUND_TRIP = {"Mon": ["home", "work", "home"]}
+INVALID = errors.InvalidProfile
 
 
-@pytest.mark.parametrize("anchors, schedule, cruise, expected", [
-    # A leg that ends past the pole: its first fix is out of range.
-    ({**HOME_WORK, "far": (95.0, 10.9)}, {"Mon": ["home", "far"]}, 50.0,
-     (ValueError, "invalid coordinates (90.0004625053669, 10.90261347029511)")),
-    # The same, with a later leg whose anchor makes haversine_m fail: the
-    # invalid fix comes first, so its error is the one raised.
-    ({**HOME_WORK, "far": (95.0, 10.9), "bad": (math.inf, 1.0)},
-     {"Mon": ["home", "far"], "Tue": ["home", "bad"]}, 50.0,
-     (ValueError, "invalid coordinates (90.0004625053669, 10.90261347029511)")),
-    (HOME_WORK, {"Mon": ["home", "work", "home"]}, math.inf,
-     (ValueError, "invalid speed inf")),
-    # max(1.0, nan) is 1.0: a NaN cruise speed yields 1 km/h, not an error.
-    (HOME_WORK, {"Mon": ["home", "work", "home"]}, math.nan, "ok"),
-    # b - a overflows: the first fix's latitude is NaN, and the second's is
-    # inf, whose cosine raises, but only after the first fix was made.
-    ({"a": (-1e308, 10.0), "b": (1e308, 10.0)}, {"Mon": ["a", "b"]}, 50.0,
-     (ValueError, "invalid coordinates (nan, 10.000596572405193)")),
-], ids=["out_of_range", "out_of_range_then_inf", "inf_cruise", "nan_cruise", "overflowing_leg"])
-def test_generator_error_paths_match_reference(anchors, schedule, cruise, expected):
-    p = DriverProfile(seed=1, anchors=anchors, schedule=schedule, cruise_speed_kmh=cruise)
+@pytest.mark.parametrize("kwargs, expected", [
+    # Anchors past a pole or whose leg overflows, and non-finite cruise speeds,
+    # reached the generator's error paths; construction now rejects them.
+    ({"anchors": {**HOME_WORK, "far": (95.0, 10.9)}, "schedule": {"Mon": ["home", "far"]}},
+     (INVALID, "anchor 'far' has invalid coordinates (95.0, 10.9)")),
+    ({"anchors": {**HOME_WORK, "far": (95.0, 10.9), "bad": (math.inf, 1.0)},
+      "schedule": {"Mon": ["home", "far"], "Tue": ["home", "bad"]}},
+     (INVALID, "anchor 'far' has invalid coordinates (95.0, 10.9)")),
+    ({"anchors": HOME_WORK, "schedule": ROUND_TRIP, "cruise_speed_kmh": math.inf},
+     (INVALID, "cruise_speed_kmh must be finite and in [0, 300.0], got inf")),
+    ({"anchors": HOME_WORK, "schedule": ROUND_TRIP, "cruise_speed_kmh": math.nan},
+     (INVALID, "cruise_speed_kmh must be finite and in [0, 300.0], got nan")),
+    ({"anchors": {"a": (-1e308, 10.0), "b": (1e308, 10.0)}, "schedule": {"Mon": ["a", "b"]}},
+     (INVALID, "anchor 'a' has invalid coordinates (-1e+308, 10.0)")),
+    # Valid anchors near the pole: GPS noise pushes a fix past it.
+    ({"anchors": {"home": (89.9999, 10.0), "work": (89.99, 10.5)}, "schedule": ROUND_TRIP,
+      "gps_noise_m": 5000.0},
+     (INVALID, "invalid coordinates (90.01967768663395, 3.826531659683071)")),
+    # Below 1 km/h the generator crawls at the 1 km/h floor.
+    ({"anchors": {"home": (44.6, 10.9), "work": (44.602, 10.903)}, "schedule": ROUND_TRIP,
+      "cruise_speed_kmh": 0.5}, "ok"),
+    # About 20 errands a day run Monday past Tuesday's 07:00 start.
+    ({"anchors": HOME_WORK, "schedule": {**ROUND_TRIP, "Tue": ["home", "work", "home"]},
+      "errand_targets": ["work"], "errand_rate": 40.0},
+     (INVALID, "message times must be non-decreasing")),
+], ids=["out_of_range", "out_of_range_then_inf", "inf_cruise", "nan_cruise", "overflowing_leg",
+        "near_pole_noise", "crawl", "crowded_days"])
+def test_generator_error_paths_match_reference(kwargs, expected):
+    try:
+        p = DriverProfile(seed=1, **kwargs)
+    except INVALID as exc:
+        assert (INVALID, str(exc)) == expected
+        return
     got = outcome(generate_synthetic_log, p, 1)
     assert got == outcome(reference_generate_synthetic_log, p, 1)
-    if expected == "ok":
-        assert got[0] == "ok"
-    else:
-        assert got == expected
+    assert (got[0] if expected == "ok" else got) == expected
 
 
 def test_generation_memory_stays_bounded():
