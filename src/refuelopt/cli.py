@@ -24,7 +24,7 @@ from pathlib import Path
 from . import errors, harness, mileage, scenario as scenario_mod
 from .optimizer import MODES, Mode, export_plan_csv, export_plan_geojson, select_stop
 from .tables import write_table
-from .telemetry import detect_halts, integrate_daily_distance, load_trip_log
+from .telemetry import TripLog, detect_halts, integrate_daily_distance, load_trip_log
 from .tripgraph import assign_clusters, build_daily_flows, export_graph_csv, select_pois
 
 
@@ -72,7 +72,7 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _log_weeks(samples) -> tuple[dict, date, int]:
+def _log_weeks(samples: TripLog) -> tuple[dict, date, int]:
     """The log's daily km, the Monday of its first day with driving, and its
     whole weeks from that Monday to the Sunday of its last day with driving."""
     daily_km = integrate_daily_distance(samples)

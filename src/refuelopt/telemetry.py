@@ -8,10 +8,10 @@ outages.
 
 Samples travel as a `TripLog`: one read-only float64 array per field, with
 masks for the rows whose coordinates and fuel level are given, so an absent
-value stays distinct from a NaN one. It iterates and indexes as
-`TripSample` rows, made on demand. `detect_halts` and
-`integrate_daily_distance` work on its columns; a list of rows, as
-`load_trip_log` returns, goes through `TripLog.of` first.
+value stays distinct from a NaN one. It is the one trip-log type: the
+generator and `load_trip_log` return one, and `detect_halts`,
+`integrate_daily_distance` and `save_trip_log` take one. It also holds the
+one rule every sample keeps, which `load_trip_log` applies row by row.
 
 A synthetic log is a pure function of (profile, weeks, sample_period_s,
 start_day), and its bytes are pinned by tests. `random.Random(profile.seed)`
@@ -50,7 +50,6 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
 from itertools import repeat
@@ -104,7 +103,10 @@ class CanTrace:
                                                               other.message_times)
 
 
-class _TripSampleFields(NamedTuple):
+class TripSample(NamedTuple):
+    """One row of a `TripLog`: a speed reading, with an optional GPS fix and
+    fuel level (None when absent). A plain tuple; the log checks its rows."""
+
     timestamp: float
     speed_kmh: float
     lat: float | None = None
@@ -112,53 +114,43 @@ class _TripSampleFields(NamedTuple):
     fuel_l: float | None = None
 
 
-class TripSample(_TripSampleFields):
-    """One speed reading, with an optional GPS fix and fuel level.
-
-    An immutable tuple: it also compares equal to a plain 5-tuple of its
-    fields. Construction validates; `TripLog` validates a whole log at once
-    and then builds its rows with `tuple.__new__`.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, timestamp: float, speed_kmh: float, lat: float | None = None,
-                lon: float | None = None, fuel_l: float | None = None):
-        # A day datetime cannot convert would fail only when daily distance
-        # is summed or a halt is dated.
-        if not math.isfinite(timestamp):
-            raise ValueError(f"non-finite timestamp {timestamp}")
-        if not _in_range(timestamp):
-            raise ValueError(f"timestamp {timestamp} outside UTC years 1-9999")
-        if not math.isfinite(speed_kmh) or speed_kmh < 0:
-            raise ValueError(f"invalid speed {speed_kmh}")
-        if (lat is None) != (lon is None):
-            raise ValueError("lat and lon must be given together")
-        if lat is not None and not valid_coords(lat, lon):
-            raise ValueError(f"invalid coordinates ({lat}, {lon})")
-        if fuel_l is not None and fuel_l < 0:
-            raise ValueError(f"invalid fuel level {fuel_l}")
-        return super().__new__(cls, timestamp, speed_kmh, lat, lon, fuel_l)
-
-    @classmethod
-    def _make(cls, iterable) -> "TripSample":
-        # namedtuple's _make (and so _replace) would skip __new__'s checks.
-        return cls(*iterable)
+def _sample_rule(ts, speed, lat, lon, fuel, has_lat, has_lon) -> tuple:
+    """The sample rule over one row's floats or over columns: each check's
+    pass mask, and the message for a row whose first failed check it is.
+    An absent coordinate or fuel level reads as 0.0; NaN fails every
+    comparison. The timestamp range is the one `ts_to_date` converts."""
+    return ((abs(ts) < math.inf, "non-finite timestamp {0}"),
+            (_in_range(ts), "timestamp {0} outside UTC years 1-9999"),
+            ((speed >= 0.0) & (speed < math.inf), "invalid speed {1}"),
+            (has_lat == has_lon, "lat and lon must be given together"),
+            ((lat >= -90.0) & (lat <= 90.0) & (lon >= -180.0) & (lon <= 180.0),
+             "invalid coordinates ({2}, {3})"),
+            (abs(fuel) < math.inf, "non-finite fuel level {4}"),
+            (fuel >= 0.0, "invalid fuel level {4}"))
 
 
-class TripLog(Sequence):
+def _check_row(ts, speed, lat, lon, fuel) -> None:
+    """Raise ValueError if one row, with None for an absent value, breaks the sample rule."""
+    for ok, message in _sample_rule(ts, speed, 0.0 if lat is None else lat,
+                                    0.0 if lon is None else lon, 0.0 if fuel is None else fuel,
+                                    lat is not None, lon is not None):
+        if not ok:
+            raise ValueError(message.format(ts, speed, lat, lon, fuel))
+
+
+class TripLog:
     """Trip samples held as columns: one read-only float64 array per field.
 
     `located` marks the rows with coordinates and `fueled` the rows with a
-    fuel level; elsewhere `lat`, `lon` and `fuel_l` hold NaN, which a given
-    fuel level may also be. Indexing and iteration give `TripSample` rows, a
-    slice gives a TripLog, and a log equals a TripLog or list with equal rows.
+    fuel level; elsewhere `lat`, `lon` and `fuel_l` hold NaN. Iteration gives
+    `TripSample` rows, and a log equals a TripLog with equal rows.
 
     The constructor takes one sequence per field; `lat`, `lon` and `fuel_l`
-    may be None (absent from every row) or hold None in the absent rows. It
-    checks every row as `TripSample` does, with array comparisons; if one
-    fails, it walks the rows and raises `TripSample`'s error for the first
-    invalid one.
+    may be None (absent from every row) or hold None in the absent rows.
+    Every row must keep the sample rule: a finite timestamp within UTC years
+    1-9999, a finite speed >= 0, coordinates given together and in range,
+    and a given fuel level finite and >= 0. Otherwise it raises ValueError
+    naming the first invalid row's first failed check.
     """
 
     __slots__ = ("timestamp", "speed_kmh", "lat", "lon", "fuel_l", "located", "fueled")
@@ -172,27 +164,17 @@ class TripLog(Sequence):
             _column(c, n) for c in (lat, lon, fuel_l))
         if not len(speed) == len(lat) == len(lon) == len(fuel) == n:
             raise ValueError("trip log columns differ in length")
-        # NaN fails every comparison, as in TripSample and valid_coords.
-        in_range = (lat >= -90.0) & (lat <= 90.0) & (lon >= -180.0) & (lon <= 180.0)
-        if not (_in_range(ts).all() and ((speed >= 0.0) & (speed < math.inf)).all()
-                and (has_lat == has_lon).all() and (in_range | ~has_lat).all()
-                and not (fuel[fueled] < 0.0).any()):
-            for row in zip(ts.tolist(), speed.tolist(), _or_none(lat, has_lat),
-                           _or_none(lon, has_lon), _or_none(fuel, fueled)):
-                TripSample(*row)
-        self._set(ts, speed, lat, lon, fuel, has_lat, fueled)
-
-    def _set(self, *columns) -> None:
-        for name, column in zip(self.__slots__, columns):
+        rule = _sample_rule(ts, speed, np.where(has_lat, lat, 0.0), np.where(has_lon, lon, 0.0),
+                            np.where(fueled, fuel, 0.0), has_lat, has_lon)
+        ok = np.logical_and.reduce([passes for passes, _ in rule])
+        if not ok.all():
+            i = int(ok.argmin())
+            _check_row(ts[i].item(), speed[i].item(),
+                       *(c[i].item() if given[i] else None
+                         for c, given in ((lat, has_lat), (lon, has_lon), (fuel, fueled))))
+        for name, column in zip(self.__slots__, (ts, speed, lat, lon, fuel, has_lat, fueled)):
             column.flags.writeable = False
             setattr(self, name, column)
-
-    @classmethod
-    def of(cls, samples) -> "TripLog":
-        """`samples` as a TripLog: itself if it is one, else built from its rows."""
-        if isinstance(samples, TripLog):
-            return samples
-        return cls(*(list(zip(*samples)) or ((), ())))
 
     def __len__(self) -> int:
         return len(self.timestamp)
@@ -203,20 +185,8 @@ class TripLog(Sequence):
             _or_none(self.lat, self.located), _or_none(self.lon, self.located),
             _or_none(self.fuel_l, self.fueled)))
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            log = TripLog.__new__(TripLog)
-            log._set(*(getattr(self, name)[index] for name in self.__slots__))
-            return log
-        i = range(len(self))[index]
-        located, fueled = self.located[i], self.fueled[i]
-        return tuple.__new__(TripSample, (
-            self.timestamp[i].item(), self.speed_kmh[i].item(),
-            self.lat[i].item() if located else None, self.lon[i].item() if located else None,
-            self.fuel_l[i].item() if fueled else None))
-
     def __eq__(self, other):
-        if isinstance(other, (TripLog, list)):
+        if isinstance(other, TripLog):
             return list(self) == list(other)
         return NotImplemented
 
@@ -305,7 +275,7 @@ def _check(ok, message: str) -> None:
         raise errors.InvalidProfile(message)
 
 
-def detect_halts(trace: CanTrace, gps: Sequence[TripSample],
+def detect_halts(trace: CanTrace, gps: TripLog,
                  gap_threshold: float = DEFAULT_GAP_THRESHOLD_S) -> list[StopEvent]:
     """Find vehicle stops as message gaps longer than `gap_threshold` seconds.
 
@@ -322,11 +292,10 @@ def detect_halts(trace: CanTrace, gps: Sequence[TripSample],
     message_times = trace.message_times
     if not len(message_times):
         raise errors.EmptyTrace("trace has no messages")
-    log = TripLog.of(gps)
     gaps = np.flatnonzero(~(np.diff(message_times) <= gap_threshold))
-    located = np.flatnonzero(log.located)
-    order = located[np.argsort(log.timestamp[located], kind="stable")]
-    times = log.timestamp[order].tolist()
+    located = np.flatnonzero(gps.located)
+    order = located[np.argsort(gps.timestamp[located], kind="stable")]
+    times = gps.timestamp[order].tolist()
     events: list[StopEvent] = []
     for t0 in message_times[gaps].tolist():
         if not times:
@@ -344,14 +313,14 @@ def detect_halts(trace: CanTrace, gps: Sequence[TripSample],
             raise errors.NoLocationFix(f"no GPS fix within {gap_threshold}s of gap at t={t0}")
         k = order[i]
         events.append(StopEvent(timestamp=t0, day=ts_to_date(t0),
-                                lat=log.lat[k].item(), lon=log.lon[k].item()))
+                                lat=gps.lat[k].item(), lon=gps.lon[k].item()))
     return events
 
 
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 
 
-def integrate_daily_distance(samples: Sequence[TripSample],
+def integrate_daily_distance(samples: TripLog,
                              gap_cutoff_s: float = DEFAULT_DROPOUT_CUTOFF_S) -> dict[date, float]:
     """Per-calendar-day traveled km as the sum of speed_i * dt_i over sample pairs.
 
@@ -363,15 +332,14 @@ def integrate_daily_distance(samples: Sequence[TripSample],
     """
     if not gap_cutoff_s >= 0:
         raise ValueError(f"gap_cutoff_s must be >= 0, got {gap_cutoff_s}")
-    log = TripLog.of(samples)
-    ts = log.timestamp
+    ts = samples.timestamp
     with np.errstate(invalid="ignore", over="ignore"):  # inf and NaN as in floats
         dt = ts[1:] - ts[:-1]
         back = np.flatnonzero(dt < 0)
         # Pairs before the first decrease, as a pair-by-pair walk sees them.
         pairs = np.flatnonzero(~(dt[:back[0] if back.size else len(dt)] > gap_cutoff_s))
         t = ts[pairs]
-        km = log.speed_kmh[pairs] * dt[pairs] / 3600.0
+        km = samples.speed_kmh[pairs] * dt[pairs] / 3600.0
         days = np.floor(t / 86_400.0)
         into_day = t - days * 86_400.0
     # ts_to_date rounds to the microsecond, so within 1 ms of midnight the
@@ -391,40 +359,35 @@ def integrate_daily_distance(samples: Sequence[TripSample],
             for lo, hi in zip(starts, starts[1:] + [len(ordinals)])}
 
 
-def load_trip_log(path: str) -> tuple[CanTrace, list[TripSample]]:
+def load_trip_log(path: str) -> tuple[CanTrace, TripLog]:
     """Read a trip-log CSV, returning the message trace and time-sorted samples.
 
     Schema: `timestamp,speed_kmh,lat,lon,fuel_l,can_msg`; lat/lon/fuel_l may
     be empty. Raises SchemaError on a wrong header and ParseError with the
-    offending line number otherwise.
+    line number of the first bad row otherwise: each row is checked against
+    the sample rule as it is read.
     """
     def parse(row):
         ts, speed = float(row[0]), float(row[1])
         lat, lon, fuel = (float(v) if v != "" else None for v in row[2:5])
         can_msg = int(row[5])
-        # float() accepts nan/inf; TripSample rejects a non-finite timestamp.
-        if fuel is not None and not math.isfinite(fuel):
-            raise ValueError(f"non-finite fuel level {row[4]!r}")
-        sample = TripSample(timestamp=ts, speed_kmh=speed, lat=lat, lon=lon, fuel_l=fuel)
+        _check_row(ts, speed, lat, lon, fuel)
         if can_msg not in (0, 1):
             raise ValueError(f"can_msg must be 0 or 1, got {can_msg}")
-        return can_msg, sample
+        return ts, speed, lat, lon, fuel, can_msg == 1
 
     rows = read_table(path, TRIP_LOG_HEADER, parse)
-    samples = sorted((s for _, s in rows), key=lambda s: s.timestamp)
-    message_times = sorted(s.timestamp for can_msg, s in rows if can_msg == 1)
-    return CanTrace(message_times=message_times), samples
+    rows.sort(key=lambda row: row[0])
+    *columns, is_message = zip(*rows) if rows else ((),) * 6
+    samples = TripLog(*columns)
+    return CanTrace(samples.timestamp[np.array(is_message, dtype=bool)]), samples
 
 
-def save_trip_log(path: str, trace: CanTrace, samples: list[TripSample]) -> None:
+def save_trip_log(path: str, trace: CanTrace, samples: TripLog) -> None:
     """Write a trip-log CSV (inverse of load_trip_log for message-bearing samples)."""
     msg_times = set(trace.message_times.tolist())
     write_table(path, TRIP_LOG_HEADER,
-                ([repr(s.timestamp), repr(s.speed_kmh),
-                  "" if s.lat is None else repr(s.lat),
-                  "" if s.lon is None else repr(s.lon),
-                  "" if s.fuel_l is None else repr(s.fuel_l),
-                  1 if s.timestamp in msg_times else 0]
+                ([*("" if v is None else repr(v) for v in s), int(s.timestamp in msg_times)]
                  for s in sorted(samples, key=lambda s: s.timestamp)))
 
 

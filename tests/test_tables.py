@@ -117,6 +117,13 @@ def test_parse_error_line_counts_quoted_line_breaks(tmp_path):
     with pytest.raises(errors.ParseError) as exc:
         load_stations(path)
     assert exc.value.line == 4
+    # The trip-log reader checks each row's sample rule as it reads it.
+    header, row = TRIP_LOG.splitlines()
+    quoted = row.replace(",10.0,", ',"10.0\n",', 1)  # the speed
+    path = _write(tmp_path / "log.csv", f"{header}\n{quoted}\n1.0,-5.0,,,,1\n")
+    with pytest.raises(errors.ParseError) as exc:
+        load_trip_log(path)
+    assert (exc.value.line, str(exc.value)) == (4, "line 4: invalid speed -5.0")
 
 
 def test_only_tables_opens_csv_files():

@@ -25,11 +25,16 @@ def fix(ts, lat=44.0, lon=11.0, speed=30.0):
     return TripSample(timestamp=ts, speed_kmh=speed, lat=lat, lon=lon)
 
 
+def log_of(rows):
+    """The TripLog of a list of TripSample rows, built from its columns."""
+    return TripLog(*([row[k] for row in rows] for k in range(5)))
+
+
 # --- detect_halts ---------------------------------------------------------------
 
 def test_single_gap_yields_one_halt():
     times = [T0 + i for i in range(60)] + [T0 + 360 + i for i in range(60)]
-    gps = [fix(t) for t in times]
+    gps = log_of([fix(t) for t in times])
     events = detect_halts(CanTrace(times), gps, gap_threshold=120)
     assert len(events) == 1
     assert events[0].timestamp == T0 + 59
@@ -37,7 +42,7 @@ def test_single_gap_yields_one_halt():
 
 def test_continuous_messages_yield_no_halt():
     times = [T0 + i for i in range(3600)]
-    assert detect_halts(CanTrace(times), [fix(T0)], gap_threshold=120) == []
+    assert detect_halts(CanTrace(times), log_of([fix(T0)]), gap_threshold=120) == []
 
 
 def test_scripted_gaps_against_independent_scan():
@@ -46,7 +51,7 @@ def test_scripted_gaps_against_independent_scan():
     for gap in (60.0, 130.0, 500.0):
         times.append(times[-1] + gap)
         times.append(times[-1] + 10)
-    gps = [fix(t) for t in times]
+    gps = log_of([fix(t) for t in times])
     events = detect_halts(CanTrace(times), gps, gap_threshold=120)
     expected_starts = [a for a, b in zip(times, times[1:]) if b - a > 120]
     assert [e.timestamp for e in events] == expected_starts
@@ -59,14 +64,14 @@ def test_halt_count_matches_bruteforce_gap_scan(gaps):
     times = [T0]
     for g in gaps:
         times.append(times[-1] + g)
-    gps = [fix(t) for t in times]
+    gps = log_of([fix(t) for t in times])
     events = detect_halts(CanTrace(times), gps, gap_threshold=120)
     assert len(events) == sum(1 for g in gaps if g > 120)
 
 
 def test_empty_trace_raises():
     with pytest.raises(errors.EmptyTrace):
-        detect_halts(CanTrace([]), [fix(T0)])
+        detect_halts(CanTrace([]), log_of([fix(T0)]))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -80,19 +85,19 @@ def test_can_trace_rejects_non_finite_times(bad):
 def test_detect_halts_rejects_non_finite_or_non_positive_threshold(threshold):
     # A NaN threshold made every message pair a stop.
     with pytest.raises(ValueError, match="gap_threshold must be positive and finite"):
-        detect_halts(CanTrace([T0, T0 + 1]), [fix(T0)], gap_threshold=threshold)
+        detect_halts(CanTrace([T0, T0 + 1]), log_of([fix(T0)]), gap_threshold=threshold)
 
 
 def test_no_location_fix_raises():
     times = [T0, T0 + 300]
-    gps = [fix(T0 + 10_000)]  # far from the gap start
+    gps = log_of([fix(T0 + 10_000)])  # far from the gap start
     with pytest.raises(errors.NoLocationFix):
         detect_halts(CanTrace(times), gps, gap_threshold=120)
 
 
 def test_halt_located_at_nearest_fix():
     times = [T0, T0 + 300]
-    gps = [fix(T0 - 30, lat=44.1), fix(T0 + 5, lat=44.2), fix(T0 + 90, lat=44.3)]
+    gps = log_of([fix(T0 - 30, lat=44.1), fix(T0 + 5, lat=44.2), fix(T0 + 90, lat=44.3)])
     events = detect_halts(CanTrace(times), gps, gap_threshold=120)
     assert events[0].lat == 44.2
     assert type(events[0].timestamp) is float  # not np.float64, whose repr differs
@@ -127,10 +132,10 @@ def halts_or_error(fn, trace, gps, gap_threshold):
 
 def test_halt_ties_go_to_the_earlier_fix():
     times = [T0, T0 + 300]
-    gps = [fix(T0 + 5, lat=44.3), fix(T0 - 5, lat=44.1), fix(T0 - 5, lat=44.2)]
+    gps = log_of([fix(T0 + 5, lat=44.3), fix(T0 - 5, lat=44.1), fix(T0 - 5, lat=44.2)])
     assert detect_halts(CanTrace(times), gps, gap_threshold=120)[0].lat == 44.1
     # 100 - 1e-20 and 100 - 2e-20 both round to 100: the earlier fix wins.
-    gps = [fix(2e-20, lat=44.2), fix(1e-20, lat=44.1), fix(200.0, lat=44.3)]
+    gps = log_of([fix(2e-20, lat=44.2), fix(1e-20, lat=44.1), fix(200.0, lat=44.3)])
     events = detect_halts(CanTrace([100.0, 400.0]), gps, gap_threshold=120)
     assert events[0].lat == 44.1
     assert events == full_scan_halts(CanTrace([100.0, 400.0]), gps, 120)
@@ -147,8 +152,8 @@ def test_detect_halts_matches_full_scan(data):
     pool = data.draw(st.lists(halt_times, min_size=1, max_size=6))
     stamp = st.one_of(st.sampled_from(pool), halt_times)
     drawn = data.draw(st.lists(st.tuples(stamp, st.booleans()), max_size=25))
-    gps = [fix(t, lat=40.0 + i / 1000) if located else TripSample(t, 0.0)
-           for i, (t, located) in enumerate(drawn)]
+    gps = log_of([fix(t, lat=40.0 + i / 1000) if located else TripSample(t, 0.0)
+                  for i, (t, located) in enumerate(drawn)])
     trace = CanTrace(sorted(data.draw(st.lists(stamp, max_size=12))))
     threshold = data.draw(st.floats(0.5, 300.0))
     assert halts_or_error(detect_halts, trace, gps, threshold) == \
@@ -159,7 +164,7 @@ def test_fixes_sharing_a_timestamp_keep_their_order():
     # Enough fixes that numpy's default sort would not be an insertion sort.
     gps = [fix(T0 + 10.0 * (i % 3), lat=40.0 + i / 1000) for i in range(1000)]
     trace = CanTrace([T0 + 5.0, T0 + 300.0])  # T0 and T0 + 10 tie: T0 wins
-    for fixes, lat in ((gps, 40.0), (gps[::-1], 40.999)):
+    for fixes, lat in ((log_of(gps), 40.0), (log_of(gps[::-1]), 40.999)):
         events = detect_halts(trace, fixes, gap_threshold=120)
         assert events == full_scan_halts(trace, fixes, 120)
         assert [e.lat for e in events] == [lat]
@@ -173,19 +178,20 @@ def test_detect_halts_matches_full_scan_on_cohort(tmp_path):
                                                    start_day=OBSERVATION_START)
         events = detect_halts(trace, samples, scn.gap_threshold_s)
         assert events == full_scan_halts(trace, samples, scn.gap_threshold_s)
-        assert detect_halts(trace, samples[::-1], scn.gap_threshold_s) == events
+        reversed_log = log_of(list(samples)[::-1])
+        assert detect_halts(trace, reversed_log, scn.gap_threshold_s) == events
 
 
 # --- integrate_daily_distance ---------------------------------------------------
 
 def test_constant_speed_hour():
-    samples = [fix(T0 + i, speed=60.0) for i in range(3601)]
+    samples = log_of([fix(T0 + i, speed=60.0) for i in range(3601)])
     totals = integrate_daily_distance(samples)
     assert totals[date(2025, 1, 6)] == pytest.approx(60.0, rel=1e-9)
 
 
 def test_zero_speed_no_distance():
-    samples = [fix(T0 + i, speed=0.0) for i in range(100)]
+    samples = log_of([fix(T0 + i, speed=0.0) for i in range(100)])
     assert integrate_daily_distance(samples)[date(2025, 1, 6)] == 0.0
 
 
@@ -193,7 +199,7 @@ def test_piecewise_profile_matches_rectangle_rule():
     # 30 km/h for 600 s then 90 km/h for 1200 s, 1 Hz sampling
     samples = [fix(T0 + i, speed=30.0) for i in range(600)]
     samples += [fix(T0 + 600 + i, speed=90.0) for i in range(1201)]
-    totals = integrate_daily_distance(samples)
+    totals = integrate_daily_distance(log_of(samples))
     expected = sum(s.speed_kmh * 1.0 / 3600.0 for s in samples[:-1])
     assert expected == pytest.approx(35.0, abs=0.05)
     assert totals[date(2025, 1, 6)] == pytest.approx(expected, rel=1e-9)
@@ -201,29 +207,29 @@ def test_piecewise_profile_matches_rectangle_rule():
 
 def test_negative_zero_speed_adds_up_to_zero():
     # A day's sum starts from 0.0, and 0.0 + -0.0 is 0.0.
-    samples = [fix(T0 + i, speed=-0.0) for i in range(3)]
+    samples = log_of([fix(T0 + i, speed=-0.0) for i in range(3)])
     assert repr(integrate_daily_distance(samples)) == "{datetime.date(2025, 1, 6): 0.0}"
 
 
 def test_dropout_pairs_contribute_nothing():
-    samples = [fix(T0, speed=50.0), fix(T0 + 3600, speed=50.0)]
+    samples = log_of([fix(T0, speed=50.0), fix(T0 + 3600, speed=50.0)])
     assert integrate_daily_distance(samples).get(date(2025, 1, 6), 0.0) == 0.0
 
 
 def test_decreasing_timestamps_raise():
     with pytest.raises(errors.NegativeInterval):
-        integrate_daily_distance([fix(T0 + 10), fix(T0)])
+        integrate_daily_distance(log_of([fix(T0 + 10), fix(T0)]))
 
 
 @pytest.mark.parametrize("cutoff", [math.nan, -1.0])
 def test_daily_distance_rejects_nan_or_negative_cutoff(cutoff):
     # A NaN cutoff integrated across a 480 s silence.
     with pytest.raises(ValueError, match="gap_cutoff_s must be >= 0"):
-        integrate_daily_distance([fix(T0), fix(T0 + 480)], gap_cutoff_s=cutoff)
+        integrate_daily_distance(log_of([fix(T0), fix(T0 + 480)]), gap_cutoff_s=cutoff)
 
 
 def test_infinite_cutoff_integrates_across_any_gap():
-    samples = [fix(T0, speed=60.0), fix(T0 + 480)]
+    samples = log_of([fix(T0, speed=60.0), fix(T0 + 480)])
     assert integrate_daily_distance(samples, gap_cutoff_s=math.inf) == {date(2025, 1, 6): 8.0}
 
 
@@ -255,13 +261,14 @@ def test_daily_distance_matches_per_pair_days(steps, late):
                for off, v in sorted(steps + [(-4e-7, 50.0), (-1e-3, 40.0)])]
     samples = samples[late:] + samples[:late]
 
-    def result(fn):
+    def result(fn, samples):
         try:
             return fn(samples)
         except errors.NegativeInterval as exc:
             return str(exc)
 
-    assert repr(result(integrate_daily_distance)) == repr(result(per_pair_daily_distance))
+    assert repr(result(integrate_daily_distance, log_of(samples))) == \
+        repr(result(per_pair_daily_distance, samples))
 
 
 LAST_TIMESTAMP = math.nextafter(END_TIMESTAMP, 0.0)
@@ -276,7 +283,7 @@ def test_timestamps_outside_datetime_range_are_rejected(ts):
         ts_to_date(ts)
     message = re.escape(f"timestamp {ts} outside UTC years 1-9999")
     with pytest.raises(ValueError, match=message):
-        TripSample(ts, 10.0)
+        TripLog([ts], [10.0])
     with pytest.raises(ValueError, match=message):
         TripLog([T0, ts], [10.0, 10.0])
     with pytest.raises(ValueError, match="message times must be finite and within"):
@@ -291,7 +298,7 @@ def test_daily_distance_at_the_ends_of_the_range():
     samples = [TripSample(FIRST_TIMESTAMP, 36.0), TripSample(FIRST_TIMESTAMP + 10.0, 0.0),
                TripSample(LAST_TIMESTAMP - 10.0, 72.0), TripSample(LAST_TIMESTAMP, 0.0)]
     last_km = 72.0 * (LAST_TIMESTAMP - (LAST_TIMESTAMP - 10.0)) / 3600.0
-    assert integrate_daily_distance(samples) == per_pair_daily_distance(samples) == {
+    assert integrate_daily_distance(log_of(samples)) == per_pair_daily_distance(samples) == {
         date(1, 1, 1): 0.1, date(9999, 12, 31): last_km}
 
 
@@ -307,10 +314,10 @@ def test_load_well_formed(tmp_path):
                  + f"{T0 + 1},31.0,44.0,11.0,,1\n"
                  + f"{T0 + 2},32.0,,,,0\n")
     trace, samples = load_trip_log(str(p))
-    assert len(samples) == 3
+    assert isinstance(samples, TripLog) and len(samples) == 3
     assert trace.message_times.tolist() == [T0, T0 + 1]
     assert not trace.message_times.flags.writeable
-    assert samples[2].lat is None
+    assert list(samples)[2].lat is None
 
 
 def test_load_sorts_shuffled_rows(tmp_path):
@@ -353,16 +360,6 @@ def test_load_rejects_wrong_header(tmp_path):
     p.write_text("time,speed\n1,2\n")
     with pytest.raises(errors.SchemaError):
         load_trip_log(str(p))
-
-
-def test_save_load_round_trip(tmp_path):
-    samples = [fix(T0 + i, speed=20.0 + i) for i in range(5)]
-    trace = CanTrace([s.timestamp for s in samples[:3]])
-    p = tmp_path / "log.csv"
-    save_trip_log(str(p), trace, samples)
-    trace2, samples2 = load_trip_log(str(p))
-    assert trace2 == trace
-    assert samples2 == samples
 
 
 # --- synthetic generation -------------------------------------------------------
@@ -453,13 +450,19 @@ def test_halts_cluster_at_anchors():
 
 
 def reference_generate_synthetic_log(*args, **kwargs):
-    """generate_synthetic_log with library draws and one validated TripSample
-    per fix: the definition the fast generator must match. A log that fails a
+    """generate_synthetic_log with library draws and each fix checked as it
+    is made: the definition the fast generator must match. A log that fails a
     check raises InvalidProfile with the check's message."""
     try:
         return reference_log(*args, **kwargs)
     except ValueError as exc:
         raise errors.InvalidProfile(str(exc)) from exc
+
+
+def checked(row):
+    """`row`, after checking it as a one-row TripLog."""
+    TripLog(*([value] for value in row))
+    return row
 
 
 def reference_log(profile, weeks, sample_period_s=5.0, start_day=date(2025, 1, 6)):
@@ -503,15 +506,15 @@ def reference_log(profile, weeks, sample_period_s=5.0, start_day=date(2025, 1, 6
                 lon = a[1] + frac * (b[1] - a[1])
                 dlat, dlon = offset_deg(lat, rng.gauss(0.0, profile.gps_noise_m),
                                         rng.gauss(0.0, profile.gps_noise_m))
-                samples.append(TripSample(timestamp=t, speed_kmh=speed,
-                                          lat=lat + dlat, lon=lon + dlon))
+                samples.append(checked(TripSample(timestamp=t, speed_kmh=speed,
+                                                  lat=lat + dlat, lon=lon + dlon)))
                 message_times.append(t)
                 covered += speed * sample_period_s / 3600.0
                 t += sample_period_s
             dlat, dlon = offset_deg(b[0], rng.gauss(0.0, profile.gps_noise_m),
                                     rng.gauss(0.0, profile.gps_noise_m))
-            samples.append(TripSample(timestamp=t, speed_kmh=0.0,
-                                      lat=b[0] + dlat, lon=b[1] + dlon))
+            samples.append(checked(TripSample(timestamp=t, speed_kmh=0.0,
+                                              lat=b[0] + dlat, lon=b[1] + dlon)))
             message_times.append(t)
             t += rng.uniform(1800.0, 5400.0)
     return CanTrace(message_times=message_times), samples, truth
@@ -527,7 +530,7 @@ def outcome(generate, *args, **kwargs):
 
 
 # sha256 of repr((message_times, samples, truth)), pinned from the generator
-# that built one validated TripSample per fix with rng.uniform/rng.gauss.
+# that built and checked one TripSample per fix with rng.uniform/rng.gauss.
 LOG_CASES = {
     "errands": (lambda: profile(seed=7, errand_rate=3.0), 2,
                 "22bf5807064eb800ffbc10ba5f1db9f4ff58b6c5e1329f679d04d09fb662a495"),
@@ -765,10 +768,9 @@ def test_trip_sample_contract():
     for name in ("timestamp", "speed_kmh", "lat", "lon", "fuel_l", "other"):
         with pytest.raises(AttributeError):
             setattr(s, name, 0.0)
-    with pytest.raises(ValueError, match="invalid speed -1.0"):
-        s._replace(speed_kmh=-1.0)
 
 
+# Changes that make a valid sample break the rule, and the message naming it.
 TRIP_SAMPLE_ERRORS = [
     ({"speed_kmh": math.nan}, "invalid speed nan"),
     ({"speed_kmh": math.inf}, "invalid speed inf"),
@@ -780,21 +782,36 @@ TRIP_SAMPLE_ERRORS = [
     ({"fuel_l": -2.0}, "invalid fuel level -2.0"),
     ({"timestamp": math.nan}, "non-finite timestamp nan"),
     ({"timestamp": -math.inf}, "non-finite timestamp -inf"),
+    # A given fuel level must be finite too, so save_trip_log never writes a
+    # log that load_trip_log refuses.
+    ({"fuel_l": math.nan}, "non-finite fuel level nan"),
+    ({"fuel_l": math.inf}, "non-finite fuel level inf"),
+    ({"fuel_l": -math.inf}, "non-finite fuel level -inf"),
 ]
+
+VALID_ROW = {"timestamp": 0.0, "speed_kmh": 10.0, "lat": 44.0, "lon": 11.0, "fuel_l": 40.0}
 
 
 @pytest.mark.parametrize("kwargs, message", TRIP_SAMPLE_ERRORS)
-def test_trip_sample_validation_messages(kwargs, message):
-    with pytest.raises(ValueError) as exc:
-        TripSample(**({"timestamp": 0.0, "speed_kmh": 10.0} | kwargs))
-    assert str(exc.value) == message
+def test_trip_sample_validation_messages(tmp_path, kwargs, message):
+    # load_trip_log checks each row with the log's rule as it reads it: the
+    # first bad row in the file is reported, with its line number, before a
+    # later row that cannot even be parsed.
+    row = {"timestamp": 1.0, "speed_kmh": 10.0} | kwargs
+    fields = ["" if row.get(name) is None else repr(row[name]) for name in TripSample._fields]
+    p = tmp_path / "log.csv"
+    p.write_text(LOG_HEADER + "0.0,10.0,44.0,11.0,40.0,1\n"
+                 + ",".join(fields) + ",1\n" + "2.0,10.0,,,,2\n")
+    with pytest.raises(errors.ParseError) as exc:
+        load_trip_log(str(p))
+    assert (exc.value.line, str(exc.value)) == (3, f"line 3: {message}")
 
 
 # --- TripLog --------------------------------------------------------------------
 
 @pytest.mark.parametrize("kwargs, message", TRIP_SAMPLE_ERRORS)
 def test_trip_log_reports_the_first_invalid_row(kwargs, message):
-    rows = [{"timestamp": 0.0, "speed_kmh": 10.0, "lat": 44.0, "lon": 11.0, "fuel_l": math.nan},
+    rows = [VALID_ROW,
             {"timestamp": 1.0, "speed_kmh": 10.0} | kwargs,
             {"timestamp": 2.0, "speed_kmh": -5.0}]
     with pytest.raises(ValueError) as exc:
@@ -807,17 +824,44 @@ trip_rows = st.builds(
     st.floats(FIRST_TIMESTAMP, END_TIMESTAMP, exclude_max=True),
     st.sampled_from([0.0, -0.0]) | st.floats(0.0, 300.0),
     st.just((None, None)) | st.tuples(st.floats(-90.0, 90.0), st.floats(-180.0, 180.0)),
-    st.none() | st.just(math.nan) | st.floats(0.0, 80.0))
+    st.none() | st.sampled_from([0.0, -0.0]) | st.floats(0.0, 80.0))
 
 
 @given(st.lists(trip_rows, max_size=20))
 def test_trip_log_round_trip_is_exact(rows):
     # repr tells -0.0 from 0.0, NaN from None and float from np.float64.
-    log = TripLog.of(rows)
+    log = log_of(rows)
     assert len(log) == len(rows)
     assert repr(list(log)) == repr(rows)
-    assert repr([log[i] for i in range(-len(log), 0)]) == repr(rows)
-    assert repr(list(log[::-1])) == repr(rows[::-1])
+    assert repr(list(log_of(rows[::-1]))) == repr(rows[::-1])
+    assert log == log_of(list(log))
+    if rows:
+        assert log != log_of(rows[1:])
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(trip_rows, st.booleans()), max_size=20),
+       st.none() | st.tuples(st.integers(0, 19), st.sampled_from([math.nan, math.inf,
+                                                                  -math.inf])))
+def test_save_load_round_trip(tmp_path_factory, drawn, bad_fuel):
+    # Every log TripLog accepts comes back from save -> load with the same
+    # rows (exact reprs: -0.0 stays -0.0, None stays None) and trace. A
+    # non-finite fuel level is refused when the log is built.
+    rows = sorted((row for row, _ in drawn), key=lambda row: row.timestamp)
+    columns = [[row[k] for row in rows] for k in range(5)]
+    if bad_fuel is not None and bad_fuel[0] < len(rows):
+        columns[4][bad_fuel[0]] = bad_fuel[1]
+        with pytest.raises(ValueError, match=f"^non-finite fuel level {bad_fuel[1]}$"):
+            TripLog(*columns)
+        return
+    # Every fix with a message timestamp is written as a message.
+    chosen = {row.timestamp for row, is_message in drawn if is_message}
+    trace = CanTrace([row.timestamp for row in rows if row.timestamp in chosen])
+    path = str(tmp_path_factory.getbasetemp() / "round_trip.csv")
+    save_trip_log(path, trace, TripLog(*columns))
+    trace2, samples2 = load_trip_log(path)
+    assert trace2 == trace
+    assert repr(list(samples2)) == repr(rows)
 
 
 @settings(max_examples=200, deadline=None)
@@ -831,11 +875,11 @@ def test_column_log_and_its_rows_agree(data):
         drawn.sort(key=lambda d: d[0])
     rows = [fix(t, lat=40.0 + i / 1000, speed=v) if located else TripSample(t, v)
             for i, (t, v, located) in enumerate(drawn)]
-    log = TripLog(*([r[k] for r in rows] for k in range(5)))
+    log = log_of(rows)
     trace = CanTrace(sorted(data.draw(st.lists(stamp, max_size=12))))
     threshold = data.draw(st.floats(0.5, 300.0))
     assert halts_or_error(detect_halts, trace, log, threshold) == \
-        halts_or_error(detect_halts, trace, rows, threshold)
+        halts_or_error(full_scan_halts, trace, rows, threshold)
 
     def km(fn, samples):
         try:
@@ -843,8 +887,7 @@ def test_column_log_and_its_rows_agree(data):
         except errors.NegativeInterval as exc:
             return str(exc)
 
-    assert km(integrate_daily_distance, log) == km(integrate_daily_distance, rows) == \
-        km(per_pair_daily_distance, rows)
+    assert km(integrate_daily_distance, log) == km(per_pair_daily_distance, rows)
 
 
 def test_daily_distance_matches_per_pair_days_on_cohort(tmp_path):
