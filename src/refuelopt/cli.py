@@ -24,8 +24,10 @@ from pathlib import Path
 from . import errors, harness, mileage, scenario as scenario_mod
 from .optimizer import MODES, Mode, export_plan_csv, export_plan_geojson, select_stop
 from .tables import write_table
-from .telemetry import TripLog, detect_halts, integrate_daily_distance, load_trip_log
-from .tripgraph import assign_clusters, build_daily_flows, export_graph_csv, select_pois
+from .telemetry import (DEFAULT_GAP_THRESHOLD_S, TripLog, detect_halts, integrate_daily_distance,
+                        load_trip_log)
+from .tripgraph import (DEFAULT_CLUSTER_RADIUS_M, assign_clusters, build_daily_flows,
+                        export_graph_csv, select_pois)
 
 
 def _mode_from_args(args) -> Mode:
@@ -62,8 +64,7 @@ def _check_positive(flag: str, value: float) -> None:
 
 def cmd_ingest(args) -> int:
     _check_positive("--gap-threshold", args.gap_threshold)
-    trace, samples = load_trip_log(args.log)
-    events = detect_halts(trace, samples, gap_threshold=args.gap_threshold)
+    events = detect_halts(load_trip_log(args.log), gap_threshold=args.gap_threshold)
     out = Path(args.out_dir) / "stops.csv"
     write_table(str(out), ["timestamp", "date", "lat", "lon"],
                 ([repr(ev.timestamp), ev.day.isoformat(), repr(ev.lat), repr(ev.lon)]
@@ -85,12 +86,12 @@ def _log_weeks(samples: TripLog) -> tuple[dict, date, int]:
 def cmd_graph(args) -> int:
     _check_positive("--gap-threshold", args.gap_threshold)
     _check_positive("--cluster-radius", args.cluster_radius)
-    trace, samples = load_trip_log(args.log)
+    samples = load_trip_log(args.log)
     _daily_km, _monday, weeks = _log_weeks(samples)
     if args.weeks is not None and args.weeks != weeks:
         raise errors.SchemaError(f"--weeks {args.weeks} disagrees with the log, "
                                  f"which covers {weeks} weeks")
-    events = detect_halts(trace, samples, gap_threshold=args.gap_threshold)
+    events = detect_halts(samples, gap_threshold=args.gap_threshold)
     clusters = assign_clusters(events, cluster_radius_m=args.cluster_radius)
     pois, all_nodes = select_pois(clusters, weeks)
     graph = build_daily_flows(pois, events)
@@ -109,9 +110,8 @@ def cmd_predict(args) -> int:
                                  f"got {args.window}")
     if args.seed < 0:
         raise errors.SchemaError(f"--seed must be >= 0, got {args.seed}")
-    _trace, samples = load_trip_log(args.log)
     _series, rows, metrics, accepted = harness.mileage_verdict(
-        *_log_weeks(samples), seed=args.seed)
+        *_log_weeks(load_trip_log(args.log)), seed=args.seed)
     report = (mileage.sliding_cv(rows, window_weeks=args.window, seed=args.seed)
               if args.window else mileage.CvReport((metrics,), metrics))
     out = Path(args.out_dir) / "cv_metrics.csv"
@@ -188,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="trip log -> stop events")
     p.add_argument("--log", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--gap-threshold", type=float, default=120.0)
+    p.add_argument("--gap-threshold", type=float, default=DEFAULT_GAP_THRESHOLD_S)
     p.set_defaults(fn=cmd_ingest)
 
     p = sub.add_parser("graph", help="trip log -> habitual trip graph CSVs")
@@ -196,8 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--weeks", type=int, default=None,
                    help="check: the whole weeks the log covers (default: taken from the log)")
-    p.add_argument("--gap-threshold", type=float, default=120.0)
-    p.add_argument("--cluster-radius", type=float, default=100.0)
+    p.add_argument("--gap-threshold", type=float, default=DEFAULT_GAP_THRESHOLD_S)
+    p.add_argument("--cluster-radius", type=float, default=DEFAULT_CLUSTER_RADIUS_M)
     p.set_defaults(fn=cmd_graph)
 
     p = sub.add_parser("predict", help="hold-out gate verdict and CV report")

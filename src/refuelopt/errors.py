@@ -15,10 +15,6 @@ class NoLocationFix(RefuelOptError):
     pass
 
 
-class NegativeInterval(RefuelOptError):
-    pass
-
-
 class InvalidProfile(RefuelOptError):
     pass
 

@@ -36,10 +36,10 @@ from .mileage import (DailyFeatureRow, PredictionMetrics, build_features,
 from .optimizer import (CandidateStop, Mode, fuel_cost, generate_candidates,
                         route_candidate, select_stop)
 from .roadgraph import BuiltinRouter, Route
-from .scenario import OBSERVATION_START, Scenario
+from .scenario import Scenario
 from .stations import Station, cheapest_day, forecast_week
 from .tables import write_table
-from .telemetry import (WEEKDAYS, detect_halts, generate_synthetic_log,
+from .telemetry import (OBSERVATION_START, WEEKDAYS, detect_halts, generate_synthetic_log,
                         integrate_daily_distance)
 from .tripgraph import assign_clusters, build_daily_flows, select_pois
 
@@ -131,9 +131,8 @@ def mileage_verdict(daily_km: dict[date, float], monday: date, weeks: int, seed:
 
 def build_context(scn: Scenario) -> ScenarioContext:
     """Replay the scenario's observation period and fix the shared context."""
-    trace, samples, _truth = generate_synthetic_log(scn.profile, scn.observation_weeks,
-                                                    start_day=OBSERVATION_START)
-    halts = detect_halts(trace, samples, gap_threshold=scn.gap_threshold_s)
+    samples, _truth = generate_synthetic_log(scn.profile, scn.observation_weeks)
+    halts = detect_halts(samples, gap_threshold=scn.gap_threshold_s)
     clusters = assign_clusters(halts, cluster_radius_m=scn.cluster_radius_m)
     pois, _all = select_pois(clusters, scn.observation_weeks)
     trip_graph = build_daily_flows(pois, halts)

@@ -20,7 +20,7 @@ from datetime import date, timedelta
 import numpy as np
 
 from . import errors
-from .forest import BaggedTrees, fit_bagged_trees, load_trees
+from .forest import DEFAULT_MAX_DEPTH, DEFAULT_N_TREES, BaggedTrees, fit_bagged_trees, load_trees
 from .tables import write_table
 
 # A forest fit needs at least this many feature rows.
@@ -101,8 +101,8 @@ def build_features(daily_km: dict[date, float]) -> list[DailyFeatureRow]:
     return rows
 
 
-def fit_forest(rows: list[DailyFeatureRow], n_trees: int = 150,
-               max_depth: int = 6, seed: int = 0) -> ForestModel:
+def fit_forest(rows: list[DailyFeatureRow], n_trees: int = DEFAULT_N_TREES,
+               max_depth: int = DEFAULT_MAX_DEPTH, seed: int = 0) -> ForestModel:
     """Train the ensemble on feature rows carrying targets."""
     if len(rows) < MIN_TRAIN_ROWS:
         raise errors.SeriesTooShort(f"need >= {MIN_TRAIN_ROWS} training rows, got {len(rows)}")
@@ -148,7 +148,8 @@ def gate(metrics: PredictionMetrics, thresholds: GateThresholds = GateThresholds
 
 
 def sliding_cv(rows: list[DailyFeatureRow], window_weeks: int,
-               n_trees: int = 150, max_depth: int = 6, seed: int = 0) -> CvReport:
+               n_trees: int = DEFAULT_N_TREES, max_depth: int = DEFAULT_MAX_DEPTH,
+               seed: int = 0) -> CvReport:
     """Sliding-window cross-validation: train on `window_weeks`, test the next week.
 
     The window advances one week per fold; train and test never overlap and

@@ -21,14 +21,14 @@ import yaml
 
 from . import errors
 from .mileage import MIN_TRAIN_ROWS
-from .optimizer import MODES, Mode, VehicleState
-from .roadgraph import (RoadGraph, generate_city, load_road_graph,
+from .optimizer import DEFAULT_REFUEL_DURATION_S, MODES, Mode, VehicleState
+from .roadgraph import (DEFAULT_CORRIDOR_RADIUS_M, RoadGraph, generate_city, load_road_graph,
                         save_road_graph)
 from .stations import (PriceHistory, Station, WeeklyPriceForecast, forecast_week,
                        load_stations, save_stations)
-from .telemetry import WEEKDAYS, DriverProfile
+from .telemetry import DEFAULT_GAP_THRESHOLD_S, OBSERVATION_START, WEEKDAYS, DriverProfile
+from .tripgraph import DEFAULT_CLUSTER_RADIUS_M
 
-OBSERVATION_START = date(2025, 1, 6)  # a Monday; schedules align to weekdays
 # The gate's fit trains on every feature row but the held-out last week:
 # 7·weeks days, less the first week (it only feeds lag_7) and the held-out
 # week, so 7·weeks - 14 rows, and a fit needs MIN_TRAIN_ROWS of them.
@@ -53,11 +53,11 @@ class Scenario:
     fuel_type: str
     departure: str                     # anchor name of the departure POI
     observation_weeks: int = 7
-    cluster_radius_m: float = 100.0
-    gap_threshold_s: float = 120.0
-    corridor_radius_m: float = 2000.0
+    cluster_radius_m: float = DEFAULT_CLUSTER_RADIUS_M
+    gap_threshold_s: float = DEFAULT_GAP_THRESHOLD_S
+    corridor_radius_m: float = DEFAULT_CORRIDOR_RADIUS_M
     nearby_radius_m: float = 5000.0
-    refuel_duration_s: float = 300.0
+    refuel_duration_s: float = DEFAULT_REFUEL_DURATION_S
     # forecast_week(history, fuel_type), computed once by load_scenarios and
     # shared by the cohort; None makes build_context compute it.
     forecast: WeeklyPriceForecast | None = field(default=None, compare=False)

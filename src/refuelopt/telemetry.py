@@ -6,12 +6,13 @@ threshold marks a stop. Daily traveled distance is integrated from speed
 samples rather than GPS displacement, so it keeps working through GPS
 outages.
 
-Samples travel as a `TripLog`: one read-only float64 array per field, with
-masks for the rows whose coordinates and fuel level are given, so an absent
-value stays distinct from a NaN one. It is the one trip-log type: the
-generator and `load_trip_log` return one, and `detect_halts`,
-`integrate_daily_distance` and `save_trip_log` take one. It also holds the
-one rule every sample keeps, which `load_trip_log` applies row by row.
+Samples travel as a `TripLog`, the in-memory form of the trip-log CSV and
+the one trip-log type: one read-only float64 array per field, with masks
+for the rows whose coordinates and fuel level are given (so an absent value
+stays distinct from a NaN one) and for the rows that are bus messages
+(`can_msg`). It holds the one rule every log keeps: each row keeps the
+sample rule, which `load_trip_log` applies row by row, and the rows are in
+time order. So `load_trip_log` of a saved log gives back an equal log.
 
 A synthetic log is a pure function of (profile, weeks, sample_period_s,
 start_day), and its bytes are pinned by tests. `random.Random(profile.seed)`
@@ -67,6 +68,7 @@ TRIP_LOG_HEADER = ["timestamp", "speed_kmh", "lat", "lon", "fuel_l", "can_msg"]
 
 DEFAULT_GAP_THRESHOLD_S = 120.0
 DEFAULT_DROPOUT_CUTOFF_S = 60.0
+OBSERVATION_START = date(2025, 1, 6)  # a Monday; schedules align to weekdays
 
 
 # The timestamps `ts_to_date` converts: UTC years 1 to 9999.
@@ -81,26 +83,6 @@ def ts_to_date(ts: float) -> date:
 def _in_range(ts):
     """Whether `ts_to_date` converts `ts` (a float or an array); NaN does not."""
     return (ts >= FIRST_TIMESTAMP) & (ts < END_TIMESTAMP)
-
-
-@dataclass(frozen=True)
-class CanTrace:
-    """Timestamps (UTC seconds) of the observed bus messages, a read-only float64 array."""
-
-    message_times: np.ndarray
-
-    def __post_init__(self):
-        times = np.array(self.message_times, dtype=float)
-        times.flags.writeable = False
-        object.__setattr__(self, "message_times", times)
-        if not _in_range(times).all():
-            raise ValueError("message times must be finite and within UTC years 1-9999")
-        if (times[1:] < times[:-1]).any():
-            raise ValueError("message times must be non-decreasing")
-
-    def __eq__(self, other):
-        return isinstance(other, CanTrace) and np.array_equal(self.message_times,
-                                                              other.message_times)
 
 
 class TripSample(NamedTuple):
@@ -139,30 +121,36 @@ def _check_row(ts, speed, lat, lon, fuel) -> None:
 
 
 class TripLog:
-    """Trip samples held as columns: one read-only float64 array per field.
+    """Trip samples in time order, held as columns: one read-only float64
+    array per field.
 
-    `located` marks the rows with coordinates and `fueled` the rows with a
-    fuel level; elsewhere `lat`, `lon` and `fuel_l` hold NaN. Iteration gives
-    `TripSample` rows, and a log equals a TripLog with equal rows.
+    `located` marks the rows with coordinates, `fueled` the rows with a fuel
+    level and `message` the bus messages; elsewhere `lat`, `lon` and `fuel_l`
+    hold NaN. Iteration gives `TripSample` rows, and a log equals a TripLog
+    with equal rows and message flags.
 
     The constructor takes one sequence per field; `lat`, `lon` and `fuel_l`
-    may be None (absent from every row) or hold None in the absent rows.
-    Every row must keep the sample rule: a finite timestamp within UTC years
-    1-9999, a finite speed >= 0, coordinates given together and in range,
-    and a given fuel level finite and >= 0. Otherwise it raises ValueError
-    naming the first invalid row's first failed check.
+    may be None (absent from every row) or hold None in the absent rows, and
+    `message` None (every row is a message). Every row must keep the sample
+    rule: a finite timestamp within UTC years 1-9999, a finite speed >= 0,
+    coordinates given together and in range, and a given fuel level finite
+    and >= 0. Otherwise it raises ValueError naming the first invalid row's
+    first failed check. Only then is time order checked: a decrease raises
+    ValueError naming the first decreasing pair's earlier timestamp.
     """
 
-    __slots__ = ("timestamp", "speed_kmh", "lat", "lon", "fuel_l", "located", "fueled")
+    __slots__ = ("timestamp", "speed_kmh", "lat", "lon", "fuel_l", "located", "fueled",
+                 "message")
     __hash__ = None
 
-    def __init__(self, timestamp, speed_kmh, lat=None, lon=None, fuel_l=None):
+    def __init__(self, timestamp, speed_kmh, lat=None, lon=None, fuel_l=None, message=None):
         ts = np.array(timestamp, dtype=float)
         speed = np.array(speed_kmh, dtype=float)
         n = len(ts)
         (lat, has_lat), (lon, has_lon), (fuel, fueled) = (
             _column(c, n) for c in (lat, lon, fuel_l))
-        if not len(speed) == len(lat) == len(lon) == len(fuel) == n:
+        message = np.ones(n, dtype=bool) if message is None else np.array(message, dtype=bool)
+        if not len(speed) == len(lat) == len(lon) == len(fuel) == len(message) == n:
             raise ValueError("trip log columns differ in length")
         rule = _sample_rule(ts, speed, np.where(has_lat, lat, 0.0), np.where(has_lon, lon, 0.0),
                             np.where(fueled, fuel, 0.0), has_lat, has_lon)
@@ -172,7 +160,11 @@ class TripLog:
             _check_row(ts[i].item(), speed[i].item(),
                        *(c[i].item() if given[i] else None
                          for c, given in ((lat, has_lat), (lon, has_lon), (fuel, fueled))))
-        for name, column in zip(self.__slots__, (ts, speed, lat, lon, fuel, has_lat, fueled)):
+        back = ts[1:] < ts[:-1]
+        if back.any():
+            raise ValueError(f"timestamps decrease at t={ts[back.argmax()].item()}")
+        for name, column in zip(self.__slots__,
+                                (ts, speed, lat, lon, fuel, has_lat, fueled, message)):
             column.flags.writeable = False
             setattr(self, name, column)
 
@@ -187,7 +179,7 @@ class TripLog:
 
     def __eq__(self, other):
         if isinstance(other, TripLog):
-            return list(self) == list(other)
+            return list(self) == list(other) and np.array_equal(self.message, other.message)
         return NotImplemented
 
     def __repr__(self) -> str:
@@ -275,27 +267,25 @@ def _check(ok, message: str) -> None:
         raise errors.InvalidProfile(message)
 
 
-def detect_halts(trace: CanTrace, gps: TripLog,
-                 gap_threshold: float = DEFAULT_GAP_THRESHOLD_S) -> list[StopEvent]:
-    """Find vehicle stops as message gaps longer than `gap_threshold` seconds.
+def detect_halts(gps: TripLog, gap_threshold: float = DEFAULT_GAP_THRESHOLD_S) -> list[StopEvent]:
+    """Find vehicle stops as gaps longer than `gap_threshold` seconds between
+    the log's message rows.
 
     Each qualifying gap yields one StopEvent at the gap's start t0, located at
-    the GPS fix nearest in time to it: the fix minimising (|t - t0|, t), and
-    of fixes with equal timestamps the one that comes first in `gps`. So a
-    tie between a fix before and one after t0 goes to the earlier one, and
-    the order of `gps` matters only among fixes with equal timestamps.
-    Fixes without coordinates are ignored. Raises NoLocationFix if no fix
+    the GPS fix nearest in time to it: the row with coordinates minimising
+    (|t - t0|, t), and of fixes with equal timestamps the first in the log.
+    So a tie between a fix before and one after t0 goes to the earlier one.
+    Raises EmptyTrace if no row is a message, and NoLocationFix if no fix
     lies within `gap_threshold` of a gap start.
     """
     if not 0 < gap_threshold < math.inf:
         raise ValueError(f"gap_threshold must be positive and finite, got {gap_threshold}")
-    message_times = trace.message_times
+    message_times = gps.timestamp[gps.message]
     if not len(message_times):
-        raise errors.EmptyTrace("trace has no messages")
-    gaps = np.flatnonzero(~(np.diff(message_times) <= gap_threshold))
+        raise errors.EmptyTrace("the log has no messages")
+    gaps = np.flatnonzero(np.diff(message_times) > gap_threshold)
     located = np.flatnonzero(gps.located)
-    order = located[np.argsort(gps.timestamp[located], kind="stable")]
-    times = gps.timestamp[order].tolist()
+    times = gps.timestamp[located].tolist()
     events: list[StopEvent] = []
     for t0 in message_times[gaps].tolist():
         if not times:
@@ -311,7 +301,7 @@ def detect_halts(trace: CanTrace, gps: TripLog,
             dist = abs(times[i] - t0)
         if dist > gap_threshold:
             raise errors.NoLocationFix(f"no GPS fix within {gap_threshold}s of gap at t={t0}")
-        k = order[i]
+        k = located[i]
         events.append(StopEvent(timestamp=t0, day=ts_to_date(t0),
                                 lat=gps.lat[k].item(), lon=gps.lon[k].item()))
     return events
@@ -333,15 +323,11 @@ def integrate_daily_distance(samples: TripLog,
     if not gap_cutoff_s >= 0:
         raise ValueError(f"gap_cutoff_s must be >= 0, got {gap_cutoff_s}")
     ts = samples.timestamp
-    with np.errstate(invalid="ignore", over="ignore"):  # inf and NaN as in floats
-        dt = ts[1:] - ts[:-1]
-        back = np.flatnonzero(dt < 0)
-        # Pairs before the first decrease, as a pair-by-pair walk sees them.
-        pairs = np.flatnonzero(~(dt[:back[0] if back.size else len(dt)] > gap_cutoff_s))
-        t = ts[pairs]
-        km = samples.speed_kmh[pairs] * dt[pairs] / 3600.0
-        days = np.floor(t / 86_400.0)
-        into_day = t - days * 86_400.0
+    dt = ts[1:] - ts[:-1]
+    pairs = np.flatnonzero(dt <= gap_cutoff_s)
+    t = ts[pairs]
+    days = np.floor(t / 86_400.0)
+    into_day = t - days * 86_400.0
     # ts_to_date rounds to the microsecond, so within 1 ms of midnight the
     # day comes from ts_to_date. So it does for |t| >= 6e10 s, near the ends
     # of the range a TripLog admits.
@@ -349,23 +335,24 @@ def integrate_daily_distance(samples: TripLog,
     ordinals = np.where(exact, days, 0.0).astype(np.int64) + _EPOCH_ORDINAL
     for j in np.flatnonzero(~exact).tolist():
         ordinals[j] = ts_to_date(t[j].item()).toordinal()
-    if back.size:
-        raise errors.NegativeInterval(f"timestamps decrease at t={ts[back[0]].item()}")
-    # Without an error, the pairs' earlier samples are finite and in time
-    # order, so each day's pairs form one run. cumsum adds left to right.
+    # The log is in time order, so each day's pairs form one run. cumsum
+    # adds left to right; huge speeds overflow to inf, as floats do.
     starts = np.flatnonzero(np.diff(ordinals, prepend=-1)).tolist()
-    return {date.fromordinal(ordinals[lo].item()):
-            np.concatenate(([0.0], km[lo:hi])).cumsum()[-1].item()
-            for lo, hi in zip(starts, starts[1:] + [len(ordinals)])}
+    with np.errstate(over="ignore"):
+        km = samples.speed_kmh[pairs] * dt[pairs] / 3600.0
+        return {date.fromordinal(ordinals[lo].item()):
+                np.concatenate(([0.0], km[lo:hi])).cumsum()[-1].item()
+                for lo, hi in zip(starts, starts[1:] + [len(ordinals)])}
 
 
-def load_trip_log(path: str) -> tuple[CanTrace, TripLog]:
-    """Read a trip-log CSV, returning the message trace and time-sorted samples.
+def load_trip_log(path: str) -> TripLog:
+    """Read a trip-log CSV into a TripLog, its rows sorted stably by time.
 
     Schema: `timestamp,speed_kmh,lat,lon,fuel_l,can_msg`; lat/lon/fuel_l may
-    be empty. Raises SchemaError on a wrong header and ParseError with the
-    line number of the first bad row otherwise: each row is checked against
-    the sample rule as it is read.
+    be empty, and `can_msg` (0 or 1) is the row's message flag. Raises
+    SchemaError on a wrong header and ParseError with the line number of the
+    first bad row otherwise: each row is checked against the sample rule as
+    it is read.
     """
     def parse(row):
         ts, speed = float(row[0]), float(row[1])
@@ -378,17 +365,15 @@ def load_trip_log(path: str) -> tuple[CanTrace, TripLog]:
 
     rows = read_table(path, TRIP_LOG_HEADER, parse)
     rows.sort(key=lambda row: row[0])
-    *columns, is_message = zip(*rows) if rows else ((),) * 6
-    samples = TripLog(*columns)
-    return CanTrace(samples.timestamp[np.array(is_message, dtype=bool)]), samples
+    return TripLog(*zip(*rows) if rows else ((),) * 6)
 
 
-def save_trip_log(path: str, trace: CanTrace, samples: TripLog) -> None:
-    """Write a trip-log CSV (inverse of load_trip_log for message-bearing samples)."""
-    msg_times = set(trace.message_times.tolist())
+def save_trip_log(path: str, log: TripLog) -> None:
+    """Write a trip-log CSV, one row per log row in log order, so that
+    `load_trip_log` of the file equals `log`."""
     write_table(path, TRIP_LOG_HEADER,
-                ([*("" if v is None else repr(v) for v in s), int(s.timestamp in msg_times)]
-                 for s in sorted(samples, key=lambda s: s.timestamp)))
+                ([*("" if v is None else repr(v) for v in s), int(m)]
+                 for s, m in zip(log, log.message.tolist())))
 
 
 def _poisson(rng: random.Random, lam: float) -> int:
@@ -411,15 +396,17 @@ BLOCK_FIXES = 4096  # fixes placed per phase-2 block; a block holds whole legs
 
 def generate_synthetic_log(profile: DriverProfile, weeks: int,
                            sample_period_s: float = 5.0,
-                           start_day: date = date(2025, 1, 6),
-                           ) -> tuple[CanTrace, TripLog, dict[date, float]]:
+                           start_day: date = OBSERVATION_START,
+                           ) -> tuple[TripLog, dict[date, float]]:
     """Simulate `weeks` of driving for a synthetic driver.
 
-    Returns the message trace, GPS/speed samples and the ground-truth daily
-    traveled km (geodesic leg lengths, for oracle comparisons). Deterministic
-    for a fixed (profile, weeks): the only randomness source is the profile
-    seed. `start_day` must be a Monday so schedules line up with weekdays.
-    Raises InvalidProfile for a log that fails the TripLog or CanTrace checks.
+    Returns the trip log, in which every row is a bus message with a GPS fix,
+    and the ground-truth daily traveled km (geodesic leg lengths, for oracle
+    comparisons). Deterministic for a fixed (profile, weeks): the only
+    randomness source is the profile seed. `start_day` must be a Monday so
+    schedules line up with weekdays. Raises InvalidProfile for a log that
+    fails the TripLog checks, such as a day whose driving runs past the next
+    day's 07:00 start.
     """
     if weeks < 1:
         raise ValueError("weeks must be >= 1")
@@ -468,10 +455,7 @@ def generate_synthetic_log(profile: DriverProfile, weeks: int,
     with np.errstate(all="ignore"):  # a zero-length leg's arrival divides 0 by 0
         columns = _drive(profile, rng, days, sample_period_s)
     try:
-        # Every fix is also a bus message, so its timestamps are the trace.
-        samples = TripLog(*columns)
-        del columns  # the spare rows go before the trace copies its times
-        return CanTrace(message_times=samples.timestamp), samples, truth
+        return TripLog(*columns), truth
     except ValueError as exc:
         raise errors.InvalidProfile(str(exc)) from exc
 

@@ -31,7 +31,8 @@ from refuelopt.scenario import generate_scenario_dir, load_scenarios
 from refuelopt.stations import Station
 from refuelopt.telemetry import (DriverProfile, detect_halts,
                                  generate_synthetic_log,
-                                 integrate_daily_distance, ts_to_date)
+                                 integrate_daily_distance, load_trip_log,
+                                 save_trip_log, ts_to_date)
 from refuelopt.tripgraph import (FrequencyCategory, assign_clusters,
                                  build_daily_flows, categorize_frequency,
                                  export_graph_csv, import_graph_csv,
@@ -230,7 +231,7 @@ def test_criterion_07_speed_integration_vs_geodesic():
     for seed in range(100):
         profile = DriverProfile(seed=seed, anchors=anchors, schedule=schedule,
                                 gps_noise_m=2.0)
-        _trace, samples, _truth = generate_synthetic_log(profile, weeks=1)
+        samples, _truth = generate_synthetic_log(profile, weeks=1)
         integrated = integrate_daily_distance(samples)
         geodesic = {}
         fixes = [s for s in samples if s.lat is not None]
@@ -340,15 +341,23 @@ def test_criterion_09_simulation_determinism(tmp_path):
 
 
 def test_criterion_10_round_trips(tmp_path):
-    # Trip graph: observation -> export -> import -> export.
+    # Trip log: save -> load -> save, and the loaded log equals the saved one.
     anchors = {"home": (44.600, 10.900), "work": (44.655, 10.955),
                "gym": (44.615, 10.875)}
     schedule = {d: ["home", "work", "home"] for d in ("Mon", "Tue", "Wed",
                                                       "Thu", "Fri")}
     schedule["Sat"] = ["home", "gym", "home"]
     profile = DriverProfile(seed=5, anchors=anchors, schedule=schedule)
-    trace, samples, _ = generate_synthetic_log(profile, weeks=4)
-    halts = detect_halts(trace, samples)
+    samples, _ = generate_synthetic_log(profile, weeks=4)
+    l1, l2 = tmp_path / "l1.csv", tmp_path / "l2.csv"
+    save_trip_log(str(l1), samples)
+    loaded = load_trip_log(str(l1))
+    assert loaded == samples
+    save_trip_log(str(l2), loaded)
+    assert l1.read_bytes() == l2.read_bytes()
+
+    # Trip graph: observation -> export -> import -> export.
+    halts = detect_halts(samples)
     clusters = assign_clusters(halts)
     pois, all_nodes = select_pois(clusters, 4)
     trip_graph = build_daily_flows(pois, halts)
@@ -369,5 +378,6 @@ def test_criterion_10_round_trips(tmp_path):
     save_road_graph(city2, str(cn2), str(ce2))
     assert cn1.read_bytes() == cn2.read_bytes()
     assert ce1.read_bytes() == ce2.read_bytes()
-    print("\nCRITERION 10 PASS: trip-graph export->import->export and "
-          "road-graph save->load->save are byte-identical")
+    print("\nCRITERION 10 PASS: trip-log save->load->save, trip-graph "
+          "export->import->export and road-graph save->load->save are "
+          "byte-identical")

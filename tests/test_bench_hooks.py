@@ -6,6 +6,7 @@ would break the traced benchmark without failing any other tier-1 test.
 """
 
 import importlib
+import inspect
 import sys
 from collections import Counter
 from pathlib import Path
@@ -15,7 +16,7 @@ import pytest
 
 from refuelopt import harness
 from refuelopt.scenario import OBSERVATION_START, load_scenarios
-from refuelopt.telemetry import generate_synthetic_log
+from refuelopt.telemetry import TripLog, TripSample, detect_halts, generate_synthetic_log
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -48,6 +49,17 @@ def test_telemetry_spans_and_hooks_fit_src(spans, demo_scenario_config):
     assert fired == Counter({(name, scn.name): 1 for name in telemetry for scn in scenarios})
     fixes_in = {s[4]: s[5]["fixes_in"] for s in tracer.spans if s[0] == "telemetry.detect_halts"}
     for scn in scenarios:
-        _trace, log, _truth = generate_synthetic_log(scn.profile, scn.observation_weeks,
-                                                     start_day=OBSERVATION_START)
+        log, _truth = generate_synthetic_log(scn.profile, scn.observation_weeks,
+                                             start_day=OBSERVATION_START)
         assert fixes_in[scn.name] == np.count_nonzero(log.located) > 0
+
+
+def test_detect_halts_hook_binds_its_log(spans):
+    # The hook takes the log by the parameter name `gps` and counts the
+    # fixes of its rows, which must be 5-field TripSample rows.
+    assert list(inspect.signature(detect_halts).parameters)[0] == "gps"
+    log = TripLog([0.0, 1.0, 2.0], [0.0, 5.0, 0.0], [44.0, None, 44.1], [11.0, None, 11.1],
+                  message=[True, False, True])
+    assert [type(row) for row in log] == [TripSample] * 3
+    assert [len(row) for row in log] == [5] * 3
+    assert spans._detect_halts(detect_halts, (log,), {}, []) == {"fixes_in": 2, "halts_out": 0}

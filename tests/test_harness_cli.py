@@ -1,30 +1,32 @@
 import csv
 import hashlib
+import inspect
 import math
 import re
 import tempfile
-from dataclasses import replace
-from datetime import timedelta
+from dataclasses import fields, replace
+from datetime import date, timedelta
 from pathlib import Path
 
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from refuelopt import errors, harness
-from refuelopt.cli import main
+from refuelopt import errors, forest, harness, mileage
+from refuelopt.cli import build_parser, main
 from refuelopt.geo import haversine_m
 from refuelopt.harness import (STRATEGIES, build_context, run_cohort,
                                run_scenario, write_per_run_csv,
                                write_report_csv)
-from refuelopt.optimizer import MODES, Mode, VehicleState
-from refuelopt.roadgraph import BuiltinRouter
-from refuelopt.scenario import (OBSERVATION_START, PROFILE_TEMPLATES, generate_scenario_dir,
-                                load_scenarios, make_profile,
+from refuelopt.optimizer import DEFAULT_REFUEL_DURATION_S, MODES, Mode, VehicleState
+from refuelopt.roadgraph import DEFAULT_CORRIDOR_RADIUS_M, BuiltinRouter
+from refuelopt.scenario import (OBSERVATION_START, PROFILE_TEMPLATES, Scenario,
+                                generate_scenario_dir, load_scenarios, make_profile,
                                 make_station_catalog, parse_mode)
 from refuelopt.stations import Station, forecast_week
-from refuelopt.telemetry import (generate_synthetic_log, integrate_daily_distance,
-                                 save_trip_log)
+from refuelopt.telemetry import (DEFAULT_GAP_THRESHOLD_S, generate_synthetic_log,
+                                 integrate_daily_distance, save_trip_log)
+from refuelopt.tripgraph import DEFAULT_CLUSTER_RADIUS_M
 
 
 @pytest.fixture(scope="module")
@@ -36,12 +38,34 @@ def cohort(demo_scenario_config):
 def trip_log_path(tmp_path_factory, cohort):
     p = tmp_path_factory.mktemp("logs") / "log.csv"
     scn = cohort[0]
-    trace, samples, _ = generate_synthetic_log(scn.profile, weeks=8)
-    save_trip_log(str(p), trace, samples)
+    samples, _ = generate_synthetic_log(scn.profile, weeks=8)
+    save_trip_log(str(p), samples)
     return str(p)
 
 
 # --- scenario config ------------------------------------------------------------
+
+def test_defaults_are_the_paper_constants():
+    # Each paper value has one definition, and every default is that object.
+    assert (DEFAULT_GAP_THRESHOLD_S, DEFAULT_CLUSTER_RADIUS_M, DEFAULT_CORRIDOR_RADIUS_M,
+            DEFAULT_REFUEL_DURATION_S, forest.DEFAULT_N_TREES, forest.DEFAULT_MAX_DEPTH,
+            OBSERVATION_START) == (120.0, 100.0, 2000.0, 300.0, 150, 6, date(2025, 1, 6))
+    ingest = build_parser().parse_args(["ingest", "--log", "l", "--out-dir", "o"])
+    graph = build_parser().parse_args(["graph", "--log", "l", "--out-dir", "o"])
+    scn = {f.name: f.default for f in fields(Scenario)}
+    for default in (ingest.gap_threshold, graph.gap_threshold, scn["gap_threshold_s"]):
+        assert default is DEFAULT_GAP_THRESHOLD_S
+    for default in (graph.cluster_radius, scn["cluster_radius_m"]):
+        assert default is DEFAULT_CLUSTER_RADIUS_M
+    assert scn["corridor_radius_m"] is DEFAULT_CORRIDOR_RADIUS_M
+    assert scn["refuel_duration_s"] is DEFAULT_REFUEL_DURATION_S
+    for fn in (mileage.fit_forest, mileage.sliding_cv):
+        params = inspect.signature(fn).parameters
+        assert params["n_trees"].default is forest.DEFAULT_N_TREES
+        assert params["max_depth"].default is forest.DEFAULT_MAX_DEPTH
+    start_day = inspect.signature(generate_synthetic_log).parameters["start_day"]
+    assert start_day.default is OBSERVATION_START
+
 
 def test_load_scenarios_shapes(cohort):
     assert len(cohort) == len(PROFILE_TEMPLATES)
@@ -670,12 +694,12 @@ def test_cli_predict_gives_the_simulate_verdict(two_per_profile, tmp_path, capsy
     # whole-week series as `simulate`, and writes that week's metrics. The
     # commuters' logs end in a quiet Sunday, a 0 km day of that series.
     scn = replace(two_per_profile[driver], observation_weeks=weeks)
-    trace, log, _ = generate_synthetic_log(scn.profile, weeks, start_day=OBSERVATION_START)
+    log, _ = generate_synthetic_log(scn.profile, weeks, start_day=OBSERVATION_START)
     if scn.name.startswith("commuter"):
         last_sunday = OBSERVATION_START + timedelta(days=7 * weeks - 1)
         assert max(integrate_daily_distance(log)) < last_sunday
     path = str(tmp_path / "log.csv")
-    save_trip_log(path, trace, log)
+    save_trip_log(path, log)
     assert main(["predict", "--log", path, "--seed", str(scn.seed),
                  "--out-dir", str(tmp_path)]) == 0
     ctx = build_context(scn)

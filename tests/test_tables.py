@@ -25,9 +25,9 @@ def written(tmp_path_factory):
     assert main(["gen", "--out-dir", str(out), "--seed", "3",
                  "--seeds-per-profile", "1"]) == 0
     config = str(out / "scenario.yaml")
-    trace, samples, _ = generate_synthetic_log(load_scenarios(config)[0].profile, weeks=8)
+    samples, _ = generate_synthetic_log(load_scenarios(config)[0].profile, weeks=8)
     log = str(out / "trip_log.csv")
-    save_trip_log(log, trace, samples)
+    save_trip_log(log, samples)
     for argv in (["ingest", "--log", log],
                  ["graph", "--log", log, "--weeks", "8"],
                  ["predict", "--log", log, "--window", "5"],

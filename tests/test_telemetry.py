@@ -7,16 +7,15 @@ import tracemalloc
 from datetime import date, datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from refuelopt import errors, telemetry
 from refuelopt.geo import haversine_m, valid_coords
 from refuelopt.scenario import OBSERVATION_START, generate_scenario_dir, load_scenarios
-from refuelopt.telemetry import (_TWOPI, END_TIMESTAMP, FIRST_TIMESTAMP, WEEKDAYS, CanTrace,
-                                 DriverProfile, StopEvent, TripLog, TripSample, _draw_stream,
-                                 _poisson, detect_halts, generate_synthetic_log,
-                                 integrate_daily_distance, load_trip_log, save_trip_log,
-                                 ts_to_date)
+from refuelopt.telemetry import (_TWOPI, END_TIMESTAMP, FIRST_TIMESTAMP, WEEKDAYS, DriverProfile,
+                                 StopEvent, TripLog, TripSample, _draw_stream, _poisson,
+                                 detect_halts, generate_synthetic_log, integrate_daily_distance,
+                                 load_trip_log, save_trip_log, ts_to_date)
 
 T0 = 1_736_150_400.0  # 2025-01-06 08:00 UTC
 
@@ -25,24 +24,32 @@ def fix(ts, lat=44.0, lon=11.0, speed=30.0):
     return TripSample(timestamp=ts, speed_kmh=speed, lat=lat, lon=lon)
 
 
-def log_of(rows):
-    """The TripLog of a list of TripSample rows, built from its columns."""
-    return TripLog(*([row[k] for row in rows] for k in range(5)))
+def log_of(rows, message=None):
+    """The TripLog of a list of TripSample rows and their message flags."""
+    return TripLog(*([row[k] for row in rows] for k in range(5)), message=message)
+
+
+def with_messages(fixes, message_times):
+    """A log of `fixes`, none of them a message, and a fixless message row at
+    each of `message_times`, sorted stably by time."""
+    rows = sorted([(f, False) for f in fixes] + [(TripSample(t, 0.0), True)
+                                                 for t in message_times],
+                  key=lambda r: r[0].timestamp)
+    return log_of([row for row, _ in rows], [m for _, m in rows])
 
 
 # --- detect_halts ---------------------------------------------------------------
 
 def test_single_gap_yields_one_halt():
     times = [T0 + i for i in range(60)] + [T0 + 360 + i for i in range(60)]
-    gps = log_of([fix(t) for t in times])
-    events = detect_halts(CanTrace(times), gps, gap_threshold=120)
+    events = detect_halts(log_of([fix(t) for t in times]), gap_threshold=120)
     assert len(events) == 1
     assert events[0].timestamp == T0 + 59
 
 
 def test_continuous_messages_yield_no_halt():
     times = [T0 + i for i in range(3600)]
-    assert detect_halts(CanTrace(times), log_of([fix(T0)]), gap_threshold=120) == []
+    assert detect_halts(with_messages([fix(T0)], times), gap_threshold=120) == []
 
 
 def test_scripted_gaps_against_independent_scan():
@@ -51,8 +58,7 @@ def test_scripted_gaps_against_independent_scan():
     for gap in (60.0, 130.0, 500.0):
         times.append(times[-1] + gap)
         times.append(times[-1] + 10)
-    gps = log_of([fix(t) for t in times])
-    events = detect_halts(CanTrace(times), gps, gap_threshold=120)
+    events = detect_halts(log_of([fix(t) for t in times]), gap_threshold=120)
     expected_starts = [a for a, b in zip(times, times[1:]) if b - a > 120]
     assert [e.timestamp for e in events] == expected_starts
     assert len(events) == 2
@@ -64,51 +70,52 @@ def test_halt_count_matches_bruteforce_gap_scan(gaps):
     times = [T0]
     for g in gaps:
         times.append(times[-1] + g)
-    gps = log_of([fix(t) for t in times])
-    events = detect_halts(CanTrace(times), gps, gap_threshold=120)
+    events = detect_halts(log_of([fix(t) for t in times]), gap_threshold=120)
     assert len(events) == sum(1 for g in gaps if g > 120)
 
 
 def test_empty_trace_raises():
-    with pytest.raises(errors.EmptyTrace):
-        detect_halts(CanTrace([]), log_of([fix(T0)]))
+    # A log with no message rows, whether or not it has fixes.
+    for log in (log_of([]), log_of([fix(T0), fix(T0 + 300)], message=[False, False])):
+        with pytest.raises(errors.EmptyTrace, match="^the log has no messages$"):
+            detect_halts(log)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_can_trace_rejects_non_finite_times(bad):
-    # NaN compares false, so it slipped past the ordering check.
-    with pytest.raises(ValueError, match="message times must be finite"):
-        CanTrace([T0, bad, T0 + 1])
+def test_trip_log_rejects_non_finite_times(bad):
+    # NaN compares false, so it would slip past the order check.
+    with pytest.raises(ValueError, match=f"^non-finite timestamp {bad}$"):
+        TripLog([T0, bad, T0 + 1], [0.0, 0.0, 0.0])
 
 
 @pytest.mark.parametrize("threshold", [0.0, -1.0, math.nan, math.inf])
 def test_detect_halts_rejects_non_finite_or_non_positive_threshold(threshold):
     # A NaN threshold made every message pair a stop.
     with pytest.raises(ValueError, match="gap_threshold must be positive and finite"):
-        detect_halts(CanTrace([T0, T0 + 1]), log_of([fix(T0)]), gap_threshold=threshold)
+        detect_halts(log_of([fix(T0), fix(T0 + 1)]), gap_threshold=threshold)
 
 
 def test_no_location_fix_raises():
-    times = [T0, T0 + 300]
-    gps = log_of([fix(T0 + 10_000)])  # far from the gap start
+    gps = with_messages([fix(T0 + 10_000)], [T0, T0 + 300])  # fix far from the gap start
     with pytest.raises(errors.NoLocationFix):
-        detect_halts(CanTrace(times), gps, gap_threshold=120)
+        detect_halts(gps, gap_threshold=120)
 
 
 def test_halt_located_at_nearest_fix():
-    times = [T0, T0 + 300]
-    gps = log_of([fix(T0 - 30, lat=44.1), fix(T0 + 5, lat=44.2), fix(T0 + 90, lat=44.3)])
-    events = detect_halts(CanTrace(times), gps, gap_threshold=120)
+    gps = with_messages([fix(T0 - 30, lat=44.1), fix(T0 + 5, lat=44.2), fix(T0 + 90, lat=44.3)],
+                        [T0, T0 + 300])
+    events = detect_halts(gps, gap_threshold=120)
     assert events[0].lat == 44.2
     assert type(events[0].timestamp) is float  # not np.float64, whose repr differs
 
 
-def full_scan_halts(trace, gps, gap_threshold):
-    """Reference detect_halts: scans every fix for every gap."""
-    message_times = trace.message_times.tolist()
+def full_scan_halts(rows, message, gap_threshold):
+    """Reference detect_halts over TripSample rows and their message flags:
+    scans every fix for every gap between message rows."""
+    message_times = [row.timestamp for row, m in zip(rows, message) if m]
     if not message_times:
-        raise errors.EmptyTrace("trace has no messages")
-    fixes = [s for s in gps if s.lat is not None]
+        raise errors.EmptyTrace("the log has no messages")
+    fixes = [s for s in rows if s.lat is not None]
     events = []
     for t0, t1 in zip(message_times, message_times[1:]):
         if t1 - t0 <= gap_threshold:
@@ -123,22 +130,23 @@ def full_scan_halts(trace, gps, gap_threshold):
     return events
 
 
-def halts_or_error(fn, trace, gps, gap_threshold):
+def halts_or_error(fn, *args):
     try:
-        return fn(trace, gps, gap_threshold)
+        return fn(*args)
     except errors.RefuelOptError as exc:
         return type(exc), str(exc)
 
 
 def test_halt_ties_go_to_the_earlier_fix():
-    times = [T0, T0 + 300]
-    gps = log_of([fix(T0 + 5, lat=44.3), fix(T0 - 5, lat=44.1), fix(T0 - 5, lat=44.2)])
-    assert detect_halts(CanTrace(times), gps, gap_threshold=120)[0].lat == 44.1
+    gps = with_messages([fix(T0 - 5, lat=44.1), fix(T0 - 5, lat=44.2), fix(T0 + 5, lat=44.3)],
+                        [T0, T0 + 300])
+    assert detect_halts(gps, gap_threshold=120)[0].lat == 44.1
     # 100 - 1e-20 and 100 - 2e-20 both round to 100: the earlier fix wins.
-    gps = log_of([fix(2e-20, lat=44.2), fix(1e-20, lat=44.1), fix(200.0, lat=44.3)])
-    events = detect_halts(CanTrace([100.0, 400.0]), gps, gap_threshold=120)
+    gps = with_messages([fix(1e-20, lat=44.1), fix(2e-20, lat=44.2), fix(200.0, lat=44.3)],
+                        [100.0, 400.0])
+    events = detect_halts(gps, gap_threshold=120)
     assert events[0].lat == 44.1
-    assert events == full_scan_halts(CanTrace([100.0, 400.0]), gps, 120)
+    assert events == full_scan_halts(list(gps), gps.message.tolist(), 120)
 
 
 # Small pools of timestamps so that fixes and messages share exact values;
@@ -149,24 +157,27 @@ halt_times = st.one_of(st.floats(-1e4, 1e4), st.floats(T0, T0 + 1e4))
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_detect_halts_matches_full_scan(data):
+    # One time-sorted log; each row may have a fix and may be a message.
     pool = data.draw(st.lists(halt_times, min_size=1, max_size=6))
     stamp = st.one_of(st.sampled_from(pool), halt_times)
-    drawn = data.draw(st.lists(st.tuples(stamp, st.booleans()), max_size=25))
-    gps = log_of([fix(t, lat=40.0 + i / 1000) if located else TripSample(t, 0.0)
-                  for i, (t, located) in enumerate(drawn)])
-    trace = CanTrace(sorted(data.draw(st.lists(stamp, max_size=12))))
+    drawn = sorted(data.draw(st.lists(st.tuples(stamp, st.booleans(), st.booleans()),
+                                      max_size=30)), key=lambda d: d[0])
+    rows = [fix(t, lat=40.0 + i / 1000) if located else TripSample(t, 0.0)
+            for i, (t, located, _) in enumerate(drawn)]
+    message = [m for _, _, m in drawn]
     threshold = data.draw(st.floats(0.5, 300.0))
-    assert halts_or_error(detect_halts, trace, gps, threshold) == \
-        halts_or_error(full_scan_halts, trace, gps, threshold)
+    assert halts_or_error(detect_halts, log_of(rows, message), threshold) == \
+        halts_or_error(full_scan_halts, rows, message, threshold)
 
 
 def test_fixes_sharing_a_timestamp_keep_their_order():
-    # Enough fixes that numpy's default sort would not be an insertion sort.
+    # Of fixes with equal timestamps the first in the log wins, and a stable
+    # sort by time (as load_trip_log's) keeps the order they came in.
     gps = [fix(T0 + 10.0 * (i % 3), lat=40.0 + i / 1000) for i in range(1000)]
-    trace = CanTrace([T0 + 5.0, T0 + 300.0])  # T0 and T0 + 10 tie: T0 wins
-    for fixes, lat in ((log_of(gps), 40.0), (log_of(gps[::-1]), 40.999)):
-        events = detect_halts(trace, fixes, gap_threshold=120)
-        assert events == full_scan_halts(trace, fixes, 120)
+    for fixes, lat in ((gps, 40.0), (gps[::-1], 40.999)):
+        log = with_messages(fixes, [T0 + 5.0, T0 + 300.0])  # T0 and T0 + 10 tie: T0 wins
+        events = detect_halts(log, gap_threshold=120)
+        assert events == full_scan_halts(list(log), log.message.tolist(), 120)
         assert [e.lat for e in events] == [lat]
 
 
@@ -174,12 +185,11 @@ def test_detect_halts_matches_full_scan_on_cohort(tmp_path):
     # The benchmark's seed-3 cohort: 9 drivers, 7 weeks each.
     config = generate_scenario_dir(str(tmp_path), seed=3, n_seeds_per_profile=3)
     for scn in load_scenarios(config):
-        trace, samples, _ = generate_synthetic_log(scn.profile, scn.observation_weeks,
-                                                   start_day=OBSERVATION_START)
-        events = detect_halts(trace, samples, scn.gap_threshold_s)
-        assert events == full_scan_halts(trace, samples, scn.gap_threshold_s)
-        reversed_log = log_of(list(samples)[::-1])
-        assert detect_halts(trace, reversed_log, scn.gap_threshold_s) == events
+        samples, _ = generate_synthetic_log(scn.profile, scn.observation_weeks,
+                                            start_day=OBSERVATION_START)
+        events = detect_halts(samples, scn.gap_threshold_s)
+        assert events == full_scan_halts(list(samples), samples.message.tolist(),
+                                         scn.gap_threshold_s)
 
 
 # --- integrate_daily_distance ---------------------------------------------------
@@ -217,8 +227,19 @@ def test_dropout_pairs_contribute_nothing():
 
 
 def test_decreasing_timestamps_raise():
-    with pytest.raises(errors.NegativeInterval):
-        integrate_daily_distance(log_of([fix(T0 + 10), fix(T0)]))
+    # A log is in time order: equal timestamps are fine, a decrease is not.
+    assert len(log_of([fix(T0), fix(T0), fix(T0 + 1)])) == 3
+    with pytest.raises(ValueError, match=f"^timestamps decrease at t={T0 + 10}$"):
+        log_of([fix(T0), fix(T0 + 10), fix(T0), fix(T0 - 5)])
+
+
+def test_huge_speeds_add_up_to_inf():
+    # A pair's km, or only the day's sum, overflows: inf, as the per-pair sum
+    # gives, with no overflow warning.
+    for samples in ([fix(T0, speed=1.7e308), fix(T0 + 60.0)],
+                    [fix(T0 + i, speed=1.7e308) for i in range(5000)]):
+        assert integrate_daily_distance(log_of(samples)) == \
+            per_pair_daily_distance(samples) == {date(2025, 1, 6): math.inf}
 
 
 @pytest.mark.parametrize("cutoff", [math.nan, -1.0])
@@ -239,7 +260,7 @@ def per_pair_daily_distance(samples, gap_cutoff_s=60.0):
     for a, b in zip(samples, samples[1:]):
         dt = b.timestamp - a.timestamp
         if dt < 0:
-            raise errors.NegativeInterval(f"timestamps decrease at t={a.timestamp}")
+            raise ValueError(f"timestamps decrease at t={a.timestamp}")
         if dt > gap_cutoff_s:
             continue
         day = ts_to_date(a.timestamp)
@@ -255,7 +276,8 @@ MIDNIGHT = T0 + 16 * 3600.0  # 2025-01-07 00:00 UTC
        st.integers(0, 3))
 def test_daily_distance_matches_per_pair_days(steps, late):
     # Samples around midnight, one 0.4 us before it, which ts_to_date rounds
-    # to the next day; moving `late` samples to the end makes the log decrease.
+    # to the next day; moving `late` samples to the end makes the log
+    # decrease, and TripLog refuses exactly those logs, as the reference does.
     assert ts_to_date(MIDNIGHT - 4e-7) == date(2025, 1, 7)
     samples = [fix(MIDNIGHT + off, speed=v)
                for off, v in sorted(steps + [(-4e-7, 50.0), (-1e-3, 40.0)])]
@@ -263,12 +285,12 @@ def test_daily_distance_matches_per_pair_days(steps, late):
 
     def result(fn, samples):
         try:
-            return fn(samples)
-        except errors.NegativeInterval as exc:
+            return repr(fn(samples))
+        except ValueError as exc:
             return str(exc)
 
-    assert repr(result(integrate_daily_distance, log_of(samples))) == \
-        repr(result(per_pair_daily_distance, samples))
+    assert result(lambda rows: integrate_daily_distance(log_of(rows)), samples) == \
+        result(per_pair_daily_distance, samples)
 
 
 LAST_TIMESTAMP = math.nextafter(END_TIMESTAMP, 0.0)
@@ -286,8 +308,6 @@ def test_timestamps_outside_datetime_range_are_rejected(ts):
         TripLog([ts], [10.0])
     with pytest.raises(ValueError, match=message):
         TripLog([T0, ts], [10.0, 10.0])
-    with pytest.raises(ValueError, match="message times must be finite and within"):
-        CanTrace([T0, ts] if ts > T0 else [ts, T0])
 
 
 def test_daily_distance_at_the_ends_of_the_range():
@@ -313,22 +333,25 @@ def test_load_well_formed(tmp_path):
                  + f"{T0},30.0,44.0,11.0,40.0,1\n"
                  + f"{T0 + 1},31.0,44.0,11.0,,1\n"
                  + f"{T0 + 2},32.0,,,,0\n")
-    trace, samples = load_trip_log(str(p))
+    samples = load_trip_log(str(p))
     assert isinstance(samples, TripLog) and len(samples) == 3
-    assert trace.message_times.tolist() == [T0, T0 + 1]
-    assert not trace.message_times.flags.writeable
+    assert samples.message.tolist() == [True, True, False]
+    assert not samples.message.flags.writeable
     assert list(samples)[2].lat is None
 
 
 def test_load_sorts_shuffled_rows(tmp_path):
+    # The sort is stable, and each row keeps its message flag.
     p = tmp_path / "log.csv"
     p.write_text(LOG_HEADER
                  + f"{T0 + 2},32.0,,,,1\n"
-                 + f"{T0},30.0,,,,1\n"
-                 + f"{T0 + 1},31.0,,,,1\n")
-    trace, samples = load_trip_log(str(p))
-    assert [s.timestamp for s in samples] == [T0, T0 + 1, T0 + 2]
-    assert trace.message_times.tolist() == [T0, T0 + 1, T0 + 2]
+                 + f"{T0},30.0,,,,0\n"
+                 + f"{T0 + 1},31.0,,,,1\n"
+                 + f"{T0},29.0,,,,1\n")
+    samples = load_trip_log(str(p))
+    assert [(s.timestamp, s.speed_kmh) for s in samples] == [
+        (T0, 30.0), (T0, 29.0), (T0 + 1, 31.0), (T0 + 2, 32.0)]
+    assert samples.message.tolist() == [False, True, True, True]
 
 
 def test_load_rejects_out_of_range_latitude(tmp_path):
@@ -382,7 +405,7 @@ def test_generation_is_deterministic():
 
 
 def test_zero_errands_give_identical_weeks():
-    _, _, truth = generate_synthetic_log(profile(), weeks=3)
+    _, truth = generate_synthetic_log(profile(), weeks=3)
     days = sorted(truth)
     weekly = [sum(truth[d] for d in days[7 * w:7 * w + 7]) for w in range(3)]
     assert weekly[0] == pytest.approx(weekly[1], rel=1e-12)
@@ -399,8 +422,8 @@ def test_errand_rate_shifts_mean_weekly_distance(_):
     rate = 3.0
     extras = []
     for seed in range(120):
-        _, _, base = generate_synthetic_log(profile(seed=seed), weeks=1)
-        _, _, more = generate_synthetic_log(profile(seed=seed, errand_rate=rate), weeks=1)
+        _, base = generate_synthetic_log(profile(seed=seed), weeks=1)
+        _, more = generate_synthetic_log(profile(seed=seed, errand_rate=rate), weeks=1)
         extras.append(sum(more.values()) - sum(base.values()))
     mean_extra = statistics.mean(extras)
     assert mean_extra == pytest.approx(rate * round_trip, rel=0.25)
@@ -442,8 +465,8 @@ def test_non_finite_errand_rate_rejected(rate):
 
 
 def test_halts_cluster_at_anchors():
-    trace, samples, _ = generate_synthetic_log(profile(), weeks=2)
-    events = detect_halts(trace, samples, gap_threshold=120)
+    samples, _ = generate_synthetic_log(profile(), weeks=2)
+    events = detect_halts(samples, gap_threshold=120)
     anchors = list(profile().anchors.values())
     for ev in events:
         assert min(haversine_m(ev.lat, ev.lon, a[0], a[1]) for a in anchors) < 100
@@ -484,7 +507,7 @@ def reference_log(profile, weeks, sample_period_s=5.0, start_day=date(2025, 1, 6
         for d in range(7):
             day_plans.append((start_day + timedelta(days=7 * w + d), week_plans[d]))
 
-    samples, message_times, truth = [], [], {}
+    samples, truth = [], {}
     noise_frac = profile.speed_noise_pct / 100.0
     for cal_day, seq in day_plans:
         truth.setdefault(cal_day, 0.0)
@@ -508,25 +531,23 @@ def reference_log(profile, weeks, sample_period_s=5.0, start_day=date(2025, 1, 6
                                         rng.gauss(0.0, profile.gps_noise_m))
                 samples.append(checked(TripSample(timestamp=t, speed_kmh=speed,
                                                   lat=lat + dlat, lon=lon + dlon)))
-                message_times.append(t)
                 covered += speed * sample_period_s / 3600.0
                 t += sample_period_s
             dlat, dlon = offset_deg(b[0], rng.gauss(0.0, profile.gps_noise_m),
                                     rng.gauss(0.0, profile.gps_noise_m))
             samples.append(checked(TripSample(timestamp=t, speed_kmh=0.0,
                                               lat=b[0] + dlat, lon=b[1] + dlon)))
-            message_times.append(t)
             t += rng.uniform(1800.0, 5400.0)
-    return CanTrace(message_times=message_times), samples, truth
+    return log_of(samples), truth
 
 
 def outcome(generate, *args, **kwargs):
     """The log's repr, or the type and message of the exception raised."""
     try:
-        trace, samples, truth = generate(*args, **kwargs)
+        log, truth = generate(*args, **kwargs)
     except Exception as exc:
         return type(exc), str(exc)
-    return "ok", repr((trace.message_times.tolist(), list(samples), truth))
+    return "ok", repr((list(log), log.message.tolist(), truth))
 
 
 # sha256 of repr((message_times, samples, truth)), pinned from the generator
@@ -556,8 +577,8 @@ LOG_CASES = {
 
 
 def log_digest(make, weeks):
-    trace, samples, truth = generate_synthetic_log(make(), weeks)
-    message_times = trace.message_times.tolist()
+    samples, truth = generate_synthetic_log(make(), weeks)
+    message_times = samples.timestamp[samples.message].tolist()
     assert message_times == [s.timestamp for s in samples]
     return hashlib.sha256(repr((message_times, list(samples), truth)).encode()).hexdigest()
 
@@ -713,10 +734,11 @@ INVALID = errors.InvalidProfile
     # Below 1 km/h the generator crawls at the 1 km/h floor.
     ({"anchors": {"home": (44.6, 10.9), "work": (44.602, 10.903)}, "schedule": ROUND_TRIP,
       "cruise_speed_kmh": 0.5}, "ok"),
-    # About 20 errands a day run Monday past Tuesday's 07:00 start.
+    # About 20 errands a day run Monday past Tuesday's 07:00 start: the
+    # log's last Monday row, at Tuesday 16:54, comes before Tuesday's first.
     ({"anchors": HOME_WORK, "schedule": {**ROUND_TRIP, "Tue": ["home", "work", "home"]},
       "errand_targets": ["work"], "errand_rate": 40.0},
-     (INVALID, "message times must be non-decreasing")),
+     (INVALID, "timestamps decrease at t=1736268899.2856607")),
 ], ids=["out_of_range", "out_of_range_then_inf", "inf_cruise", "nan_cruise", "overflowing_leg",
         "near_pole_noise", "crawl", "crowded_days"])
 def test_generator_error_paths_match_reference(kwargs, expected):
@@ -738,7 +760,7 @@ def test_generation_memory_stays_bounded():
     generate_synthetic_log(profile(seed=9), weeks=1)
     tracemalloc.start()
     try:
-        _, samples, _ = generate_synthetic_log(profile(seed=9), weeks=20)
+        samples, _ = generate_synthetic_log(profile(seed=9), weeks=20)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -827,41 +849,69 @@ trip_rows = st.builds(
     st.none() | st.sampled_from([0.0, -0.0]) | st.floats(0.0, 80.0))
 
 
-@given(st.lists(trip_rows, max_size=20))
-def test_trip_log_round_trip_is_exact(rows):
+def test_the_row_rule_wins_over_order():
+    # A log with a bad row and a decreasing pair names the bad row's check,
+    # whether the bad row comes before, inside or after the decrease.
+    for speeds in ([-1.0, 10.0, 10.0, 10.0], [10.0, 10.0, -1.0, 10.0],
+                   [10.0, 10.0, 10.0, -1.0]):
+        with pytest.raises(ValueError, match=r"^invalid speed -1\.0$"):
+            TripLog([T0, T0 + 10, T0, T0 + 20], speeds)
+    with pytest.raises(ValueError, match="^lat and lon must be given together$"):
+        TripLog([T0 + 10, T0], [10.0, 10.0], lat=[None, 44.0])
+
+
+sorted_rows = st.lists(st.tuples(trip_rows, st.booleans()), max_size=20).map(
+    lambda drawn: sorted(drawn, key=lambda d: d[0].timestamp))
+
+
+@given(sorted_rows)
+def test_trip_log_round_trip_is_exact(drawn):
     # repr tells -0.0 from 0.0, NaN from None and float from np.float64.
-    log = log_of(rows)
+    rows, message = [row for row, _ in drawn], [m for _, m in drawn]
+    log = log_of(rows, message)
     assert len(log) == len(rows)
     assert repr(list(log)) == repr(rows)
-    assert repr(list(log_of(rows[::-1]))) == repr(rows[::-1])
-    assert log == log_of(list(log))
+    assert log.message.tolist() == message
+    assert log == log_of(list(log), log.message)
+    assert log_of(rows) == log_of(rows, [True] * len(rows))
     if rows:
-        assert log != log_of(rows[1:])
+        assert log != log_of(rows[1:], message[1:])
+        assert log != log_of(rows, [not m for m in message])
+    with pytest.raises(ValueError, match="^trip log columns differ in length$"):
+        log_of(rows, message + [True])
+
+
+# Saving a message at T0 + 0.5 without a fix, over fixes at T0, T0 and T0 + 1,
+# once lost it: the message column came from the fixes' timestamps.
+FOUND = [(fix(T0), True), (fix(T0, lat=44.1), False), (TripSample(T0 + 0.5, 0.0), True),
+         (fix(T0 + 1.0), False)]
 
 
 @settings(deadline=None)
-@given(st.lists(st.tuples(trip_rows, st.booleans()), max_size=20),
+@given(sorted_rows,
        st.none() | st.tuples(st.integers(0, 19), st.sampled_from([math.nan, math.inf,
                                                                   -math.inf])))
+@example(drawn=FOUND, bad_fuel=None)
 def test_save_load_round_trip(tmp_path_factory, drawn, bad_fuel):
-    # Every log TripLog accepts comes back from save -> load with the same
-    # rows (exact reprs: -0.0 stays -0.0, None stays None) and trace. A
-    # non-finite fuel level is refused when the log is built.
-    rows = sorted((row for row, _ in drawn), key=lambda row: row.timestamp)
+    # Every log TripLog accepts, message flags included, comes back from
+    # save -> load equal, with exact row reprs (-0.0 stays -0.0, None stays
+    # None). A non-finite fuel level is refused when the log is built.
+    rows, message = [row for row, _ in drawn], [m for _, m in drawn]
     columns = [[row[k] for row in rows] for k in range(5)]
     if bad_fuel is not None and bad_fuel[0] < len(rows):
         columns[4][bad_fuel[0]] = bad_fuel[1]
         with pytest.raises(ValueError, match=f"^non-finite fuel level {bad_fuel[1]}$"):
             TripLog(*columns)
         return
-    # Every fix with a message timestamp is written as a message.
-    chosen = {row.timestamp for row, is_message in drawn if is_message}
-    trace = CanTrace([row.timestamp for row in rows if row.timestamp in chosen])
+    log = TripLog(*columns, message=message)
     path = str(tmp_path_factory.getbasetemp() / "round_trip.csv")
-    save_trip_log(path, trace, TripLog(*columns))
-    trace2, samples2 = load_trip_log(path)
-    assert trace2 == trace
-    assert repr(list(samples2)) == repr(rows)
+    save_trip_log(path, log)
+    loaded = load_trip_log(path)
+    assert loaded == log
+    assert repr(list(loaded)) == repr(rows)
+    assert loaded.message.tolist() == message
+    if drawn is FOUND:
+        assert loaded.timestamp[loaded.message].tolist() == [T0, T0 + 0.5]
 
 
 @settings(max_examples=200, deadline=None)
@@ -870,30 +920,22 @@ def test_column_log_and_its_rows_agree(data):
     pool = data.draw(st.lists(halt_times, min_size=1, max_size=6))
     stamp = st.one_of(st.sampled_from(pool), halt_times)
     speed = st.sampled_from([0.0, -0.0]) | st.floats(0.0, 120.0)
-    drawn = data.draw(st.lists(st.tuples(stamp, speed, st.booleans()), max_size=25))
-    if data.draw(st.booleans()):
-        drawn.sort(key=lambda d: d[0])
+    drawn = sorted(data.draw(st.lists(st.tuples(stamp, speed, st.booleans(), st.booleans()),
+                                      max_size=25)), key=lambda d: d[0])
     rows = [fix(t, lat=40.0 + i / 1000, speed=v) if located else TripSample(t, v)
-            for i, (t, v, located) in enumerate(drawn)]
-    log = log_of(rows)
-    trace = CanTrace(sorted(data.draw(st.lists(stamp, max_size=12))))
+            for i, (t, v, located, _) in enumerate(drawn)]
+    message = [m for *_, m in drawn]
+    log = log_of(rows, message)
     threshold = data.draw(st.floats(0.5, 300.0))
-    assert halts_or_error(detect_halts, trace, log, threshold) == \
-        halts_or_error(full_scan_halts, trace, rows, threshold)
-
-    def km(fn, samples):
-        try:
-            return repr(fn(samples))
-        except errors.NegativeInterval as exc:
-            return str(exc)
-
-    assert km(integrate_daily_distance, log) == km(per_pair_daily_distance, rows)
+    assert halts_or_error(detect_halts, log, threshold) == \
+        halts_or_error(full_scan_halts, rows, message, threshold)
+    assert repr(integrate_daily_distance(log)) == repr(per_pair_daily_distance(rows))
 
 
 def test_daily_distance_matches_per_pair_days_on_cohort(tmp_path):
     config = generate_scenario_dir(str(tmp_path), seed=3, n_seeds_per_profile=1)
     for scn in load_scenarios(config):
-        _, samples, _ = generate_synthetic_log(scn.profile, scn.observation_weeks,
-                                               start_day=OBSERVATION_START)
+        samples, _ = generate_synthetic_log(scn.profile, scn.observation_weeks,
+                                            start_day=OBSERVATION_START)
         assert repr(integrate_daily_distance(samples)) == \
             repr(per_pair_daily_distance(list(samples)))
