@@ -16,25 +16,27 @@ otherwise a forward search runs. The harness builds one router per
 scenario run and drops it with the run's context; the graph itself holds
 no routes, only a coordinate index for `nearest_node` and the in-edge
 lists the reverse searches read, shared by the routers of a cohort.
-Snapping and corridor filtering screen with numpy and let the scalar
-`geo` functions decide every close call, so they return exactly what a
-scalar scan returns.
+Snapping, the edges' geodesic check and corridor filtering screen with
+numpy and let the scalar `geo` functions decide every close call, so they
+return exactly what a scalar scan returns.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import numbers
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Protocol
 
 import numpy as np
 
 from . import errors
-from .geo import (EARTH_RADIUS_M, haversine_m, point_polyline_distance_m,
+from .geo import (EARTH_RADIUS_M, haversine_m, haversine_m_array, point_polyline_distance_m,
                   point_segment_distance_m_array, valid_coords)
-from .tables import read_table, write_table
+from .tables import read_table, row_line, write_table
 
 NODES_HEADER = ["id", "lat", "lon"]
 EDGES_HEADER = ["from", "to", "length_m", "time_s"]
@@ -42,10 +44,12 @@ EDGES_HEADER = ["from", "to", "length_m", "time_s"]
 DEFAULT_CORRIDOR_RADIUS_M = 2000.0
 
 # Screening margins: numpy's sin/cos/arcsin may differ from libm's in the
-# last bits, far less than these, so every point the scalar functions could
-# decide differently from the screen is re-checked with them.
+# last bits, far less than these, so every point or edge the scalar functions
+# could decide differently from the screen is re-checked with them.
 SNAP_MARGIN_M = 1e-6
 SNAP_MARGIN_REL = 1e-9
+EDGE_MARGIN_M = 1e-6
+EDGE_MARGIN_REL = 1e-9
 CORRIDOR_MARGIN_M = 1e-3
 # Certificate margin of a reverse-search path, in seconds or metres. An
 # n-edge float path sum is within about n * 2**-53 of its value, relative,
@@ -63,6 +67,15 @@ class Route:
 
     def polyline(self, graph: "RoadGraph") -> list[tuple[float, float]]:
         return [graph.nodes[n] for n in self.nodes]
+
+
+class BadEdge(ValueError):
+    """An edge row with a bad length or time; `index` is its position in the
+    rows given to `RoadGraph.add_edges`."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
 
 
 @dataclass
@@ -90,15 +103,59 @@ class RoadGraph:
         self._in_edges = None
 
     def add_edge(self, src: str, dst: str, length_m: float, time_s: float) -> None:
-        if src not in self.nodes or dst not in self.nodes:
+        self.add_edges([(src, dst, length_m, time_s)])
+
+    def add_edges(self, rows: Sequence[tuple[str, str, float, float]]) -> None:
+        """Add (from, to, length_m, time_s) edges in row order, all or none.
+
+        The first bad row decides the error: DanglingEdge if it names an
+        unknown node, else BadEdge if its length or time is not finite and
+        positive or its length is under 0.999 of the geodesic (TypeError if
+        one is not a real number). A numpy
+        haversine over every row screens that bound; `haversine_m` decides
+        each row within the edge margin of it.
+        """
+        nodes = self.nodes
+        position = dict(zip(nodes, range(len(nodes))))
+        ends = np.array([[position.get(row[0], -1) for row in rows],
+                         [position.get(row[1], -1) for row in rows]], dtype=int).reshape(2, -1)
+        unknown = (ends < 0).any(axis=0)
+        # Only the rows before the first one with an unknown node have values to check.
+        dangling = int(unknown.argmax()) if unknown.any() else len(rows)
+        checked = rows[:dangling]
+        coords = np.array(list(nodes.values()), dtype=float).reshape(-1, 2)
+        # Indexed by (end, row, lat/lon); transposed to (end, lat/lon, row).
+        (lat1, lon1), (lat2, lon2) = coords[ends[:, :dangling]].transpose(0, 2, 1)
+        lengths, times = [row[2] for row in checked], [row[3] for row in checked]
+        # numpy would read "5" as 5.0 and None as NaN; a comparison refuses both.
+        if not all(issubclass(kind, numbers.Real) for kind in {*map(type, lengths),
+                                                               *map(type, times)}):
+            raise TypeError("edge lengths and times must be real numbers")
+        length, time = np.array(lengths, dtype=float), np.array(times, dtype=float)
+        bound = haversine_m_array(lat1, lon1, lat2, lon2) * 0.999
+        short = length < bound
+        for i in np.flatnonzero(np.abs(length - bound)
+                                <= EDGE_MARGIN_M + EDGE_MARGIN_REL * bound).tolist():
+            src, dst, length_m, _ = checked[i]
+            short[i] = length_m < haversine_m(*nodes[src], *nodes[dst]) * 0.999
+        # Each check's pass mask and its message, in the order a row is checked.
+        rule = ((~((length <= 0) | (time <= 0)), "must have positive length and time"),
+                (~short, "shorter than the geodesic ({0:.1f} m < {2:.1f} m)"),
+                (np.isfinite(length) & np.isfinite(time),
+                 "must have finite length and time, got {0} m and {1} s"))
+        ok = np.logical_and.reduce([passes for passes, _ in rule])
+        if not ok.all():
+            i = int(ok.argmin())
+            src, dst, length_m, time_s = checked[i]
+            message = next(message for passes, message in rule if not passes[i])
+            geo = haversine_m(*nodes[src], *nodes[dst])
+            raise BadEdge(i, f"edge {src}->{dst} " + message.format(length_m, time_s, geo))
+        if dangling < len(rows):
+            src, dst, _, _ = rows[dangling]
             raise errors.DanglingEdge(f"edge {src}->{dst} references unknown node")
-        if length_m <= 0 or time_s <= 0:
-            raise ValueError(f"edge {src}->{dst} must have positive length and time")
-        geo = haversine_m(*self.nodes[src], *self.nodes[dst])
-        if length_m < geo * 0.999:
-            raise ValueError(f"edge {src}->{dst} shorter than the geodesic "
-                             f"({length_m:.1f} m < {geo:.1f} m)")
-        self.adj.setdefault(src, []).append((dst, length_m, time_s))
+        adj = self.adj
+        for src, dst, length_m, time_s in rows:
+            adj.setdefault(src, []).append((dst, length_m, time_s))
         self._in_edges = None
 
     def in_edges(self) -> dict[str, list[tuple[str, float, float]]]:
@@ -422,13 +479,28 @@ def corridor_filter(polyline: list[tuple[float, float]], points: list[tuple[floa
 
 
 def load_road_graph(nodes_path: str, edges_path: str) -> RoadGraph:
-    """Load the graph CSV pair, rejecting dangling or degenerate edges."""
+    """Load the graph CSV pair, rejecting dangling or degenerate edges. The
+    first bad edge row in file order decides the error, as if each row were
+    checked as it is read."""
     graph = RoadGraph()
     read_table(nodes_path, NODES_HEADER,
                lambda row: graph.add_node(row[0], float(row[1]), float(row[2])))
-    read_table(edges_path, EDGES_HEADER,
-               lambda row: graph.add_edge(row[0], row[1], float(row[2]), float(row[3])))
+    rows: list[tuple[str, str, float, float]] = []
+    try:
+        read_table(edges_path, EDGES_HEADER,
+                   lambda row: rows.append((row[0], row[1], float(row[2]), float(row[3]))))
+    except errors.RefuelOptError:
+        _add_edge_rows(graph, rows, edges_path)  # a bad row before the unreadable one
+        raise
+    _add_edge_rows(graph, rows, edges_path)
     return graph
+
+
+def _add_edge_rows(graph: RoadGraph, rows: list, path: str) -> None:
+    try:
+        graph.add_edges(rows)
+    except BadEdge as exc:
+        raise errors.ParseError(row_line(path, exc.index), str(exc)) from None
 
 
 def save_road_graph(graph: RoadGraph, nodes_path: str, edges_path: str) -> None:
@@ -455,24 +527,23 @@ def generate_city(seed: int, rows: int = 12, cols: int = 12,
     dlat = spacing_m / 111_194.9
     dlon = spacing_m / (111_194.9 * math.cos(math.radians(center[0])))
 
-    def node_id(r: int, c: int) -> str:
-        return f"N{r:02d}_{c:02d}"
-
+    ids = [[f"N{r:02d}_{c:02d}" for c in range(cols)] for r in range(rows)]
     for r in range(rows):
         for c in range(cols):
-            graph.add_node(node_id(r, c),
+            graph.add_node(ids[r][c],
                            center[0] + (r - rows / 2) * dlat,
                            center[1] + (c - cols / 2) * dlon)
+    edges = []
     for r in range(rows):
         for c in range(cols):
             for r2, c2 in ((r + 1, c), (r, c + 1)):
                 if r2 >= rows or c2 >= cols:
                     continue
-                a, b = node_id(r, c), node_id(r2, c2)
+                a, b = ids[r][c], ids[r2][c2]
                 geo = haversine_m(*graph.nodes[a], *graph.nodes[b])
                 length = geo * rng.uniform(1.0, 1.25)
                 speed_ms = rng.uniform(30.0, 60.0) / 3.6
                 time_s = length / speed_ms
-                graph.add_edge(a, b, length, time_s)
-                graph.add_edge(b, a, length, time_s)
+                edges += [(a, b, length, time_s), (b, a, length, time_s)]
+    graph.add_edges(edges)
     return graph

@@ -34,6 +34,13 @@ from .tripgraph import DEFAULT_CLUSTER_RADIUS_M
 # week, so 7·weeks - 14 rows, and a fit needs MIN_TRAIN_ROWS of them.
 MIN_OBSERVATION_WEEKS = -(-(MIN_TRAIN_ROWS + 14) // 7)
 
+# PyYAML's libyaml classes, where it was built with libyaml, share the pure
+# classes' constructor and representer: they build the same objects and
+# write the same text, several times faster. Only their error messages
+# differ, so a document libyaml rejects is parsed again by the pure loader.
+_SafeLoader = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+_SafeDumper = yaml.CSafeDumper if yaml.__with_libyaml__ else yaml.SafeDumper
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -168,12 +175,21 @@ def _whole_in(what: str, value, least: int, most: float = math.inf) -> int:
     return int(value)
 
 
+def _safe_load(fh):
+    """`yaml.safe_load(fh)`: the same document, or the same YAMLError."""
+    try:
+        return yaml.load(fh, Loader=_SafeLoader)
+    except yaml.YAMLError:
+        fh.seek(0)
+        return yaml.load(fh, Loader=yaml.SafeLoader)
+
+
 def load_scenarios(config_path: str) -> list[Scenario]:
     """Read a cohort config: shared city/stations/vehicle plus a driver list."""
     base = Path(config_path).parent
     with open(config_path, encoding="utf-8") as fh:
         try:
-            cfg = yaml.safe_load(fh)
+            cfg = _safe_load(fh)
         except yaml.YAMLError as exc:
             raise errors.SchemaError(f"{config_path}: malformed YAML: {exc}") from exc
     _check_config_keys(cfg, config_path)
@@ -285,20 +301,22 @@ def make_station_catalog(seed: int, graph: RoadGraph, count: int,
         end_day = OBSERVATION_START + timedelta(weeks=8)
     lats = [graph.nodes[n][0] for n in node_ids]
     lons = [graph.nodes[n][1] for n in node_ids]
+    lat_range, lon_range = (min(lats), max(lats)), (min(lons), max(lons))
+    days = [end_day - timedelta(days=k) for k in range(history_weeks * 7, 0, -1)]
+    weekdays = [d.weekday() for d in days]
     stations = []
     series = {}
     brands = ("Alfa", "Bravo", "Quasar", "Vento", "Luce")
     for i in range(count):
         sid = f"PS_{i + 1:03d}"
-        lat = rng.uniform(min(lats), max(lats))
-        lon = rng.uniform(min(lons), max(lons))
+        lat = rng.uniform(*lat_range)
+        lon = rng.uniform(*lon_range)
         st = Station(station_id=sid, lat=lat, lon=lon, brand=rng.choice(brands))
         base = base_price * (1.0 + (dispersion_pct / 100.0) * rng.uniform(-0.5, 0.5))
         cheap_day = rng.randrange(7)
         obs = []
-        for k in range(history_weeks * 7, 0, -1):
-            d = end_day - timedelta(days=k)
-            price = base - (0.02 if d.weekday() == cheap_day else 0.0)
+        for d, weekday in zip(days, weekdays):
+            price = base - (0.02 if weekday == cheap_day else 0.0)
             price += 0.002 * rng.uniform(-1.0, 1.0)
             obs.append((d, round(price, 3)))
         series[(sid, fuel_type)] = tuple(obs)
@@ -350,5 +368,5 @@ def generate_scenario_dir(out_dir: str, seed: int, n_seeds_per_profile: int = 5,
     }
     config_path = out / "scenario.yaml"
     with open(config_path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(cfg, fh, sort_keys=False)
+        yaml.dump(cfg, fh, Dumper=_SafeDumper, sort_keys=False)
     return str(config_path)

@@ -9,6 +9,7 @@ forecast, and the refueling day is the weekday with the lowest area price.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from datetime import date, timedelta
@@ -52,41 +53,57 @@ class WeeklyPriceForecast:
 
 
 def load_stations(path: str) -> tuple[list[Station], PriceHistory]:
-    """Read the station CSV (one row per station x fuel x observation date)."""
+    """Read the station CSV (one row per station x fuel x observation date).
+
+    Each distinct coordinate pair and date string is parsed once. A station's
+    rows must agree on its identity as parsed floats, so `44.6` and `44.60`
+    are one latitude.
+    """
+    points: dict[tuple[str, str], tuple[float, float, bool]] = {}
+    days: dict[str, date] = {}
+
     def parse(row):
-        sid, brand, fuel = row[0], row[3], row[4]
-        lat, lon, price = float(row[1]), float(row[2]), float(row[5])
-        observed = date.fromisoformat(row[6])
-        if not valid_coords(lat, lon):
+        point = points.get((row[1], row[2]))
+        if point is None:
+            lat, lon = float(row[1]), float(row[2])
+            point = points[(row[1], row[2])] = (lat, lon, valid_coords(lat, lon))
+        price = float(row[5])
+        observed = days.get(row[6])
+        if observed is None:
+            observed = days[row[6]] = date.fromisoformat(row[6])
+        lat, lon, valid = point
+        if not valid:
             raise ValueError(f"invalid coordinates ({lat}, {lon})")
         if price <= 0:
             raise ValueError(f"price must be positive, got {price}")
-        return sid, lat, lon, brand, fuel, price, observed
+        if not price < math.inf:
+            raise ValueError(f"price must be finite, got {price}")
+        return row[0], lat, lon, row[3], row[4], price, observed
 
     rows = read_table(path, STATIONS_HEADER, parse)
 
-    stations: dict[str, Station] = {}
+    identity: dict[str, tuple[float, float, str]] = {}
     series: dict[tuple[str, str], dict[date, float]] = {}
     for sid, lat, lon, brand, fuel, price, observed in rows:
-        if sid in stations:
-            st = stations[sid]
-            if (st.lat, st.lon, st.brand) != (lat, lon, brand):
-                raise errors.DuplicateId(f"station {sid} redefined with different identity")
-        else:
-            stations[sid] = Station(station_id=sid, lat=lat, lon=lon, brand=brand)
-        obs = series.setdefault((sid, fuel), {})
-        if observed in obs:
+        if identity.setdefault(sid, (lat, lon, brand)) != (lat, lon, brand):
+            raise errors.DuplicateId(f"station {sid} redefined with different identity")
+        obs = series.get((sid, fuel))
+        if obs is None:
+            obs = series[(sid, fuel)] = {}
+        elif observed in obs:
             raise errors.DuplicateId(f"duplicate observation for {sid}/{fuel} on {observed}")
         obs[observed] = price
 
     history = PriceHistory(series={k: tuple(sorted(v.items())) for k, v in series.items()})
-    return list(stations.values()), history
+    return [Station(sid, *ident) for sid, ident in identity.items()], history
 
 
 def save_stations(stations: list[Station], history: PriceHistory, path: str) -> None:
     identity = {s.station_id: [repr(s.lat), repr(s.lon), s.brand] for s in stations}
+    days: dict[date, str] = {}
     write_table(path, STATIONS_HEADER,
-                ([sid, *identity[sid], fuel, repr(price), d.isoformat()]
+                ([sid, *identity[sid], fuel, repr(price),
+                  days.get(d) or days.setdefault(d, d.isoformat())]
                  for sid, fuel in sorted(history.series)
                  for d, price in history.series[(sid, fuel)]))
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 from collections.abc import Callable, Iterable, Sequence
+from itertools import islice
 from typing import Any, TypeVar
 
 from . import errors
@@ -57,6 +58,19 @@ def read_table(path: str, header: list[str],
     except OSError as exc:
         raise errors.IoError(str(exc)) from exc
     return out
+
+
+def row_line(path: str, index: int) -> int:
+    """The line number `read_table` gives data row `index` (from 0) of the
+    CSV at `path`, for a check made after the file was read."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            for _ in islice(reader, index + 2):  # the header, then rows 0..index
+                pass
+            return reader.line_num
+    except OSError as exc:
+        raise errors.IoError(str(exc)) from exc
 
 
 def write_table(path: str, header: Sequence[str],

@@ -1,3 +1,4 @@
+import csv
 import heapq
 import itertools
 import math
@@ -80,6 +81,46 @@ def test_edge_shorter_than_geodesic_rejected():
     g.add_node("B", *grid_coords(0, 1))  # ~500 m apart
     with pytest.raises(ValueError):
         g.add_edge("A", "B", 100.0, 10.0)
+
+
+@pytest.mark.parametrize("length_m,time_s", [(math.nan, 1.0), (1000.0, math.inf),
+                                             (math.inf, 60.0), (1000.0, math.nan)])
+def test_non_finite_edge_rejected(length_m, time_s):
+    # NaN and +inf pass the `<= 0` check and the geodesic bound; the
+    # finiteness check refuses them.
+    g = RoadGraph()
+    g.add_node("A", *grid_coords(0, 0))
+    g.add_node("B", *grid_coords(0, 1))
+    with pytest.raises(ValueError, match=r"^edge A->B must have finite length and time, "
+                                         rf"got {length_m} m and {time_s} s$"):
+        g.add_edge("A", "B", length_m, time_s)
+    assert g.adj == {"A": [], "B": []}
+
+
+@pytest.mark.parametrize("length_m,time_s", [("600", 60.0), (600.0, None)])
+def test_non_numeric_edge_rejected(length_m, time_s):
+    g = RoadGraph()
+    g.add_node("A", *grid_coords(0, 0))
+    g.add_node("B", *grid_coords(0, 1))
+    with pytest.raises(TypeError):
+        g.add_edge("A", "B", length_m, time_s)
+    assert g.adj == {"A": [], "B": []}
+
+
+def test_add_edges_is_all_or_none_and_checks_rows_in_order():
+    g = RoadGraph()
+    g.add_node("A", *grid_coords(0, 0))
+    g.add_node("B", *grid_coords(0, 1))
+    good = ("A", "B", 600.0, 60.0)
+    with pytest.raises(ValueError, match="^edge B->A must have positive length") as exc:
+        g.add_edges([good, ("B", "A", -1.0, 60.0), ("A", "Z", 600.0, 60.0)])
+    assert exc.value.index == 1
+    with pytest.raises(errors.DanglingEdge, match="^edge A->Z references unknown node$"):
+        g.add_edges([good, ("A", "Z", 600.0, 60.0), ("B", "A", -1.0, 60.0)])
+    assert g.adj == {"A": [], "B": []}
+    g.add_edges([good, good, ("B", "A", 700.0, 70.0)])
+    assert g.adj == {"A": [("B", 600.0, 60.0)] * 2, "B": [("A", 700.0, 70.0)]}
+    g.add_edges([])
 
 
 def test_nearest_node_snap():
@@ -216,6 +257,67 @@ def test_load_rejects_dangling_edge(tmp_path):
     (tmp_path / "e.csv").write_text("from,to,length_m,time_s\nA,Z,100.0,10.0\n")
     with pytest.raises(errors.DanglingEdge):
         load_road_graph(str(tmp_path / "n.csv"), str(tmp_path / "e.csv"))
+
+
+EDGE_NODES = "id,lat,lon\nA,44.0,11.0\nB,44.0,11.001\n"  # 80 m apart
+GOOD_EDGE = "A,B,100.0,10.0"
+SHORT_EDGE = "B,A,10.0,5.0"
+DANGLING_EDGE = "A,Z,100.0,10.0"
+SHORT = "edge B->A shorter than the geodesic (10.0 m < 80.0 m)"
+
+
+@pytest.mark.parametrize("rows,error,line,message", [
+    ([GOOD_EDGE, SHORT_EDGE, DANGLING_EDGE], errors.ParseError, 3, SHORT),
+    ([GOOD_EDGE, DANGLING_EDGE, SHORT_EDGE], errors.DanglingEdge, None,
+     "edge A->Z references unknown node"),
+    ([GOOD_EDGE, SHORT_EDGE, "A,B,x,1.0"], errors.ParseError, 3, SHORT),
+    ([GOOD_EDGE, "A,B,x,1.0", SHORT_EDGE], errors.ParseError, 3,
+     "could not convert string to float: 'x'"),
+    ([GOOD_EDGE, SHORT_EDGE, "A,B,1.0"], errors.ParseError, 3, SHORT),
+    # The finiteness check comes last: a short edge with an infinite time
+    # is refused as short.
+    ([GOOD_EDGE, "B,A,10.0,inf"], errors.ParseError, 3, SHORT),
+    # A quoted line break: the row ends on line 4, so the next is line 5.
+    ([GOOD_EDGE, '"A",B,100.0,"10.0\n"', SHORT_EDGE], errors.ParseError, 5, SHORT),
+])
+def test_load_reports_the_first_bad_edge_row_in_file_order(tmp_path, rows, error, line, message):
+    # The rows are checked in one bulk call after reading; the verdict is
+    # still that of checking each row as it is read. Line 1 is the header.
+    (tmp_path / "n.csv").write_text(EDGE_NODES)
+    (tmp_path / "e.csv").write_text("from,to,length_m,time_s\n" + "".join(f"{r}\n" for r in rows))
+    with pytest.raises(error) as exc:
+        load_road_graph(str(tmp_path / "n.csv"), str(tmp_path / "e.csv"))
+    assert getattr(exc.value, "line", None) == line
+    assert str(exc.value) == (message if line is None else f"line {line}: {message}")
+
+
+def test_load_rejects_non_finite_edge_with_its_line(tmp_path):
+    (tmp_path / "n.csv").write_text(EDGE_NODES)
+    (tmp_path / "e.csv").write_text("from,to,length_m,time_s\nA,B,100.0,10.0\nB,A,100.0,nan\n")
+    with pytest.raises(errors.ParseError) as exc:
+        load_road_graph(str(tmp_path / "n.csv"), str(tmp_path / "e.csv"))
+    assert str(exc.value) == "line 3: edge B->A must have finite length and time, got 100.0 m and nan s"
+
+
+def _reference_load(nodes_path, edges_path):
+    """The graph of a per-row `add_node`/`add_edge` loop over the CSV pair."""
+    graph = RoadGraph()
+    with open(nodes_path, newline="") as fh:
+        for nid, lat, lon in list(csv.reader(fh))[1:]:
+            graph.add_node(nid, float(lat), float(lon))
+    with open(edges_path, newline="") as fh:
+        for src, dst, length_m, time_s in list(csv.reader(fh))[1:]:
+            graph.add_edge(src, dst, float(length_m), float(time_s))
+    return graph
+
+
+def test_load_matches_per_row_add_edge_on_a_metro_city(tmp_path):
+    n, e = str(tmp_path / "n.csv"), str(tmp_path / "e.csv")
+    save_road_graph(generate_city(seed=3, rows=40, cols=40), n, e)
+    got, want = load_road_graph(n, e), _reference_load(n, e)
+    assert list(got.nodes.items()) == list(want.nodes.items())
+    assert list(got.adj.items()) == list(want.adj.items())
+    assert list(got.in_edges().items()) == list(want.in_edges().items())
 
 
 def test_generate_city_deterministic_and_connected():
@@ -602,6 +704,29 @@ def test_corridor_boundary_is_decided_by_the_scalar_distance():
     high, low = haversine_m(*QUERY, *SCREENED_HIGH), haversine_m(*QUERY, *SCREENED_LOW)
     assert corridor_filter([QUERY], [SCREENED_HIGH, SCREENED_LOW], radius_m=high) == [0]
     assert corridor_filter([QUERY], [SCREENED_LOW], radius_m=math.nextafter(low, -math.inf)) == []
+
+
+def test_geodesic_bound_is_decided_by_the_scalar_distance(tmp_path):
+    # Q -> H screens one ulp long, so the screen alone would reject an edge
+    # exactly at the scalar bound; Q -> L screens one ulp short, so it would
+    # pass one an ulp below it.
+    g = RoadGraph()
+    for nid, point in (("Q", QUERY), ("H", SCREENED_HIGH), ("L", SCREENED_LOW)):
+        g.add_node(nid, *point)
+    for nid, point in (("H", SCREENED_HIGH), ("L", SCREENED_LOW)):
+        bound = haversine_m(*QUERY, *point) * 0.999
+        g.add_edge("Q", nid, bound, 60.0)
+        with pytest.raises(ValueError, match=f"^edge Q->{nid} shorter than the geodesic"):
+            g.add_edge("Q", nid, math.nextafter(bound, 0.0), 60.0)
+    # The same verdicts through the file reader, on the row's line.
+    n, e = str(tmp_path / "n.csv"), tmp_path / "e.csv"
+    save_road_graph(g, n, str(e))
+    assert load_road_graph(n, str(e)).adj == g.adj
+    below = math.nextafter(haversine_m(*QUERY, *SCREENED_LOW) * 0.999, 0.0)
+    e.write_text(e.read_text() + f"Q,L,{below!r},60.0\n")
+    with pytest.raises(errors.ParseError) as exc:
+        load_road_graph(n, str(e))
+    assert exc.value.line == 4
 
 
 def test_nearest_node_returns_the_scalar_distance():

@@ -46,6 +46,36 @@ def test_load_rejects_identity_conflict(tmp_path):
         load_stations(str(p))
 
 
+def test_load_compares_identity_as_parsed_floats(tmp_path):
+    # Coordinates are parsed once per distinct text: `44.6` and `44.60` are
+    # two texts but one latitude, so one station; a changed brand is not.
+    p = tmp_path / "stations.csv"
+    p.write_text(HEADER + row("S1", 1.80, MONDAY, lat="44.6")
+                 + row("S1", 1.78, MONDAY + timedelta(days=1), lat="44.60"))
+    stations, hist = load_stations(str(p))
+    assert [(s.station_id, s.lat) for s in stations] == [("S1", 44.6)]
+    assert len(hist.series[("S1", "diesel")]) == 2
+    p.write_text(HEADER + row("S1", 1.80, MONDAY, lat="44.6")
+                 + row("S1", 1.78, MONDAY + timedelta(days=1), lat="44.60", brand="Other"))
+    with pytest.raises(errors.DuplicateId, match="^station S1 redefined with different identity$"):
+        load_stations(str(p))
+
+
+@pytest.mark.parametrize("price", ["nan", "inf", "NaN", "Infinity"])
+def test_load_rejects_non_finite_price(tmp_path, price):
+    # A NaN price passes `price <= 0` and would make every area price NaN.
+    p = tmp_path / "stations.csv"
+    p.write_text(HEADER + row("S1", 1.80, MONDAY) + row("S1", price, MONDAY + timedelta(days=1)))
+    with pytest.raises(errors.ParseError) as exc:
+        load_stations(str(p))
+    assert exc.value.line == 3
+    assert str(exc.value) == f"line 3: price must be finite, got {float(price)}"
+    # A negative infinity fails the positivity check first.
+    p.write_text(HEADER + row("S1", "-inf", MONDAY))
+    with pytest.raises(errors.ParseError, match="^line 2: price must be positive, got -inf$"):
+        load_stations(str(p))
+
+
 def test_load_rejects_duplicate_observation(tmp_path):
     p = tmp_path / "stations.csv"
     p.write_text(HEADER + row("S1", 1.80, MONDAY) + row("S1", 1.81, MONDAY))

@@ -6,12 +6,13 @@ import hashlib
 from pathlib import Path
 
 import pytest
+import yaml
 
 import refuelopt
-from refuelopt import errors
+from refuelopt import errors, scenario
 from refuelopt.cli import main
 from refuelopt.roadgraph import load_road_graph
-from refuelopt.scenario import load_scenarios
+from refuelopt.scenario import generate_scenario_dir, load_scenarios
 from refuelopt.stations import load_stations
 from refuelopt.telemetry import generate_synthetic_log, load_trip_log, save_trip_log
 from refuelopt.tripgraph import import_graph_csv
@@ -59,9 +60,36 @@ def written(tmp_path_factory):
      "21208dae208152f7192d75797dc4684d7356fd714e4886bcc9a0d4ce3480f52c"),
     ("plan.csv",
      "ea2b2a27c584d5021de2c556820a756aaa270c53ce365e9e836ab14915f79af2"),
+    # Computed while the config was still written by PyYAML's pure dumper.
+    ("scenario.yaml",
+     "2f6fadd7697aa2b09e2d110ab85195aa7c50b1a7d24a4f00b818d8136f9ff099"),
 ])
 def test_written_csv_bytes_are_pinned(written, name, sha):
     assert hashlib.sha256((written / name).read_bytes()).hexdigest() == sha
+
+
+METRO = {"n_seeds_per_profile": 2, "city_rows": 40, "city_cols": 40,
+         "station_count": 300, "observation_weeks": 4}
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML was built without libyaml")
+@pytest.mark.parametrize("size", [{}, METRO], ids=["demo", "metro"])
+def test_libyaml_config_io_matches_pure_pyyaml(tmp_path, size):
+    # scenario reads and writes configs with PyYAML's libyaml classes: the
+    # same objects (types included) and the same text as the pure ones.
+    assert (scenario._SafeLoader, scenario._SafeDumper) == (yaml.CSafeLoader, yaml.CSafeDumper)
+    text = Path(generate_scenario_dir(str(tmp_path), seed=3, **size)).read_text(encoding="utf-8")
+    cfg = yaml.safe_load(text)
+    assert repr(yaml.load(text, Loader=scenario._SafeLoader)) == repr(cfg)
+    assert yaml.safe_dump(cfg, sort_keys=False) == text
+    # A document libyaml rejects gets the pure loader's message.
+    broken = tmp_path / "broken.yaml"
+    broken.write_text(text.replace("drivers:", "drivers: [", 1), encoding="utf-8")
+    with open(broken, encoding="utf-8") as fh, pytest.raises(yaml.YAMLError) as want:
+        yaml.safe_load(fh)
+    with pytest.raises(errors.SchemaError) as got:
+        load_scenarios(str(broken))
+    assert str(got.value) == f"{broken}: malformed YAML: {want.value}"
 
 
 # One valid table per reader; the other file of a CSV pair stays valid.
