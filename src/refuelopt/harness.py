@@ -133,11 +133,13 @@ def build_context(scn: Scenario) -> ScenarioContext:
     """Replay the scenario's observation period and fix the shared context."""
     samples, _truth = generate_synthetic_log(scn.profile, scn.observation_weeks)
     halts = detect_halts(samples, gap_threshold=scn.gap_threshold_s)
+    driven_km = integrate_daily_distance(samples)
+    del samples  # its pending fixes hold the generator's draws
     clusters = assign_clusters(halts, cluster_radius_m=scn.cluster_radius_m)
     pois, _all = select_pois(clusters, scn.observation_weeks)
     trip_graph = build_daily_flows(pois, halts)
     daily_km, rows, metrics, accepted = mileage_verdict(
-        integrate_daily_distance(samples), OBSERVATION_START, scn.observation_weeks, scn.seed)
+        driven_km, OBSERVATION_START, scn.observation_weeks, scn.seed)
 
     forecast = scn.forecast or forecast_week(scn.history, scn.fuel_type)
     graph = scn.graph

@@ -192,6 +192,8 @@ def load_scenarios(config_path: str) -> list[Scenario]:
             cfg = _safe_load(fh)
         except yaml.YAMLError as exc:
             raise errors.SchemaError(f"{config_path}: malformed YAML: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise errors.SchemaError(f"{config_path}: not UTF-8: {exc}") from None
     _check_config_keys(cfg, config_path)
     try:
         files = (cfg["city"]["nodes"], cfg["city"]["edges"], cfg["stations"])

@@ -40,10 +40,22 @@ fixes in two phases over one buffer of draws:
   stride-3 speed draws it computes the speeds and their running sum with
   `cumsum`, which adds in order as a per-fix `covered += step` does, and
   finds the fix count by bisection. Days sum their time steps the same way.
-- Phase 2 places the fixes of a block of whole legs: the position on the
-  leg plus the GPS offset, with the operations of a per-fix loop in its
-  order. `log`, `sin` and `cos` go through `math` one value at a time,
-  because numpy's versions may differ from libm's in the last bit.
+- Phase 2 (`_place`) places the fixes of any rows asked for: the position
+  on the leg plus the GPS offset, with the operations of a per-fix loop in
+  its order. `log`, `sin` and `cos` go through `math` one value at a time,
+  because numpy's versions may differ from libm's in the last bit. Every
+  operation is elementwise, so a row gets the same bits whichever other
+  rows are placed with it.
+
+Phase 2 runs on demand: the log keeps the draws and the legs, `detect_halts`
+places only the fixes at its gap starts, and reading `lat` or `lon` places
+every fix once. So the generator must know before placement that every fix
+is in range. A Box-Muller radius is at most sqrt(-2 ln 2**-53) < 8.5717,
+since `1 - u >= 2**-53`, and a fix lies between its leg's anchors before
+its offset. So if every anchor keeps 8.5717 sigma of offset (over the 0.01
+floor of the east offset's cosine) inside the range, every fix does. Only
+a profile that fails this bound (an anchor near a pole or the antimeridian,
+or a large sigma) has its fixes placed and checked at generation.
 """
 
 from __future__ import annotations
@@ -53,7 +65,8 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
-from itertools import repeat
+from functools import partial
+from itertools import combinations, repeat
 from typing import ClassVar, NamedTuple
 
 import numpy as np
@@ -137,23 +150,36 @@ class TripLog:
     and >= 0. Otherwise it raises ValueError naming the first invalid row's
     first failed check. Only then is time order checked: a decrease raises
     ValueError naming the first decreasing pair's earlier timestamp.
+
+    A generated log passes `place` instead of `lat` and `lon`: every row is
+    a fix, and `place(rows)` returns the coordinates of an int array of rows,
+    which its caller vouches are in range. They stay pending until read:
+    `fixes(rows)` places only `rows`, and reading `lat` or `lon` (so also
+    iteration, `==` and `save_trip_log`) places every fix once and keeps the
+    columns.
     """
 
-    __slots__ = ("timestamp", "speed_kmh", "lat", "lon", "fuel_l", "located", "fueled",
-                 "message")
+    __slots__ = ("timestamp", "speed_kmh", "_lat", "_lon", "fuel_l", "located", "fueled",
+                 "message", "_place")
     __hash__ = None
 
-    def __init__(self, timestamp, speed_kmh, lat=None, lon=None, fuel_l=None, message=None):
+    def __init__(self, timestamp, speed_kmh, lat=None, lon=None, fuel_l=None, message=None,
+                 *, place=None):
         ts = np.array(timestamp, dtype=float)
         speed = np.array(speed_kmh, dtype=float)
         n = len(ts)
-        (lat, has_lat), (lon, has_lon), (fuel, fueled) = (
-            _column(c, n) for c in (lat, lon, fuel_l))
+        if place is None:
+            (lat, has_lat), (lon, has_lon) = _column(lat, n), _column(lon, n)
+            rule_lat, rule_lon = np.where(has_lat, lat, 0.0), np.where(has_lon, lon, 0.0)
+        else:  # every row is a fix; a zero-stride 0.0 stands in for the pending coordinates
+            lat = lon = rule_lat = rule_lon = np.broadcast_to(0.0, n)
+            has_lat = has_lon = np.ones(n, dtype=bool)
+        fuel, fueled = _column(fuel_l, n)
         message = np.ones(n, dtype=bool) if message is None else np.array(message, dtype=bool)
         if not len(speed) == len(lat) == len(lon) == len(fuel) == len(message) == n:
             raise ValueError("trip log columns differ in length")
-        rule = _sample_rule(ts, speed, np.where(has_lat, lat, 0.0), np.where(has_lon, lon, 0.0),
-                            np.where(fueled, fuel, 0.0), has_lat, has_lon)
+        rule = _sample_rule(ts, speed, rule_lat, rule_lon, np.where(fueled, fuel, 0.0),
+                            has_lat, has_lon)
         ok = np.logical_and.reduce([passes for passes, _ in rule])
         if not ok.all():
             i = int(ok.argmin())
@@ -167,6 +193,31 @@ class TripLog:
                                 (ts, speed, lat, lon, fuel, has_lat, fueled, message)):
             column.flags.writeable = False
             setattr(self, name, column)
+        if place is not None:
+            self._lat = self._lon = None
+        self._place = place
+
+    @property
+    def lat(self) -> np.ndarray:
+        self._place_all()
+        return self._lat
+
+    @property
+    def lon(self) -> np.ndarray:
+        self._place_all()
+        return self._lon
+
+    def fixes(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        """The lat and lon columns at `rows`, an int array of row indices.
+        Of a pending log it places only those rows."""
+        if self._place is None:
+            return self._lat[rows], self._lon[rows]
+        return self._place(rows)
+
+    def _place_all(self) -> None:
+        if self._place is not None:
+            self._lat, self._lon = _every_fix(self._place, len(self))
+            self._place = None  # and with it the draws
 
     def __len__(self) -> int:
         return len(self.timestamp)
@@ -188,8 +239,8 @@ class TripLog:
 
 def _column(values, n: int) -> tuple[np.ndarray, np.ndarray]:
     """A float column and the mask of its given entries (None is absent)."""
-    if values is None:
-        return np.full(n, math.nan), np.zeros(n, dtype=bool)
+    if values is None:  # a zero-stride NaN: an absent column takes no memory
+        return np.broadcast_to(math.nan, n), np.zeros(n, dtype=bool)
     column = np.array(values, dtype=float)
     given = ~np.isnan(column)
     if not given.all():  # a None entry, or a given NaN
@@ -224,12 +275,16 @@ class DriverProfile:
     trips per week, each one to a random member of `errand_targets`.
 
     Construction raises InvalidProfile unless every anchor has valid
-    coordinates, the schedule's days are WEEKDAYS, its visits and the errand
-    targets are anchors, a positive errand rate has targets, 0 <
-    cruise_speed_kmh and 0 <= errand_rate, speed_noise_pct, gps_noise_m, each
-    at most its MAX_* (which keep a week's distance modest).
+    coordinates, no two anchors are more than MAX_ANCHOR_SPREAD_KM apart, the
+    schedule's days are WEEKDAYS, its visits and the errand targets are
+    anchors, a positive errand rate has targets, 0 < cruise_speed_kmh and 0
+    <= errand_rate, speed_noise_pct, gps_noise_m, each at most its MAX_*
+    (which keep a week's distance modest). Since a fix moves at least 1 km/h,
+    a leg then takes at most about MAX_ANCHOR_SPREAD_KM * 3600 /
+    sample_period_s fixes: 72 000 at a 5 s period, ≈1 440 at 50 km/h.
     """
 
+    MAX_ANCHOR_SPREAD_KM: ClassVar[float] = 100.0  # a city's span; bounds a leg's fixes
     MAX_CRUISE_SPEED_KMH: ClassVar[float] = 300.0
     MAX_ERRAND_RATE: ClassVar[float] = 50.0  # errands per week
     MAX_SPEED_NOISE_PCT: ClassVar[float] = 400.0
@@ -247,6 +302,10 @@ class DriverProfile:
     def __post_init__(self):
         for name, coords in self.anchors.items():
             _check(valid_coords(*coords), f"anchor {name!r} has invalid coordinates {coords}")
+        for (a, at), (b, bt) in combinations(self.anchors.items(), 2):
+            km = haversine_m(*at, *bt) / 1000.0
+            _check(km <= self.MAX_ANCHOR_SPREAD_KM, f"anchors {a!r} and {b!r} are {km:.1f} km "
+                   f"apart, more than MAX_ANCHOR_SPREAD_KM = {self.MAX_ANCHOR_SPREAD_KM}")
         for day_name, seq in self.schedule.items():
             _check(day_name in WEEKDAYS, f"unknown weekday {day_name!r}")
             for name in seq:
@@ -276,7 +335,8 @@ def detect_halts(gps: TripLog, gap_threshold: float = DEFAULT_GAP_THRESHOLD_S) -
     (|t - t0|, t), and of fixes with equal timestamps the first in the log.
     So a tie between a fix before and one after t0 goes to the earlier one.
     Raises EmptyTrace if no row is a message, and NoLocationFix if no fix
-    lies within `gap_threshold` of a gap start.
+    lies within `gap_threshold` of a gap start. Of a log whose coordinates
+    are pending it places only the halts' fixes, once every gap has one.
     """
     if not 0 < gap_threshold < math.inf:
         raise ValueError(f"gap_threshold must be positive and finite, got {gap_threshold}")
@@ -286,8 +346,9 @@ def detect_halts(gps: TripLog, gap_threshold: float = DEFAULT_GAP_THRESHOLD_S) -
     gaps = np.flatnonzero(np.diff(message_times) > gap_threshold)
     located = np.flatnonzero(gps.located)
     times = gps.timestamp[located].tolist()
-    events: list[StopEvent] = []
-    for t0 in message_times[gaps].tolist():
+    starts = message_times[gaps].tolist()
+    nearest: list[int] = []
+    for t0 in starts:
         if not times:
             raise errors.NoLocationFix(f"no GPS fix near gap at t={t0}")
         # Start at the first fix at or after t0 and step back while the earlier
@@ -301,10 +362,10 @@ def detect_halts(gps: TripLog, gap_threshold: float = DEFAULT_GAP_THRESHOLD_S) -
             dist = abs(times[i] - t0)
         if dist > gap_threshold:
             raise errors.NoLocationFix(f"no GPS fix within {gap_threshold}s of gap at t={t0}")
-        k = located[i]
-        events.append(StopEvent(timestamp=t0, day=ts_to_date(t0),
-                                lat=gps.lat[k].item(), lon=gps.lon[k].item()))
-    return events
+        nearest.append(i)
+    lat, lon = gps.fixes(located[nearest])
+    return [StopEvent(timestamp=t0, day=ts_to_date(t0), lat=a, lon=b)
+            for t0, a, b in zip(starts, lat.tolist(), lon.tolist())]
 
 
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
@@ -391,7 +452,9 @@ def _poisson(rng: random.Random, lam: float) -> int:
 
 _TWOPI = 2.0 * math.pi  # random.gauss's TWOPI
 _DEG = math.pi / 180.0  # math.radians's factor
-BLOCK_FIXES = 4096  # fixes placed per phase-2 block; a block holds whole legs
+BLOCK_FIXES = 4096  # fixes placed per call when a log places every fix
+_MAX_RADIUS = 8.5717  # > sqrt(106 ln 2), the largest Box-Muller radius of a draw
+_ROUNDING_DEG = 1e-9  # far above the rounding of a fix's arithmetic or of the bound's
 
 
 def generate_synthetic_log(profile: DriverProfile, weeks: int,
@@ -407,6 +470,10 @@ def generate_synthetic_log(profile: DriverProfile, weeks: int,
     schedules line up with weekdays. Raises InvalidProfile for a log that
     fails the TripLog checks, such as a day whose driving runs past the next
     day's 07:00 start.
+
+    The log's coordinates stay pending (see TripLog) when the profile keeps
+    every fix in range (`_fixes_in_range`); otherwise they are placed and
+    checked here, so a log fails at generation either way.
     """
     if weeks < 1:
         raise ValueError("weeks must be >= 1")
@@ -452,12 +519,23 @@ def generate_synthetic_log(profile: DriverProfile, weeks: int,
             dist_km = haversine_m(a[0], a[1], b[0], b[1]) / 1000.0
             truth[cal_day] += dist_km
             legs.append((a[0], a[1], b[0], b[1], dist_km))
-    with np.errstate(all="ignore"):  # a zero-length leg's arrival divides 0 by 0
-        columns = _drive(profile, rng, days, sample_period_s)
+    with np.errstate(all="ignore"):  # a huge period overflows to an invalid timestamp
+        ts, speed, place = _drive(profile, rng, days, sample_period_s)
     try:
-        return TripLog(*columns), truth
+        if _fixes_in_range(profile):
+            return TripLog(ts, speed, place=place), truth
+        return TripLog(ts, speed, *_every_fix(place, len(ts))), truth
     except ValueError as exc:
         raise errors.InvalidProfile(str(exc)) from exc
+
+
+def _fixes_in_range(profile: DriverProfile) -> bool:
+    """Whether every fix a log of `profile` can hold has valid coordinates:
+    the bound of the module docstring."""
+    reach = _MAX_RADIUS * profile.gps_noise_m / 111_194.9
+    return all(abs(lat) + reach + _ROUNDING_DEG <= 90.0
+               and abs(lon) + reach / 0.01 + _ROUNDING_DEG <= 180.0
+               for lat, lon in profile.anchors.values())
 
 
 def _draw_stream(rng: random.Random) -> np.random.Generator:
@@ -506,24 +584,23 @@ class _Draws:
 
 
 def _drive(profile: DriverProfile, rng: random.Random, days: list[tuple[float, list[tuple]]],
-           period: float) -> np.ndarray:
-    """The fixes of `days` (each a 07:00 start and its legs) as four rows:
-    timestamp, speed, lat and lon.
+           period: float) -> tuple[np.ndarray, np.ndarray, partial]:
+    """Phase 1 over `days` (each a 07:00 start and its legs): every fix's
+    timestamp and speed, and the placement of its coordinates, pending.
 
-    Phase 1 walks the legs in order and finds each leg's fix count, speeds
-    and timestamps; phase 2 (`_place`) adds GPS noise a block of legs at a
-    time. Draws in the order the module docstring fixes.
+    Walks the legs in order and finds each leg's fix count, speeds and
+    timestamps. Draws in the order the module docstring fixes.
     """
     cruise = profile.cruise_speed_kmh
     # A leg takes 3 draws per moving fix and 4 more.
     estimate = sum(_fixes_at(leg[4], cruise, period) + 2 for _, legs in days for leg in legs)
     draws = _Draws(rng, 3 * estimate + estimate // 8 + 64, profile.speed_noise_pct / 100.0)
     # Row 0 holds time steps until each day is summed, and row 2 the km
-    # covered before each moving fix until `_place` turns it into a latitude.
-    cols = np.empty((4, estimate + estimate // 16 + 16))
+    # covered before each moving fix, which `_place` turns into a position.
+    cols = np.empty((3, estimate + estimate // 16 + 16))
     cols[0] = period
     p = n = 0  # the leg's first draw and first fix
-    block: list[tuple] = []
+    leg_rows: list[tuple] = []
     for start, legs in days:
         day = n
         for a_lat, a_lon, b_lat, b_lon, dist_km in legs:
@@ -551,19 +628,17 @@ def _drive(profile: DriverProfile, rng: random.Random, days: list[tuple[float, l
                 w *= 2
             cols[0, n] = start
             cols[1, n + k] = 0.0  # the arrival fix, parked at b
-            cols[2, n] = 0.0
+            cols[2, n] = cols[2, n + k] = 0.0
             start = 1800.0 + 3600.0 * draws.u.item(p + 3 * k + 3)
-            block.append((p, k, n, dist_km, a_lat, a_lon, b_lat, b_lon,
-                          b_lat - a_lat, b_lon - a_lon))
+            leg_rows.append((p, k, n, dist_km, a_lat, a_lon, b_lat, b_lon,
+                             b_lat - a_lat, b_lon - a_lon))
             p += 3 * k + 4
             n += k + 1
-            if n - block[0][2] >= BLOCK_FIXES:
-                _place(cols, draws.u, block, profile.gps_noise_m)
-                block = []
         np.cumsum(cols[0, day:n], out=cols[0, day:n])
-    if block:
-        _place(cols, draws.u, block, profile.gps_noise_m)
-    return cols[:, :n]
+    table = np.array(leg_rows).reshape(-1, 10)
+    track = (table[:, :3].astype(np.int64).T, table[:, 3:].T, cols[2, :n].copy(), draws.u[:p],
+             profile.gps_noise_m)
+    return cols[0, :n], cols[1, :n], partial(_place, track)
 
 
 def _libm(fn, values: list) -> np.ndarray:
@@ -571,17 +646,16 @@ def _libm(fn, values: list) -> np.ndarray:
     return np.fromiter(map(fn, values), float, len(values))
 
 
-def _place(cols: np.ndarray, u: np.ndarray, block: list[tuple], sigma: float) -> None:
-    """Fill the lat and lon rows of a block of whole legs: each fix's spot on
-    its leg plus one `gauss(0, sigma)` pair east, then north."""
-    legs = np.array(block)
-    p, k, off = legs[:, :3].astype(np.int64).T
-    dist_km, a_lat, a_lon, b_lat, b_lon, d_lat, d_lon = legs[:, 3:].T
-    lo, hi = off[0], off[-1] + k[-1] + 1
-    leg = np.repeat(np.arange(len(block)), k + 1)
-    i = np.arange(lo, hi) - off[leg]
+def _place(track: tuple, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lat and lon of `rows` (row indices of the log `_drive` made
+    `track` for): each fix's spot on its leg plus one `gauss(0, sigma)` pair
+    east, then north."""
+    (p, k, first), (dist_km, a_lat, a_lon, b_lat, b_lon, d_lat, d_lon), covered, u, sigma = track
+    leg = first.searchsorted(rows, "right") - 1
+    i = rows - first[leg]
     arrival = i == k[leg]
-    frac = cols[2, lo:hi] / dist_km[leg]
+    with np.errstate(invalid="ignore"):  # a zero-length leg's arrival divides 0 by 0
+        frac = covered[rows] / dist_km[leg]
     lat = np.where(arrival, b_lat[leg], a_lat[leg] + frac * d_lat[leg])
     lon = np.where(arrival, b_lon[leg], a_lon[leg] + frac * d_lon[leg])
     g = p[leg] + 2 + 3 * i - arrival  # the pair's first draw
@@ -590,5 +664,14 @@ def _place(cols: np.ndarray, u: np.ndarray, block: list[tuple], sigma: float) ->
     dx = 0.0 + _libm(math.cos, x2pi) * g2rad * sigma
     dy = 0.0 + _libm(math.sin, x2pi) * g2rad * sigma
     c = np.fmax(_libm(math.cos, (lat * _DEG).tolist()), 0.01)
-    cols[2, lo:hi] = lat + dy / 111_194.9
-    cols[3, lo:hi] = lon + dx / (111_194.9 * c)
+    return lat + dy / 111_194.9, lon + dx / (111_194.9 * c)
+
+
+def _every_fix(place, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only lat and lon columns of all `n` rows, placed BLOCK_FIXES rows at a time."""
+    lat, lon = np.empty(n), np.empty(n)
+    for lo in range(0, n, BLOCK_FIXES):
+        hi = min(lo + BLOCK_FIXES, n)
+        lat[lo:hi], lon[lo:hi] = place(np.arange(lo, hi))
+    lat.flags.writeable = lon.flags.writeable = False
+    return lat, lon

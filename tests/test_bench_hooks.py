@@ -16,7 +16,8 @@ import pytest
 
 from refuelopt import harness
 from refuelopt.scenario import OBSERVATION_START, load_scenarios
-from refuelopt.telemetry import TripLog, TripSample, detect_halts, generate_synthetic_log
+from refuelopt.telemetry import (DriverProfile, TripLog, TripSample, detect_halts,
+                                 generate_synthetic_log)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -63,3 +64,17 @@ def test_detect_halts_hook_binds_its_log(spans):
     assert [type(row) for row in log] == [TripSample] * 3
     assert [len(row) for row in log] == [5] * 3
     assert spans._detect_halts(detect_halts, (log,), {}, []) == {"fixes_in": 2, "halts_out": 0}
+
+
+def test_detect_halts_hook_counts_every_fix_of_a_pending_log(spans):
+    # A generated log's coordinates are placed on demand; the hook reads them
+    # by iterating, which places every fix.
+    profile = DriverProfile(seed=5, anchors={"home": (44.6, 10.9), "work": (44.65, 10.96)},
+                            schedule={"Mon": ["home", "work", "home"]})
+    log, _truth = generate_synthetic_log(profile, 2)
+    assert log._place is not None
+    halts = detect_halts(log)
+    assert log._place is not None and len(halts) == 3  # the last arrival ends the log
+    assert spans._detect_halts(detect_halts, (log,), {}, halts) == {
+        "fixes_in": len(log), "halts_out": 3}
+    assert log._place is None

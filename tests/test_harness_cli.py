@@ -12,7 +12,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from refuelopt import errors, forest, harness, mileage
+from refuelopt import errors, forest, harness, mileage, telemetry
 from refuelopt.cli import build_parser, main
 from refuelopt.geo import haversine_m
 from refuelopt.harness import (STRATEGIES, build_context, run_cohort,
@@ -171,6 +171,7 @@ def test_load_scenarios_rejects_unknown_keys(tmp_path, demo_scenario_config, pat
 
 @pytest.mark.parametrize("key,value,message", [
     (("profile", "anchors", "home"), [95.0, 10.9], "home"),
+    (("profile", "anchors", "home"), [0.0, 10.9], "more than MAX_ANCHOR_SPREAD_KM = 100.0"),
     (("profile", "cruise_speed_kmh"), float("nan"), "cruise_speed_kmh"),
     (("profile", "cruise_speed_kmh"), 0.0, "cruise_speed_kmh"),
     (("profile", "errand_rate"), float("nan"), "errand_rate"),
@@ -188,7 +189,7 @@ def test_load_scenarios_rejects_unknown_keys(tmp_path, demo_scenario_config, pat
     (("profile", "speed_noise_pct"), 1e300, "speed_noise_pct must be finite and in [0, 400.0]"),
     (("profile", "gps_noise_m"), 1e300, "gps_noise_m must be finite and in [0, 5000.0]"),
     (("profile", "errand_rate"), 1e300, "errand_rate must be finite and in [0, 50.0]"),
-], ids=["anchor_lat_95", "cruise_nan", "cruise_zero", "errand_nan", "errand_negative",
+], ids=["anchor_lat_95", "anchor_far", "cruise_nan", "cruise_zero", "errand_nan", "errand_negative",
         "speed_noise_inf", "gps_noise_negative", "weekday_typo", "anchor_typo",
         "target_not_anchor", "rate_without_targets", "departure_not_anchor", "seed_negative",
         "seed_fraction", "cruise_huge", "speed_noise_huge", "gps_noise_huge", "errand_huge"])
@@ -281,7 +282,35 @@ def test_malformed_yaml_is_a_schema_error(tmp_path, capsys, command):
     assert "broken.yaml" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "plan"])
+def test_config_that_is_not_utf8_is_a_schema_error(tmp_path, capsys, command):
+    # A Latin-1 config died with a raw UnicodeDecodeError traceback, exit 1.
+    config = tmp_path / "latin.yaml"
+    config.write_bytes(b"name: caf\xe9\n")
+    with pytest.raises(errors.SchemaError, match=r"latin\.yaml: not UTF-8: "):
+        load_scenarios(str(config))
+    assert main([command, "--config", str(config), "--out-dir", str(tmp_path)]) == 2
+    assert "latin.yaml: not UTF-8: " in capsys.readouterr().err
+
+
 # --- harness --------------------------------------------------------------------
+
+def test_build_context_places_only_the_halts_fixes(cohort, monkeypatch):
+    # Of each log, the replay reads only the fix at each halt: placing every
+    # fix was a fifth of a metro_sweep pass.
+    placed, halts = [], []
+    place, find = telemetry._place, harness.detect_halts
+    monkeypatch.setattr(telemetry, "_place",
+                        lambda track, rows: placed.append(len(rows)) or place(track, rows))
+    monkeypatch.setattr(harness, "detect_halts",
+                        lambda *args, **kwargs: halts.append(find(*args, **kwargs)) or halts[-1])
+    for scn in cohort:
+        placed.clear()
+        halts.clear()
+        build_context(scn)
+        assert placed == [len(halts[0])] and len(halts) == 1
+        assert 0 < placed[0] < len(generate_synthetic_log(scn.profile, scn.observation_weeks)[0])
+
 
 def test_build_context_is_reproducible(cohort):
     a = build_context(cohort[0])
@@ -773,14 +802,12 @@ def tiny_cohort(tmp_path_factory):
 def test_cli_simulate_input_oracle(tiny_cohort, data):
     # One config leaf, or one of `simulate`'s --seed, --k1 and --k2, gets an
     # odd value. `simulate` must exit 2 before writing a report, or exit 0
-    # with no NaN in per_run.csv; nothing may escape as a traceback. Anchor
-    # coordinates take only the values that are invalid: 0, -1 or 0.5 is a
-    # valid spot thousands of km from the city, whose log holds millions of
-    # fixes.
+    # with no NaN in per_run.csv; nothing may escape as a traceback. An
+    # anchor at 0, -1 or 0.5 is a valid spot thousands of km from the city,
+    # which MAX_ANCHOR_SPREAD_KM rejects before any log is made.
     base, cfg = tiny_cohort
     target = data.draw(st.sampled_from(["--seed", "--k1", "--k2", *_leaves(cfg)]))
-    values = [v for v in ORACLE_VALUES if "anchors" not in target or v not in (0, -1, 0.5)]
-    value = data.draw(st.sampled_from(values))
+    value = data.draw(st.sampled_from(ORACLE_VALUES))
     flags = {"--seed": [f"--seed={value}"],
              "--k1": ["--mode", "custom", f"--k1={value}", "--k2", "1"],
              "--k2": ["--mode", "custom", "--k1", "1", f"--k2={value}"]}.get(target, [])

@@ -6,6 +6,7 @@ import statistics
 import tracemalloc
 from datetime import date, datetime, timedelta, timezone
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -449,6 +450,9 @@ def test_invalid_profile_rejected():
         ({"gps_noise_m": 5000.5}, "gps_noise_m must be finite and in [0, 5000.0], got 5000.5"),
         ({"errand_targets": ["gym"], "errand_rate": 50.5},
          "errand_rate must be finite and in [0, 50.0], got 50.5"),
+        # A valid anchor 4 900 km away made a log of millions of fixes.
+        ({"anchors": {"home": (44.0, 11.0), "gym": (44.01, 11.0), "far": (0.0, 10.9)}},
+         "anchors 'home' and 'far' are 4892.6 km apart, more than MAX_ANCHOR_SPREAD_KM = 100.0"),
     ]:
         with pytest.raises(errors.InvalidProfile) as exc:
             DriverProfile(**(base | change))
@@ -456,6 +460,9 @@ def test_invalid_profile_rejected():
     # Each bound is itself valid.
     DriverProfile(**base, errand_targets=["gym"], errand_rate=50.0, speed_noise_pct=400.0,
                   gps_noise_m=5000.0, cruise_speed_kmh=300.0)
+    DriverProfile(seed=1, anchors={"a": (0.0, 0.0), "b": (0.899, 0.0)}, schedule={})  # 99.97 km
+    with pytest.raises(errors.InvalidProfile, match="'a' and 'b' are 100.1 km apart"):
+        DriverProfile(seed=1, anchors={"a": (0.0, 0.0), "b": (0.9, 0.0)}, schedule={})
 
 
 @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
@@ -592,8 +599,9 @@ def test_generated_log_bytes_are_pinned(case):
 @pytest.mark.parametrize("guess, block", [(0, 1), (0, 10**9), (3, 7)])
 def test_log_bytes_do_not_depend_on_sizes(monkeypatch, guess, block):
     # Fix-count guesses only size the buffers and the first window of each
-    # leg, and blocks only batch the legs: guessing 0 or 3 fixes makes every
-    # window widen and every buffer grow, and a block may hold one leg or all.
+    # leg, and blocks only batch the rows placed: guessing 0 or 3 fixes makes
+    # every window widen and every buffer grow, and a block may hold one row
+    # or all.
     monkeypatch.setattr(telemetry, "_fixes_at", lambda *args: guess)
     monkeypatch.setattr(telemetry, "BLOCK_FIXES", block)
     for make, weeks, digest in LOG_CASES.values():
@@ -672,6 +680,88 @@ def test_generator_matches_reference_on_long_logs(kwargs, weeks, period):
     if p is not None:
         assert (outcome(generate_synthetic_log, p, weeks, sample_period_s=period)
                 == outcome(reference_generate_synthetic_log, p, weeks, sample_period_s=period))
+
+
+# --- coordinates placed on demand ------------------------------------------------
+
+def generated(kwargs, weeks, period):
+    """The log of DriverProfile(**kwargs), or None if the profile or its log is rejected."""
+    p = built(kwargs)
+    try:
+        return None if p is None else generate_synthetic_log(p, weeks, sample_period_s=period)[0]
+    except errors.InvalidProfile:
+        return None
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+any_profiles = driver_profiles() | long_leg_profiles()
+
+
+@settings(max_examples=60, deadline=None)
+@given(any_profiles, st.integers(1, 2), st.sampled_from([5.0, 1.0, 37.5]), st.data())
+def test_fixes_on_demand_match_the_placed_columns(kwargs, weeks, period, data):
+    # Placement is elementwise, so any subset of rows gets the bits that
+    # placing every row gives them.
+    log = generated(kwargs, weeks, period)
+    if log is None:
+        return
+    subsets = st.sets(st.integers(0, len(log) - 1), max_size=60) if len(log) else st.just(())
+    rows = np.array(sorted(data.draw(subsets)), dtype=np.int64)
+    on_demand = tuple(map(bits, log.fixes(rows)))
+    assert (log._place is not None) == telemetry._fixes_in_range(built(kwargs))
+    assert on_demand == (bits(log.lat[rows]), bits(log.lon[rows]))
+    assert log._place is None and log.located.all()
+    assert tuple(map(bits, log.fixes(rows))) == on_demand
+
+
+@settings(max_examples=60, deadline=None)
+@given(any_profiles, st.integers(1, 2), st.sampled_from([5.0, 1.0, 37.5]), st.data())
+def test_detect_halts_on_a_pending_log_matches_the_placed_log(kwargs, weeks, period, data):
+    # Gap thresholds below the sample period make every row a gap start.
+    pending = generated(kwargs, weeks, period)
+    if pending is None:
+        return
+    gap = data.draw(st.sampled_from([period / 2, period, 120.0]) | st.floats(0.01, 7200.0))
+    placed = generated(kwargs, weeks, period)
+    eager = TripLog(placed.timestamp, placed.speed_kmh, placed.lat, placed.lon,
+                    message=placed.message)
+    was_pending = pending._place is not None
+    assert halts_or_error(detect_halts, pending, gap) == halts_or_error(detect_halts, eager, gap)
+    assert (pending._place is not None) == was_pending  # it placed only the halts' rows
+    assert list(pending) == list(eager)
+
+
+@st.composite
+def bound_profiles(draw):
+    # Keyword arguments for DriverProfile with an anchor just inside or just
+    # outside the bound that lets a log keep its coordinates pending: near
+    # a pole for the north offset, near the antimeridian for the east one.
+    sigma = draw(st.sampled_from([10.0, 5000.0]) | st.floats(0.0, 5000.0))
+    reach = telemetry._MAX_RADIUS * sigma / 111_194.9 + telemetry._ROUNDING_DEG
+    east = draw(st.booleans())
+    edge = 180.0 - reach / 0.01 if east else 90.0 - reach
+    step = draw(st.sampled_from([-0.1, -1e-9, 0.0, 1e-9, 0.1, 0.4]) | st.floats(-0.5, 0.5))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    at = sign * min(edge + step, 180.0 if east else 90.0)
+    other = at - sign * draw(st.floats(0.0, 0.05))
+    spot = (lambda v: (44.6, v)) if east else (lambda v: (v, 10.9))
+    anchors = {"a": spot(at), "b": spot(other)}
+    return dict(seed=draw(st.integers(0, 2**32)), anchors=anchors,
+                schedule={"Mon": ["a", "b", "a"], "Wed": ["b", "a", "a"]},
+                errand_targets=["b"], errand_rate=draw(st.floats(0.0, 3.0)), gps_noise_m=sigma)
+
+
+@settings(max_examples=40, deadline=None)
+@given(bound_profiles(), st.sampled_from([5.0, 37.5]))
+def test_generator_matches_reference_at_the_pending_bound(kwargs, period):
+    p = DriverProfile(**kwargs)
+    got = outcome(generate_synthetic_log, p, 1, sample_period_s=period)
+    assert got == outcome(reference_generate_synthetic_log, p, 1, sample_period_s=period)
+    if telemetry._fixes_in_range(p):
+        assert got[0] == "ok"
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3, 2**130], ids=["0", "7", "2**40+3", "2**130"])
