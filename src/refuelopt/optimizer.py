@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 
 from . import errors
-from .roadgraph import (DEFAULT_CORRIDOR_RADIUS_M, RoadGraph, Route,
-                        RouterPort, corridor_filter)
+from .roadgraph import (DEFAULT_CORRIDOR_RADIUS_M, BuiltinRouter, RoadGraph, Route,
+                        corridor_filter)
 from .stations import Station
 from .tables import write_table
 
@@ -83,7 +83,7 @@ class RefuelPlan:
     objective: float
 
 
-def route_candidate(router: RouterPort, graph: RoadGraph, current_node: str,
+def route_candidate(router: BuiltinRouter, graph: RoadGraph, current_node: str,
                     remaining_nodes: list[str], station: Station, price_eur_l: float,
                     delta_km: float) -> CandidateStop:
     """Snap `station` to its nearest graph node and route the one-stop day
@@ -95,7 +95,7 @@ def route_candidate(router: RouterPort, graph: RoadGraph, current_node: str,
                          price_eur_l=price_eur_l)
 
 
-def generate_candidates(router: RouterPort, day_route: Route, graph: RoadGraph,
+def generate_candidates(router: BuiltinRouter, day_route: Route, graph: RoadGraph,
                         current_node: str, remaining_nodes: list[str],
                         stations: list[Station], prices: dict[str, float],
                         delta_km: float = 0.0,

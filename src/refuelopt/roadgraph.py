@@ -1,9 +1,8 @@
 """Road network routing substrate.
 
-A small built-in router (Dijkstra with a deterministic lexicographic
-tie-break on the node sequence) stands in for an external engine. The
-RouterPort protocol keeps the rest of the system engine-agnostic, so a
-different router can be plugged in without touching the optimizer.
+A small built-in router (Dijkstra by travel time with a deterministic
+lexicographic tie-break on the node sequence) stands in for an external
+engine.
 
 What is computed once: a `BuiltinRouter` memoises every route it returns,
 keeps one resumable forward search per one-stop start node (every
@@ -29,7 +28,6 @@ import numbers
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Protocol
 
 import numpy as np
 
@@ -51,7 +49,7 @@ SNAP_MARGIN_REL = 1e-9
 EDGE_MARGIN_M = 1e-6
 EDGE_MARGIN_REL = 1e-9
 CORRIDOR_MARGIN_M = 1e-3
-# Certificate margin of a reverse-search path, in seconds or metres. An
+# Certificate margin of a reverse-search path, in seconds. An
 # n-edge float path sum is within about n * 2**-53 of its value, relative,
 # so 1e-9 of the path cost covers paths of millions of edges; the absolute
 # term keeps a margin on paths of near-zero cost.
@@ -198,35 +196,24 @@ class RoadGraph:
         return best_id, best_d
 
 
-class RouterPort(Protocol):
-    """Routing engine interface; any implementation must keep one-stop
-    routes no shorter than the direct route (triangle property)."""
-
-    def shortest_route(self, src: str, dst: str, metric: str = "time") -> Route: ...
-
-    def one_stop_route(self, start: str, stop: str,
-                       remaining: list[str], metric: str = "time") -> Route: ...
-
-
 class BuiltinRouter:
-    """Dijkstra router over a RoadGraph.
+    """Dijkstra router over a RoadGraph, minimising travel time.
 
-    Among equal-cost paths the lexicographically smallest node sequence
+    Among equal-time paths the lexicographically smallest node sequence
     wins, which makes results reproducible across runs and platforms; of
-    parallel edges, a path uses the first minimum-weight one in `adj` order.
+    parallel edges, a path uses the first fastest one in `adj` order.
     A route's distance and time are summed along its path from 0.0, in path
     order.
 
-    The router memoises every route by (src, dst, metric) and keeps, per
-    metric, one forward search per one-stop start node and one reverse
-    Dijkstra search per destination. Both are resumed only until the node
-    asked for is settled. A leg from a start node resumes its forward
-    search; a leg whose source has no forward search resumes the
-    destination's reverse search until the source is settled, then walks
-    the successor chain. The chain is taken only if, at each node u on it,
+    The router memoises every route by (src, dst) and keeps one forward
+    search per one-stop start node and one reverse Dijkstra search per
+    destination. Both are resumed only until the node asked for is settled.
+    A leg from a start node resumes its forward search; a leg whose source
+    has no forward search resumes the destination's reverse search until the
+    source is settled, then walks the successor chain. The chain is taken only if, at each node u on it,
     every out-edge (u, w) that leaves the chain costs more than
     `CERTIFY_MARGIN_REL * d(src) + CERTIFY_MARGIN_ABS` over the chain:
-    `weight(u, w) + d(w) - d(u)`, with d(w) bounded below by the last
+    `time(u, w) + d(w) - d(u)`, with d(w) bounded below by the last
     settled cost while w is unsettled. No other path then sums to within
     rounding of the chain, forward or in reverse, so the forward search
     would return the chain too; parallel edges into the next chain node
@@ -241,44 +228,40 @@ class BuiltinRouter:
 
     def __init__(self, graph: RoadGraph):
         self.graph = graph
-        self._routes: dict[tuple[str, str, str], Route] = {}
-        self._forward: dict[tuple[str, str], _ForwardSearch] = {}
-        self._reverse: dict[tuple[str, str], _ReverseSearch] = {}
+        self._routes: dict[tuple[str, str], Route] = {}
+        self._forward: dict[str, _ForwardSearch] = {}
+        self._reverse: dict[str, _ReverseSearch] = {}
         self.fallbacks = 0
 
-    def _check(self, src: str, dst: str, metric: str) -> None:
+    def _check(self, src: str, dst: str) -> None:
         if src not in self.graph.nodes or dst not in self.graph.nodes:
             raise errors.Unreachable(f"unknown node in query {src}->{dst}")
-        if metric not in ("time", "distance"):
-            raise ValueError(f"unknown metric {metric!r}")
 
-    def shortest_route(self, src: str, dst: str, metric: str = "time") -> Route:
-        key = (src, dst, metric)
+    def shortest_route(self, src: str, dst: str) -> Route:
+        key = (src, dst)
         route = self._routes.get(key)
         if route is None:
-            self._check(src, dst, metric)
-            search = self._forward.get((src, metric))
+            self._check(src, dst)
+            search = self._forward.get(src)
             if search is None:
-                route = self._certified_route(src, dst, metric)
+                route = self._certified_route(src, dst)
                 if route is None:
                     self.fallbacks += 1
-                    search = _ForwardSearch(self.graph.adj, src, metric == "time")
+                    search = _ForwardSearch(self.graph.adj, src)
             if route is None:
                 search.settle(dst)
                 route = _route(search.pred, src, dst)
             self._routes[key] = route
         return route
 
-    def _certified_route(self, src: str, dst: str, metric: str) -> Route | None:
+    def _certified_route(self, src: str, dst: str) -> Route | None:
         """The reverse-search path src -> dst if it passes the certificate,
         else None (also when src cannot reach dst)."""
-        search = self._reverse.get((dst, metric))
+        search = self._reverse.get(dst)
         if search is None:
-            search = self._reverse[(dst, metric)] = _ReverseSearch(
-                self.graph.in_edges(), dst, metric == "time")
+            search = self._reverse[dst] = _ReverseSearch(self.graph.in_edges(), dst)
         if not search.settle(src):
             return None
-        k = 2 if metric == "time" else 1  # the weight's index in an adj tuple
         dist, succ, done = search.dist, search.succ, search.done
         # Unsettled nodes cost at least the last settled cost, or cannot
         # reach dst at all once the search is exhausted.
@@ -294,9 +277,9 @@ class BuiltinRouter:
             for e in adj[u]:
                 to = e[0]
                 if to == nxt:
-                    if edge is None or e[k] < edge[k]:
+                    if edge is None or e[2] < edge[2]:
                         edge = e
-                elif e[k] + (dist[to] if to in done else floor) - d_u <= margin:
+                elif e[2] + (dist[to] if to in done else floor) - d_u <= margin:
                     return None
             dist_m += edge[1]
             time_s += edge[2]
@@ -304,23 +287,20 @@ class BuiltinRouter:
             u = nxt
         return Route(nodes=tuple(nodes), distance_km=dist_m / 1000.0, time_s=time_s)
 
-    def one_stop_route(self, start: str, stop: str,
-                       remaining: list[str], metric: str = "time") -> Route:
+    def one_stop_route(self, start: str, stop: str, remaining: list[str]) -> Route:
         """Route start -> stop -> every remaining waypoint, in order.
 
         The first leg comes from one forward search from `start`, shared by
         every one-stop route from it and resumed until `stop` is settled; the
         other legs are searched once each.
         """
-        self._check(start, stop, metric)
-        search = self._forward.get((start, metric))
+        self._check(start, stop)
+        search = self._forward.get(start)
         if search is None:
-            search = self._forward[(start, metric)] = _ForwardSearch(
-                self.graph.adj, start, metric == "time")
+            search = self._forward[start] = _ForwardSearch(self.graph.adj, start)
         search.settle(stop)
         waypoints = [start, stop] + list(remaining)
-        legs = [self.shortest_route(a, b, metric=metric)
-                for a, b in zip(waypoints, waypoints[1:])]
+        legs = [self.shortest_route(a, b) for a, b in zip(waypoints, waypoints[1:])]
         nodes: tuple[str, ...] = legs[0].nodes
         for leg in legs[1:]:
             nodes = nodes + leg.nodes[1:]
@@ -340,10 +320,9 @@ class _ForwardSearch:
     graph, in its order, so its settled paths are that search's paths.
     """
 
-    def __init__(self, adj: dict, src: str, by_time: bool):
+    def __init__(self, adj: dict, src: str):
         self.adj = adj
         self.src = src
-        self.by_time = by_time
         self.cost = {src: 0.0}
         self.pred: dict[str, tuple[str, float, float]] = {}
         self.done: set[str] = set()
@@ -354,7 +333,7 @@ class _ForwardSearch:
         done = self.done
         if node in done:
             return True
-        adj, by_time, src = self.adj, self.by_time, self.src
+        adj, src = self.adj, self.src
         cost, pred, heap = self.cost, self.pred, self.heap
         while heap:
             c, v = heapq.heappop(heap)
@@ -364,8 +343,7 @@ class _ForwardSearch:
             for to, length_m, time_s in adj.get(v, ()):
                 if to in done:
                     continue
-                w = time_s if by_time else length_m
-                new = c + w
+                new = c + time_s
                 old = cost.get(to)
                 if old is None or new < old:
                     cost[to] = new
@@ -374,10 +352,10 @@ class _ForwardSearch:
                 elif new == old:
                     prev = pred[to]
                     if prev[0] == v:
-                        # A parallel edge: keep the lighter one (costs can
-                        # round equal while weights differ), the first in
-                        # adj order on equal weight.
-                        if w < (prev[2] if by_time else prev[1]):
+                        # A parallel edge: keep the faster one (costs can
+                        # round equal while times differ), the first in adj
+                        # order on equal time.
+                        if time_s < prev[2]:
                             pred[to] = (v, length_m, time_s)
                     elif (_path(pred, src, v) + (to,)
                           < _path(pred, src, prev[0]) + (to,)):
@@ -395,9 +373,8 @@ class _ReverseSearch:
     settled last, a lower bound on the cost of every unsettled node.
     """
 
-    def __init__(self, in_edges: dict, dst: str, by_time: bool):
+    def __init__(self, in_edges: dict, dst: str):
         self.in_edges = in_edges
-        self.by_time = by_time
         self.dist = {dst: 0.0}
         self.succ: dict[str, str] = {}
         self.done: set[str] = set()
@@ -409,7 +386,7 @@ class _ReverseSearch:
         done = self.done
         if node in done:
             return True
-        in_edges, by_time = self.in_edges, self.by_time
+        in_edges = self.in_edges
         dist, succ, heap = self.dist, self.succ, self.heap
         while heap:
             c, v = heapq.heappop(heap)
@@ -417,10 +394,10 @@ class _ReverseSearch:
                 continue
             done.add(v)
             self.last = c
-            for u, length_m, time_s in in_edges[v]:
+            for u, _, time_s in in_edges[v]:
                 if u in done:
                     continue
-                new = c + (time_s if by_time else length_m)
+                new = c + time_s
                 old = dist.get(u)
                 if old is None or new < old:
                     dist[u] = new

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import date, timedelta
 from pathlib import Path
 from typing import ClassVar
@@ -93,13 +93,12 @@ class Scenario:
 CONFIG_KEYS = frozenset({"city", "stations", "fuel_type", "vehicle", "mode",
                          "simulation", "drivers"})
 CITY_KEYS = frozenset({"nodes", "edges"})
-VEHICLE_KEYS = frozenset({"tank_l", "fuel_l", "rate_l_per_km"})
+VEHICLE_KEYS = frozenset(f.name for f in fields(VehicleState))
 SIMULATION_KEYS = frozenset({"observation_weeks", "cluster_radius_m", "gap_threshold_s",
                              "corridor_radius_m", "nearby_radius_m", "refuel_duration_s"})
 DRIVER_KEYS = frozenset({"name", "departure", "profile"})
-PROFILE_KEYS = frozenset({"seed", "anchors", "schedule", "errand_targets", "errand_rate",
-                          "speed_noise_pct", "gps_noise_m", "cruise_speed_kmh"})
-MODE_KEYS = frozenset({"name", "k_cost", "k_time"})
+PROFILE_KEYS = frozenset(f.name for f in fields(DriverProfile))
+MODE_KEYS = frozenset(f.name for f in fields(Mode))
 
 
 def _reject_unknown_keys(obj, allowed: frozenset, where: str) -> None:
@@ -136,33 +135,51 @@ def parse_mode(spec) -> Mode:
     if not isinstance(spec, dict):
         raise errors.SchemaError(f"mode must be a preset name or a mapping, got {spec!r}")
     _reject_unknown_keys(spec, MODE_KEYS, "mode")
-    return Mode(name=spec.get("name", "custom"),
-                k_cost=float(spec["k_cost"]), k_time=float(spec["k_time"]))
+    return Mode(name=spec.get("name", "custom"), k_cost=_number("mode.k_cost", spec["k_cost"]),
+                k_time=_number("mode.k_time", spec["k_time"]))
 
 
 def _profile_from_dict(obj: dict) -> DriverProfile:
-    return DriverProfile(
-        seed=obj["seed"],  # Scenario checks it
-        anchors={name: (float(lat), float(lon)) for name, (lat, lon) in obj["anchors"].items()},
-        schedule={day: list(seq) for day, seq in obj["schedule"].items()},
-        errand_targets=list(obj.get("errand_targets", [])),
-        errand_rate=float(obj.get("errand_rate", 0.0)),
-        speed_noise_pct=float(obj.get("speed_noise_pct", 5.0)),
-        gps_noise_m=float(obj.get("gps_noise_m", 10.0)),
-        cruise_speed_kmh=float(obj.get("cruise_speed_kmh", 50.0)))
+    """A profile of the keys `obj` gives; DriverProfile supplies the rest.
+    Its seed is left to Scenario to check."""
+    if not isinstance(obj, dict):
+        raise errors.SchemaError(f"profile must be a mapping, got {obj!r}")
+    given = dict(obj)
+    for key in ("anchors", "schedule"):
+        if not isinstance(given.get(key, {}), dict):
+            raise errors.SchemaError(f"profile.{key} must be a mapping, got {given[key]!r}")
+    if "anchors" in given:
+        given["anchors"] = {name: (_number(f"profile.anchors.{name}", lat),
+                                   _number(f"profile.anchors.{name}", lon))
+                            for name, (lat, lon) in given["anchors"].items()}
+    if "schedule" in given:
+        given["schedule"] = {day: list(seq) for day, seq in given["schedule"].items()}
+    if "errand_targets" in given:
+        given["errand_targets"] = list(given["errand_targets"])
+    for key in ("errand_rate", "speed_noise_pct", "gps_noise_m", "cruise_speed_kmh"):
+        if key in given:
+            given[key] = _number(f"profile.{key}", given[key])
+    return DriverProfile(**given)
 
 
 def _profile_to_dict(p: DriverProfile) -> dict:
-    return {
-        "seed": p.seed,
-        "anchors": {name: [lat, lon] for name, (lat, lon) in p.anchors.items()},
-        "schedule": {day: list(seq) for day, seq in p.schedule.items()},
-        "errand_targets": list(p.errand_targets),
-        "errand_rate": p.errand_rate,
-        "speed_noise_pct": p.speed_noise_pct,
-        "gps_noise_m": p.gps_noise_m,
-        "cruise_speed_kmh": p.cruise_speed_kmh,
-    }
+    """The profile's fields in field order, tuples written as YAML lists."""
+    def plain(value):
+        if isinstance(value, dict):
+            return {key: plain(item) for key, item in value.items()}
+        return [plain(item) for item in value] if isinstance(value, (list, tuple)) else value
+    return {f.name: plain(getattr(p, f.name)) for f in fields(p)}
+
+
+def _number(what: str, value) -> float:
+    """`value` as a float if it is a YAML number (an int or a float, not a
+    bool or a string), else SchemaError naming `what`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise errors.SchemaError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer past the float range
+        raise errors.SchemaError(f"{what} must be a finite number, got {value!r}") from None
 
 
 def _whole_in(what: str, value, least: int, most: float = math.inf) -> int:
@@ -202,15 +219,14 @@ def load_scenarios(config_path: str) -> list[Scenario]:
         graph = load_road_graph(str(base / files[0]), str(base / files[1]))
         stations, history = load_stations(str(base / files[2]))
         veh = cfg["vehicle"]
-        vehicle = VehicleState(tank_l=float(veh["tank_l"]),
-                               fuel_l=float(veh["fuel_l"]),
-                               rate_l_per_km=float(veh["rate_l_per_km"]))
+        vehicle = VehicleState(**{key: _number(f"vehicle.{key}", veh[key])
+                                  for key in ("tank_l", "fuel_l", "rate_l_per_km")})
         mode = parse_mode(cfg.get("mode", "balanced"))
         sim = {} if cfg.get("simulation") is None else cfg["simulation"]  # `simulation:`
         if not isinstance(sim, dict):
             raise TypeError(f"simulation must be a mapping, got {type(sim).__name__}")
-        settings = {key: value if key == "observation_weeks" else float(value)
-                    for key, value in sim.items()}
+        settings = {key: value if key == "observation_weeks"
+                    else _number(f"simulation.{key}", value) for key, value in sim.items()}
         if not cfg["drivers"]:
             raise errors.SchemaError("drivers must list at least one driver")
         fuel_type = cfg.get("fuel_type", "petrol")

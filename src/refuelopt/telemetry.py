@@ -82,6 +82,7 @@ TRIP_LOG_HEADER = ["timestamp", "speed_kmh", "lat", "lon", "fuel_l", "can_msg"]
 DEFAULT_GAP_THRESHOLD_S = 120.0
 DEFAULT_DROPOUT_CUTOFF_S = 60.0
 OBSERVATION_START = date(2025, 1, 6)  # a Monday; schedules align to weekdays
+MIN_SAMPLE_PERIOD_S = 1.0  # a leg's fixes grow as 1 / period (see DriverProfile)
 
 
 # The timestamps `ts_to_date` converts: UTC years 1 to 9999.
@@ -281,7 +282,8 @@ class DriverProfile:
     <= errand_rate, speed_noise_pct, gps_noise_m, each at most its MAX_*
     (which keep a week's distance modest). Since a fix moves at least 1 km/h,
     a leg then takes at most about MAX_ANCHOR_SPREAD_KM * 3600 /
-    sample_period_s fixes: 72 000 at a 5 s period, ≈1 440 at 50 km/h.
+    sample_period_s fixes: 72 000 at a 5 s period, ≈1 440 at 50 km/h, and
+    360 000 at MIN_SAMPLE_PERIOD_S.
     """
 
     MAX_ANCHOR_SPREAD_KM: ClassVar[float] = 100.0  # a city's span; bounds a leg's fixes
@@ -479,8 +481,9 @@ def generate_synthetic_log(profile: DriverProfile, weeks: int,
         raise ValueError("weeks must be >= 1")
     if start_day.weekday() != 0:
         raise ValueError("start_day must be a Monday")
-    if not sample_period_s > 0:
-        raise ValueError("sample_period_s must be positive")
+    if not sample_period_s >= MIN_SAMPLE_PERIOD_S:
+        raise ValueError(f"sample_period_s must be >= {MIN_SAMPLE_PERIOD_S} s, "
+                         f"got {sample_period_s}")
 
     rng = random.Random(profile.seed)
 

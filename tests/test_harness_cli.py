@@ -228,6 +228,54 @@ def test_load_scenarios_rejects_out_of_range_simulation(tmp_path, demo_scenario_
     assert main(["simulate", "--config", config, "--out-dir", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("path,value,message", [
+    (("drivers", 0, "profile", "errand_rate"), True,
+     "profile.errand_rate must be a number, got True"),
+    (("drivers", 0, "profile", "gps_noise_m"), "10", "profile.gps_noise_m must be a number"),
+    (("drivers", 0, "profile", "anchors", "home", 0), "44.6",
+     "profile.anchors.home must be a number, got '44.6'"),
+    (("drivers", 0, "profile", "anchors"), 5, "profile.anchors must be a mapping, got 5"),
+    (("drivers", 0, "profile", "schedule"), ["Mon"], "profile.schedule must be a mapping"),
+    (("simulation", "corridor_radius_m"), True, "simulation.corridor_radius_m must be a number"),
+    (("vehicle", "tank_l"), "50", "vehicle.tank_l must be a number, got '50'"),
+    (("vehicle", "rate_l_per_km"), 10 ** 400, "vehicle.rate_l_per_km must be a finite number"),
+    (("mode", "k_cost"), True, "mode.k_cost must be a number, got True"),
+    (("mode", "k_time"), "2", "mode.k_time must be a number, got '2'"),
+], ids=["errand_rate_true", "gps_noise_string", "anchor_string", "anchors_scalar",
+        "schedule_list", "corridor_true", "tank_string", "rate_past_float", "k_cost_true",
+        "k_time_string"])
+def test_config_numbers_must_be_yaml_numbers(tmp_path, demo_scenario_config, path, value,
+                                             message):
+    # float() read `true` as 1.0 (a 1 m corridor) and "50" as 50.0; an
+    # integer past the float range, or anchors that are not a mapping, ended
+    # `simulate` with a raw traceback.
+    config = _edited_config(demo_scenario_config, path, value, tmp_path.name)
+    with pytest.raises(errors.SchemaError, match=re.escape(message)):
+        load_scenarios(config)
+    assert main(["simulate", "--config", config, "--out-dir", str(tmp_path)]) == 2
+
+
+def test_config_numbers_may_be_integers_and_profile_keys_optional(tmp_path,
+                                                                  demo_scenario_config):
+    config = _edited_config(demo_scenario_config, ("vehicle", "tank_l"), 50, tmp_path.name)
+    with open(config, encoding="utf-8") as fh:
+        cfg = yaml.safe_load(fh)
+    cfg["mode"] = {"k_cost": 1, "k_time": 3}
+    profile = cfg["drivers"][0]["profile"]
+    for key in ("errand_targets", "errand_rate", "speed_noise_pct", "gps_noise_m",
+                "cruise_speed_kmh"):
+        del profile[key]
+    Path(config).write_text(yaml.safe_dump(cfg, sort_keys=False), encoding="utf-8")
+    scenarios = load_scenarios(config)
+    assert repr(scenarios[0].vehicle.tank_l) == "50.0"
+    assert (scenarios[0].mode.k_cost, scenarios[0].mode.k_time) == (1.0, 3.0)
+    defaults = {f.name: f.default for f in fields(telemetry.DriverProfile)}
+    assert scenarios[0].profile == replace(scenarios[0].profile, errand_targets=[],
+                                           **{key: defaults[key] for key in
+                                              ("errand_rate", "speed_noise_pct",
+                                               "gps_noise_m", "cruise_speed_kmh")})
+
+
 def test_load_scenarios_accepts_zero_refuel_duration(tmp_path, demo_scenario_config):
     config = _edited_config(demo_scenario_config, ("simulation", "refuel_duration_s"), 0.0,
                             tmp_path.name)

@@ -47,9 +47,8 @@ def random_graph(rng, n):
     return g
 
 
-def brute_force_shortest(g, src, dst, metric):
-    """Enumerate all simple paths; return (cost, lexicographically-first path)."""
-    idx = 2 if metric == "time" else 1
+def brute_force_shortest(g, src, dst):
+    """Enumerate all simple paths; return (time, lexicographically-first path)."""
     best = None
     stack = [(src, (src,), 0.0)]
     while stack:
@@ -61,7 +60,7 @@ def brute_force_shortest(g, src, dst, metric):
             continue
         for to, length_m, time_s in g.adj.get(node, []):
             if to not in path:
-                w = min(e[idx] for e in g.adj[node] if e[0] == to)
+                w = min(e[2] for e in g.adj[node] if e[0] == to)
                 stack.append((to, path + (to,), cost + w))
     return best
 
@@ -134,20 +133,10 @@ def test_nearest_node_snap():
 # --- shortest routes ------------------------------------------------------------
 
 def test_equal_cost_tie_breaks_lexicographically():
-    r = BuiltinRouter(diamond_graph()).shortest_route("A", "D", metric="time")
+    r = BuiltinRouter(diamond_graph()).shortest_route("A", "D")
     assert r.nodes == ("A", "B", "D")
     assert r.time_s == 120.0
     assert r.distance_km == pytest.approx(1.2)
-
-
-def test_metrics_can_disagree():
-    g = diamond_graph()
-    # Make the B path faster but longer than the C path.
-    g.adj["A"] = [(t, 900.0 if t == "B" else l, 30.0 if t == "B" else s)
-                  for t, l, s in g.adj["A"]]
-    router = BuiltinRouter(g)
-    assert router.shortest_route("A", "D", metric="time").nodes == ("A", "B", "D")
-    assert router.shortest_route("A", "D", metric="distance").nodes == ("A", "C", "D")
 
 
 def test_unreachable_raises():
@@ -167,23 +156,34 @@ def test_self_route_is_empty():
     assert r.distance_km == 0.0 and r.time_s == 0.0
 
 
-@pytest.mark.parametrize("metric", ["time", "distance"])
-def test_matches_bruteforce_on_random_graphs(metric):
-    rng = random.Random(42)
+def path_length_m(g, path):
+    """Length of `path` over the fastest edge of each hop."""
+    return sum(min((e for e in g.adj[a] if e[0] == b), key=lambda e: e[2])[1]
+               for a, b in zip(path, path[1:]))
+
+
+@pytest.mark.parametrize("reported", ["time", "distance"])
+def test_matches_bruteforce_on_random_graphs(reported):
+    """The fastest route's reported time (or distance) matches brute force;
+    each case draws its own 25 graphs."""
+    rng = random.Random(42 if reported == "time" else 43)
     for trial in range(25):
         g = random_graph(rng, rng.randint(4, 9))
         router = BuiltinRouter(g)
         ids = sorted(g.nodes)
         for src in ids:
             for dst in ids:
-                expected = brute_force_shortest(g, src, dst, metric)
+                expected = brute_force_shortest(g, src, dst)
                 if expected is None:
                     with pytest.raises(errors.Unreachable):
-                        router.shortest_route(src, dst, metric=metric)
+                        router.shortest_route(src, dst)
                     continue
-                got = router.shortest_route(src, dst, metric=metric)
-                cost = got.time_s if metric == "time" else got.distance_km * 1000.0
-                assert cost == pytest.approx(expected[0], rel=1e-9, abs=1e-6)
+                got = router.shortest_route(src, dst)
+                if reported == "time":
+                    assert got.time_s == pytest.approx(expected[0], rel=1e-9, abs=1e-6)
+                else:
+                    assert got.distance_km * 1000.0 == pytest.approx(
+                        path_length_m(g, expected[1]), rel=1e-9, abs=1e-6)
                 assert got.nodes == expected[1]
 
 
@@ -343,13 +343,10 @@ class PathHeapRouter:
     def __init__(self, graph):
         self.graph = graph
 
-    def shortest_route(self, src, dst, metric="time"):
+    def shortest_route(self, src, dst):
         graph = self.graph
         if src not in graph.nodes or dst not in graph.nodes:
             raise errors.Unreachable(f"unknown node in query {src}->{dst}")
-        if metric not in ("time", "distance"):
-            raise ValueError(f"unknown metric {metric!r}")
-        weight_idx = 2 if metric == "time" else 1
         heap = [(0.0, (src,))]
         done = set()
         while heap:
@@ -363,21 +360,20 @@ class PathHeapRouter:
                 total_time_s = 0.0
                 for a, b in zip(path, path[1:]):
                     edge = min((e for e in graph.adj[a] if e[0] == b),
-                               key=lambda e: e[weight_idx])
+                               key=lambda e: e[2])
                     dist_m += edge[1]
                     total_time_s += edge[2]
                 return Route(nodes=path, distance_km=dist_m / 1000.0, time_s=total_time_s)
             for to, length_m, time_s in graph.adj.get(node, []):
                 if to not in done:
-                    heapq.heappush(heap, (cost + (length_m, time_s)[weight_idx - 1],
-                                          path + (to,)))
+                    heapq.heappush(heap, (cost + time_s, path + (to,)))
         raise errors.Unreachable(f"no path {src}->{dst}")
 
-    def one_stop_route(self, start, stop, remaining, metric="time"):
+    def one_stop_route(self, start, stop, remaining):
         legs = []
         waypoints = [start, stop] + list(remaining)
         for a, b in zip(waypoints, waypoints[1:]):
-            legs.append(self.shortest_route(a, b, metric=metric))
+            legs.append(self.shortest_route(a, b))
         nodes = legs[0].nodes
         for leg in legs[1:]:
             nodes = nodes + leg.nodes[1:]
@@ -430,27 +426,23 @@ def test_router_matches_path_heap_router(data):
     g = data.draw(small_graphs())
     ids = sorted(g.nodes) + ["missing"]
     router, ref = BuiltinRouter(g), PathHeapRouter(g)
-    metric = st.sampled_from(["time", "distance"])
     queries = data.draw(st.lists(st.one_of(
-        st.tuples(st.just("shortest_route"), st.sampled_from(ids), st.sampled_from(ids),
-                  metric),
+        st.tuples(st.just("shortest_route"), st.sampled_from(ids), st.sampled_from(ids)),
         st.tuples(st.just("one_stop_route"), st.sampled_from(ids), st.sampled_from(ids),
-                  st.lists(st.sampled_from(ids), max_size=3), metric)),
+                  st.lists(st.sampled_from(ids), max_size=3))),
         min_size=1, max_size=20))
     for name, *args in queries:
         assert outcome(getattr(router, name), *args) == outcome(getattr(ref, name), *args)
     # Every (src, dst) pair again on the same router: memo and trees hit.
     for a, b in itertools.product(ids, ids):
-        for m in ("time", "distance"):
-            assert outcome(router.shortest_route, a, b, m) == \
-                outcome(ref.shortest_route, a, b, m)
+        assert outcome(router.shortest_route, a, b) == outcome(ref.shortest_route, a, b)
 
 
 class ForwardRouter(BuiltinRouter):
     """The router with every certificate refused: each leg without a
     departure tree runs the forward search."""
 
-    def _certified_route(self, src, dst, metric):
+    def _certified_route(self, src, dst):
         return None
 
 
@@ -473,12 +465,11 @@ def test_rounding_tie_falls_back_to_the_forward_path():
     g = tie_graph([("A", "B", 1.0 + 2.0 ** -52), ("B", "D", 1.0),
                    ("A", "C", 1.0), ("C", "D", 1.0)])
     router = BuiltinRouter(g)
-    for metric in ("time", "distance"):
-        route = router.shortest_route("A", "D", metric)
-        assert route == ForwardRouter(g).shortest_route("A", "D", metric) == \
-            PathHeapRouter(g).shortest_route("A", "D", metric)
-        assert route.nodes == ("A", "B", "D") and route.time_s == 2.0
-    assert router.fallbacks == 2
+    route = router.shortest_route("A", "D")
+    assert route == ForwardRouter(g).shortest_route("A", "D") == \
+        PathHeapRouter(g).shortest_route("A", "D")
+    assert route.nodes == ("A", "B", "D") and route.time_s == 2.0
+    assert router.fallbacks == 1
 
 
 def test_unsettled_neighbour_within_rounding_falls_back():
@@ -517,13 +508,12 @@ def test_city_stop_legs_are_all_certified():
     g = generate_city(seed=3, rows=12, cols=12)
     router, forward = BuiltinRouter(g), ForwardRouter(g)
     tail = ["N08_09", "N11_00"]
-    for metric in ("time", "distance"):
-        for stop in sorted(g.nodes):
-            assert router.one_stop_route("N02_03", stop, tail, metric) == \
-                forward.one_stop_route("N02_03", stop, tail, metric)
+    for stop in sorted(g.nodes):
+        assert router.one_stop_route("N02_03", stop, tail) == \
+            forward.one_stop_route("N02_03", stop, tail)
     assert router.fallbacks == 0
-    # Every stop -> N08_09 leg and the N08_09 -> N11_00 leg, per metric.
-    assert forward.fallbacks == 2 * len(g.nodes)
+    # Every stop -> N08_09 leg and the N08_09 -> N11_00 leg.
+    assert forward.fallbacks == len(g.nodes)
 
 
 def test_reverse_index_sees_edges_added_after_a_route():
@@ -552,20 +542,9 @@ def test_shared_destinations_match_path_heap_router(data):
     router, ref = BuiltinRouter(g), PathHeapRouter(g)
     # Sources in drawn order, destinations interleaved: each query resumes
     # the reverse search its destination left off.
-    for src, dst, metric in data.draw(st.lists(
-            st.tuples(st.sampled_from(ids), st.sampled_from(dsts),
-                      st.sampled_from(["time", "distance"])), min_size=1, max_size=40)):
-        assert outcome(router.shortest_route, src, dst, metric) == \
-            outcome(ref.shortest_route, src, dst, metric)
-
-
-def test_unknown_metric_raises_like_path_heap_router():
-    g = diamond_graph()
-    for router in (BuiltinRouter(g), PathHeapRouter(g)):
-        with pytest.raises(ValueError, match="unknown metric 'hops'"):
-            router.shortest_route("A", "D", metric="hops")
-        with pytest.raises(ValueError, match="unknown metric 'hops'"):
-            router.one_stop_route("A", "D", ["B"], metric="hops")
+    for src, dst in data.draw(st.lists(
+            st.tuples(st.sampled_from(ids), st.sampled_from(dsts)), min_size=1, max_size=40)):
+        assert outcome(router.shortest_route, src, dst) == outcome(ref.shortest_route, src, dst)
 
 
 def test_one_stop_routes_on_a_city_match_path_heap_router():
@@ -573,16 +552,14 @@ def test_one_stop_routes_on_a_city_match_path_heap_router():
     router, ref = BuiltinRouter(g), PathHeapRouter(g)
     tail = ["N07_07", "N00_07", "N03_02"]
     for stop in sorted(g.nodes):
-        for metric in ("time", "distance"):
-            assert router.one_stop_route("N04_04", stop, tail, metric) == \
-                ref.one_stop_route("N04_04", stop, tail, metric)
+        assert router.one_stop_route("N04_04", stop, tail) == \
+            ref.one_stop_route("N04_04", stop, tail)
 
 
-def path_heap_routes(graph, src, metric):
-    """`PathHeapRouter.shortest_route(src, v, metric)` for every v that src
-    reaches, from one run: that search pops the same entries whatever its
+def path_heap_routes(graph, src):
+    """`PathHeapRouter.shortest_route(src, v)` for every v that src reaches,
+    from one run: that search pops the same entries whatever its
     destination, up to the pop of the destination."""
-    k = 2 if metric == "time" else 1
     routes, done, heap = {}, set(), [(0.0, (src,))]
     while heap:
         cost, path = heapq.heappop(heap)
@@ -592,13 +569,13 @@ def path_heap_routes(graph, src, metric):
         done.add(node)
         dist_m = total_time_s = 0.0
         for a, b in zip(path, path[1:]):
-            edge = min((e for e in graph.adj[a] if e[0] == b), key=lambda e: e[k])
+            edge = min((e for e in graph.adj[a] if e[0] == b), key=lambda e: e[2])
             dist_m += edge[1]
             total_time_s += edge[2]
         routes[node] = Route(nodes=path, distance_km=dist_m / 1000.0, time_s=total_time_s)
         for to, length_m, time_s in graph.adj.get(node, []):
             if to not in done:
-                heapq.heappush(heap, (cost + (length_m, time_s)[k - 1], path + (to,)))
+                heapq.heappush(heap, (cost + time_s, path + (to,)))
     return routes
 
 
@@ -607,24 +584,21 @@ def test_departure_search_settles_only_as_far_as_its_stops():
     start, stops = "N20_20", sorted(g.nodes)
     router = BuiltinRouter(g)
     router.one_stop_route(start, "N20_21", ["N05_30"])
-    settled = router._forward[(start, "time")].done
+    settled = router._forward[start].done
     assert "N20_21" in settled and len(settled) < len(g.nodes) // 10
-    # Every node as a stop, both metrics, in shuffled order on one router:
-    # each resumes the search the last left off, and the routes are those of
-    # a fresh router asked in sorted order and of the path-heap reference.
-    queries = random.Random(3).sample([(s, m) for s in stops for m in ("time", "distance")],
-                                      2 * len(stops))
-    shuffled = {(s, m): router.one_stop_route(start, s, [], m) for s, m in queries}
+    # Every node as a stop, in shuffled order on one router: each resumes the
+    # search the last left off, and the routes are those of a fresh router
+    # asked in sorted order and of the path-heap reference.
+    shuffled = {s: router.one_stop_route(start, s, [])
+                for s in random.Random(3).sample(stops, len(stops))}
     fresh = BuiltinRouter(g)
     ref = PathHeapRouter(g)
-    for metric in ("time", "distance"):
-        heap_routes = path_heap_routes(g, start, metric)
-        for stop in stops[::200]:
-            assert heap_routes[stop] == ref.shortest_route(start, stop, metric)
-        for stop in stops:
-            assert shuffled[stop, metric] == fresh.one_stop_route(start, stop, [], metric) == \
-                heap_routes[stop]
-    assert len(router._forward[(start, "time")].done) == len(g.nodes)
+    heap_routes = path_heap_routes(g, start)
+    for stop in stops[::200]:
+        assert heap_routes[stop] == ref.shortest_route(start, stop)
+    for stop in stops:
+        assert shuffled[stop] == fresh.one_stop_route(start, stop, []) == heap_routes[stop]
+    assert len(router._forward[start].done) == len(g.nodes)
 
 
 COORD = st.floats(-0.01, 0.01, allow_nan=False)

@@ -859,7 +859,8 @@ def test_generation_memory_stays_bounded():
 
 
 def test_generator_rejects_non_positive_period():
-    for period in (0.0, -5.0, math.nan):
+    # A tiny positive period made a leg's fix window double until memory ran out.
+    for period in (0.0, -5.0, math.nan, 0.5, 1e-300):
         with pytest.raises(ValueError, match="sample_period_s"):
             generate_synthetic_log(profile(), weeks=1, sample_period_s=period)
 
