@@ -88,13 +88,10 @@ def cmd_graph(args) -> int:
     _check_positive("--cluster-radius", args.cluster_radius)
     samples = load_trip_log(args.log)
     _daily_km, _monday, weeks = _log_weeks(samples)
-    if args.weeks is not None and args.weeks != weeks:
-        raise errors.SchemaError(f"--weeks {args.weeks} disagrees with the log, "
-                                 f"which covers {weeks} weeks")
     events = detect_halts(samples, gap_threshold=args.gap_threshold)
     clusters = assign_clusters(events, cluster_radius_m=args.cluster_radius)
     pois, all_nodes = select_pois(clusters, weeks)
-    graph = build_daily_flows(pois, events)
+    graph = build_daily_flows(pois)
     nodes_path = Path(args.out_dir) / "nodes.csv"
     edges_path = Path(args.out_dir) / "edges.csv"
     export_graph_csv(all_nodes, graph, str(nodes_path), str(edges_path))
@@ -194,8 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("graph", help="trip log -> habitual trip graph CSVs")
     p.add_argument("--log", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--weeks", type=int, default=None,
-                   help="check: the whole weeks the log covers (default: taken from the log)")
     p.add_argument("--gap-threshold", type=float, default=DEFAULT_GAP_THRESHOLD_S)
     p.add_argument("--cluster-radius", type=float, default=DEFAULT_CLUSTER_RADIUS_M)
     p.set_defaults(fn=cmd_graph)

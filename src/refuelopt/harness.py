@@ -137,7 +137,7 @@ def build_context(scn: Scenario) -> ScenarioContext:
     del samples  # its pending fixes hold the generator's draws
     clusters = assign_clusters(halts, cluster_radius_m=scn.cluster_radius_m)
     pois, _all = select_pois(clusters, scn.observation_weeks)
-    trip_graph = build_daily_flows(pois, halts)
+    trip_graph = build_daily_flows(pois)
     daily_km, rows, metrics, accepted = mileage_verdict(
         driven_km, OBSERVATION_START, scn.observation_weeks, scn.seed)
 
@@ -191,7 +191,7 @@ def corridor_candidates(ctx: ScenarioContext) -> list[CandidateStop]:
     for attempt in range(4):
         try:
             return generate_candidates(
-                ctx.router, ctx.day_route, scn.graph, ctx.departure_node,
+                ctx.router, ctx.day_route, ctx.departure_node,
                 list(ctx.remaining_nodes), scn.stations, ctx.day_prices,
                 delta_km=ctx.delta_km,
                 corridor_radius_m=scn.corridor_radius_m * 2 ** attempt)
@@ -221,7 +221,7 @@ def _first_reachable(ctx: ScenarioContext, order: list[Station],
     scn = ctx.scenario
     remaining = list(ctx.remaining_nodes)
     for st in order:
-        cand = route_candidate(ctx.router, scn.graph, ctx.departure_node, remaining, st,
+        cand = route_candidate(ctx.router, ctx.departure_node, remaining, st,
                                ctx.day_prices[st.station_id], ctx.delta_km)
         if cand.reachable(scn.vehicle):
             return cand

@@ -26,6 +26,11 @@ from .tables import write_table
 # A forest fit needs at least this many feature rows.
 MIN_TRAIN_ROWS = 14
 
+# The acceptance gate's thresholds on PredictionMetrics' three scores.
+GATE_MAE_MAX = 2.5
+GATE_E_WEEK_MAX = 5.7
+GATE_E_WEEK_PCT_MAX = 21.3
+
 
 @dataclass(frozen=True)
 class DailyFeatureRow:
@@ -55,13 +60,6 @@ class PredictionMetrics:
     mae: float
     e_week: float
     e_week_pct: float
-
-
-@dataclass(frozen=True)
-class GateThresholds:
-    mae_max: float = 2.5
-    e_week_max: float = 5.7
-    e_week_pct_max: float = 21.3
 
 
 @dataclass(frozen=True)
@@ -102,8 +100,8 @@ def build_features(daily_km: dict[date, float]) -> list[DailyFeatureRow]:
 
 
 def fit_forest(rows: list[DailyFeatureRow], n_trees: int = DEFAULT_N_TREES,
-               max_depth: int = DEFAULT_MAX_DEPTH, seed: int = 0) -> ForestModel:
-    """Train the ensemble on feature rows carrying targets."""
+               seed: int = 0) -> ForestModel:
+    """Train the depth-DEFAULT_MAX_DEPTH ensemble on feature rows carrying targets."""
     if len(rows) < MIN_TRAIN_ROWS:
         raise errors.SeriesTooShort(f"need >= {MIN_TRAIN_ROWS} training rows, got {len(rows)}")
     if any(r.target is None or not math.isfinite(r.target) for r in rows):
@@ -112,10 +110,11 @@ def fit_forest(rows: list[DailyFeatureRow], n_trees: int = DEFAULT_N_TREES,
     y = np.array([r.target for r in rows])
     columns = np.flatnonzero(X.min(axis=0) < X.max(axis=0))
     if len(columns):
-        trees = fit_bagged_trees(X[:, columns], y, n_trees=n_trees, max_depth=max_depth, seed=seed)
+        trees = fit_bagged_trees(X[:, columns], y, n_trees=n_trees, max_depth=DEFAULT_MAX_DEPTH,
+                                 seed=seed)
     else:  # nothing to split on: one leaf holding the mean target
         leaf = {"v": float(np.mean(y))}
-        trees = load_trees({"seed": seed, "max_depth": max_depth, "trees": [leaf]})
+        trees = load_trees({"seed": seed, "max_depth": DEFAULT_MAX_DEPTH, "trees": [leaf]})
     return ForestModel(trees, columns)
 
 
@@ -140,16 +139,15 @@ def evaluate_metrics(y: list[float], y_hat: list[float]) -> PredictionMetrics:
     return PredictionMetrics(mae=mae, e_week=e_week, e_week_pct=100.0 * e_week / total)
 
 
-def gate(metrics: PredictionMetrics, thresholds: GateThresholds = GateThresholds()) -> bool:
-    """Accept the forecast iff every error is at or under its threshold."""
-    return (metrics.mae <= thresholds.mae_max
-            and metrics.e_week <= thresholds.e_week_max
-            and metrics.e_week_pct <= thresholds.e_week_pct_max)
+def gate(metrics: PredictionMetrics) -> bool:
+    """Accept the forecast iff every error is at or under its GATE_* threshold."""
+    return (metrics.mae <= GATE_MAE_MAX
+            and metrics.e_week <= GATE_E_WEEK_MAX
+            and metrics.e_week_pct <= GATE_E_WEEK_PCT_MAX)
 
 
 def sliding_cv(rows: list[DailyFeatureRow], window_weeks: int,
-               n_trees: int = DEFAULT_N_TREES, max_depth: int = DEFAULT_MAX_DEPTH,
-               seed: int = 0) -> CvReport:
+               n_trees: int = DEFAULT_N_TREES, seed: int = 0) -> CvReport:
     """Sliding-window cross-validation: train on `window_weeks`, test the next week.
 
     The window advances one week per fold; train and test never overlap and
@@ -166,7 +164,7 @@ def sliding_cv(rows: list[DailyFeatureRow], window_weeks: int,
     for f in range(n_folds):
         train = rows[f * 7:f * 7 + w]
         test = rows[f * 7 + w:f * 7 + w + 7]
-        model = fit_forest(train, n_trees=n_trees, max_depth=max_depth, seed=seed)
+        model = fit_forest(train, n_trees=n_trees, seed=seed)
         preds = predict_week(model, [replace(r, target=None) for r in test])
         folds.append(evaluate_metrics([r.target for r in test], preds))
     return CvReport(folds=tuple(folds), mean=PredictionMetrics(

@@ -83,19 +83,18 @@ class RefuelPlan:
     objective: float
 
 
-def route_candidate(router: BuiltinRouter, graph: RoadGraph, current_node: str,
-                    remaining_nodes: list[str], station: Station, price_eur_l: float,
-                    delta_km: float) -> CandidateStop:
-    """Snap `station` to its nearest graph node and route the one-stop day
-    current_node -> station -> remaining_nodes through it."""
-    node, _snap_m = graph.nearest_node(station.lat, station.lon)
+def route_candidate(router: BuiltinRouter, current_node: str, remaining_nodes: list[str],
+                    station: Station, price_eur_l: float, delta_km: float) -> CandidateStop:
+    """Snap `station` to its nearest node of the router's graph and route the
+    one-stop day current_node -> station -> remaining_nodes through it."""
+    node, _snap_m = router.graph.nearest_node(station.lat, station.lon)
     route = router.one_stop_route(current_node, node, remaining_nodes)
     return CandidateStop(station=station, route=route, distance_km=route.distance_km,
                          corrected_km=route.distance_km + delta_km, time_s=route.time_s,
                          price_eur_l=price_eur_l)
 
 
-def generate_candidates(router: BuiltinRouter, day_route: Route, graph: RoadGraph,
+def generate_candidates(router: BuiltinRouter, day_route: Route,
                         current_node: str, remaining_nodes: list[str],
                         stations: list[Station], prices: dict[str, float],
                         delta_km: float = 0.0,
@@ -111,14 +110,14 @@ def generate_candidates(router: BuiltinRouter, day_route: Route, graph: RoadGrap
         raise ValueError("delta_km must be non-negative")
     if not day_route.nodes:
         raise errors.EmptyDayGraph("selected day has no route")
-    polyline = day_route.polyline(graph)
+    polyline = day_route.polyline(router.graph)
     priced = [s for s in stations if s.station_id in prices]
     keep = corridor_filter(polyline, [(s.lat, s.lon) for s in priced],
                            radius_m=corridor_radius_m)
     if not keep:
         raise errors.NoCandidates(
             f"no station within {corridor_radius_m} m of the route")
-    return [route_candidate(router, graph, current_node, remaining_nodes, priced[i],
+    return [route_candidate(router, current_node, remaining_nodes, priced[i],
                             prices[priced[i].station_id], delta_km) for i in keep]
 
 

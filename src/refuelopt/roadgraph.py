@@ -93,6 +93,9 @@ class RoadGraph:
         default=None, init=False, repr=False, compare=False)
 
     def add_node(self, node_id: str, lat: float, lon: float) -> None:
+        """Add a new node; ValueError for an id already in the graph."""
+        if node_id in self.nodes:
+            raise ValueError(f"node {node_id} defined twice")
         if not valid_coords(lat, lon):
             raise ValueError(f"invalid coordinates for node {node_id}")
         self.nodes[node_id] = (lat, lon)
@@ -490,19 +493,18 @@ def save_road_graph(graph: RoadGraph, nodes_path: str, edges_path: str) -> None:
                  for to, length_m, time_s in sorted(graph.adj[src])))
 
 
-def generate_city(seed: int, rows: int = 12, cols: int = 12,
-                  spacing_m: float = 500.0,
-                  center: tuple[float, float] = (44.65, 10.92)) -> RoadGraph:
+def generate_city(seed: int, rows: int = 12, cols: int = 12) -> RoadGraph:
     """Synthetic grid city: 4-connected lattice with jittered road lengths.
 
-    Road length is the geodesic times a 1.0-1.25 wiggle factor; travel time
-    follows a per-edge speed drawn between 30 and 60 km/h. Deterministic
-    per seed.
+    Nodes sit 500 m apart around (44.65, 10.92). Road length is the geodesic
+    times a 1.0-1.25 wiggle factor; travel time follows a per-edge speed
+    drawn between 30 and 60 km/h. Deterministic per seed.
     """
     rng = random.Random(seed)
     graph = RoadGraph()
-    dlat = spacing_m / 111_194.9
-    dlon = spacing_m / (111_194.9 * math.cos(math.radians(center[0])))
+    center = (44.65, 10.92)
+    dlat = 500.0 / 111_194.9
+    dlon = 500.0 / (111_194.9 * math.cos(math.radians(center[0])))
 
     ids = [[f"N{r:02d}_{c:02d}" for c in range(cols)] for r in range(rows)]
     for r in range(rows):

@@ -245,6 +245,10 @@ def load_scenarios(config_path: str) -> list[Scenario]:
                 departure=drv["departure"],
                 forecast=forecast,
                 **settings))
+        names = [scn.name for scn in scenarios]
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        if repeated:
+            raise errors.SchemaError(f"driver names must be unique, repeated: {repeated}")
     except (KeyError, TypeError, ValueError, errors.SchemaError, errors.InvalidProfile) as exc:
         raise errors.SchemaError(f"{config_path}: {exc}") from exc
     return scenarios
@@ -301,26 +305,20 @@ def make_profile(template: str, seed: int, graph: RoadGraph) -> DriverProfile:
                          errand_rate=errand_rate)
 
 
-def make_station_catalog(seed: int, graph: RoadGraph, count: int,
-                         fuel_type: str = "petrol", base_price: float = 1.80,
-                         dispersion_pct: float = 6.0, history_weeks: int = 4,
-                         end_day: date | None = None,
+def make_station_catalog(seed: int, graph: RoadGraph, count: int, end_day: date,
                          ) -> tuple[list[Station], PriceHistory]:
-    """Random stations over the city with a weekday-patterned price history.
+    """Random stations over the city with a weekday-patterned petrol price history.
 
-    Station base prices spread +-dispersion_pct/2 around `base_price`; each
-    station discounts one weekday slightly so the cheapest-day choice has
-    real signal. History covers `history_weeks` whole weeks ending the day
-    before `end_day`.
+    Station base prices spread +-3 % around 1.80 EUR/L; each station
+    discounts one weekday slightly so the cheapest-day choice has real
+    signal. History covers the 4 whole weeks ending the day before `end_day`.
     """
     rng = random.Random(seed)
     node_ids = sorted(graph.nodes)
-    if end_day is None:
-        end_day = OBSERVATION_START + timedelta(weeks=8)
     lats = [graph.nodes[n][0] for n in node_ids]
     lons = [graph.nodes[n][1] for n in node_ids]
     lat_range, lon_range = (min(lats), max(lats)), (min(lons), max(lons))
-    days = [end_day - timedelta(days=k) for k in range(history_weeks * 7, 0, -1)]
+    days = [end_day - timedelta(days=k) for k in range(28, 0, -1)]
     weekdays = [d.weekday() for d in days]
     stations = []
     series = {}
@@ -330,24 +328,24 @@ def make_station_catalog(seed: int, graph: RoadGraph, count: int,
         lat = rng.uniform(*lat_range)
         lon = rng.uniform(*lon_range)
         st = Station(station_id=sid, lat=lat, lon=lon, brand=rng.choice(brands))
-        base = base_price * (1.0 + (dispersion_pct / 100.0) * rng.uniform(-0.5, 0.5))
+        base = 1.80 * (1.0 + 0.06 * rng.uniform(-0.5, 0.5))
         cheap_day = rng.randrange(7)
         obs = []
         for d, weekday in zip(days, weekdays):
             price = base - (0.02 if weekday == cheap_day else 0.0)
             price += 0.002 * rng.uniform(-1.0, 1.0)
             obs.append((d, round(price, 3)))
-        series[(sid, fuel_type)] = tuple(obs)
+        series[(sid, "petrol")] = tuple(obs)
         stations.append(st)
     return stations, PriceHistory(series=series)
 
 
 def generate_scenario_dir(out_dir: str, seed: int, n_seeds_per_profile: int = 5,
-                          templates: tuple[str, ...] = PROFILE_TEMPLATES,
                           station_count: int = 10, city_rows: int = 12,
-                          city_cols: int = 12, observation_weeks: int = 7,
-                          mode: str = "balanced") -> str:
-    """Write city CSVs, station CSV and a cohort config; returns the config path.
+                          city_cols: int = 12, observation_weeks: int = 7) -> str:
+    """Write city CSVs, station CSV and a cohort config of `n_seeds_per_profile`
+    drivers per PROFILE_TEMPLATES template in the `balanced` mode; returns the
+    config path.
 
     Raises SchemaError, before writing anything, for a config that
     load_scenarios would reject or in which every run would fail.
@@ -362,12 +360,11 @@ def generate_scenario_dir(out_dir: str, seed: int, n_seeds_per_profile: int = 5,
     graph = generate_city(seed, rows=city_rows, cols=city_cols)
     save_road_graph(graph, str(out / "city_nodes.csv"), str(out / "city_edges.csv"))
     end_day = OBSERVATION_START + timedelta(weeks=observation_weeks)
-    stations, history = make_station_catalog(seed + 1, graph, station_count,
-                                             end_day=end_day)
+    stations, history = make_station_catalog(seed + 1, graph, station_count, end_day)
     save_stations(stations, history, str(out / "stations.csv"))
 
     drivers = []
-    for template in templates:
+    for template in PROFILE_TEMPLATES:
         for k in range(n_seeds_per_profile):
             profile = make_profile(template, seed * 1000 + k, graph)
             drivers.append({
@@ -380,7 +377,7 @@ def generate_scenario_dir(out_dir: str, seed: int, n_seeds_per_profile: int = 5,
         "stations": "stations.csv",
         "fuel_type": "petrol",
         "vehicle": {"tank_l": 50.0, "fuel_l": 14.0, "rate_l_per_km": 0.06},
-        "mode": mode,
+        "mode": "balanced",
         "simulation": {"observation_weeks": observation_weeks},
         "drivers": drivers,
     }

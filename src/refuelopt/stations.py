@@ -2,9 +2,10 @@
 
 The weekly price forecast is weekday-seasonal persistence: for every
 station and weekday, the forecast is the mean of that weekday's observed
-prices over the last few weeks, falling back to the station's most recent
-observation. The area price for a weekday is the cheapest station's
-forecast, and the refueling day is the weekday with the lowest area price.
+prices over the last LOOKBACK_WEEKS (4) weeks, falling back to the
+station's most recent observation. The area price for a weekday is the
+cheapest station's forecast, and the refueling day is the weekday with the
+lowest area price.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ STATIONS_HEADER = ["station_id", "lat", "lon", "brand", "fuel_type",
                    "price_eur_l", "observed_date"]
 
 STALE_AFTER_DAYS = 14
+LOOKBACK_WEEKS = 4
 
 
 @dataclass(frozen=True)
@@ -108,14 +110,14 @@ def save_stations(stations: list[Station], history: PriceHistory, path: str) -> 
                  for d, price in history.series[(sid, fuel)]))
 
 
-def forecast_week(history: PriceHistory, fuel_type: str,
-                  lookback_weeks: int = 4) -> WeeklyPriceForecast:
-    """Per-station, per-weekday price forecast plus the area (cheapest) price."""
+def forecast_week(history: PriceHistory, fuel_type: str) -> WeeklyPriceForecast:
+    """Per-station, per-weekday price forecast over the last LOOKBACK_WEEKS
+    weeks of observations, plus the area (cheapest) price."""
     keys = [k for k in history.series if k[1] == fuel_type]
     if not keys:
         raise errors.EmptyHistory(f"no observations for fuel type {fuel_type!r}")
     anchor = history.latest_date()
-    horizon = anchor - timedelta(weeks=lookback_weeks)
+    horizon = anchor - timedelta(weeks=LOOKBACK_WEEKS)
     stale_cutoff = anchor - timedelta(days=STALE_AFTER_DAYS)
 
     station_prices: dict[str, dict[str, float]] = {}

@@ -14,8 +14,8 @@ stays distinct from a NaN one) and for the rows that are bus messages
 sample rule, which `load_trip_log` applies row by row, and the rows are in
 time order. So `load_trip_log` of a saved log gives back an equal log.
 
-A synthetic log is a pure function of (profile, weeks, sample_period_s,
-start_day), and its bytes are pinned by tests. `random.Random(profile.seed)`
+A synthetic log is a pure function of (profile, weeks, sample_period_s),
+and its bytes are pinned by tests. `random.Random(profile.seed)`
 is its only source of randomness, so the order of the draws is part of the
 output and must not change:
 
@@ -80,7 +80,7 @@ WEEKDAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
 TRIP_LOG_HEADER = ["timestamp", "speed_kmh", "lat", "lon", "fuel_l", "can_msg"]
 
 DEFAULT_GAP_THRESHOLD_S = 120.0
-DEFAULT_DROPOUT_CUTOFF_S = 60.0
+DROPOUT_CUTOFF_S = 60.0
 OBSERVATION_START = date(2025, 1, 6)  # a Monday; schedules align to weekdays
 MIN_SAMPLE_PERIOD_S = 1.0  # a leg's fixes grow as 1 / period (see DriverProfile)
 
@@ -373,21 +373,18 @@ def detect_halts(gps: TripLog, gap_threshold: float = DEFAULT_GAP_THRESHOLD_S) -
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 
 
-def integrate_daily_distance(samples: TripLog,
-                             gap_cutoff_s: float = DEFAULT_DROPOUT_CUTOFF_S) -> dict[date, float]:
+def integrate_daily_distance(samples: TripLog) -> dict[date, float]:
     """Per-calendar-day traveled km as the sum of speed_i * dt_i over sample pairs.
 
-    Pairs spanning more than `gap_cutoff_s` contribute nothing: a stale speed
-    must not be multiplied across a sensor dropout. Each pair is attributed
-    to the day of its earlier sample. Each day's total adds its pairs left
-    to right, starting from 0.0, and the days keep the order of their first
-    pair.
+    Pairs spanning more than DROPOUT_CUTOFF_S contribute nothing: a stale
+    speed must not be multiplied across a sensor dropout. Each pair is
+    attributed to the day of its earlier sample. Each day's total adds its
+    pairs left to right, starting from 0.0, and the days keep the order of
+    their first pair.
     """
-    if not gap_cutoff_s >= 0:
-        raise ValueError(f"gap_cutoff_s must be >= 0, got {gap_cutoff_s}")
     ts = samples.timestamp
     dt = ts[1:] - ts[:-1]
-    pairs = np.flatnonzero(dt <= gap_cutoff_s)
+    pairs = np.flatnonzero(dt <= DROPOUT_CUTOFF_S)
     t = ts[pairs]
     days = np.floor(t / 86_400.0)
     into_day = t - days * 86_400.0
@@ -461,15 +458,14 @@ _ROUNDING_DEG = 1e-9  # far above the rounding of a fix's arithmetic or of the b
 
 def generate_synthetic_log(profile: DriverProfile, weeks: int,
                            sample_period_s: float = 5.0,
-                           start_day: date = OBSERVATION_START,
                            ) -> tuple[TripLog, dict[date, float]]:
-    """Simulate `weeks` of driving for a synthetic driver.
+    """Simulate `weeks` of driving for a synthetic driver, from the Monday
+    OBSERVATION_START.
 
     Returns the trip log, in which every row is a bus message with a GPS fix,
     and the ground-truth daily traveled km (geodesic leg lengths, for oracle
     comparisons). Deterministic for a fixed (profile, weeks): the only
-    randomness source is the profile seed. `start_day` must be a Monday so
-    schedules line up with weekdays. Raises InvalidProfile for a log that
+    randomness source is the profile seed. Raises InvalidProfile for a log that
     fails the TripLog checks, such as a day whose driving runs past the next
     day's 07:00 start.
 
@@ -479,8 +475,6 @@ def generate_synthetic_log(profile: DriverProfile, weeks: int,
     """
     if weeks < 1:
         raise ValueError("weeks must be >= 1")
-    if start_day.weekday() != 0:
-        raise ValueError("start_day must be a Monday")
     if not sample_period_s >= MIN_SAMPLE_PERIOD_S:
         raise ValueError(f"sample_period_s must be >= {MIN_SAMPLE_PERIOD_S} s, "
                          f"got {sample_period_s}")
@@ -505,7 +499,7 @@ def generate_synthetic_log(profile: DriverProfile, weeks: int,
             target = rng.choice(profile.errand_targets)
             seq.extend([target, seq[-1]])
         for d in range(7):
-            day_plans.append((start_day + timedelta(days=7 * w + d), week_plans[d]))
+            day_plans.append((OBSERVATION_START + timedelta(days=7 * w + d), week_plans[d]))
 
     # Every leg's length first, to size the draws.
     truth: dict[date, float] = {}

@@ -3,9 +3,9 @@
 Stop events are clustered incrementally in timestamp order: an event joins
 the nearest existing cluster whose running-mean centroid lies within the
 cluster radius, otherwise it founds a new one. Clusters frequent enough
-(MEDIUM or above by default) become habitual destinations, and each
-weekday's visits are condensed into the modal ordered sequence of
-destinations, stored as a chain of transition edges.
+(MEDIUM or above) become habitual destinations, and each weekday's visits
+are condensed into the modal ordered sequence of destinations, stored as a
+chain of transition edges.
 """
 
 from __future__ import annotations
@@ -163,37 +163,32 @@ def categorize_clusters(clusters: list[StopCluster],
 
 
 def select_pois(clusters: list[StopCluster], observation_weeks: int,
-                accepted: frozenset[FrequencyCategory] = ACCEPTED_CATEGORIES,
                 ) -> tuple[list[PoiNode], list[PoiNode]]:
-    """Promote frequent-enough clusters to habitual destinations.
+    """Promote clusters of an ACCEPTED_CATEGORIES frequency to habitual
+    destinations.
 
     Returns (promoted, all_categorized); the full categorized list keeps
     non-promoted stops available for export.
     """
     all_nodes = categorize_clusters(clusters, observation_weeks)
-    return [n for n in all_nodes if n.category in accepted], all_nodes
+    return [n for n in all_nodes if n.category in ACCEPTED_CATEGORIES], all_nodes
 
 
-def build_daily_flows(pois: list[PoiNode], events: list[StopEvent]) -> DailyTripGraph:
-    """Condense visits into one modal destination sequence per weekday.
+def build_daily_flows(pois: list[PoiNode]) -> DailyTripGraph:
+    """Condense the POIs' visits into one modal destination sequence per weekday.
 
-    Each calendar day's chronological POI visits (consecutive duplicates
-    collapsed) form one observed sequence; per weekday the most frequent
-    sequence wins, ties broken by the most recent calendar day. Sequences
-    with fewer than two visits yield no edges.
+    The visits are the POIs' `member_events`; stops of no POI are linked
+    across. Each calendar day's chronological POI visits (consecutive
+    duplicates collapsed) form one observed sequence; per weekday the most
+    frequent sequence wins, ties broken by the most recent calendar day.
+    Sequences with fewer than two visits yield no edges.
     """
     poi_by_id = {p.identifier: p for p in pois}
-    event_poi: dict[tuple[float, float, float], str] = {}
-    for p in pois:
-        for ev in p.member_events:
-            event_poi[(ev.timestamp, ev.lat, ev.lon)] = p.identifier
-
+    visits = sorted(((ev.timestamp, ev.day, p.identifier)
+                     for p in pois for ev in p.member_events), key=lambda v: v[0])
     by_day: dict[date, list[str]] = {}
-    for ev in sorted(events, key=lambda e: e.timestamp):
-        pid = event_poi.get((ev.timestamp, ev.lat, ev.lon))
-        if pid is None:
-            continue  # non-habitual stop: link across it
-        seq = by_day.setdefault(ev.day, [])
+    for _ts, day, pid in visits:
+        seq = by_day.setdefault(day, [])
         if not seq or seq[-1] != pid:
             seq.append(pid)
 

@@ -18,8 +18,8 @@ from refuelopt import errors
 from refuelopt.cli import main
 from refuelopt.geo import haversine_m
 from refuelopt.harness import build_context, corridor_candidates, run_cohort
-from refuelopt.mileage import (GateThresholds, PredictionMetrics,
-                               build_features, evaluate_metrics, gate,
+from refuelopt.mileage import (GATE_E_WEEK_MAX, GATE_E_WEEK_PCT_MAX, GATE_MAE_MAX,
+                               PredictionMetrics, build_features, evaluate_metrics, gate,
                                sliding_cv)
 from refuelopt.optimizer import (MODES, CandidateStop, Mode, VehicleState, fuel_cost,
                                  objective, route_candidate, select_stop, time_cost)
@@ -33,7 +33,7 @@ from refuelopt.telemetry import (DriverProfile, detect_halts,
                                  generate_synthetic_log,
                                  integrate_daily_distance, load_trip_log,
                                  save_trip_log, ts_to_date)
-from refuelopt.tripgraph import (FrequencyCategory, assign_clusters,
+from refuelopt.tripgraph import (DEFAULT_CLUSTER_RADIUS_M, FrequencyCategory, assign_clusters,
                                  build_daily_flows, categorize_frequency,
                                  export_graph_csv, import_graph_csv,
                                  select_pois)
@@ -165,9 +165,7 @@ def test_criterion_05_metrics_formulas_and_gate_boundary():
         assert m.mae == pytest.approx(mae, rel=1e-12)
         assert m.e_week == pytest.approx(e_week, rel=1e-12)
         assert m.e_week_pct == pytest.approx(100.0 * e_week / sum(y), rel=1e-12)
-    thresholds = GateThresholds()
-    assert (thresholds.mae_max, thresholds.e_week_max,
-            thresholds.e_week_pct_max) == (2.5, 5.7, 21.3)
+    assert (GATE_MAE_MAX, GATE_E_WEEK_MAX, GATE_E_WEEK_PCT_MAX) == (2.5, 5.7, 21.3)
     assert gate(PredictionMetrics(2.5, 5.7, 21.3))
     assert not gate(PredictionMetrics(2.5000001, 5.7, 21.3))
     print("\nCRITERION 5 PASS: metrics match hand computation on 20 vectors "
@@ -326,7 +324,7 @@ def _all_stations_optimum(ctx, mode):
     routed as a one-stop day: the best stop any strategy could make."""
     scn = ctx.scenario
     scores = [objective(cand, scn.vehicle, mode, scn.refuel_duration_s)
-              for cand in (route_candidate(ctx.router, scn.graph, ctx.departure_node,
+              for cand in (route_candidate(ctx.router, ctx.departure_node,
                                            list(ctx.remaining_nodes), st,
                                            ctx.day_prices[st.station_id], ctx.delta_km)
                            for st in scn.stations if st.station_id in ctx.day_prices)
@@ -370,6 +368,38 @@ def test_route_aware_regret_against_all_stations_oracle(demo_scenario_config, tm
           f"({fuel.count(0.0)}/15 optimal), {elapsed:.1f}s")
 
 
+def _early_stage_errors(config):
+    """The cohort's worst errors of the early stages against the generator's
+    truth: a driving day's integrated km relative to its true km, and a
+    halt's and a promoted POI's distance in m to the nearest anchor."""
+    km_err, halt_m, poi_m = [], [], []
+    for scn in load_scenarios(config):
+        samples, truth = generate_synthetic_log(scn.profile, scn.observation_weeks)
+        driven = integrate_daily_distance(samples)
+        assert set(driven) == {day for day, km in truth.items() if km > 0}
+        km_err += [abs(km / truth[day] - 1.0) for day, km in driven.items()]
+        halts = detect_halts(samples, scn.gap_threshold_s)
+        pois, _ = select_pois(assign_clusters(halts, scn.cluster_radius_m),
+                              scn.observation_weeks)
+        anchors = scn.profile.anchors.values()
+        halt_m += [min(haversine_m(h.lat, h.lon, *a) for a in anchors) for h in halts]
+        poi_m += [min(haversine_m(p.lat, p.lon, *a) for a in anchors) for p in pois]
+    return max(km_err), max(halt_m), max(poi_m)
+
+
+def test_early_stages_against_the_generator_truth(demo_scenario_config, tmp_path):
+    # The unit tests build their own halts; these score the stages on the
+    # days, halts and anchors the generator simulated.
+    for name, config in (("demo", demo_scenario_config),
+                         ("seed 3", generate_scenario_dir(str(tmp_path), seed=3))):
+        km_err, halt_m, poi_m = _early_stage_errors(config)
+        assert km_err <= 0.10
+        assert halt_m <= DEFAULT_CLUSTER_RADIUS_M and poi_m <= DEFAULT_CLUSTER_RADIUS_M
+        print(f"\nSTAGE TRUTH ({name}): daily km within {100 * km_err:.1f} % of the "
+              f"truth; halts within {halt_m:.1f} m and promoted POIs within {poi_m:.1f} m "
+              f"of an anchor")
+
+
 def test_criterion_09_simulation_determinism(tmp_path):
     config = generate_scenario_dir(str(tmp_path / "scn"), seed=6,
                                    n_seeds_per_profile=2)
@@ -406,7 +436,7 @@ def test_criterion_10_round_trips(tmp_path):
     halts = detect_halts(samples)
     clusters = assign_clusters(halts)
     pois, all_nodes = select_pois(clusters, 4)
-    trip_graph = build_daily_flows(pois, halts)
+    trip_graph = build_daily_flows(pois)
     n1, e1 = tmp_path / "n1.csv", tmp_path / "e1.csv"
     export_graph_csv(all_nodes, trip_graph, str(n1), str(e1))
     nodes2, graph2 = import_graph_csv(str(n1), str(e1))

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from refuelopt import harness
-from refuelopt.scenario import OBSERVATION_START, load_scenarios
+from refuelopt.scenario import load_scenarios
 from refuelopt.telemetry import (DriverProfile, TripLog, TripSample, detect_halts,
                                  generate_synthetic_log)
 
@@ -50,8 +50,7 @@ def test_telemetry_spans_and_hooks_fit_src(spans, demo_scenario_config):
     assert fired == Counter({(name, scn.name): 1 for name in telemetry for scn in scenarios})
     fixes_in = {s[4]: s[5]["fixes_in"] for s in tracer.spans if s[0] == "telemetry.detect_halts"}
     for scn in scenarios:
-        log, _truth = generate_synthetic_log(scn.profile, scn.observation_weeks,
-                                             start_day=OBSERVATION_START)
+        log, _truth = generate_synthetic_log(scn.profile, scn.observation_weeks)
         assert fixes_in[scn.name] == np.count_nonzero(log.located) > 0
 
 

@@ -62,9 +62,6 @@ def test_defaults_are_the_paper_constants():
     for fn in (mileage.fit_forest, mileage.sliding_cv):
         params = inspect.signature(fn).parameters
         assert params["n_trees"].default is forest.DEFAULT_N_TREES
-        assert params["max_depth"].default is forest.DEFAULT_MAX_DEPTH
-    start_day = inspect.signature(generate_synthetic_log).parameters["start_day"]
-    assert start_day.default is OBSERVATION_START
 
 
 def test_load_scenarios_shapes(cohort):
@@ -119,7 +116,8 @@ def test_make_profile_deterministic(city):
 
 
 def test_station_catalog_price_spread(city):
-    stations, history = make_station_catalog(seed=1, graph=city, count=12)
+    stations, history = make_station_catalog(seed=1, graph=city, count=12,
+                                             end_day=OBSERVATION_START + timedelta(weeks=8))
     assert len(stations) == 12
     latest = [history.series[(s.station_id, "petrol")][-1][1] for s in stations]
     spread = (max(latest) - min(latest)) / (sum(latest) / len(latest))
@@ -318,6 +316,29 @@ def test_load_scenarios_rejects_empty_cohort(tmp_path, demo_scenario_config):
     with pytest.raises(errors.SchemaError, match="at least one driver"):
         load_scenarios(config)
     assert main(["simulate", "--config", config, "--out-dir", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("command", ["simulate", "plan"])
+def test_load_scenarios_rejects_repeated_driver_names(tmp_path, capsys, demo_scenario_config,
+                                                      command):
+    # simulate wrote two commuter_0 runs that per_run.csv could not tell
+    # apart, and `plan --driver commuter_0` took the first.
+    config = _edited_config(demo_scenario_config, ("drivers", 1, "name"), "commuter_0",
+                            tmp_path.name)
+    with pytest.raises(errors.SchemaError, match=r"repeated: \['commuter_0'\]"):
+        load_scenarios(config)
+    assert main([command, "--config", config, "--out-dir", str(tmp_path / "out")]) == 2
+    assert "driver names must be unique" in capsys.readouterr().err
+
+
+def test_cli_rejects_a_city_node_defined_twice(tmp_path, capsys):
+    # A node defined again 20 m away loaded with the moved coordinate;
+    # moved far enough, only the edge check caught it, at an edges.csv line.
+    config = generate_scenario_dir(str(tmp_path), seed=3, n_seeds_per_profile=1)
+    with open(tmp_path / "city_nodes.csv", "a", encoding="utf-8") as fh:
+        fh.write("N05_05,44.65018,10.92\n")
+    assert main(["simulate", "--config", config, "--out-dir", str(tmp_path / "out")]) == 2
+    assert "line 146: node N05_05 defined twice" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["simulate", "plan"])
@@ -718,8 +739,7 @@ def test_cli_ingest_graph_predict(trip_log_path, tmp_path, capsys):
     out = tmp_path / "pipeline"
     assert main(["ingest", "--log", trip_log_path, "--out-dir", str(out)]) == 0
     assert (out / "stops.csv").exists()
-    assert main(["graph", "--log", trip_log_path, "--out-dir", str(out),
-                 "--weeks", "8"]) == 0
+    assert main(["graph", "--log", trip_log_path, "--out-dir", str(out)]) == 0
     assert (out / "nodes.csv").exists() and (out / "edges.csv").exists()
     assert main(["predict", "--log", trip_log_path, "--out-dir", str(out),
                  "--window", "4", "--seed", "0"]) == 0
@@ -727,22 +747,13 @@ def test_cli_ingest_graph_predict(trip_log_path, tmp_path, capsys):
     assert "gate verdict" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("weeks", [None, "8", "2", "40"])
+@pytest.mark.parametrize("weeks", [None])
 def test_cli_graph_takes_its_weeks_from_the_log(trip_log_path, tmp_path, capsys, weeks):
-    # --weeks scaled the visit frequencies: the 8-week log found 5, 3 or 0
-    # habitual destinations with --weeks 2, 8 or 40. The log's own weeks,
-    # counted as predict counts them, now decide, and --weeks only checks.
-    out = tmp_path / "graph"
-    flag = [] if weeks is None else ["--weeks", weeks]
-    code = main(["graph", "--log", trip_log_path, "--out-dir", str(out), *flag])
-    if weeks in (None, "8"):
-        assert code == 0
-        assert capsys.readouterr().out.startswith("3 habitual destinations")
-    else:
-        assert code == 2
-        assert f"--weeks {weeks} disagrees with the log, which covers 8 weeks" in \
-            capsys.readouterr().err
-        assert not (out / "nodes.csv").exists()
+    # A --weeks flag scaled the visit frequencies: the 8-week log found 5, 3
+    # or 0 habitual destinations with --weeks 2, 8 or 40. The log's own
+    # weeks, counted as predict counts them, decide.
+    assert main(["graph", "--log", trip_log_path, "--out-dir", str(tmp_path / "graph")]) == 0
+    assert capsys.readouterr().out.startswith("3 habitual destinations")
 
 
 def test_cli_ingest_rejects_timestamps_datetime_cannot_date(tmp_path, capsys):
@@ -771,7 +782,7 @@ def test_cli_predict_gives_the_simulate_verdict(two_per_profile, tmp_path, capsy
     # whole-week series as `simulate`, and writes that week's metrics. The
     # commuters' logs end in a quiet Sunday, a 0 km day of that series.
     scn = replace(two_per_profile[driver], observation_weeks=weeks)
-    log, _ = generate_synthetic_log(scn.profile, weeks, start_day=OBSERVATION_START)
+    log, _ = generate_synthetic_log(scn.profile, weeks)
     if scn.name.startswith("commuter"):
         last_sunday = OBSERVATION_START + timedelta(days=7 * weeks - 1)
         assert max(integrate_daily_distance(log)) < last_sunday
@@ -800,9 +811,8 @@ def test_cli_predict_window_below_two_weeks_is_a_validation_error(trip_log_path,
 @pytest.mark.parametrize("threshold", ["0", "-5", "nan", "inf"])
 def test_cli_gap_threshold_is_checked_before_the_log(tmp_path, capsys, command, threshold):
     # A NaN threshold wrote one "stop" per message pair; 0 died with a traceback.
-    weeks = ["--weeks", "8"] if command == "graph" else []
     assert main([command, "--log", str(tmp_path / "missing.csv"), "--out-dir", str(tmp_path),
-                 "--gap-threshold", threshold, *weeks]) == 2
+                 "--gap-threshold", threshold]) == 2
     assert "--gap-threshold must be positive and finite" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
@@ -811,7 +821,7 @@ def test_cli_gap_threshold_is_checked_before_the_log(tmp_path, capsys, command, 
 def test_cli_cluster_radius_is_checked_before_the_log(tmp_path, capsys, radius):
     # A NaN radius made one cluster per halt; 0 and -1 died with a traceback.
     assert main(["graph", "--log", str(tmp_path / "missing.csv"), "--out-dir", str(tmp_path),
-                 "--weeks", "8", "--cluster-radius", radius]) == 2
+                 "--cluster-radius", radius]) == 2
     assert "--cluster-radius must be positive and finite" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 

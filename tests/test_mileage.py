@@ -8,7 +8,8 @@ from hypothesis import given, strategies as st
 
 from refuelopt import errors
 from refuelopt.forest import fit_bagged_trees
-from refuelopt.mileage import (GateThresholds, build_features, evaluate_metrics,
+from refuelopt.mileage import (GATE_E_WEEK_MAX, GATE_E_WEEK_PCT_MAX, GATE_MAE_MAX,
+                               build_features, evaluate_metrics,
                                extra_mileage_delta, fill_weeks, fit_forest,
                                forecast_next_week, gate, predict_week,
                                sliding_cv)
@@ -172,12 +173,11 @@ def test_metrics_error_cases():
 
 def test_gate_boundaries_inclusive():
     from refuelopt.mileage import PredictionMetrics
-    t = GateThresholds()
-    assert gate(PredictionMetrics(2.5, 5.7, 21.3), t)
-    assert not gate(PredictionMetrics(2.5 + 1e-9, 5.7, 21.3), t)
-    assert not gate(PredictionMetrics(2.5, 5.7 + 1e-9, 21.3), t)
-    assert not gate(PredictionMetrics(2.5, 5.7, 21.3 + 1e-9), t)
-    assert (t.mae_max, t.e_week_max, t.e_week_pct_max) == (2.5, 5.7, 21.3)
+    assert gate(PredictionMetrics(2.5, 5.7, 21.3))
+    assert not gate(PredictionMetrics(2.5 + 1e-9, 5.7, 21.3))
+    assert not gate(PredictionMetrics(2.5, 5.7 + 1e-9, 21.3))
+    assert not gate(PredictionMetrics(2.5, 5.7, 21.3 + 1e-9))
+    assert (GATE_MAE_MAX, GATE_E_WEEK_MAX, GATE_E_WEEK_PCT_MAX) == (2.5, 5.7, 21.3)
 
 
 # --- cross-validation -----------------------------------------------------------

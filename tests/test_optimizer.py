@@ -214,7 +214,7 @@ def test_candidates_respect_corridor(city_setup):
     stations = [Station("NEAR", on_route[0], on_route[1], "A"),
                 Station("FAR", far_away[0], far_away[1], "B")]
     prices = {"NEAR": 1.80, "FAR": 1.50}
-    cands = generate_candidates(router, day_route, graph, "N01_01", ["N06_06"],
+    cands = generate_candidates(router, day_route, "N01_01", ["N06_06"],
                                 stations, prices, corridor_radius_m=2000.0)
     assert [c.station.station_id for c in cands] == ["NEAR"]
     assert cands[0].time_s >= day_route.time_s - 1e-9  # detour can't beat direct
@@ -224,7 +224,7 @@ def test_candidates_skip_unpriced_stations(city_setup):
     graph, router, day_route = city_setup
     lat, lon = graph.nodes["N03_03"]
     stations = [Station("S1", lat, lon, "A"), Station("S2", lat, lon, "B")]
-    cands = generate_candidates(router, day_route, graph, "N01_01", ["N06_06"],
+    cands = generate_candidates(router, day_route, "N01_01", ["N06_06"],
                                 stations, {"S1": 1.80})
     assert [c.station.station_id for c in cands] == ["S1"]
 
@@ -234,7 +234,7 @@ def test_no_corridor_station_raises(city_setup):
     lat, lon = graph.nodes["N03_03"]
     stations = [Station("FAR", lat + 0.5, lon, "A")]
     with pytest.raises(errors.NoCandidates):
-        generate_candidates(router, day_route, graph, "N01_01", ["N06_06"],
+        generate_candidates(router, day_route, "N01_01", ["N06_06"],
                             stations, {"FAR": 1.80})
 
 
@@ -242,11 +242,11 @@ def test_delta_propagates_to_corrected_distance(city_setup):
     graph, router, day_route = city_setup
     lat, lon = graph.nodes["N03_03"]
     stations = [Station("S1", lat, lon, "A")]
-    cands = generate_candidates(router, day_route, graph, "N01_01", ["N06_06"],
+    cands = generate_candidates(router, day_route, "N01_01", ["N06_06"],
                                 stations, {"S1": 1.80}, delta_km=7.5)
     assert cands[0].corrected_km == pytest.approx(cands[0].distance_km + 7.5)
     with pytest.raises(ValueError):
-        generate_candidates(router, day_route, graph, "N01_01", ["N06_06"],
+        generate_candidates(router, day_route, "N01_01", ["N06_06"],
                             stations, {"S1": 1.80}, delta_km=-1.0)
 
 
@@ -269,7 +269,7 @@ def test_plan_geojson_roles(tmp_path, city_setup):
     graph, router, day_route = city_setup
     lat, lon = graph.nodes["N03_03"]
     stations = [Station("S1", lat, lon, "A"), Station("S2", lat, lon + 0.001, "B")]
-    cands = generate_candidates(router, day_route, graph, "N01_01", ["N06_06"],
+    cands = generate_candidates(router, day_route, "N01_01", ["N06_06"],
                                 stations, {"S1": 1.80, "S2": 1.70})
     plan = select_stop(cands, VEHICLE, MODES["fuel"], day="Mon")
     p = tmp_path / "plan.geojson"

@@ -299,6 +299,15 @@ def test_load_rejects_non_finite_edge_with_its_line(tmp_path):
     assert str(exc.value) == "line 3: edge B->A must have finite length and time, got 100.0 m and nan s"
 
 
+def test_load_rejects_a_node_defined_twice_at_its_line(tmp_path):
+    # The last definition won: A moved 20 m north loaded without a word.
+    (tmp_path / "n.csv").write_text(EDGE_NODES + "A,44.00018,11.0\n")
+    (tmp_path / "e.csv").write_text("from,to,length_m,time_s\nA,B,100.0,10.0\n")
+    with pytest.raises(errors.ParseError) as exc:
+        load_road_graph(str(tmp_path / "n.csv"), str(tmp_path / "e.csv"))
+    assert str(exc.value) == "line 4: node A defined twice"
+
+
 def _reference_load(nodes_path, edges_path):
     """The graph of a per-row `add_node`/`add_edge` loop over the CSV pair."""
     graph = RoadGraph()

@@ -144,7 +144,7 @@ def test_lookback_window_excludes_old_observations():
     obs = {("S1", "diesel"): [(old, 0.50), (MONDAY, 1.80),
                               (MONDAY + timedelta(weeks=1), 1.90),
                               (MONDAY + timedelta(weeks=4), 1.70)]}
-    fc = forecast_week(history(obs), "diesel", lookback_weeks=4)
+    fc = forecast_week(history(obs), "diesel")
     # Anchor is the newest observation; only Mondays within 4 weeks count.
     assert fc.station_prices["S1"]["Mon"] == pytest.approx((1.90 + 1.70) / 2)
 
@@ -179,11 +179,11 @@ def test_cheapest_day_argmin_and_tie_order():
     assert cheapest_day(fc) == "Wed"
 
 
-def reference_forecast_week(history, fuel_type, lookback_weeks=4):
+def reference_forecast_week(history, fuel_type):
     """forecast_week as one list scan per weekday: the definition it must match."""
     keys = [k for k in history.series if k[1] == fuel_type]
     anchor = history.latest_date()
-    horizon = anchor - timedelta(weeks=lookback_weeks)
+    horizon = anchor - timedelta(weeks=4)
     stale_cutoff = anchor - timedelta(days=STALE_AFTER_DAYS)
     station_prices, stale = {}, set()
     for sid, fuel in keys:
@@ -206,13 +206,12 @@ def reference_forecast_week(history, fuel_type, lookback_weeks=4):
            st.tuples(st.sampled_from(["S1", "S2", "S3"]), st.sampled_from(["diesel", "petrol"])),
            st.dictionaries(st.integers(0, 90), st.integers(500, 3000).map(lambda c: c / 1000),
                            min_size=1, max_size=60),
-           min_size=1, max_size=6),
-       st.integers(1, 12))
-def test_forecast_week_matches_per_weekday_scans(series, lookback_weeks):
+           min_size=1, max_size=6))
+def test_forecast_week_matches_per_weekday_scans(series):
     hist = history({k: [(MONDAY + timedelta(days=i), p) for i, p in obs.items()]
                     for k, obs in series.items()})
     for fuel in {fuel for _, fuel in series}:
-        got = forecast_week(hist, fuel, lookback_weeks=lookback_weeks)
-        want = reference_forecast_week(hist, fuel, lookback_weeks=lookback_weeks)
+        got = forecast_week(hist, fuel)
+        want = reference_forecast_week(hist, fuel)
         assert got == want
         assert list(got.station_prices) == list(want.station_prices)

@@ -30,7 +30,7 @@ def written(tmp_path_factory):
     log = str(out / "trip_log.csv")
     save_trip_log(log, samples)
     for argv in (["ingest", "--log", log],
-                 ["graph", "--log", log, "--weeks", "8"],
+                 ["graph", "--log", log],
                  ["predict", "--log", log, "--window", "5"],
                  ["plan", "--config", config]):
         assert main([*argv, "--out-dir", str(out)]) == 0

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from refuelopt import errors, telemetry
 from refuelopt.geo import haversine_m, valid_coords
-from refuelopt.scenario import OBSERVATION_START, generate_scenario_dir, load_scenarios
+from refuelopt.scenario import generate_scenario_dir, load_scenarios
 from refuelopt.telemetry import (_TWOPI, END_TIMESTAMP, FIRST_TIMESTAMP, WEEKDAYS, DriverProfile,
                                  StopEvent, TripLog, TripSample, _draw_stream, _poisson,
                                  detect_halts, generate_synthetic_log, integrate_daily_distance,
@@ -186,8 +186,7 @@ def test_detect_halts_matches_full_scan_on_cohort(tmp_path):
     # The benchmark's seed-3 cohort: 9 drivers, 7 weeks each.
     config = generate_scenario_dir(str(tmp_path), seed=3, n_seeds_per_profile=3)
     for scn in load_scenarios(config):
-        samples, _ = generate_synthetic_log(scn.profile, scn.observation_weeks,
-                                            start_day=OBSERVATION_START)
+        samples, _ = generate_synthetic_log(scn.profile, scn.observation_weeks)
         events = detect_halts(samples, scn.gap_threshold_s)
         assert events == full_scan_halts(list(samples), samples.message.tolist(),
                                          scn.gap_threshold_s)
@@ -243,26 +242,15 @@ def test_huge_speeds_add_up_to_inf():
             per_pair_daily_distance(samples) == {date(2025, 1, 6): math.inf}
 
 
-@pytest.mark.parametrize("cutoff", [math.nan, -1.0])
-def test_daily_distance_rejects_nan_or_negative_cutoff(cutoff):
-    # A NaN cutoff integrated across a 480 s silence.
-    with pytest.raises(ValueError, match="gap_cutoff_s must be >= 0"):
-        integrate_daily_distance(log_of([fix(T0), fix(T0 + 480)]), gap_cutoff_s=cutoff)
-
-
-def test_infinite_cutoff_integrates_across_any_gap():
-    samples = log_of([fix(T0, speed=60.0), fix(T0 + 480)])
-    assert integrate_daily_distance(samples, gap_cutoff_s=math.inf) == {date(2025, 1, 6): 8.0}
-
-
-def per_pair_daily_distance(samples, gap_cutoff_s=60.0):
-    """Reference integrate_daily_distance: derives the day of every pair."""
+def per_pair_daily_distance(samples):
+    """Reference integrate_daily_distance (60 s dropout cut-off): derives the
+    day of every pair."""
     totals = {}
     for a, b in zip(samples, samples[1:]):
         dt = b.timestamp - a.timestamp
         if dt < 0:
             raise ValueError(f"timestamps decrease at t={a.timestamp}")
-        if dt > gap_cutoff_s:
+        if dt > 60.0:
             continue
         day = ts_to_date(a.timestamp)
         totals[day] = totals.get(day, 0.0) + a.speed_kmh * dt / 3600.0
@@ -1026,7 +1014,6 @@ def test_column_log_and_its_rows_agree(data):
 def test_daily_distance_matches_per_pair_days_on_cohort(tmp_path):
     config = generate_scenario_dir(str(tmp_path), seed=3, n_seeds_per_profile=1)
     for scn in load_scenarios(config):
-        samples, _ = generate_synthetic_log(scn.profile, scn.observation_weeks,
-                                            start_day=OBSERVATION_START)
+        samples, _ = generate_synthetic_log(scn.profile, scn.observation_weeks)
         assert repr(integrate_daily_distance(samples)) == \
             repr(per_pair_daily_distance(list(samples)))

@@ -177,13 +177,12 @@ def test_modal_sequence_wins():
         for i, (lat, lon) in enumerate(seq):
             events.append(ev(7 * w, lat, lon, second=3600 * (i + 1)))
     clusters = assign_clusters(sorted(events, key=lambda e: e.timestamp))
-    promoted, _ = select_pois(clusters, observation_weeks=4,
-                              accepted=frozenset(FrequencyCategory))
-    graph = build_daily_flows(promoted, events)
+    pois = select_pois(clusters, observation_weeks=4)[1]
+    graph = build_daily_flows(pois)
     dests = graph.day_destinations("Mon")
-    home_id = next(p.identifier for p in promoted
+    home_id = next(p.identifier for p in pois
                    if haversine_m(p.lat, p.lon, *HOME) < 200)
-    work_id = next(p.identifier for p in promoted
+    work_id = next(p.identifier for p in pois
                    if haversine_m(p.lat, p.lon, *WORK) < 200)
     assert dests == [work_id, home_id]
     assert [e.seq_index for e in graph.edges["Mon"]] == [1, 2]
@@ -197,10 +196,9 @@ def test_tie_breaks_to_most_recent_week():
         for i, (lat, lon) in enumerate(seq):
             events.append(ev(7 * w, lat, lon, second=3600 * (i + 1)))
     clusters = assign_clusters(events)
-    promoted, _ = select_pois(clusters, observation_weeks=2,
-                              accepted=frozenset(FrequencyCategory))
-    graph = build_daily_flows(promoted, events)
-    gym_id = next(p.identifier for p in promoted
+    pois = select_pois(clusters, observation_weeks=2)[1]
+    graph = build_daily_flows(pois)
+    gym_id = next(p.identifier for p in pois
                   if haversine_m(p.lat, p.lon, *GYM) < 200)
     assert gym_id in graph.day_destinations("Mon")
 
@@ -208,9 +206,8 @@ def test_tie_breaks_to_most_recent_week():
 def test_consecutive_duplicates_collapse():
     events = weeks_of_events({0: [HOME, WORK, WORK, HOME]}, weeks=2)
     clusters = assign_clusters(events)
-    promoted, _ = select_pois(clusters, observation_weeks=2,
-                              accepted=frozenset(FrequencyCategory))
-    graph = build_daily_flows(promoted, events)
+    pois = select_pois(clusters, observation_weeks=2)[1]
+    graph = build_daily_flows(pois)
     assert len(graph.edges["Mon"]) == 2  # work, home: duplicate work merged
 
 
@@ -227,16 +224,15 @@ def test_non_habitual_stops_are_linked_across():
     clusters = assign_clusters(sorted(events, key=lambda e: e.timestamp))
     promoted, _ = select_pois(clusters, observation_weeks=4)
     assert len(promoted) == 2
-    graph = build_daily_flows(promoted, events)
+    graph = build_daily_flows(promoted)
     assert len(graph.edges["Mon"]) == 2
 
 
 def test_unobserved_day_has_no_edges():
     events = weeks_of_events({0: [HOME, WORK, HOME]}, weeks=2)
     clusters = assign_clusters(events)
-    promoted, _ = select_pois(clusters, observation_weeks=2,
-                              accepted=frozenset(FrequencyCategory))
-    graph = build_daily_flows(promoted, events)
+    pois = select_pois(clusters, observation_weeks=2)[1]
+    graph = build_daily_flows(pois)
     assert graph.edges["Sun"] == ()
 
 
@@ -246,9 +242,8 @@ def graph_fixture():
     events = weeks_of_events(
         {0: [HOME, WORK, HOME], 2: [HOME, GYM, HOME], 5: [HOME, WORK]}, weeks=3)
     clusters = assign_clusters(events)
-    promoted, all_nodes = select_pois(clusters, observation_weeks=3,
-                                      accepted=frozenset(FrequencyCategory))
-    return all_nodes, build_daily_flows(promoted, events)
+    all_nodes = select_pois(clusters, observation_weeks=3)[1]
+    return all_nodes, build_daily_flows(all_nodes)
 
 
 def test_export_import_export_is_byte_identical(tmp_path):
