@@ -56,20 +56,22 @@ def point_segment_distance_m(lat: float, lon: float,
     return haversine_m(lat, lon, nearest_lat, nearest_lon)
 
 
-def point_segment_distance_m_array(lat, lon, lat1: float, lon1: float,
-                                   lat2: float, lon2: float) -> np.ndarray:
-    """`point_segment_distance_m` from arrays of points to one segment."""
-    lat0 = math.radians((lat1 + lat2) / 2.0)
-    kx = EARTH_RADIUS_M * math.cos(lat0) * math.pi / 180.0
+def point_segment_distance_m_array(lat, lon, lat1, lon1, lat2, lon2) -> np.ndarray:
+    """`point_segment_distance_m` over numpy arrays (broadcast), points and
+    segments alike. numpy's cos of each segment's mid-latitude may differ
+    from `math.cos` in the last bit, one more screening error."""
+    lat0 = np.radians((lat1 + lat2) / 2.0)
+    kx = EARTH_RADIUS_M * np.cos(lat0) * math.pi / 180.0
     ky = EARTH_RADIUS_M * math.pi / 180.0
 
     px, py = (lon - lon1) * kx, (lat - lat1) * ky
     sx, sy = (lon2 - lon1) * kx, (lat2 - lat1) * ky
 
     seg_sq = sx * sx + sy * sy
-    if seg_sq == 0.0:
-        return haversine_m_array(lat, lon, lat1, lon1)
-    t = np.maximum(0.0, np.minimum(1.0, (px * sx + py * sy) / seg_sq))
+    # t = 0 on a zero-length segment: the distance to its first end.
+    along = px * sx + py * sy
+    t = np.divide(along, seg_sq, out=np.zeros_like(along), where=seg_sq != 0.0)
+    t = np.maximum(0.0, np.minimum(1.0, t))
     return haversine_m_array(lat, lon, lat1 + t * (lat2 - lat1), lon1 + t * (lon2 - lon1))
 
 

@@ -12,12 +12,17 @@ for), and keeps one resumable reverse search per destination (every stop
 used only when a certificate shows that no other path comes within
 rounding of it, which makes it the path the forward search returns;
 otherwise a forward search runs. The harness builds one router per
-scenario run and drops it with the run's context; the graph itself holds
-no routes, only a coordinate index for `nearest_node` and the in-edge
-lists the reverse searches read, shared by the routers of a cohort.
-Snapping, the edges' geodesic check and corridor filtering screen with
-numpy and let the scalar `geo` functions decide every close call, so they
-return exactly what a scalar scan returns.
+scenario run and drops it with the run's context. The graph itself holds
+no routes, only what the routers and snaps of a cohort share: its
+`Topology` (the nodes by rank, their position in sorted id order, with the
+out-edge and in-edge lists by rank that both searches walk, so the
+searches index lists, not string-keyed dicts), the nodes' unit vectors, and
+every snap made so far, keyed by (lat, lon); `scenario.load_scenarios`
+snaps the whole station catalogue once, so no run snaps a station again.
+Snapping screens by unit-vector dot products, the edges' geodesic check
+and corridor filtering by numpy distances (the corridor in one pass of
+segments x points, in bounded blocks); the scalar `geo` functions decide
+every close call, so they return exactly what a scalar scan returns.
 """
 
 from __future__ import annotations
@@ -28,11 +33,12 @@ import numbers
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import errors
-from .geo import (EARTH_RADIUS_M, haversine_m, haversine_m_array, point_polyline_distance_m,
+from .geo import (haversine_m, haversine_m_array, point_polyline_distance_m,
                   point_segment_distance_m_array, valid_coords)
 from .tables import read_table, row_line, write_table
 
@@ -44,11 +50,21 @@ DEFAULT_CORRIDOR_RADIUS_M = 2000.0
 # Screening margins: numpy's sin/cos/arcsin may differ from libm's in the
 # last bits, far less than these, so every point or edge the scalar functions
 # could decide differently from the screen is re-checked with them.
-SNAP_MARGIN_M = 1e-6
-SNAP_MARGIN_REL = 1e-9
 EDGE_MARGIN_M = 1e-6
 EDGE_MARGIN_REL = 1e-9
 CORRIDOR_MARGIN_M = 1e-3
+# Snapping keeps every node whose dot product with the point is within this
+# of the largest. The exact dot of two unit vectors falls as their distance
+# rises. Each computed unit-vector coordinate is within a few ulps of its
+# value, so a computed dot is within about 1e-15 of the exact one, and
+# `haversine_m` is within nanometres of the exact distance, which moves the
+# dot by under 1e-14 at any range: the node the scalar scan of every node
+# picks is always kept. The margin keeps the nodes whose squared distance is
+# within about 81 m² of the nearest node's.
+SNAP_DOT_MARGIN = 1e-12
+# Elements per numpy screening block (points x nodes, segments x points),
+# which bounds each temporary array at 64 kB.
+SCREEN_BLOCK = 1 << 13
 # Certificate margin of a reverse-search path, in seconds. An
 # n-edge float path sum is within about n * 2**-53 of its value, relative,
 # so 1e-9 of the path cost covers paths of millions of edges; the absolute
@@ -76,21 +92,35 @@ class BadEdge(ValueError):
         self.index = index
 
 
+Edge = tuple[int, int, float, float]  # (from rank, to rank, length_m, time_s)
+
+
+class Topology(NamedTuple):
+    """A graph's nodes by rank, their position in sorted id order, and its
+    edges between ranks: `out_edges[u]` holds the edges leaving u and
+    `in_edges[v]` those entering v, parallel edges in `adj` order; the two
+    share each edge's tuple."""
+
+    ids: list[str]
+    rank: dict[str, int]
+    out_edges: list[tuple[Edge, ...]]
+    in_edges: list[tuple[Edge, ...]]
+
+
 @dataclass
 class RoadGraph:
     nodes: dict[str, tuple[float, float]] = field(default_factory=dict)
     # adjacency: from -> list of (to, length_m, time_s)
     adj: dict[str, list[tuple[str, float, float]]] = field(default_factory=dict)
-    # Sorted node ids with their latitudes and longitudes in radians and the
-    # latitudes' cosines, for nearest_node; built on the first snap, reset by
-    # add_node.
-    _index: tuple[list[str], np.ndarray, np.ndarray, np.ndarray] | None = field(
+    # Sorted node ids with their unit vectors' coordinates as three rows,
+    # for snapping; built on the first snap, reset by add_node.
+    _index: tuple[list[str], np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False)
-    # In-edges: to -> list of (from, length_m, time_s), parallel edges in
-    # adj order; built on the first reverse search, reset by add_node and
-    # add_edge.
-    _in_edges: dict[str, list[tuple[str, float, float]]] | None = field(
-        default=None, init=False, repr=False, compare=False)
+    # Every snap so far: (lat, lon) -> (node id, meters); reset by add_node.
+    _snaps: dict[tuple[float, float], tuple[str, float]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    # Built on the first search, reset by add_node and add_edges.
+    _topology: Topology | None = field(default=None, init=False, repr=False, compare=False)
 
     def add_node(self, node_id: str, lat: float, lon: float) -> None:
         """Add a new node; ValueError for an id already in the graph."""
@@ -101,7 +131,8 @@ class RoadGraph:
         self.nodes[node_id] = (lat, lon)
         self.adj.setdefault(node_id, [])
         self._index = None
-        self._in_edges = None
+        self._snaps = {}
+        self._topology = None
 
     def add_edge(self, src: str, dst: str, length_m: float, time_s: float) -> None:
         self.add_edges([(src, dst, length_m, time_s)])
@@ -157,46 +188,79 @@ class RoadGraph:
         adj = self.adj
         for src, dst, length_m, time_s in rows:
             adj.setdefault(src, []).append((dst, length_m, time_s))
-        self._in_edges = None
+        self._topology = None
 
-    def in_edges(self) -> dict[str, list[tuple[str, float, float]]]:
-        """Every node's in-edges as (from, length_m, time_s)."""
-        if self._in_edges is None:
-            in_edges: dict[str, list[tuple[str, float, float]]] = {n: [] for n in self.nodes}
-            for src, edges in self.adj.items():
-                for to, length_m, time_s in edges:
-                    in_edges[to].append((src, length_m, time_s))
-            self._in_edges = in_edges
-        return self._in_edges
+    def topology(self) -> Topology:
+        """The graph's `Topology`, built once."""
+        if self._topology is None:
+            ids = sorted(self.nodes)
+            rank = dict(zip(ids, range(len(ids))))
+            out_edges = [tuple([(u, rank[to], length_m, time_s)
+                                for to, length_m, time_s in self.adj[node]])
+                         for u, node in enumerate(ids)]
+            into: list[list[Edge]] = [[] for _ in ids]
+            for edges in out_edges:
+                for edge in edges:
+                    into[edge[1]].append(edge)
+            self._topology = Topology(ids, rank, out_edges, [tuple(edges) for edges in into])
+        return self._topology
 
     def nearest_node(self, lat: float, lon: float) -> tuple[str, float]:
         """Snap a coordinate to the closest graph node; returns (id, meters).
 
-        Equal distances go to the smallest id. A numpy haversine over all
-        nodes, with the nodes' side precomputed in the index, screens;
-        `haversine_m` then decides, in id order, among the nodes within the
-        snap margin of the screened minimum, which gives the scan of every
+        Equal distances go to the smallest id. ValueError for an empty
+        graph or invalid coordinates. See `nearest_nodes`.
+        """
+        return self.nearest_nodes([(lat, lon)])[0]
+
+    def nearest_nodes(self, points: Sequence[tuple[float, float]]) -> list[tuple[str, float]]:
+        """`nearest_node` of every (lat, lon) point, in order.
+
+        Each snap is remembered until a node is added. A new point is
+        screened by the dot product of its unit vector with every node's;
+        `haversine_m` then decides, in id order, among the nodes within
+        `SNAP_DOT_MARGIN` of the largest dot, which gives the scan of every
         node in id order.
         """
         if not self.nodes:
             raise ValueError("empty graph")
+        snaps = self._snaps
+        new = [point for point in dict.fromkeys(points) if point not in snaps]
+        for lat, lon in new:
+            if not valid_coords(lat, lon):
+                raise ValueError(f"invalid coordinates ({lat}, {lon})")
+        if new:
+            self._screen(new)
+        return [snaps[point] for point in points]
+
+    def _screen(self, points: list[tuple[float, float]]) -> None:
+        """Snap valid points not snapped yet, in blocks of `SCREEN_BLOCK`."""
         if self._index is None:
             ids = sorted(self.nodes)
-            phi, lam = np.radians(np.array([self.nodes[n] for n in ids]).T)
-            self._index = (ids, phi, lam, np.cos(phi))
-        ids, phi, lam, cos_phi = self._index
-        phi0 = math.radians(lat)
-        # haversine_m_array's operations, in its order.
-        a = (np.sin((phi - phi0) / 2.0) ** 2
-             + math.cos(phi0) * cos_phi * np.sin((lam - math.radians(lon)) / 2.0) ** 2)
-        screened = 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(a)))
-        floor = screened.min()
-        best_id, best_d = None, math.inf
-        for i in np.flatnonzero(screened <= floor + SNAP_MARGIN_M + SNAP_MARGIN_REL * floor):
-            d = haversine_m(lat, lon, *self.nodes[ids[i]])
-            if d < best_d:
-                best_id, best_d = ids[i], d
-        return best_id, best_d
+            self._index = (ids, _unit_vectors(np.array([self.nodes[n] for n in ids])))
+        ids, units = self._index
+        nodes, snaps = self.nodes, self._snaps
+        queries = _unit_vectors(np.array(points, dtype=float))
+        step = max(1, SCREEN_BLOCK // len(ids))
+        for start in range(0, len(points), step):
+            # einsum's own loops, not a matrix product: BLAS would add its
+            # buffers to the process's memory for one small product per block.
+            dots = np.einsum("ij,ik->jk", queries[:, start:start + step], units)
+            near = np.flatnonzero(dots >= dots.max(axis=1, keepdims=True) - SNAP_DOT_MARGIN)
+            # Row-major: each point's kept nodes in id order.
+            for row, i in zip(*(part.tolist() for part in divmod(near, len(ids)))):
+                point = points[start + row]
+                d = haversine_m(*point, *nodes[ids[i]])
+                if point not in snaps or d < snaps[point][1]:
+                    snaps[point] = (ids[i], d)
+
+
+def _unit_vectors(coords: np.ndarray) -> np.ndarray:
+    """(lat, lon) rows in degrees -> the rows cos φ cos λ, cos φ sin λ and
+    sin φ of their unit vectors."""
+    phi, lam = np.radians(coords).T
+    cos_phi = np.cos(phi)
+    return np.stack([cos_phi * np.cos(lam), cos_phi * np.sin(lam), np.sin(phi)])
 
 
 class BuiltinRouter:
@@ -224,6 +288,10 @@ class BuiltinRouter:
     destination, a fresh forward search runs to the destination and
     `fallbacks` counts it.
 
+    The searches run over the graph's `Topology`, on node ranks; ranks
+    follow the sorted ids, so ordering by (cost, rank) or by rank tuples
+    breaks ties as the ids do. Routes name nodes by id.
+
     The router assumes the graph does not change while it lives: build one
     per scenario run (the harness keeps it in the run's context) and drop
     it afterwards.
@@ -250,10 +318,9 @@ class BuiltinRouter:
                 route = self._certified_route(src, dst)
                 if route is None:
                     self.fallbacks += 1
-                    search = _ForwardSearch(self.graph.adj, src)
+                    search = _ForwardSearch(self.graph.topology(), src)
             if route is None:
-                search.settle(dst)
-                route = _route(search.pred, src, dst)
+                route = search.route(dst)
             self._routes[key] = route
         return route
 
@@ -262,31 +329,32 @@ class BuiltinRouter:
         else None (also when src cannot reach dst)."""
         search = self._reverse.get(dst)
         if search is None:
-            search = self._reverse[dst] = _ReverseSearch(self.graph.in_edges(), dst)
-        if not search.settle(src):
+            search = self._reverse[dst] = _ReverseSearch(self.graph.topology(), dst)
+        topo = search.topo
+        u = topo.rank[src]
+        if not search.settle(u):
             return None
         dist, succ, done = search.dist, search.succ, search.done
         # Unsettled nodes cost at least the last settled cost, or cannot
         # reach dst at all once the search is exhausted.
         floor = search.last if search.heap else math.inf
-        margin = CERTIFY_MARGIN_REL * dist[src] + CERTIFY_MARGIN_ABS
-        adj = self.graph.adj
+        margin = CERTIFY_MARGIN_REL * dist[u] + CERTIFY_MARGIN_ABS
+        out_edges, ids = topo.out_edges, topo.ids
         nodes = [src]
         dist_m = time_s = 0.0
-        u = src
-        while u != dst:
+        while u != search.dst:
             nxt, d_u = succ[u], dist[u]
             edge = None
-            for e in adj[u]:
-                to = e[0]
+            for e in out_edges[u]:
+                to = e[1]
                 if to == nxt:
-                    if edge is None or e[2] < edge[2]:
+                    if edge is None or e[3] < edge[3]:
                         edge = e
-                elif e[2] + (dist[to] if to in done else floor) - d_u <= margin:
+                elif e[3] + (dist[to] if done[to] else floor) - d_u <= margin:
                     return None
-            dist_m += edge[1]
-            time_s += edge[2]
-            nodes.append(nxt)
+            dist_m += edge[2]
+            time_s += edge[3]
+            nodes.append(ids[nxt])
             u = nxt
         return Route(nodes=tuple(nodes), distance_km=dist_m / 1000.0, time_s=time_s)
 
@@ -300,8 +368,8 @@ class BuiltinRouter:
         self._check(start, stop)
         search = self._forward.get(start)
         if search is None:
-            search = self._forward[start] = _ForwardSearch(self.graph.adj, start)
-        search.settle(stop)
+            search = self._forward[start] = _ForwardSearch(self.graph.topology(), start)
+        search.settle(search.topo.rank[stop])
         waypoints = [start, stop] + list(remaining)
         legs = [self.shortest_route(a, b) for a, b in zip(waypoints, waypoints[1:])]
         nodes: tuple[str, ...] = legs[0].nodes
@@ -313,44 +381,47 @@ class BuiltinRouter:
 
 
 class _ForwardSearch:
-    """Dijkstra from `src`, advanced only as far as asked.
+    """Dijkstra from node `src`, advanced only as far as asked.
 
-    `pred[v] = (u, length_m, time_s)` is the edge into v; it is final for
-    every node in `done`, which holds every settled node's ancestors too. An
-    exact cost tie goes to the smaller path, reconstructed from `pred`, which
-    gives the same paths as ordering the heap by (cost, path). A search
-    settled to any node has made the first moves of the search of the whole
-    graph, in its order, so its settled paths are that search's paths.
+    Indexed by rank: `pred[v]` is the edge into v (its `Edge` tuple); it is final for every node settled in `done`, which holds every settled
+    node's ancestors too. An exact cost tie goes to the smaller path,
+    reconstructed from `pred`, which gives the same paths as ordering the
+    heap by (cost, path). A search settled to any node has made the first
+    moves of the search of the whole graph, in its order, so its settled
+    paths are that search's paths.
     """
 
-    def __init__(self, adj: dict, src: str):
-        self.adj = adj
-        self.src = src
-        self.cost = {src: 0.0}
-        self.pred: dict[str, tuple[str, float, float]] = {}
-        self.done: set[str] = set()
-        self.heap = [(0.0, src)]
+    def __init__(self, topo: Topology, src: str):
+        self.topo = topo
+        self.src = topo.rank[src]
+        n = len(topo.ids)
+        self.cost: list[float | None] = [None] * n
+        self.cost[self.src] = 0.0
+        self.pred: list[Edge | None] = [None] * n
+        self.done = bytearray(n)
+        self.heap = [(0.0, self.src)]
 
-    def settle(self, node: str) -> bool:
+    def settle(self, node: int) -> bool:
         """Resume until `node` is settled; False if `src` cannot reach it."""
         done = self.done
-        if node in done:
+        if done[node]:
             return True
-        adj, src = self.adj, self.src
+        out_edges, src = self.topo.out_edges, self.src
         cost, pred, heap = self.cost, self.pred, self.heap
         while heap:
             c, v = heapq.heappop(heap)
-            if v in done:
+            if done[v]:
                 continue
-            done.add(v)
-            for to, length_m, time_s in adj.get(v, ()):
-                if to in done:
+            done[v] = 1
+            for edge in out_edges[v]:
+                _, to, _, time_s = edge
+                if done[to]:
                     continue
                 new = c + time_s
-                old = cost.get(to)
+                old = cost[to]
                 if old is None or new < old:
                     cost[to] = new
-                    pred[to] = (v, length_m, time_s)
+                    pred[to] = edge
                     heapq.heappush(heap, (new, to))
                 elif new == old:
                     prev = pred[to]
@@ -358,50 +429,72 @@ class _ForwardSearch:
                         # A parallel edge: keep the faster one (costs can
                         # round equal while times differ), the first in adj
                         # order on equal time.
-                        if time_s < prev[2]:
-                            pred[to] = (v, length_m, time_s)
+                        if time_s < prev[3]:
+                            pred[to] = edge
                     elif (_path(pred, src, v) + (to,)
                           < _path(pred, src, prev[0]) + (to,)):
-                        pred[to] = (v, length_m, time_s)
+                        pred[to] = edge
             if v == node:
                 return True
         return False
 
+    def route(self, dst: str) -> Route:
+        """The route src -> dst; Unreachable if there is none."""
+        ids, pred, src = self.topo.ids, self.pred, self.src
+        node = self.topo.rank[dst]
+        if not self.settle(node):
+            raise errors.Unreachable(f"no path {ids[src]}->{dst}")
+        path = _path(pred, src, node)
+        dist_m = 0.0
+        total_time_s = 0.0
+        for v in path[1:]:
+            _, _, length_m, time_s = pred[v]
+            dist_m += length_m
+            total_time_s += time_s
+        # From a list: tuple() of a generator regrows its block as it goes,
+        # which fragments the heap over many routes.
+        return Route(nodes=tuple([ids[v] for v in path]), distance_km=dist_m / 1000.0,
+                     time_s=total_time_s)
+
 
 class _ReverseSearch:
-    """Dijkstra into `dst` over in-edges, advanced only as far as asked.
+    """Dijkstra into node `dst` over in-edges, advanced only as far as asked.
 
-    `dist[v]` is v's cost to dst and `succ[v]` the next node on its path;
-    both are final once v is in `done`. `last` is the cost of the node
-    settled last, a lower bound on the cost of every unsettled node.
+    Indexed by rank: `dist[v]` is v's cost to dst and `succ[v]` the next
+    node on its path; both are final once v is settled in `done`. `last` is
+    the cost of the node settled last, a lower bound on the cost of every
+    unsettled node.
     """
 
-    def __init__(self, in_edges: dict, dst: str):
-        self.in_edges = in_edges
-        self.dist = {dst: 0.0}
-        self.succ: dict[str, str] = {}
-        self.done: set[str] = set()
-        self.heap = [(0.0, dst)]
+    def __init__(self, topo: Topology, dst: str):
+        self.topo = topo
+        self.dst = topo.rank[dst]
+        n = len(topo.ids)
+        self.dist: list[float | None] = [None] * n
+        self.dist[self.dst] = 0.0
+        self.succ: list[int | None] = [None] * n
+        self.done = bytearray(n)
+        self.heap = [(0.0, self.dst)]
         self.last = 0.0
 
-    def settle(self, node: str) -> bool:
+    def settle(self, node: int) -> bool:
         """Resume until `node` is settled; False if it cannot reach dst."""
         done = self.done
-        if node in done:
+        if done[node]:
             return True
-        in_edges = self.in_edges
+        in_edges = self.topo.in_edges
         dist, succ, heap = self.dist, self.succ, self.heap
         while heap:
             c, v = heapq.heappop(heap)
-            if v in done:
+            if done[v]:
                 continue
-            done.add(v)
+            done[v] = 1
             self.last = c
-            for u, _, time_s in in_edges[v]:
-                if u in done:
+            for u, _, _, time_s in in_edges[v]:
+                if done[u]:
                     continue
                 new = c + time_s
-                old = dist.get(u)
+                old = dist[u]
                 if old is None or new < old:
                     dist[u] = new
                     succ[u] = v
@@ -411,8 +504,8 @@ class _ReverseSearch:
         return False
 
 
-def _path(pred: dict, src: str, node: str) -> tuple[str, ...]:
-    """Node sequence src -> node through the settled predecessors."""
+def _path(pred: list, src: int, node: int) -> tuple[int, ...]:
+    """Rank sequence src -> node through the settled predecessors."""
     path = [node]
     while node != src:
         node = pred[node][0]
@@ -420,38 +513,32 @@ def _path(pred: dict, src: str, node: str) -> tuple[str, ...]:
     return tuple(reversed(path))
 
 
-def _route(pred: dict, src: str, dst: str) -> Route:
-    if dst != src and dst not in pred:
-        raise errors.Unreachable(f"no path {src}->{dst}")
-    nodes = _path(pred, src, dst)
-    dist_m = 0.0
-    total_time_s = 0.0
-    for node in nodes[1:]:
-        _prev, length_m, time_s = pred[node]
-        dist_m += length_m
-        total_time_s += time_s
-    return Route(nodes=nodes, distance_km=dist_m / 1000.0, time_s=total_time_s)
-
-
 def corridor_filter(polyline: list[tuple[float, float]], points: list[tuple[float, float]],
                     radius_m: float = DEFAULT_CORRIDOR_RADIUS_M) -> list[int]:
     """Indices of points within `radius_m` of the polyline.
 
-    Screens all points segment by segment with numpy, keeping a running
-    minimum; `point_polyline_distance_m` decides every point whose screened
-    distance is within the corridor margin of the radius.
+    Screens every segment against every point with numpy, in blocks of
+    segments, keeping a running minimum; `point_polyline_distance_m`
+    decides every point whose screened distance is within the corridor
+    margin of the radius.
     """
     if not polyline:
         raise ValueError("empty route polyline")
     if not points:
         return []
     lat, lon = np.array(points, dtype=float).T
+    line = np.array(polyline, dtype=float)
     # A one-vertex polyline is one zero-length segment: distance to the vertex.
-    segments = list(zip(polyline, polyline[1:])) or [(polyline[0], polyline[0])]
+    ends = (line[:-1], line[1:]) if len(line) > 1 else (line, line)
+    # Each end as (lat, lon) columns, one row per segment.
+    (lat1, lon1), (lat2, lon2) = (end.T[:, :, None] for end in ends)
     screened = np.full(len(points), math.inf)
-    for (a_lat, a_lon), (b_lat, b_lon) in segments:
-        np.minimum(screened, point_segment_distance_m_array(lat, lon, a_lat, a_lon,
-                                                            b_lat, b_lon), out=screened)
+    step = max(1, SCREEN_BLOCK // len(points))
+    for start in range(0, len(lat1), step):
+        block = slice(start, start + step)
+        distances = point_segment_distance_m_array(lat, lon, lat1[block], lon1[block],
+                                                   lat2[block], lon2[block])
+        np.minimum(screened, distances.min(axis=0), out=screened)
     keep = screened < radius_m - CORRIDOR_MARGIN_M
     for i in np.flatnonzero(~keep & ~(screened > radius_m + CORRIDOR_MARGIN_M)):
         keep[i] = point_polyline_distance_m(*points[i], polyline) <= radius_m

@@ -218,6 +218,7 @@ def load_scenarios(config_path: str) -> list[Scenario]:
             raise errors.SchemaError(f"file names must be non-empty strings, got {files}")
         graph = load_road_graph(str(base / files[0]), str(base / files[1]))
         stations, history = load_stations(str(base / files[2]))
+        graph.nearest_nodes([(s.lat, s.lon) for s in stations])  # each run's snaps hit
         veh = cfg["vehicle"]
         vehicle = VehicleState(**{key: _number(f"vehicle.{key}", veh[key])
                                   for key in ("tank_l", "fuel_l", "rate_l_per_km")})

@@ -19,7 +19,7 @@ from refuelopt.harness import (STRATEGIES, build_context, run_cohort,
                                run_scenario, write_per_run_csv,
                                write_report_csv)
 from refuelopt.optimizer import DEFAULT_REFUEL_DURATION_S, MODES, Mode, VehicleState
-from refuelopt.roadgraph import DEFAULT_CORRIDOR_RADIUS_M, BuiltinRouter
+from refuelopt.roadgraph import DEFAULT_CORRIDOR_RADIUS_M, BuiltinRouter, RoadGraph
 from refuelopt.scenario import (OBSERVATION_START, PROFILE_TEMPLATES, Scenario,
                                 generate_scenario_dir, load_scenarios, make_profile,
                                 make_station_catalog, parse_mode)
@@ -589,6 +589,21 @@ def test_metro_cohort_routes_without_fallbacks(metro_cohort, monkeypatch, overri
     assert len(routers) == len(metro_cohort)
     assert all(r._reverse for r in routers)
     assert [r.fallbacks for r in routers] == [0] * len(routers)
+
+
+def test_metro_cohort_screens_no_station_in_a_run(metro_cohort, monkeypatch):
+    # load_scenarios snapped the catalogue once: every run still asks for
+    # its corridor stations' nodes, and the memo answers each of them.
+    stations = {(s.lat, s.lon) for s in metro_cohort[0].stations}
+    asked, screened = [], []
+    snap, screen = RoadGraph.nearest_node, RoadGraph._screen
+    monkeypatch.setattr(RoadGraph, "nearest_node",
+                        lambda g, lat, lon: asked.append((lat, lon)) or snap(g, lat, lon))
+    monkeypatch.setattr(RoadGraph, "_screen",
+                        lambda g, points: screened.extend(points) or screen(g, points))
+    run_cohort(metro_cohort, modes=METRO_MODES)
+    assert stations.intersection(asked)
+    assert stations.isdisjoint(screened)
 
 
 def test_report_csv_layout(cohort, tmp_path):

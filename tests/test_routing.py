@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from refuelopt import errors
 from refuelopt.geo import haversine_m, haversine_m_array, point_polyline_distance_m
-from refuelopt.roadgraph import (BuiltinRouter, RoadGraph, Route,
+from refuelopt.roadgraph import (SCREEN_BLOCK, BuiltinRouter, RoadGraph, Route,
                                  corridor_filter, generate_city,
                                  load_road_graph, save_road_graph)
 
@@ -326,7 +326,7 @@ def test_load_matches_per_row_add_edge_on_a_metro_city(tmp_path):
     got, want = load_road_graph(n, e), _reference_load(n, e)
     assert list(got.nodes.items()) == list(want.nodes.items())
     assert list(got.adj.items()) == list(want.adj.items())
-    assert list(got.in_edges().items()) == list(want.in_edges().items())
+    assert got.topology() == want.topology()
 
 
 def test_generate_city_deterministic_and_connected():
@@ -593,8 +593,10 @@ def test_departure_search_settles_only_as_far_as_its_stops():
     start, stops = "N20_20", sorted(g.nodes)
     router = BuiltinRouter(g)
     router.one_stop_route(start, "N20_21", ["N05_30"])
-    settled = router._forward[start].done
-    assert "N20_21" in settled and len(settled) < len(g.nodes) // 10
+    done, topo = router._forward[start].done, g.topology()
+    settled = {topo.ids[r] for r in range(len(done)) if done[r]}
+    assert sum(done) == len(settled) < len(g.nodes) // 10
+    assert {start, "N20_21"} <= settled
     # Every node as a stop, in shuffled order on one router: each resumes the
     # search the last left off, and the routes are those of a fresh router
     # asked in sorted order and of the path-heap reference.
@@ -607,7 +609,7 @@ def test_departure_search_settles_only_as_far_as_its_stops():
         assert heap_routes[stop] == ref.shortest_route(start, stop)
     for stop in stops:
         assert shuffled[stop] == fresh.one_stop_route(start, stop, []) == heap_routes[stop]
-    assert len(router._forward[start].done) == len(g.nodes)
+    assert sum(router._forward[start].done) == len(g.nodes)
 
 
 COORD = st.floats(-0.01, 0.01, allow_nan=False)
@@ -617,8 +619,8 @@ COORD = st.floats(-0.01, 0.01, allow_nan=False)
 @given(nodes=st.lists(st.tuples(st.text("abcXYZ09", min_size=1, max_size=3), COORD, COORD),
                       min_size=1, max_size=40, unique_by=lambda n: n[0]),
        copies=st.lists(st.text("abcXYZ09", min_size=1, max_size=3), max_size=6),
-       query=st.tuples(COORD, COORD))
-def test_nearest_node_matches_full_scan(nodes, copies, query):
+       query=st.tuples(COORD, COORD), late=st.tuples(COORD, COORD))
+def test_nearest_node_matches_full_scan(nodes, copies, query, late):
     g = RoadGraph()
     for nid, dlat, dlon in nodes:
         g.add_node(nid, 44.65 + dlat, 10.92 + dlon)
@@ -633,6 +635,24 @@ def test_nearest_node_matches_full_scan(nodes, copies, query):
     assert g.nearest_node(lat, lon) == full_scan_nearest(g, lat, lon)
     assert g.nearest_node(*g.nodes[nodes[0][0]]) == \
         full_scan_nearest(g, *g.nodes[nodes[0][0]])
+    # A batch with repeats, of remembered and new points, then again after a
+    # node is added: the memo must not outlive the node set it was made on.
+    batch = [(lat, lon), g.nodes[nodes[-1][0]], (lat, lon), (44.65 + late[0], 10.92 + late[1]),
+             g.nodes[nodes[0][0]], (lat, lon)]
+    assert g.nearest_nodes(batch) == [full_scan_nearest(g, *p) for p in batch]
+    g.add_node("~late", 44.65 + late[0], 10.92 + late[1])
+    assert g.nearest_nodes(batch) == [full_scan_nearest(g, *p) for p in batch]
+
+
+@pytest.mark.parametrize("lat,lon", [(math.nan, 10.9), (44.6, math.inf), (95.0, 10.9),
+                                     (44.6, -180.5)])
+def test_nearest_node_rejects_invalid_coordinates(lat, lon):
+    # No node is nearest to a point that is not finite or out of range.
+    g = generate_city(seed=3)
+    with pytest.raises(ValueError, match="^invalid coordinates"):
+        g.nearest_node(lat, lon)
+    with pytest.raises(ValueError, match="^invalid coordinates"):
+        g.nearest_nodes([g.nodes["N00_00"], (lat, lon)])
 
 
 def test_nearest_node_sees_nodes_added_after_a_snap():
@@ -646,9 +666,17 @@ def test_nearest_node_sees_nodes_added_after_a_snap():
 @settings(max_examples=200, deadline=None)
 @given(line=st.lists(st.tuples(COORD, COORD), min_size=1, max_size=6),
        points=st.lists(st.tuples(COORD, COORD), min_size=1, max_size=12),
-       pick=st.integers(0, 11), ulps=st.sampled_from([-1, 0, 1]))
-def test_corridor_filter_matches_scalar_scan(line, points, pick, ulps):
+       pick=st.integers(0, 11), ulps=st.sampled_from([-1, 0, 1]), long=st.booleans())
+def test_corridor_filter_matches_scalar_scan(line, points, pick, ulps, long):
     polyline = [(44.65 + a, 10.92 + b) for a, b in line]
+    if long and len(polyline) > 1:
+        # Each segment cut into enough pieces that the screen takes more
+        # than one block of segments.
+        pieces = SCREEN_BLOCK // (len(points) * (len(polyline) - 1)) + 1
+        polyline = [(a_lat + (b_lat - a_lat) * k / pieces, a_lon + (b_lon - a_lon) * k / pieces)
+                    for (a_lat, a_lon), (b_lat, b_lon) in zip(polyline, polyline[1:])
+                    for k in range(pieces)] + polyline[-1:]
+        assert (len(polyline) - 1) * len(points) > SCREEN_BLOCK
     pts = [(44.65 + a, 10.92 + b) for a, b in points]
     dist = [point_polyline_distance_m(lat, lon, polyline) for lat, lon in pts]
     # The radius is a point's exact scalar distance, or one ulp either side.
