@@ -4,21 +4,21 @@ A small built-in router (Dijkstra by travel time with a deterministic
 lexicographic tie-break on the node sequence) stands in for an external
 engine.
 
-What is computed once: a `BuiltinRouter` memoises every route it returns,
-keeps one resumable forward search per one-stop start node (every
-departure -> stop leg; it settles only as far as the farthest stop asked
-for), and keeps one resumable reverse search per destination (every stop
--> first waypoint leg, and the waypoint tail). A reverse-search path is
-used only when a certificate shows that no other path comes within
-rounding of it, which makes it the path the forward search returns;
-otherwise a forward search runs. The harness builds one router per
-scenario run and drops it with the run's context. The graph itself holds
-no routes, only what the routers and snaps of a cohort share: its
-`Topology` (the nodes by rank, their position in sorted id order, with the
-out-edge and in-edge lists by rank that both searches walk, so the
-searches index lists, not string-keyed dicts), the nodes' unit vectors, and
-every snap made so far, keyed by (lat, lon); `scenario.load_scenarios`
+A `RoadGraph` is fixed when built: it checks its node and edge rows, then
+holds each edge once, in out-edge lists by node rank (the position in
+sorted id order). Its in-edge lists and unit vectors are built on first
+use, and it remembers every snap by (lat, lon); `scenario.load_scenarios`
 snaps the whole station catalogue once, so no run snaps a station again.
+
+A `BuiltinRouter` memoises every route it returns, keeps one resumable
+forward search per one-stop start node (every departure -> stop leg; it
+settles only as far as the farthest stop asked for), and keeps one
+resumable reverse search per destination (every stop -> first waypoint
+leg, and the waypoint tail). A reverse-search path is used only when a
+certificate shows that no other path comes within rounding of it, which
+makes it the path the forward search returns; otherwise a forward search
+runs. The harness builds one router per scenario run.
+
 Snapping screens by unit-vector dot products, the edges' geodesic check
 and corridor filtering by numpy distances (the corridor in one pass of
 segments x points, in bounded blocks); the scalar `geo` functions decide
@@ -32,8 +32,8 @@ import math
 import numbers
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -83,79 +83,68 @@ class Route:
         return [graph.nodes[n] for n in self.nodes]
 
 
-class BadEdge(ValueError):
-    """An edge row with a bad length or time; `index` is its position in the
-    rows given to `RoadGraph.add_edges`."""
+class BadRow(ValueError):
+    """A bad node or edge row; `index` is its position in the rows of
+    `table` ("nodes" or "edges") given to `RoadGraph`."""
 
-    def __init__(self, index: int, message: str):
+    def __init__(self, table: str, index: int, message: str):
         super().__init__(message)
+        self.table = table
         self.index = index
 
 
 Edge = tuple[int, int, float, float]  # (from rank, to rank, length_m, time_s)
 
 
-class Topology(NamedTuple):
-    """A graph's nodes by rank, their position in sorted id order, and its
-    edges between ranks: `out_edges[u]` holds the edges leaving u and
-    `in_edges[v]` those entering v, parallel edges in `adj` order; the two
-    share each edge's tuple."""
-
-    ids: list[str]
-    rank: dict[str, int]
-    out_edges: list[tuple[Edge, ...]]
-    in_edges: list[tuple[Edge, ...]]
-
-
-@dataclass
 class RoadGraph:
-    nodes: dict[str, tuple[float, float]] = field(default_factory=dict)
-    # adjacency: from -> list of (to, length_m, time_s)
-    adj: dict[str, list[tuple[str, float, float]]] = field(default_factory=dict)
-    # Sorted node ids with their unit vectors' coordinates as three rows,
-    # for snapping; built on the first snap, reset by add_node.
-    _index: tuple[list[str], np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False)
-    # Every snap so far: (lat, lon) -> (node id, meters); reset by add_node.
-    _snaps: dict[tuple[float, float], tuple[str, float]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    # Built on the first search, reset by add_node and add_edges.
-    _topology: Topology | None = field(default=None, init=False, repr=False, compare=False)
+    """A road network, fixed when built.
 
-    def add_node(self, node_id: str, lat: float, lon: float) -> None:
-        """Add a new node; ValueError for an id already in the graph."""
-        if node_id in self.nodes:
-            raise ValueError(f"node {node_id} defined twice")
-        if not valid_coords(lat, lon):
-            raise ValueError(f"invalid coordinates for node {node_id}")
-        self.nodes[node_id] = (lat, lon)
-        self.adj.setdefault(node_id, [])
-        self._index = None
-        self._snaps = {}
-        self._topology = None
+    `nodes` maps each id to its (lat, lon), in row order; `ids` holds the
+    ids sorted and `rank` each id's position in `ids`. `out_edges[u]` holds
+    the edges leaving rank u and `in_edges[v]` those entering v, parallel
+    edges in row order; the two share each edge's tuple. Ranks follow the
+    sorted ids, so the searches index lists, not string-keyed dicts.
+    """
 
-    def add_edge(self, src: str, dst: str, length_m: float, time_s: float) -> None:
-        self.add_edges([(src, dst, length_m, time_s)])
+    def __init__(self, nodes: Sequence[tuple[str, float, float]],
+                 edges: Sequence[tuple[str, str, float, float]]):
+        """Build from (id, lat, lon) node rows and (from, to, length_m,
+        time_s) edge rows.
 
-    def add_edges(self, rows: Sequence[tuple[str, str, float, float]]) -> None:
-        """Add (from, to, length_m, time_s) edges in row order, all or none.
-
-        The first bad row decides the error: DanglingEdge if it names an
-        unknown node, else BadEdge if its length or time is not finite and
-        positive or its length is under 0.999 of the geodesic (TypeError if
-        one is not a real number). A numpy
-        haversine over every row screens that bound; `haversine_m` decides
-        each row within the edge margin of it.
+        The first bad row decides the error, node rows first. A node row is
+        a BadRow if its id came before or its coordinates are invalid. An
+        edge row is DanglingEdge if it names an unknown node, else a BadRow
+        if its length or time is not finite and positive or its length is
+        under 0.999 of the geodesic (TypeError if one is not a real
+        number). A numpy haversine over every edge row screens that bound;
+        `haversine_m` decides each row within the edge margin of it.
         """
-        nodes = self.nodes
-        position = dict(zip(nodes, range(len(nodes))))
-        ends = np.array([[position.get(row[0], -1) for row in rows],
-                         [position.get(row[1], -1) for row in rows]], dtype=int).reshape(2, -1)
+        self.nodes: dict[str, tuple[float, float]] = {}
+        for i, (node_id, lat, lon) in enumerate(nodes):
+            if node_id in self.nodes:
+                raise BadRow("nodes", i, f"node {node_id} defined twice")
+            if not valid_coords(lat, lon):
+                raise BadRow("nodes", i, f"invalid coordinates for node {node_id}")
+            self.nodes[node_id] = (lat, lon)
+        self.ids = sorted(self.nodes)
+        self.rank = dict(zip(self.ids, range(len(self.ids))))
+        out: list[list[Edge]] = [[] for _ in self.ids]
+        for u, v, (_, _, length_m, time_s) in zip(*self._checked_ends(edges), edges):
+            out[u].append((u, v, length_m, time_s))
+        self.out_edges = [tuple(leaving) for leaving in out]
+        # Every snap so far: (lat, lon) -> (node id, meters).
+        self._snaps: dict[tuple[float, float], tuple[str, float]] = {}
+
+    def _checked_ends(self, rows: Sequence[tuple[str, str, float, float]]) -> list[list[int]]:
+        """The from and to ranks of every edge row, once every row passes."""
+        nodes, rank = self.nodes, self.rank
+        ends = np.array([[rank.get(row[0], -1) for row in rows],
+                         [rank.get(row[1], -1) for row in rows]], dtype=int).reshape(2, -1)
         unknown = (ends < 0).any(axis=0)
         # Only the rows before the first one with an unknown node have values to check.
         dangling = int(unknown.argmax()) if unknown.any() else len(rows)
         checked = rows[:dangling]
-        coords = np.array(list(nodes.values()), dtype=float).reshape(-1, 2)
+        coords = np.array([nodes[n] for n in self.ids], dtype=float).reshape(-1, 2)
         # Indexed by (end, row, lat/lon); transposed to (end, lat/lon, row).
         (lat1, lon1), (lat2, lon2) = coords[ends[:, :dangling]].transpose(0, 2, 1)
         lengths, times = [row[2] for row in checked], [row[3] for row in checked]
@@ -181,29 +170,26 @@ class RoadGraph:
             src, dst, length_m, time_s = checked[i]
             message = next(message for passes, message in rule if not passes[i])
             geo = haversine_m(*nodes[src], *nodes[dst])
-            raise BadEdge(i, f"edge {src}->{dst} " + message.format(length_m, time_s, geo))
+            raise BadRow("edges", i, f"edge {src}->{dst} " + message.format(length_m, time_s, geo))
         if dangling < len(rows):
             src, dst, _, _ = rows[dangling]
             raise errors.DanglingEdge(f"edge {src}->{dst} references unknown node")
-        adj = self.adj
-        for src, dst, length_m, time_s in rows:
-            adj.setdefault(src, []).append((dst, length_m, time_s))
-        self._topology = None
+        return ends.tolist()
 
-    def topology(self) -> Topology:
-        """The graph's `Topology`, built once."""
-        if self._topology is None:
-            ids = sorted(self.nodes)
-            rank = dict(zip(ids, range(len(ids))))
-            out_edges = [tuple([(u, rank[to], length_m, time_s)
-                                for to, length_m, time_s in self.adj[node]])
-                         for u, node in enumerate(ids)]
-            into: list[list[Edge]] = [[] for _ in ids]
-            for edges in out_edges:
-                for edge in edges:
-                    into[edge[1]].append(edge)
-            self._topology = Topology(ids, rank, out_edges, [tuple(edges) for edges in into])
-        return self._topology
+    @cached_property
+    def in_edges(self) -> list[tuple[Edge, ...]]:
+        """The edges entering each rank, built on first use."""
+        into: list[list[Edge]] = [[] for _ in self.ids]
+        for edges in self.out_edges:
+            for edge in edges:
+                into[edge[1]].append(edge)
+        return [tuple(edges) for edges in into]
+
+    @cached_property
+    def _units(self) -> np.ndarray:
+        """The nodes' unit vectors' coordinates as three rows, by rank;
+        built on the first snap."""
+        return _unit_vectors(np.array([self.nodes[n] for n in self.ids]))
 
     def nearest_node(self, lat: float, lon: float) -> tuple[str, float]:
         """Snap a coordinate to the closest graph node; returns (id, meters).
@@ -216,7 +202,7 @@ class RoadGraph:
     def nearest_nodes(self, points: Sequence[tuple[float, float]]) -> list[tuple[str, float]]:
         """`nearest_node` of every (lat, lon) point, in order.
 
-        Each snap is remembered until a node is added. A new point is
+        Each snap is remembered for the graph's life. A new point is
         screened by the dot product of its unit vector with every node's;
         `haversine_m` then decides, in id order, among the nodes within
         `SNAP_DOT_MARGIN` of the largest dot, which gives the scan of every
@@ -235,10 +221,7 @@ class RoadGraph:
 
     def _screen(self, points: list[tuple[float, float]]) -> None:
         """Snap valid points not snapped yet, in blocks of `SCREEN_BLOCK`."""
-        if self._index is None:
-            ids = sorted(self.nodes)
-            self._index = (ids, _unit_vectors(np.array([self.nodes[n] for n in ids])))
-        ids, units = self._index
+        ids, units = self.ids, self._units
         nodes, snaps = self.nodes, self._snaps
         queries = _unit_vectors(np.array(points, dtype=float))
         step = max(1, SCREEN_BLOCK // len(ids))
@@ -268,7 +251,7 @@ class BuiltinRouter:
 
     Among equal-time paths the lexicographically smallest node sequence
     wins, which makes results reproducible across runs and platforms; of
-    parallel edges, a path uses the first fastest one in `adj` order.
+    parallel edges, a path uses the first fastest one in row order.
     A route's distance and time are summed along its path from 0.0, in path
     order.
 
@@ -288,13 +271,9 @@ class BuiltinRouter:
     destination, a fresh forward search runs to the destination and
     `fallbacks` counts it.
 
-    The searches run over the graph's `Topology`, on node ranks; ranks
+    The searches run over the graph's edge lists, on node ranks; ranks
     follow the sorted ids, so ordering by (cost, rank) or by rank tuples
     breaks ties as the ids do. Routes name nodes by id.
-
-    The router assumes the graph does not change while it lives: build one
-    per scenario run (the harness keeps it in the run's context) and drop
-    it afterwards.
     """
 
     def __init__(self, graph: RoadGraph):
@@ -318,7 +297,7 @@ class BuiltinRouter:
                 route = self._certified_route(src, dst)
                 if route is None:
                     self.fallbacks += 1
-                    search = _ForwardSearch(self.graph.topology(), src)
+                    search = _ForwardSearch(self.graph, src)
             if route is None:
                 route = search.route(dst)
             self._routes[key] = route
@@ -329,9 +308,9 @@ class BuiltinRouter:
         else None (also when src cannot reach dst)."""
         search = self._reverse.get(dst)
         if search is None:
-            search = self._reverse[dst] = _ReverseSearch(self.graph.topology(), dst)
-        topo = search.topo
-        u = topo.rank[src]
+            search = self._reverse[dst] = _ReverseSearch(self.graph, dst)
+        graph = self.graph
+        u = graph.rank[src]
         if not search.settle(u):
             return None
         dist, succ, done = search.dist, search.succ, search.done
@@ -339,7 +318,7 @@ class BuiltinRouter:
         # reach dst at all once the search is exhausted.
         floor = search.last if search.heap else math.inf
         margin = CERTIFY_MARGIN_REL * dist[u] + CERTIFY_MARGIN_ABS
-        out_edges, ids = topo.out_edges, topo.ids
+        out_edges, ids = graph.out_edges, graph.ids
         nodes = [src]
         dist_m = time_s = 0.0
         while u != search.dst:
@@ -368,8 +347,8 @@ class BuiltinRouter:
         self._check(start, stop)
         search = self._forward.get(start)
         if search is None:
-            search = self._forward[start] = _ForwardSearch(self.graph.topology(), start)
-        search.settle(search.topo.rank[stop])
+            search = self._forward[start] = _ForwardSearch(self.graph, start)
+        search.settle(self.graph.rank[stop])
         waypoints = [start, stop] + list(remaining)
         legs = [self.shortest_route(a, b) for a, b in zip(waypoints, waypoints[1:])]
         nodes: tuple[str, ...] = legs[0].nodes
@@ -391,10 +370,10 @@ class _ForwardSearch:
     paths are that search's paths.
     """
 
-    def __init__(self, topo: Topology, src: str):
-        self.topo = topo
-        self.src = topo.rank[src]
-        n = len(topo.ids)
+    def __init__(self, graph: RoadGraph, src: str):
+        self.graph = graph
+        self.src = graph.rank[src]
+        n = len(graph.ids)
         self.cost: list[float | None] = [None] * n
         self.cost[self.src] = 0.0
         self.pred: list[Edge | None] = [None] * n
@@ -406,7 +385,7 @@ class _ForwardSearch:
         done = self.done
         if done[node]:
             return True
-        out_edges, src = self.topo.out_edges, self.src
+        out_edges, src = self.graph.out_edges, self.src
         cost, pred, heap = self.cost, self.pred, self.heap
         while heap:
             c, v = heapq.heappop(heap)
@@ -427,7 +406,7 @@ class _ForwardSearch:
                     prev = pred[to]
                     if prev[0] == v:
                         # A parallel edge: keep the faster one (costs can
-                        # round equal while times differ), the first in adj
+                        # round equal while times differ), the first in row
                         # order on equal time.
                         if time_s < prev[3]:
                             pred[to] = edge
@@ -440,8 +419,8 @@ class _ForwardSearch:
 
     def route(self, dst: str) -> Route:
         """The route src -> dst; Unreachable if there is none."""
-        ids, pred, src = self.topo.ids, self.pred, self.src
-        node = self.topo.rank[dst]
+        ids, pred, src = self.graph.ids, self.pred, self.src
+        node = self.graph.rank[dst]
         if not self.settle(node):
             raise errors.Unreachable(f"no path {ids[src]}->{dst}")
         path = _path(pred, src, node)
@@ -466,10 +445,10 @@ class _ReverseSearch:
     unsettled node.
     """
 
-    def __init__(self, topo: Topology, dst: str):
-        self.topo = topo
-        self.dst = topo.rank[dst]
-        n = len(topo.ids)
+    def __init__(self, graph: RoadGraph, dst: str):
+        self.graph = graph
+        self.dst = graph.rank[dst]
+        n = len(graph.ids)
         self.dist: list[float | None] = [None] * n
         self.dist[self.dst] = 0.0
         self.succ: list[int | None] = [None] * n
@@ -482,7 +461,7 @@ class _ReverseSearch:
         done = self.done
         if done[node]:
             return True
-        in_edges = self.topo.in_edges
+        in_edges = self.graph.in_edges
         dist, succ, heap = self.dist, self.succ, self.heap
         while heap:
             c, v = heapq.heappop(heap)
@@ -546,38 +525,40 @@ def corridor_filter(polyline: list[tuple[float, float]], points: list[tuple[floa
 
 
 def load_road_graph(nodes_path: str, edges_path: str) -> RoadGraph:
-    """Load the graph CSV pair, rejecting dangling or degenerate edges. The
-    first bad edge row in file order decides the error, as if each row were
-    checked as it is read."""
-    graph = RoadGraph()
-    read_table(nodes_path, NODES_HEADER,
-               lambda row: graph.add_node(row[0], float(row[1]), float(row[2])))
-    rows: list[tuple[str, str, float, float]] = []
+    """Load the graph CSV pair as `RoadGraph` does, a bad row as ParseError
+    on its line. The first bad row, nodes file first, decides the error, as
+    if each row were checked as it is read."""
+    nodes: list[tuple[str, float, float]] = []
+    edges: list[tuple[str, str, float, float]] = []
     try:
+        read_table(nodes_path, NODES_HEADER,
+                   lambda row: nodes.append((row[0], float(row[1]), float(row[2]))))
         read_table(edges_path, EDGES_HEADER,
-                   lambda row: rows.append((row[0], row[1], float(row[2]), float(row[3]))))
+                   lambda row: edges.append((row[0], row[1], float(row[2]), float(row[3]))))
     except errors.RefuelOptError:
-        _add_edge_rows(graph, rows, edges_path)  # a bad row before the unreadable one
+        _build(nodes, edges, nodes_path, edges_path)  # a bad row before the unreadable one
         raise
-    _add_edge_rows(graph, rows, edges_path)
-    return graph
+    return _build(nodes, edges, nodes_path, edges_path)
 
 
-def _add_edge_rows(graph: RoadGraph, rows: list, path: str) -> None:
+def _build(nodes: list, edges: list, nodes_path: str, edges_path: str) -> RoadGraph:
     try:
-        graph.add_edges(rows)
-    except BadEdge as exc:
+        return RoadGraph(nodes, edges)
+    except BadRow as exc:
+        path = nodes_path if exc.table == "nodes" else edges_path
         raise errors.ParseError(row_line(path, exc.index), str(exc)) from None
 
 
 def save_road_graph(graph: RoadGraph, nodes_path: str, edges_path: str) -> None:
+    """Write the graph CSV pair, nodes by id and edges by (from, to, length,
+    time); ranks follow the ids, so sorting each rank's edges sorts them all."""
+    ids = graph.ids
     write_table(nodes_path, NODES_HEADER,
                 ([nid, repr(lat), repr(lon)]
                  for nid, (lat, lon) in sorted(graph.nodes.items())))
     write_table(edges_path, EDGES_HEADER,
-                ([src, to, repr(length_m), repr(time_s)]
-                 for src in sorted(graph.adj)
-                 for to, length_m, time_s in sorted(graph.adj[src])))
+                ([ids[u], ids[v], repr(length_m), repr(time_s)]
+                 for leaving in graph.out_edges for u, v, length_m, time_s in sorted(leaving)))
 
 
 def generate_city(seed: int, rows: int = 12, cols: int = 12) -> RoadGraph:
@@ -588,17 +569,13 @@ def generate_city(seed: int, rows: int = 12, cols: int = 12) -> RoadGraph:
     drawn between 30 and 60 km/h. Deterministic per seed.
     """
     rng = random.Random(seed)
-    graph = RoadGraph()
     center = (44.65, 10.92)
     dlat = 500.0 / 111_194.9
     dlon = 500.0 / (111_194.9 * math.cos(math.radians(center[0])))
 
     ids = [[f"N{r:02d}_{c:02d}" for c in range(cols)] for r in range(rows)]
-    for r in range(rows):
-        for c in range(cols):
-            graph.add_node(ids[r][c],
-                           center[0] + (r - rows / 2) * dlat,
-                           center[1] + (c - cols / 2) * dlon)
+    nodes = {ids[r][c]: (center[0] + (r - rows / 2) * dlat, center[1] + (c - cols / 2) * dlon)
+             for r in range(rows) for c in range(cols)}
     edges = []
     for r in range(rows):
         for c in range(cols):
@@ -606,10 +583,9 @@ def generate_city(seed: int, rows: int = 12, cols: int = 12) -> RoadGraph:
                 if r2 >= rows or c2 >= cols:
                     continue
                 a, b = ids[r][c], ids[r2][c2]
-                geo = haversine_m(*graph.nodes[a], *graph.nodes[b])
+                geo = haversine_m(*nodes[a], *nodes[b])
                 length = geo * rng.uniform(1.0, 1.25)
                 speed_ms = rng.uniform(30.0, 60.0) / 3.6
                 time_s = length / speed_ms
                 edges += [(a, b, length, time_s), (b, a, length, time_s)]
-    graph.add_edges(edges)
-    return graph
+    return RoadGraph([(node_id, *point) for node_id, point in nodes.items()], edges)

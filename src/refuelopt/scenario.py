@@ -262,7 +262,7 @@ PROFILE_TEMPLATES = ("commuter", "shift_worker", "errand_runner")
 
 def _pick_anchor_nodes(rng: random.Random, graph: RoadGraph, count: int) -> list[tuple[float, float]]:
     """Spread anchors over the city: sample nodes, keeping them apart."""
-    node_ids = sorted(graph.nodes)
+    node_ids = graph.ids
     picks: list[tuple[float, float]] = []
     attempts = 0
     while len(picks) < count and attempts < 500:
@@ -315,9 +315,8 @@ def make_station_catalog(seed: int, graph: RoadGraph, count: int, end_day: date,
     signal. History covers the 4 whole weeks ending the day before `end_day`.
     """
     rng = random.Random(seed)
-    node_ids = sorted(graph.nodes)
-    lats = [graph.nodes[n][0] for n in node_ids]
-    lons = [graph.nodes[n][1] for n in node_ids]
+    lats = [graph.nodes[n][0] for n in graph.ids]
+    lons = [graph.nodes[n][1] for n in graph.ids]
     lat_range, lon_range = (min(lats), max(lats)), (min(lons), max(lons))
     days = [end_day - timedelta(days=k) for k in range(28, 0, -1)]
     weekdays = [d.weekday() for d in days]
@@ -356,6 +355,10 @@ def generate_scenario_dir(out_dir: str, seed: int, n_seeds_per_profile: int = 5,
               Scenario.MAX_OBSERVATION_WEEKS)
     _whole_in("n_seeds_per_profile", n_seeds_per_profile, 1)
     _whole_in("station_count", station_count, 1)
+    city_rows = _whole_in("city_rows", city_rows, 1)
+    city_cols = _whole_in("city_cols", city_cols, 1)
+    if city_rows * city_cols < 2:  # no road to drive: every week totals zero
+        raise errors.SchemaError(f"the city needs at least 2 nodes, got {city_rows}x{city_cols}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     graph = generate_city(seed, rows=city_rows, cols=city_cols)

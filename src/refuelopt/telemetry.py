@@ -373,6 +373,7 @@ def detect_halts(gps: TripLog, gap_threshold: float = DEFAULT_GAP_THRESHOLD_S) -
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 
 
+@np.errstate(over="ignore")  # huge speeds overflow to inf, as floats do
 def integrate_daily_distance(samples: TripLog) -> dict[date, float]:
     """Per-calendar-day traveled km as the sum of speed_i * dt_i over sample pairs.
 
@@ -385,24 +386,36 @@ def integrate_daily_distance(samples: TripLog) -> dict[date, float]:
     ts = samples.timestamp
     dt = ts[1:] - ts[:-1]
     pairs = np.flatnonzero(dt <= DROPOUT_CUTOFF_S)
-    t = ts[pairs]
+    # Row-sized temporaries are made in place where they can be and dropped
+    # after their last use, which keeps the peak near four columns.
+    km = samples.speed_kmh.take(pairs)
+    km *= dt.take(pairs)
+    del dt
+    km /= 3600.0
+    t = ts.take(pairs)
+    del pairs
     days = np.floor(t / 86_400.0)
-    into_day = t - days * 86_400.0
+    into_day = days * 86_400.0
+    np.subtract(t, into_day, out=into_day)
     # ts_to_date rounds to the microsecond, so within 1 ms of midnight the
     # day comes from ts_to_date. So it does for |t| >= 6e10 s, near the ends
     # of the range a TripLog admits.
-    exact = (into_day >= 0.001) & (into_day < 86_399.999) & (np.abs(t) < 6e10)
-    ordinals = np.where(exact, days, 0.0).astype(np.int64) + _EPOCH_ORDINAL
+    exact = (into_day >= 0.001) & (into_day < 86_399.999)
+    del into_day
+    exact &= np.abs(t) < 6e10
+    days[~exact] = 0.0
+    ordinals = days.astype(np.int64)
+    del days
+    ordinals += _EPOCH_ORDINAL
     for j in np.flatnonzero(~exact).tolist():
         ordinals[j] = ts_to_date(t[j].item()).toordinal()
-    # The log is in time order, so each day's pairs form one run. cumsum
-    # adds left to right; huge speeds overflow to inf, as floats do.
+    del t, exact
+    # The log is in time order, so each day's pairs form one run; cumsum
+    # adds left to right.
     starts = np.flatnonzero(np.diff(ordinals, prepend=-1)).tolist()
-    with np.errstate(over="ignore"):
-        km = samples.speed_kmh[pairs] * dt[pairs] / 3600.0
-        return {date.fromordinal(ordinals[lo].item()):
-                np.concatenate(([0.0], km[lo:hi])).cumsum()[-1].item()
-                for lo, hi in zip(starts, starts[1:] + [len(ordinals)])}
+    return {date.fromordinal(ordinals[lo].item()):
+            np.concatenate(([0.0], km[lo:hi])).cumsum()[-1].item()
+            for lo, hi in zip(starts, starts[1:] + [len(ordinals)])}
 
 
 def load_trip_log(path: str) -> TripLog:

@@ -249,6 +249,9 @@ def test_criterion_07_speed_integration_vs_geodesic():
 
 
 def _brute_force(graph, src, dst):
+    ids = graph.ids
+    adj = {ids[u]: [(ids[v], length_m, time_s) for _u, v, length_m, time_s in leaving]
+           for u, leaving in enumerate(graph.out_edges)}
     best = None
     stack = [(src, (src,), 0.0)]
     while stack:
@@ -258,9 +261,9 @@ def _brute_force(graph, src, dst):
             if best is None or key < best:
                 best = key
             continue
-        for to, length_m, time_s in graph.adj.get(node, []):
+        for to, length_m, time_s in adj[node]:
             if to not in path:
-                w = min(e[2] for e in graph.adj[node] if e[0] == to)
+                w = min(e[2] for e in adj[node] if e[0] == to)
                 stack.append((to, path + (to,), cost + w))
     return best
 
@@ -270,16 +273,16 @@ def test_criterion_08_routing_and_corridor_oracles():
     pairs_checked = 0
     for trial in range(50):
         n = rng.randint(3, 12)
-        graph = RoadGraph()
         ids = [f"X{i}" for i in range(n)]
-        for i, nid in enumerate(ids):
-            graph.add_node(nid, 44.6 + (i // 4) * 0.005, 10.9 + (i % 4) * 0.005)
+        coords = {nid: (44.6 + (i // 4) * 0.005, 10.9 + (i % 4) * 0.005)
+                  for i, nid in enumerate(ids)}
+        edges = []
         for a in ids:
             for b in ids:
                 if a != b and rng.random() < 0.35:
-                    geo = max(1.0, haversine_m(*graph.nodes[a], *graph.nodes[b]))
-                    graph.add_edge(a, b, geo * rng.uniform(1.0, 2.0),
-                                   rng.uniform(5.0, 600.0))
+                    geo = max(1.0, haversine_m(*coords[a], *coords[b]))
+                    edges.append((a, b, geo * rng.uniform(1.0, 2.0), rng.uniform(5.0, 600.0)))
+        graph = RoadGraph([(nid, *coords[nid]) for nid in ids], edges)
         router = BuiltinRouter(graph)
         for src in ids:
             for dst in ids:

@@ -606,6 +606,17 @@ def test_metro_cohort_screens_no_station_in_a_run(metro_cohort, monkeypatch):
     assert stations.isdisjoint(screened)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: build_daily_flows drops each day's first "
+                          "destination, so commuters plan a home -> home day")
+def test_commuter_and_shift_worker_day_routes_leave_home(cohort):
+    contexts = {s.name: build_context(s) for s in cohort
+                if s.name.startswith(("commuter", "shift_worker"))}
+    assert len(contexts) == 2
+    assert {name: ctx.day_route.nodes for name, ctx in contexts.items()
+            if len(ctx.day_route.nodes) == 1} == {}
+
+
 def test_report_csv_layout(cohort, tmp_path):
     report = run_cohort(cohort)
     rp, pp = tmp_path / "report.csv", tmp_path / "per_run.csv"
@@ -748,6 +759,31 @@ def test_cli_gen_rejects_cohorts_that_cannot_run(tmp_path, capsys, flag, value, 
     assert main(["gen", "--out-dir", str(out), f"{flag}={value}"]) == 2
     assert what in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("rows,cols,what", [
+    (0, 12, "city_rows must be a whole number >= 1, got 0"),
+    (-3, 12, "city_rows must be a whole number >= 1, got -3"),
+    (2.5, 12, "city_rows must be a whole number >= 1, got 2.5"),
+    (12, 0, "city_cols must be a whole number >= 1, got 0"),
+    (1, 1, "the city needs at least 2 nodes, got 1x1"),
+])
+def test_generate_scenario_dir_rejects_a_city_without_roads(tmp_path, rows, cols, what):
+    # 0 and -3 rows died with a raw ValueError after writing the city CSVs,
+    # 2.5 with a TypeError; a 1x1 city wrote a config whose runs all failed
+    # as ZeroWeekTotal.
+    out = tmp_path / "scn"
+    with pytest.raises(errors.SchemaError, match=f"^{re.escape(what)}$"):
+        generate_scenario_dir(str(out), seed=3, n_seeds_per_profile=1,
+                              city_rows=rows, city_cols=cols)
+    assert not out.exists()
+
+
+def test_generate_scenario_dir_runs_a_two_node_city(tmp_path):
+    config = generate_scenario_dir(str(tmp_path), seed=3, n_seeds_per_profile=1,
+                                   city_rows=1, city_cols=2.0)
+    outcomes = run_cohort(load_scenarios(config)).outcomes
+    assert outcomes and all(o.error is None for o in outcomes)
 
 
 def test_cli_ingest_graph_predict(trip_log_path, tmp_path, capsys):

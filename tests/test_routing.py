@@ -1,4 +1,3 @@
-import csv
 import heapq
 import itertools
 import math
@@ -10,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from refuelopt import errors
 from refuelopt.geo import haversine_m, haversine_m_array, point_polyline_distance_m
-from refuelopt.roadgraph import (SCREEN_BLOCK, BuiltinRouter, RoadGraph, Route,
+from refuelopt.roadgraph import (SCREEN_BLOCK, BadRow, BuiltinRouter, RoadGraph, Route,
                                  corridor_filter, generate_city,
                                  load_road_graph, save_road_graph)
 
@@ -24,31 +23,34 @@ def grid_coords(r, c, lat0=44.65, lon0=10.92, spacing_m=500.0):
 
 def diamond_graph():
     """A -> {B, C} -> D with two equal-time paths through B and C."""
-    g = RoadGraph()
-    g.add_node("A", *grid_coords(0, 0))
-    g.add_node("B", *grid_coords(0, 1))
-    g.add_node("C", *grid_coords(1, 0))
-    g.add_node("D", *grid_coords(1, 1))
+    nodes = [("A", *grid_coords(0, 0)), ("B", *grid_coords(0, 1)),
+             ("C", *grid_coords(1, 0)), ("D", *grid_coords(1, 1))]
+    edges = []
     for a, b in [("A", "B"), ("B", "D"), ("A", "C"), ("C", "D")]:
-        g.add_edge(a, b, 600.0, 60.0)
-        g.add_edge(b, a, 600.0, 60.0)
-    return g
+        edges += [(a, b, 600.0, 60.0), (b, a, 600.0, 60.0)]
+    return RoadGraph(nodes, edges)
 
 
 def random_graph(rng, n):
-    g = RoadGraph()
-    ids = [f"X{i}" for i in range(n)]
-    for i, nid in enumerate(ids):
-        g.add_node(nid, *grid_coords(i // 4, i % 4))
-    for a, b in itertools.permutations(ids, 2):
+    coords = {f"X{i}": grid_coords(i // 4, i % 4) for i in range(n)}
+    edges = []
+    for a, b in itertools.permutations(coords, 2):
         if rng.random() < 0.4:
-            geo = max(1.0, haversine_m(*g.nodes[a], *g.nodes[b]))
-            g.add_edge(a, b, geo * rng.uniform(1.0, 2.0), rng.uniform(10.0, 300.0))
-    return g
+            geo = max(1.0, haversine_m(*coords[a], *coords[b]))
+            edges.append((a, b, geo * rng.uniform(1.0, 2.0), rng.uniform(10.0, 300.0)))
+    return RoadGraph([(nid, *point) for nid, point in coords.items()], edges)
+
+
+def adjacency(g):
+    """id -> [(to, length_m, time_s)], parallel edges in row order, read
+    from the graph's rank-indexed out-edges."""
+    return {g.ids[u]: [(g.ids[v], length_m, time_s) for _u, v, length_m, time_s in leaving]
+            for u, leaving in enumerate(g.out_edges)}
 
 
 def brute_force_shortest(g, src, dst):
     """Enumerate all simple paths; return (time, lexicographically-first path)."""
+    adj = adjacency(g)
     best = None
     stack = [(src, (src,), 0.0)]
     while stack:
@@ -58,28 +60,26 @@ def brute_force_shortest(g, src, dst):
             if best is None or key < best:
                 best = key
             continue
-        for to, length_m, time_s in g.adj.get(node, []):
+        for to, length_m, time_s in adj[node]:
             if to not in path:
-                w = min(e[2] for e in g.adj[node] if e[0] == to)
+                w = min(e[2] for e in adj[node] if e[0] == to)
                 stack.append((to, path + (to,), cost + w))
     return best
 
 
 # --- graph construction ---------------------------------------------------------
 
+AB = [("A", *grid_coords(0, 0)), ("B", *grid_coords(0, 1))]  # ~500 m apart
+
+
 def test_dangling_edge_rejected():
-    g = RoadGraph()
-    g.add_node("A", 44.0, 11.0)
     with pytest.raises(errors.DanglingEdge):
-        g.add_edge("A", "Z", 100.0, 10.0)
+        RoadGraph([("A", 44.0, 11.0)], [("A", "Z", 100.0, 10.0)])
 
 
 def test_edge_shorter_than_geodesic_rejected():
-    g = RoadGraph()
-    g.add_node("A", *grid_coords(0, 0))
-    g.add_node("B", *grid_coords(0, 1))  # ~500 m apart
     with pytest.raises(ValueError):
-        g.add_edge("A", "B", 100.0, 10.0)
+        RoadGraph(AB, [("A", "B", 100.0, 10.0)])
 
 
 @pytest.mark.parametrize("length_m,time_s", [(math.nan, 1.0), (1000.0, math.inf),
@@ -87,39 +87,41 @@ def test_edge_shorter_than_geodesic_rejected():
 def test_non_finite_edge_rejected(length_m, time_s):
     # NaN and +inf pass the `<= 0` check and the geodesic bound; the
     # finiteness check refuses them.
-    g = RoadGraph()
-    g.add_node("A", *grid_coords(0, 0))
-    g.add_node("B", *grid_coords(0, 1))
     with pytest.raises(ValueError, match=r"^edge A->B must have finite length and time, "
                                          rf"got {length_m} m and {time_s} s$"):
-        g.add_edge("A", "B", length_m, time_s)
-    assert g.adj == {"A": [], "B": []}
+        RoadGraph(AB, [("A", "B", length_m, time_s)])
 
 
 @pytest.mark.parametrize("length_m,time_s", [("600", 60.0), (600.0, None)])
 def test_non_numeric_edge_rejected(length_m, time_s):
-    g = RoadGraph()
-    g.add_node("A", *grid_coords(0, 0))
-    g.add_node("B", *grid_coords(0, 1))
     with pytest.raises(TypeError):
-        g.add_edge("A", "B", length_m, time_s)
-    assert g.adj == {"A": [], "B": []}
+        RoadGraph(AB, [("A", "B", length_m, time_s)])
 
 
-def test_add_edges_is_all_or_none_and_checks_rows_in_order():
-    g = RoadGraph()
-    g.add_node("A", *grid_coords(0, 0))
-    g.add_node("B", *grid_coords(0, 1))
+def test_constructor_checks_edge_rows_in_order():
     good = ("A", "B", 600.0, 60.0)
-    with pytest.raises(ValueError, match="^edge B->A must have positive length") as exc:
-        g.add_edges([good, ("B", "A", -1.0, 60.0), ("A", "Z", 600.0, 60.0)])
-    assert exc.value.index == 1
+    with pytest.raises(BadRow, match="^edge B->A must have positive length") as exc:
+        RoadGraph(AB, [good, ("B", "A", -1.0, 60.0), ("A", "Z", 600.0, 60.0)])
+    assert (exc.value.table, exc.value.index) == ("edges", 1)
     with pytest.raises(errors.DanglingEdge, match="^edge A->Z references unknown node$"):
-        g.add_edges([good, ("A", "Z", 600.0, 60.0), ("B", "A", -1.0, 60.0)])
-    assert g.adj == {"A": [], "B": []}
-    g.add_edges([good, good, ("B", "A", 700.0, 70.0)])
-    assert g.adj == {"A": [("B", 600.0, 60.0)] * 2, "B": [("A", 700.0, 70.0)]}
-    g.add_edges([])
+        RoadGraph(AB, [good, ("A", "Z", 600.0, 60.0), ("B", "A", -1.0, 60.0)])
+    g = RoadGraph(AB, [good, good, ("B", "A", 700.0, 70.0)])
+    assert g.out_edges == [((0, 1, 600.0, 60.0),) * 2, ((1, 0, 700.0, 70.0),)]
+    assert g.in_edges == [((1, 0, 700.0, 70.0),), ((0, 1, 600.0, 60.0),) * 2]
+    assert RoadGraph(AB, []).out_edges == [(), ()]
+
+
+def test_constructor_checks_node_rows_before_edge_rows():
+    dangling = [("A", "Z", 600.0, 60.0)]
+    with pytest.raises(BadRow, match="^node A defined twice$") as exc:
+        RoadGraph(AB + [("C", 44.0, 11.0), ("A", 44.0, 11.0)], dangling)
+    assert (exc.value.table, exc.value.index) == ("nodes", 3)
+    with pytest.raises(BadRow, match="^invalid coordinates for node C$") as exc:
+        RoadGraph(AB + [("C", 91.0, 11.0), ("A", 44.0, 11.0)], dangling)
+    assert (exc.value.table, exc.value.index) == ("nodes", 2)
+    g = RoadGraph([("B", 44.0, 11.001), ("A", 44.0, 11.0)], [])
+    assert list(g.nodes) == ["B", "A"]
+    assert g.ids == ["A", "B"] and g.rank == {"A": 0, "B": 1}
 
 
 def test_nearest_node_snap():
@@ -140,9 +142,7 @@ def test_equal_cost_tie_breaks_lexicographically():
 
 
 def test_unreachable_raises():
-    g = RoadGraph()
-    g.add_node("A", *grid_coords(0, 0))
-    g.add_node("B", *grid_coords(3, 3))
+    g = RoadGraph([("A", *grid_coords(0, 0)), ("B", *grid_coords(3, 3))], [])
     with pytest.raises(errors.Unreachable):
         BuiltinRouter(g).shortest_route("A", "B")
     with pytest.raises(errors.Unreachable):
@@ -158,7 +158,8 @@ def test_self_route_is_empty():
 
 def path_length_m(g, path):
     """Length of `path` over the fastest edge of each hop."""
-    return sum(min((e for e in g.adj[a] if e[0] == b), key=lambda e: e[2])[1]
+    adj = adjacency(g)
+    return sum(min((e for e in adj[a] if e[0] == b), key=lambda e: e[2])[1]
                for a, b in zip(path, path[1:]))
 
 
@@ -308,36 +309,40 @@ def test_load_rejects_a_node_defined_twice_at_its_line(tmp_path):
     assert str(exc.value) == "line 4: node A defined twice"
 
 
-def _reference_load(nodes_path, edges_path):
-    """The graph of a per-row `add_node`/`add_edge` loop over the CSV pair."""
-    graph = RoadGraph()
-    with open(nodes_path, newline="") as fh:
-        for nid, lat, lon in list(csv.reader(fh))[1:]:
-            graph.add_node(nid, float(lat), float(lon))
-    with open(edges_path, newline="") as fh:
-        for src, dst, length_m, time_s in list(csv.reader(fh))[1:]:
-            graph.add_edge(src, dst, float(length_m), float(time_s))
-    return graph
+@pytest.mark.parametrize("nodes_tail,edges_text", [
+    # A repeated node wins over a later unreadable node row ...
+    ("A,44.00018,11.0\nC,x,11.0\n", "from,to,length_m,time_s\nA,B,100.0,10.0\n"),
+    # ... and over an edges file that cannot be read at all.
+    ("A,44.00018,11.0\n", "wrong,header\n"),
+])
+def test_load_reports_a_bad_node_row_before_a_later_read_error(tmp_path, nodes_tail, edges_text):
+    (tmp_path / "n.csv").write_text(EDGE_NODES + nodes_tail)
+    (tmp_path / "e.csv").write_text(edges_text)
+    with pytest.raises(errors.ParseError) as exc:
+        load_road_graph(str(tmp_path / "n.csv"), str(tmp_path / "e.csv"))
+    assert str(exc.value) == "line 4: node A defined twice"
 
 
-def test_load_matches_per_row_add_edge_on_a_metro_city(tmp_path):
+def test_load_save_round_trips_a_metro_city(tmp_path):
+    # The file holds each node's out-edges sorted by destination, so by rank.
     n, e = str(tmp_path / "n.csv"), str(tmp_path / "e.csv")
-    save_road_graph(generate_city(seed=3, rows=40, cols=40), n, e)
-    got, want = load_road_graph(n, e), _reference_load(n, e)
-    assert list(got.nodes.items()) == list(want.nodes.items())
-    assert list(got.adj.items()) == list(want.adj.items())
-    assert got.topology() == want.topology()
+    city = generate_city(seed=3, rows=40, cols=40)
+    save_road_graph(city, n, e)
+    got = load_road_graph(n, e)
+    assert list(got.nodes.items()) == list(city.nodes.items())
+    assert got.ids == city.ids and got.rank == city.rank
+    assert got.out_edges == [tuple(sorted(leaving)) for leaving in city.out_edges]
 
 
 def test_generate_city_deterministic_and_connected():
     a = generate_city(seed=11, rows=6, cols=6)
     b = generate_city(seed=11, rows=6, cols=6)
-    assert a.nodes == b.nodes and a.adj == b.adj
+    assert a.nodes == b.nodes and a.out_edges == b.out_edges
     router = BuiltinRouter(a)
     r = router.shortest_route("N00_00", "N05_05")
     assert r.time_s > 0
     # All road lengths respect the geodesic sanity bound by construction.
-    for src, edges in a.adj.items():
+    for src, edges in adjacency(a).items():
         for to, length_m, _ in edges:
             assert length_m >= haversine_m(*a.nodes[src], *a.nodes[to]) * 0.999
 
@@ -351,9 +356,10 @@ class PathHeapRouter:
 
     def __init__(self, graph):
         self.graph = graph
+        self.adj = adjacency(graph)
 
     def shortest_route(self, src, dst):
-        graph = self.graph
+        graph, adj = self.graph, self.adj
         if src not in graph.nodes or dst not in graph.nodes:
             raise errors.Unreachable(f"unknown node in query {src}->{dst}")
         heap = [(0.0, (src,))]
@@ -368,12 +374,12 @@ class PathHeapRouter:
                 dist_m = 0.0
                 total_time_s = 0.0
                 for a, b in zip(path, path[1:]):
-                    edge = min((e for e in graph.adj[a] if e[0] == b),
+                    edge = min((e for e in adj[a] if e[0] == b),
                                key=lambda e: e[2])
                     dist_m += edge[1]
                     total_time_s += edge[2]
                 return Route(nodes=path, distance_km=dist_m / 1000.0, time_s=total_time_s)
-            for to, length_m, time_s in graph.adj.get(node, []):
+            for to, length_m, time_s in adj[node]:
                 if to not in done:
                     heapq.heappush(heap, (cost + time_s, path + (to,)))
         raise errors.Unreachable(f"no path {src}->{dst}")
@@ -418,15 +424,11 @@ NODE_IDS = st.sampled_from([f"V{i}" for i in range(7)])
 @st.composite
 def small_graphs(draw):
     ids = draw(st.lists(NODE_IDS, min_size=2, max_size=7, unique=True))
-    g = RoadGraph()
-    for i, nid in enumerate(ids):
-        # All nodes within a metre, so any length >= 1 m passes the geodesic check.
-        g.add_node(nid, 44.65 + i * 1e-6, 10.92)
+    # All nodes within a metre, so any length >= 1 m passes the geodesic check.
+    nodes = [(nid, 44.65 + i * 1e-6, 10.92) for i, nid in enumerate(ids)]
     edges = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids),
                                     WEIGHTS, WEIGHTS), max_size=24))
-    for a, b, length_m, time_s in edges:
-        g.add_edge(a, b, length_m, time_s)
-    return g
+    return RoadGraph(nodes, edges)
 
 
 @settings(max_examples=300, deadline=None)
@@ -458,12 +460,9 @@ class ForwardRouter(BuiltinRouter):
 def tie_graph(edges):
     """Nodes at one point, so any positive length passes the geodesic
     check; (a, b, weight) edges whose length and time are both `weight`."""
-    g = RoadGraph()
-    for nid in sorted({n for a, b, _w in edges for n in (a, b)}):
-        g.add_node(nid, 44.65, 10.92)
-    for a, b, w in edges:
-        g.add_edge(a, b, w, w)
-    return g
+    return RoadGraph([(nid, 44.65, 10.92) for nid in sorted({n for a, b, _w in edges
+                                                             for n in (a, b)})],
+                     [(a, b, w, w) for a, b, w in edges])
 
 
 def test_rounding_tie_falls_back_to_the_forward_path():
@@ -496,14 +495,14 @@ def test_unsettled_neighbour_within_rounding_falls_back():
 
 
 def test_exact_ties_on_a_uniform_grid_fall_back():
-    g = RoadGraph()
-    for r, c in itertools.product(range(4), range(4)):
-        g.add_node(f"G{r}{c}", *grid_coords(r, c))
+    edges = []
     for r, c in itertools.product(range(4), range(4)):
         for r2, c2 in ((r + 1, c), (r, c + 1)):
             if r2 < 4 and c2 < 4:
-                g.add_edge(f"G{r}{c}", f"G{r2}{c2}", 600.0, 60.0)
-                g.add_edge(f"G{r2}{c2}", f"G{r}{c}", 600.0, 60.0)
+                edges += [(f"G{r}{c}", f"G{r2}{c2}", 600.0, 60.0),
+                          (f"G{r2}{c2}", f"G{r}{c}", 600.0, 60.0)]
+    g = RoadGraph([(f"G{r}{c}", *grid_coords(r, c))
+                   for r, c in itertools.product(range(4), range(4))], edges)
     router, forward, ref = BuiltinRouter(g), ForwardRouter(g), PathHeapRouter(g)
     for a, b in itertools.product(sorted(g.nodes), repeat=2):
         assert router.shortest_route(a, b) == forward.shortest_route(a, b) == \
@@ -525,28 +524,14 @@ def test_city_stop_legs_are_all_certified():
     assert forward.fallbacks == len(g.nodes)
 
 
-def test_reverse_index_sees_edges_added_after_a_route():
-    g = diamond_graph()
-    assert BuiltinRouter(g).shortest_route("A", "D").nodes == ("A", "B", "D")
-    g.add_edge("A", "D", 800.0, 30.0)
-    router = BuiltinRouter(g)
-    assert router.shortest_route("A", "D") == Route(("A", "D"), 0.8, 30.0)
-    # Certified from the new in-edge, not rescued by the forward search.
-    assert router.fallbacks == 0
-
-
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_shared_destinations_match_path_heap_router(data):
     ids = [f"V{i}" for i in range(data.draw(st.integers(2, 10)))]
-    g = RoadGraph()
-    for i, nid in enumerate(ids):
-        g.add_node(nid, 44.65 + i * 1e-6, 10.92)
     weight = st.one_of(WEIGHTS, st.floats(1.0, 4.0))
-    for a, b, length_m, time_s in data.draw(st.lists(
-            st.tuples(st.sampled_from(ids), st.sampled_from(ids), weight, weight),
-            max_size=40)):
-        g.add_edge(a, b, length_m, time_s)
+    g = RoadGraph([(nid, 44.65 + i * 1e-6, 10.92) for i, nid in enumerate(ids)],
+                  data.draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids),
+                                               weight, weight), max_size=40)))
     dsts = data.draw(st.lists(st.sampled_from(ids), min_size=1, max_size=3))
     router, ref = BuiltinRouter(g), PathHeapRouter(g)
     # Sources in drawn order, destinations interleaved: each query resumes
@@ -569,6 +554,7 @@ def path_heap_routes(graph, src):
     """`PathHeapRouter.shortest_route(src, v)` for every v that src reaches,
     from one run: that search pops the same entries whatever its
     destination, up to the pop of the destination."""
+    adj = adjacency(graph)
     routes, done, heap = {}, set(), [(0.0, (src,))]
     while heap:
         cost, path = heapq.heappop(heap)
@@ -578,11 +564,11 @@ def path_heap_routes(graph, src):
         done.add(node)
         dist_m = total_time_s = 0.0
         for a, b in zip(path, path[1:]):
-            edge = min((e for e in graph.adj[a] if e[0] == b), key=lambda e: e[2])
+            edge = min((e for e in adj[a] if e[0] == b), key=lambda e: e[2])
             dist_m += edge[1]
             total_time_s += edge[2]
         routes[node] = Route(nodes=path, distance_km=dist_m / 1000.0, time_s=total_time_s)
-        for to, length_m, time_s in graph.adj.get(node, []):
+        for to, length_m, time_s in adj[node]:
             if to not in done:
                 heapq.heappush(heap, (cost + time_s, path + (to,)))
     return routes
@@ -593,8 +579,8 @@ def test_departure_search_settles_only_as_far_as_its_stops():
     start, stops = "N20_20", sorted(g.nodes)
     router = BuiltinRouter(g)
     router.one_stop_route(start, "N20_21", ["N05_30"])
-    done, topo = router._forward[start].done, g.topology()
-    settled = {topo.ids[r] for r in range(len(done)) if done[r]}
+    done = router._forward[start].done
+    settled = {g.ids[r] for r in range(len(done)) if done[r]}
     assert sum(done) == len(settled) < len(g.nodes) // 10
     assert {start, "N20_21"} <= settled
     # Every node as a stop, in shuffled order on one router: each resumes the
@@ -621,26 +607,21 @@ COORD = st.floats(-0.01, 0.01, allow_nan=False)
        copies=st.lists(st.text("abcXYZ09", min_size=1, max_size=3), max_size=6),
        query=st.tuples(COORD, COORD), late=st.tuples(COORD, COORD))
 def test_nearest_node_matches_full_scan(nodes, copies, query, late):
-    g = RoadGraph()
-    for nid, dlat, dlon in nodes:
-        g.add_node(nid, 44.65 + dlat, 10.92 + dlon)
+    coords = {nid: (44.65 + dlat, 10.92 + dlon) for nid, dlat, dlon in nodes}
     # Equidistant nodes: the same coordinates under other ids, and the
     # query point mirrored through the first node.
     _nid, dlat, dlon = nodes[0]
     for i, nid in enumerate(copies):
-        if nid not in g.nodes:
-            g.add_node(nid, *g.nodes[nodes[i % len(nodes)][0]])
+        coords.setdefault(nid, coords[nodes[i % len(nodes)][0]])
     lat, lon = 44.65 + query[0], 10.92 + query[1]
-    g.add_node("~mirror", 2 * (44.65 + dlat) - lat, 2 * (10.92 + dlon) - lon)
+    coords["~mirror"] = (2 * (44.65 + dlat) - lat, 2 * (10.92 + dlon) - lon)
+    g = RoadGraph([(nid, *point) for nid, point in coords.items()], [])
     assert g.nearest_node(lat, lon) == full_scan_nearest(g, lat, lon)
     assert g.nearest_node(*g.nodes[nodes[0][0]]) == \
         full_scan_nearest(g, *g.nodes[nodes[0][0]])
-    # A batch with repeats, of remembered and new points, then again after a
-    # node is added: the memo must not outlive the node set it was made on.
+    # A batch with repeats, of remembered and new points.
     batch = [(lat, lon), g.nodes[nodes[-1][0]], (lat, lon), (44.65 + late[0], 10.92 + late[1]),
              g.nodes[nodes[0][0]], (lat, lon)]
-    assert g.nearest_nodes(batch) == [full_scan_nearest(g, *p) for p in batch]
-    g.add_node("~late", 44.65 + late[0], 10.92 + late[1])
     assert g.nearest_nodes(batch) == [full_scan_nearest(g, *p) for p in batch]
 
 
@@ -653,14 +634,6 @@ def test_nearest_node_rejects_invalid_coordinates(lat, lon):
         g.nearest_node(lat, lon)
     with pytest.raises(ValueError, match="^invalid coordinates"):
         g.nearest_nodes([g.nodes["N00_00"], (lat, lon)])
-
-
-def test_nearest_node_sees_nodes_added_after_a_snap():
-    g = diamond_graph()
-    lat, lon = grid_coords(0.3, 0.3)
-    assert g.nearest_node(lat, lon)[0] == "A"
-    g.add_node("E", lat, lon)
-    assert g.nearest_node(lat, lon) == ("E", 0.0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -721,18 +694,17 @@ def test_geodesic_bound_is_decided_by_the_scalar_distance(tmp_path):
     # Q -> H screens one ulp long, so the screen alone would reject an edge
     # exactly at the scalar bound; Q -> L screens one ulp short, so it would
     # pass one an ulp below it.
-    g = RoadGraph()
-    for nid, point in (("Q", QUERY), ("H", SCREENED_HIGH), ("L", SCREENED_LOW)):
-        g.add_node(nid, *point)
-    for nid, point in (("H", SCREENED_HIGH), ("L", SCREENED_LOW)):
-        bound = haversine_m(*QUERY, *point) * 0.999
-        g.add_edge("Q", nid, bound, 60.0)
-        with pytest.raises(ValueError, match=f"^edge Q->{nid} shorter than the geodesic"):
-            g.add_edge("Q", nid, math.nextafter(bound, 0.0), 60.0)
+    nodes = [("Q", *QUERY), ("H", *SCREENED_HIGH), ("L", *SCREENED_LOW)]
+    edges = [("Q", nid, haversine_m(*QUERY, *point) * 0.999, 60.0)
+             for nid, point in (("H", SCREENED_HIGH), ("L", SCREENED_LOW))]
+    g = RoadGraph(nodes, edges)
+    for i, (src, dst, bound, time_s) in enumerate(edges):
+        with pytest.raises(ValueError, match=f"^edge Q->{dst} shorter than the geodesic"):
+            RoadGraph(nodes, edges[:i] + [(src, dst, math.nextafter(bound, 0.0), time_s)])
     # The same verdicts through the file reader, on the row's line.
     n, e = str(tmp_path / "n.csv"), tmp_path / "e.csv"
     save_road_graph(g, n, str(e))
-    assert load_road_graph(n, str(e)).adj == g.adj
+    assert load_road_graph(n, str(e)).out_edges == g.out_edges
     below = math.nextafter(haversine_m(*QUERY, *SCREENED_LOW) * 0.999, 0.0)
     e.write_text(e.read_text() + f"Q,L,{below!r},60.0\n")
     with pytest.raises(errors.ParseError) as exc:
@@ -741,7 +713,5 @@ def test_geodesic_bound_is_decided_by_the_scalar_distance(tmp_path):
 
 
 def test_nearest_node_returns_the_scalar_distance():
-    g = RoadGraph()
-    g.add_node("B", *SCREENED_LOW)
-    g.add_node("A", *SCREENED_HIGH)
+    g = RoadGraph([("B", *SCREENED_LOW), ("A", *SCREENED_HIGH)], [])
     assert g.nearest_node(*QUERY) == ("A", haversine_m(*QUERY, *SCREENED_HIGH))

@@ -12,7 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from refuelopt import errors, telemetry
 from refuelopt.geo import haversine_m, valid_coords
-from refuelopt.scenario import generate_scenario_dir, load_scenarios
+from refuelopt.roadgraph import generate_city
+from refuelopt.scenario import generate_scenario_dir, load_scenarios, make_profile
 from refuelopt.telemetry import (_TWOPI, END_TIMESTAMP, FIRST_TIMESTAMP, WEEKDAYS, DriverProfile,
                                  StopEvent, TripLog, TripSample, _draw_stream, _poisson,
                                  detect_halts, generate_synthetic_log, integrate_daily_distance,
@@ -844,6 +845,21 @@ def test_generation_memory_stays_bounded():
         tracemalloc.stop()
     assert len(samples) > 20_000
     assert peak <= 3.0e6
+
+
+def test_daily_distance_memory_stays_bounded():
+    # The metro_sweep errand_runner_0 log: 20 817 fixes. Its row-sized
+    # temporaries peaked at 1.52 MB, about nine columns; now about 0.7 MB.
+    profile = make_profile("errand_runner", 3000, generate_city(3, 40, 40))
+    samples, _ = generate_synthetic_log(profile, 4)
+    assert len(samples) == 20_817
+    tracemalloc.start()
+    try:
+        integrate_daily_distance(samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.0e6
 
 
 def test_generator_rejects_non_positive_period():

@@ -228,6 +228,20 @@ def test_non_habitual_stops_are_linked_across():
     assert len(graph.edges["Mon"]) == 2
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: build_daily_flows takes each day's first "
+                          "visit for its starting point")
+def test_generator_shaped_days_keep_their_first_destination():
+    # The generator's overnight halt at home starts the evening before, so a
+    # commuter's weekday halts read [WORK, HOME], with no morning halt at home.
+    events = weeks_of_events({d: [WORK, HOME] for d in range(5)}, weeks=4)
+    pois = select_pois(assign_clusters(events), observation_weeks=4)[1]
+    home_id, work_id = (next(p.identifier for p in pois if haversine_m(p.lat, p.lon, *spot) < 200)
+                        for spot in (HOME, WORK))
+    graph = build_daily_flows(pois)
+    assert [graph.day_destinations(wd) for wd in WEEKDAYS[:5]] == [[work_id, home_id]] * 5
+
+
 def test_unobserved_day_has_no_edges():
     events = weeks_of_events({0: [HOME, WORK, HOME]}, weeks=2)
     clusters = assign_clusters(events)
