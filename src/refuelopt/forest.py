@@ -27,8 +27,13 @@ presorted column blocks (Chen & Guestrin, 2016), a batch keeps one index
 array per feature that lists every node's rows sorted by that feature, with
 their feature values and targets, plus one in bootstrap order; a node owns
 the same contiguous segment of each, and a split partitions the segments
-stably, so no node is sorted again. The result equals depth-first CART that
-argsorts each node, bit for bit:
+stably, so no node is sorted again. The batch is presorted by one stable
+sort per feature of the integer keys `tree · n + rank`, where rank is the
+dense rank of the row's value in its column of X, found once per fit.
+Values that numpy's float sort ties (equal values, -0.0 with 0.0, and every
+NaN) share a rank, so each tree's rows come out in the stable float sort's
+order. The result equals depth-first CART that argsorts each node, bit for
+bit:
 - a stable partition of a stable sort is the stable sort of the child, so
   each node sees its rows in the same order;
 - split search pads the nodes of one level, largest first, to the largest
@@ -38,9 +43,15 @@ argsorts each node, bit for bit:
   children-SSE scores see the same operands. Lanes with `nl >= n` are +inf
   by an explicit mask, so the column-major argmin over (feature, lane)
   picks the same lowest feature, then lowest threshold;
-- node values are `np.add.reduce(rows, axis=1) / n` over same-size nodes
-  (never padded: the pairwise grouping depends on the length), which equals
-  `np.mean` of each row (tests/test_forest.py guards this).
+- node values are `np.add.reduce(rows, axis=1) / n`, which equals
+  `np.mean` of each row, one reduction per size class. numpy's pairwise sum
+  adds a row of up to PAIRWISE_BLOCK values in eight accumulators over its
+  whole blocks of eight, then the rest one by one. A row of n values below
+  that, padded with -0.0 to `n | 7` lanes, has the same whole blocks and
+  adds only -0.0, IEEE addition's identity, after the rest; so the nodes
+  with one `n // 8` share a reduction. Longer rows are halved by length, so
+  each larger size has its own, as has each size below 8 (`_sum_lanes`;
+  tests/test_forest.py guards the rule).
 
 A fitted forest is stored flat: node k has `feature[k]` (-1 for a leaf),
 `threshold[k]`, children `left[k]`/`right[k]` and `value[k]`, the mean
@@ -62,14 +73,17 @@ DEFAULT_MAX_DEPTH = 6
 MIN_SAMPLES_SPLIT = 2
 # Memory bounds, whatever the number of trees and rows: a fit's numpy
 # buffers add to the process's peak memory. A batch of trees holds at most
-# BATCH_ELEMENTS row positions (rows x (features + 1)); one split search or
-# presort works on at most CHUNK_ELEMENTS (nodes x features x rows, rows
-# padded to the chunk's largest node), unless one node alone is larger.
+# BATCH_ELEMENTS row positions (rows x (features + 1)); one split search
+# works on at most CHUNK_ELEMENTS (nodes x features x rows, rows padded to
+# the chunk's largest node), unless one node alone is larger.
 BATCH_ELEMENTS = 1 << 16
 CHUNK_ELEMENTS = 1 << 12
 # The split search scales targets beyond 2**SCORE_EXP down below it, so that
 # squares of sums of up to 2**20 targets stay finite.
 SCORE_EXP = 480
+# numpy's pairwise sum adds rows of up to this many values in one block of
+# eight accumulators, then the rest one by one; longer rows are halved.
+PAIRWISE_BLOCK = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,11 +283,37 @@ def _bootstraps(seed: int, trees: range, n: int) -> np.ndarray:
     return boot
 
 
-def _grow_batch(X: np.ndarray, y: np.ndarray, trees: range, seed: int,
+def _value_ranks(X: np.ndarray) -> np.ndarray:
+    """Dense rank of each value in its column of X, as int32 of X's shape.
+
+    Ranks follow numpy's float sort. Values it ties share a rank: equal
+    values, -0.0 with 0.0, and every NaN (sorted last).
+    """
+    by_value = np.argsort(X, axis=0, kind="stable")
+    xs = np.take_along_axis(X, by_value, axis=0)
+    sorted_ranks = np.zeros(X.shape, dtype=np.int32)
+    np.cumsum((xs[1:] != xs[:-1]) & ~np.isnan(xs[:-1]), axis=0, out=sorted_ranks[1:])
+    ranks = np.empty_like(sorted_ranks)
+    np.put_along_axis(ranks, by_value, sorted_ranks, axis=0)
+    return ranks
+
+
+def _sum_lanes(sizes: np.ndarray) -> np.ndarray:
+    """Lanes, padded with -0.0, over which a node of each size sums its targets.
+
+    Nodes of fewer than 8 rows, most of a deep level's, keep one sum per
+    size: merged into one, they left the heap more fragmented, and a long
+    replay's peak RSS grew with every pass.
+    """
+    return np.where((sizes >= 8) & (sizes < PAIRWISE_BLOCK), sizes | 7, sizes)
+
+
+def _grow_batch(X: np.ndarray, y: np.ndarray, ranks: np.ndarray, trees: range, seed: int,
                 max_depth: int, first_id: int, out: list) -> np.ndarray:
     """Grow `trees` level by level; append each level's node arrays to `out`.
 
-    Nodes are numbered from `first_id` in level order. Returns the roots.
+    `ranks` is `_value_ranks(X)`. Nodes are numbered from `first_id` in
+    level order. Returns the roots.
     """
     n, d = X.shape
     width = len(trees) * n
@@ -286,20 +326,25 @@ def _grow_batch(X: np.ndarray, y: np.ndarray, trees: range, seed: int,
     # and the target of row order[1 + j, c].
     order = np.empty((d + 1, width), dtype=np.int32)
     order[0] = np.arange(width)
-    yb = y[boot]
+    # Seven spare lanes: a node's padded values may reach seven lanes past
+    # its last row.
+    yb = np.empty(width + 7)
+    np.take(y, boot, out=yb[:width])
     xv = np.empty((d, width))
     yv = np.empty((d, width))
-    per_sort = max(1, CHUNK_ELEMENTS // max(1, n * d))
-    for t in range(0, len(trees), per_sort):
-        span = slice(t * n, (t + per_sort) * n)
-        xb = X[boot[span]].reshape(-1, n, d)
-        ranked = np.argsort(xb, axis=1, kind="stable")
-        xv[:, span] = np.take_along_axis(xb, ranked, axis=1).transpose(2, 0, 1).reshape(d, -1)
-        yv[:, span] = yb[span].reshape(-1, n)[np.arange(len(xb))[:, None, None],
-                                             ranked].transpose(2, 0, 1).reshape(d, -1)
-        ranked += (t + np.arange(len(xb)))[:, None, None] * n
-        order[1:, span] = ranked.transpose(2, 0, 1).reshape(d, -1)
-    del boot
+    # Keys tree · n + rank sort each tree's rows by feature j, stably, in one
+    # sort per feature; 16-bit keys take numpy's radix sort.
+    key_type = np.int16 if width < 1 << 15 else np.int32
+    tree_base = np.repeat(np.arange(0, width, n, dtype=key_type), n)
+    for j in range(d):
+        key = ranks[:, j].astype(key_type).take(boot)
+        key += tree_base
+        ranked = np.argsort(key, kind="stable")
+        order[1 + j] = ranked
+        np.take(X[:, j], boot, out=yv[j])  # stages feature j in bootstrap order
+        np.take(yv[j], ranked, out=xv[j])
+        np.take(yb, ranked, out=yv[j])
+    del boot, tree_base, key, ranked  # the levels' temporaries set a fit's peak memory
     top = np.abs(y[np.isfinite(y)]).max(initial=0.0)
     if top >= 2.0 ** SCORE_EXP:  # a power of two scales every score exactly; yb is kept
         yv *= 2.0 ** (SCORE_EXP - np.frexp(top)[1])
@@ -315,14 +360,19 @@ def _grow_batch(X: np.ndarray, y: np.ndarray, trees: range, seed: int,
         value = np.empty(k)
         feature = np.full(k, -1)
         threshold = np.zeros(k)
-        # Values are summed per node size, not padded: np.add.reduce's
-        # pairwise grouping depends on the length.
-        by_size = np.argsort(sizes, kind="stable")
-        cuts = [0, *(np.flatnonzero(np.diff(sizes[by_size])) + 1).tolist(), k]
+        lanes = _sum_lanes(sizes)
+        by_class = np.argsort(lanes, kind="stable")
+        cuts = [0, *(np.flatnonzero(np.diff(lanes[by_class])) + 1).tolist(), k]
         for a, b in zip(cuts, cuts[1:]):
-            sel = by_size[a:b]
-            size = int(sizes[sel[0]])
-            value[sel] = np.add.reduce(yb.take(starts[sel, None] + np.arange(size)), axis=1) / size
+            sel = by_class[a:b]
+            span = np.arange(lanes[sel[0]])
+            # Every window of len(span) lanes of yb, as a view; built directly, as
+            # sliding_window_view's checks cost more than the sums here.
+            windows = np.ndarray((len(yb) - len(span) + 1, len(span)), buffer=yb,
+                                 strides=2 * yb.strides)
+            rows = windows[starts[sel]]
+            np.copyto(rows, -0.0, where=span >= sizes[sel, None])
+            value[sel] = np.add.reduce(rows, axis=1) / sizes[sel]
         if depth < max_depth:
             # Nodes with at least MIN_SAMPLES_SPLIT rows whose targets differ
             # (NaN differs from everything), largest first.
@@ -396,11 +446,12 @@ def fit_bagged_trees(X: np.ndarray, y: np.ndarray, n_trees: int = DEFAULT_N_TREE
     per_tree = max(1, len(y) * (X.shape[1] + 1))
     n_batches = max(1, -(-n_trees * per_tree // BATCH_ELEMENTS))
     per_batch = max(1, -(-n_trees // n_batches))
+    ranks = _value_ranks(X)
     levels: list = []
     roots = []
     for first in range(0, n_trees, per_batch):
         next_id = sum(len(level[0]) for level in levels)
-        roots += _grow_batch(X, y, range(first, min(n_trees, first + per_batch)),
+        roots += _grow_batch(X, y, ranks, range(first, min(n_trees, first + per_batch)),
                              seed, max_depth, next_id, levels).tolist()
     return _forest([np.concatenate(c) for c in zip(*levels)], roots, seed, max_depth)
 

@@ -350,11 +350,11 @@ def generate_scenario_dir(out_dir: str, seed: int, n_seeds_per_profile: int = 5,
     Raises SchemaError, before writing anything, for a config that
     load_scenarios would reject or in which every run would fail.
     """
-    _whole_in("seed", seed, 0)
-    _whole_in("observation_weeks", observation_weeks, MIN_OBSERVATION_WEEKS,
-              Scenario.MAX_OBSERVATION_WEEKS)
-    _whole_in("n_seeds_per_profile", n_seeds_per_profile, 1)
-    _whole_in("station_count", station_count, 1)
+    seed = _whole_in("seed", seed, 0)
+    observation_weeks = _whole_in("observation_weeks", observation_weeks,
+                                  MIN_OBSERVATION_WEEKS, Scenario.MAX_OBSERVATION_WEEKS)
+    n_seeds_per_profile = _whole_in("n_seeds_per_profile", n_seeds_per_profile, 1)
+    station_count = _whole_in("station_count", station_count, 1)
     city_rows = _whole_in("city_rows", city_rows, 1)
     city_cols = _whole_in("city_cols", city_cols, 1)
     if city_rows * city_cols < 2:  # no road to drive: every week totals zero

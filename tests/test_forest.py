@@ -140,10 +140,12 @@ def reference_predict(dumped, X):
     return out
 
 
-# Few distinct values, so features and targets tie; 1 + 2**-52 and
-# 1 + 2**-51 are adjacent floats whose midpoint rounds up to the larger one,
-# where a midpoint threshold would send every row of a node left.
-forest_values = st.sampled_from([-3.0, 0.0, 1.0, 1.0 + 2 ** -52, 1.0 + 2 ** -51, 2.5, 1e6])
+# Few distinct values, so features and targets tie; -0.0 ties with 0.0 in
+# the float sort; 1 + 2**-52 and 1 + 2**-51 are adjacent floats whose
+# midpoint rounds up to the larger one, where a midpoint threshold would send
+# every row of a node left.
+forest_values = st.sampled_from([-3.0, -0.0, 0.0, 1.0, 1.0 + 2 ** -52, 1.0 + 2 ** -51, 2.5,
+                                 1e6])
 
 
 @settings(max_examples=150, deadline=None)
@@ -162,6 +164,31 @@ def test_forest_matches_depth_first_cart(d, data):
     expected = reference_forest(X[:n], y, n_trees, max_depth, seed)
     assert json.dumps(dump_trees(model)) == json.dumps(expected)
     assert repr(preds.tolist()) == repr(reference_predict(expected, X[n:]))
+
+
+def test_value_ranks_tie_as_the_float_sort_does():
+    X = np.array([[0.0, 2.0], [-0.0, 1.0], [np.nan, 1.0], [1.0, -0.0], [-0.0, np.nan],
+                  [np.nan, 0.0], [-np.inf, 2.0], [1.0, 0.0], [np.inf, -1.0]])
+    ranks = forest._value_ranks(X)
+    assert ranks.T.tolist() == [[1, 1, 4, 2, 1, 4, 0, 2, 3], [3, 2, 2, 1, 4, 1, 3, 1, 0]]
+    rows = np.random.default_rng(0).integers(0, len(X), size=200)
+    for j in range(2):
+        assert (np.argsort(ranks[rows, j], kind="stable").tolist()
+                == np.argsort(X[rows, j], kind="stable").tolist())
+
+
+def test_wide_batch_matches_depth_first_cart():
+    # The first batch holds two trees of 20000 rows, so its sort keys pass
+    # 2**15 - 1 and need 32 bits.
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(20000, 1))
+    tied = rng.random(len(X)) < 0.3
+    X[tied, 0] = rng.choice([-0.0, 0.0, np.nan], size=tied.sum())
+    y = np.round(rng.normal(size=len(X)) * 4.0) + 3.0 * np.nan_to_num(X[:, 0])
+    with np.errstate(all="ignore"):  # a NaN threshold leaves an empty child
+        model = fit_bagged_trees(X, y, n_trees=3, max_depth=3, seed=0)
+        expected = reference_forest(X, y, 3, 3, 0)
+    assert json.dumps(dump_trees(model)) == json.dumps(expected)
 
 
 def test_empty_child_matches_depth_first_cart():
@@ -228,13 +255,22 @@ def test_predict_sums_trees_in_order_from_zero():
 
 
 def test_node_means_match_np_mean():
-    # Node values are np.add.reduce(rows, axis=1) / n over nodes of one size;
-    # the pinned bytes rely on that equalling np.mean of each row, which a
-    # numpy release could change by summing in another order.
+    # Node values are np.add.reduce(rows, axis=1) / n over nodes of one size
+    # class, each row padded with -0.0 to its class's lanes; the pinned bytes
+    # rely on that equalling np.mean of each unpadded row, which a numpy
+    # release could change by summing in another order.
     rng = np.random.default_rng(0)
-    for n in range(1, 257):
-        rows = rng.normal(size=(3, n)) * 10.0 ** rng.integers(-8, 9, size=(3, n))
-        assert (np.add.reduce(rows, axis=1) / n).tolist() == [float(np.mean(r)) for r in rows]
+    sizes = np.arange(1, 257)
+    for n, lanes in zip(sizes.tolist(), forest._sum_lanes(sizes).tolist()):
+        rows = rng.normal(size=(4, n)) * 10.0 ** rng.integers(-8, 9, size=(4, n))
+        rows[1, rng.random(n) < 0.3] = -0.0
+        rows[2] = rng.choice([-0.0, 0.0], size=n)
+        rows[3] = -0.0
+        padded = np.full((4, lanes), -0.0)
+        padded[:, :n] = rows
+        for summed in (rows, padded):
+            assert ((np.add.reduce(summed, axis=1) / n).tobytes()
+                    == np.array([np.mean(r) for r in rows]).tobytes()), (n, lanes)
 
 
 @pytest.mark.parametrize("chunk", [64, 1 << 20])

@@ -786,6 +786,20 @@ def test_generate_scenario_dir_runs_a_two_node_city(tmp_path):
     assert outcomes and all(o.error is None for o in outcomes)
 
 
+@pytest.mark.parametrize("whole", ["seed", "n_seeds_per_profile", "station_count",
+                                   "observation_weeks"])
+def test_generate_scenario_dir_writes_whole_floats_as_ints(tmp_path, whole):
+    # seed=3.0 wrote `seed: 3000.0` for each driver; a whole float
+    # n_seeds_per_profile died with a TypeError.
+    args = {"seed": 3, "n_seeds_per_profile": 1, "station_count": 10, "observation_weeks": 7}
+    generate_scenario_dir(str(tmp_path / "int"), **args)
+    generate_scenario_dir(str(tmp_path / "float"), **{**args, whole: float(args[whole])})
+    files = sorted(p.name for p in (tmp_path / "int").iterdir())
+    assert files == sorted(p.name for p in (tmp_path / "float").iterdir())
+    for name in files:
+        assert (tmp_path / "float" / name).read_bytes() == (tmp_path / "int" / name).read_bytes()
+
+
 def test_cli_ingest_graph_predict(trip_log_path, tmp_path, capsys):
     out = tmp_path / "pipeline"
     assert main(["ingest", "--log", trip_log_path, "--out-dir", str(out)]) == 0
