@@ -30,8 +30,8 @@ the same contiguous segment of each, and a split partitions the segments
 stably, so no node is sorted again. The batch is presorted by one stable
 sort per feature of the integer keys `tree · n + rank`, where rank is the
 dense rank of the row's value in its column of X, found once per fit.
-Values that numpy's float sort ties (equal values, -0.0 with 0.0, and every
-NaN) share a rank, so each tree's rows come out in the stable float sort's
+Values that numpy's float sort ties (equal values, and -0.0 with 0.0)
+share a rank, so each tree's rows come out in the stable float sort's
 order. The result equals depth-first CART that argsorts each node, bit for
 bit:
 - a stable partition of a stable sort is the stable sort of the child, so
@@ -40,9 +40,10 @@ bit:
   size in a chunk. A pad lane repeats its node's last row, so every real
   lane's prefix sums accumulate the same operands in the same sequence; a
   node's totals are its own last real lane and `n - nl` is per node, so its
-  children-SSE scores see the same operands. Lanes with `nl >= n` are +inf
-  by an explicit mask, so the column-major argmin over (feature, lane)
-  picks the same lowest feature, then lowest threshold;
+  children-SSE scores see the same operands. A pad lane ties with the lane
+  before it, so the mask of tied neighbours makes it +inf, and the
+  column-major argmin over (feature, lane) picks the same lowest feature,
+  then lowest threshold;
 - node values are `np.add.reduce(rows, axis=1) / n`, which equals
   `np.mean` of each row, one reduction per size class. numpy's pairwise sum
   adds a row of up to PAIRWISE_BLOCK values in eight accumulators over its
@@ -153,9 +154,9 @@ def _best_splits(xv: np.ndarray, yv: np.ndarray, starts: np.ndarray,
         np.square(right, out=right)
         right /= n - nl
         scores -= right
-    # Lanes at or past a node's last row are pads; an explicit mask, since
-    # NaN features make pad == pad false.
-    np.copyto(scores, np.inf, where=(xs[..., :-1] == xs[..., 1:]) | (nl >= n))
+    # No split between tied values; lanes at or past a node's last row are
+    # pads, which tie with it (features are finite).
+    np.copyto(scores, np.inf, where=xs[..., :-1] == xs[..., 1:])
     # Per node, feature-major: argmin prefers the lowest feature, then the
     # lowest threshold.
     flat = scores.transpose(1, 0, 2).reshape(g, -1)
@@ -286,13 +287,13 @@ def _bootstraps(seed: int, trees: range, n: int) -> np.ndarray:
 def _value_ranks(X: np.ndarray) -> np.ndarray:
     """Dense rank of each value in its column of X, as int32 of X's shape.
 
-    Ranks follow numpy's float sort. Values it ties share a rank: equal
-    values, -0.0 with 0.0, and every NaN (sorted last).
+    Ranks follow numpy's float sort of finite values. Values it ties share
+    a rank: equal values, and -0.0 with 0.0.
     """
     by_value = np.argsort(X, axis=0, kind="stable")
     xs = np.take_along_axis(X, by_value, axis=0)
     sorted_ranks = np.zeros(X.shape, dtype=np.int32)
-    np.cumsum((xs[1:] != xs[:-1]) & ~np.isnan(xs[:-1]), axis=0, out=sorted_ranks[1:])
+    np.cumsum(xs[1:] != xs[:-1], axis=0, out=sorted_ranks[1:])
     ranks = np.empty_like(sorted_ranks)
     np.put_along_axis(ranks, by_value, sorted_ranks, axis=0)
     return ranks
@@ -442,6 +443,8 @@ def fit_bagged_trees(X: np.ndarray, y: np.ndarray, n_trees: int = DEFAULT_N_TREE
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or 0 in X.shape:
         raise ValueError(f"X must have at least one row and one feature, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise ValueError("every feature must be finite")
     # Equal batches of at most BATCH_ELEMENTS order entries each.
     per_tree = max(1, len(y) * (X.shape[1] + 1))
     n_batches = max(1, -(-n_trees * per_tree // BATCH_ELEMENTS))

@@ -5,19 +5,20 @@ lexicographic tie-break on the node sequence) stands in for an external
 engine.
 
 A `RoadGraph` is fixed when built: it checks its node and edge rows, then
-holds each edge once, in out-edge lists by node rank (the position in
-sorted id order). Its in-edge lists and unit vectors are built on first
-use, and it remembers every snap by (lat, lon); `scenario.load_scenarios`
-snaps the whole station catalogue once, so no run snaps a station again.
+holds them in out-edge lists by node rank (the position in sorted id
+order). Its in-edge lists, each entering edge reversed, and unit vectors
+are built on first use, and it remembers every snap by (lat, lon);
+`scenario.load_scenarios` snaps the whole station catalogue once, so no run
+snaps a station again.
 
-A `BuiltinRouter` memoises every route it returns, keeps one resumable
-forward search per one-stop start node (every departure -> stop leg; it
-settles only as far as the farthest stop asked for), and keeps one
-resumable reverse search per destination (every stop -> first waypoint
-leg, and the waypoint tail). A reverse-search path is used only when a
-certificate shows that no other path comes within rounding of it, which
-makes it the path the forward search returns; otherwise a forward search
-runs. The harness builds one router per scenario run.
+A `BuiltinRouter` memoises every route it returns and runs one resumable
+search both ways: over the out-edges from each one-stop start node (every
+departure -> stop leg; it settles only as far as the farthest stop asked
+for), and over the reversed in-edges into each destination (every stop ->
+first waypoint leg, and the waypoint tail). A reverse-search path is used
+only when a certificate shows that no other path comes within rounding of
+it, which makes it the path the forward search returns; otherwise a
+forward search runs. The harness builds one router per scenario run.
 
 Snapping screens by unit-vector dot products, the edges' geodesic check
 and corridor filtering by numpy distances (the corridor in one pass of
@@ -93,7 +94,7 @@ class BadRow(ValueError):
         self.index = index
 
 
-Edge = tuple[int, int, float, float]  # (from rank, to rank, length_m, time_s)
+Edge = tuple[int, int, float, float]  # (rank left, rank reached, length_m, time_s)
 
 
 class RoadGraph:
@@ -101,9 +102,11 @@ class RoadGraph:
 
     `nodes` maps each id to its (lat, lon), in row order; `ids` holds the
     ids sorted and `rank` each id's position in `ids`. `out_edges[u]` holds
-    the edges leaving rank u and `in_edges[v]` those entering v, parallel
-    edges in row order; the two share each edge's tuple. Ranks follow the
-    sorted ids, so the searches index lists, not string-keyed dicts.
+    the edges (u, v, length_m, time_s) leaving rank u and `in_edges[v]` the
+    edges entering v, each reversed as (v, u, length_m, time_s), so an
+    edge's second rank is always the node it reaches; parallel edges keep
+    row order in both. Ranks follow the sorted ids, so the searches index
+    lists, not string-keyed dicts.
     """
 
     def __init__(self, nodes: Sequence[tuple[str, float, float]],
@@ -178,11 +181,11 @@ class RoadGraph:
 
     @cached_property
     def in_edges(self) -> list[tuple[Edge, ...]]:
-        """The edges entering each rank, built on first use."""
+        """The edges entering each rank, reversed, built on first use."""
         into: list[list[Edge]] = [[] for _ in self.ids]
         for edges in self.out_edges:
-            for edge in edges:
-                into[edge[1]].append(edge)
+            for u, v, length_m, time_s in edges:
+                into[v].append((v, u, length_m, time_s))
         return [tuple(edges) for edges in into]
 
     @cached_property
@@ -255,32 +258,33 @@ class BuiltinRouter:
     A route's distance and time are summed along its path from 0.0, in path
     order.
 
-    The router memoises every route by (src, dst) and keeps one forward
-    search per one-stop start node and one reverse Dijkstra search per
-    destination. Both are resumed only until the node asked for is settled.
-    A leg from a start node resumes its forward search; a leg whose source
-    has no forward search resumes the destination's reverse search until the
-    source is settled, then walks the successor chain. The chain is taken only if, at each node u on it,
-    every out-edge (u, w) that leaves the chain costs more than
-    `CERTIFY_MARGIN_REL * d(src) + CERTIFY_MARGIN_ABS` over the chain:
-    `time(u, w) + d(w) - d(u)`, with d(w) bounded below by the last
-    settled cost while w is unsettled. No other path then sums to within
-    rounding of the chain, forward or in reverse, so the forward search
-    would return the chain too; parallel edges into the next chain node
-    follow the forward rule. Otherwise, or when the source cannot reach the
-    destination, a fresh forward search runs to the destination and
-    `fallbacks` counts it.
+    One resumable search, `_Search`, runs both ways: over the out-edges
+    from each one-stop start node, and over the reversed in-edges into each
+    destination. Each is kept for the router's life and resumed only until
+    the node asked for is settled; every route is memoised by (src, dst).
+    A leg from a start node reads its forward search's path. A leg whose
+    source has no forward search resumes the destination's reverse search
+    until the source is settled, then walks the successor chain. The chain
+    is taken only if, at each node u on it, every out-edge (u, w) that
+    leaves the chain costs more than `CERTIFY_MARGIN_REL * d(src) +
+    CERTIFY_MARGIN_ABS` over the chain: `time(u, w) + d(w) - d(u)`, with
+    d(w) bounded below by the last settled cost while w is unsettled. No
+    other path then sums to within rounding of the chain, forward or in
+    reverse, so the forward search would return the chain too, and the
+    reverse relaxation kept the forward rule's parallel edge. Otherwise, or
+    when the source cannot reach the destination, a fresh forward search
+    runs to the destination and `fallbacks` counts it.
 
-    The searches run over the graph's edge lists, on node ranks; ranks
-    follow the sorted ids, so ordering by (cost, rank) or by rank tuples
-    breaks ties as the ids do. Routes name nodes by id.
+    The searches run on node ranks; ranks follow the sorted ids, so
+    ordering by (cost, rank) or by rank tuples breaks ties as the ids do.
+    Routes name nodes by id.
     """
 
     def __init__(self, graph: RoadGraph):
         self.graph = graph
         self._routes: dict[tuple[str, str], Route] = {}
-        self._forward: dict[str, _ForwardSearch] = {}
-        self._reverse: dict[str, _ReverseSearch] = {}
+        self._forward: dict[str, _Search] = {}
+        self._reverse: dict[str, _Search] = {}
         self.fallbacks = 0
 
     def _check(self, src: str, dst: str) -> None:
@@ -297,42 +301,56 @@ class BuiltinRouter:
                 route = self._certified_route(src, dst)
                 if route is None:
                     self.fallbacks += 1
-                    search = _ForwardSearch(self.graph, src)
+                    search = _Search(self.graph.out_edges, self.graph.rank[src])
             if route is None:
-                route = search.route(dst)
+                route = self._forward_route(search, dst)
             self._routes[key] = route
         return route
+
+    def _forward_route(self, search: _Search, dst: str) -> Route:
+        """The route along a forward search's path to dst; Unreachable if
+        there is none."""
+        ids, pred, src = self.graph.ids, search.pred, search.src
+        node = self.graph.rank[dst]
+        if not search.settle(node):
+            raise errors.Unreachable(f"no path {ids[src]}->{dst}")
+        path = _path(pred, src, node)
+        dist_m = total_time_s = 0.0
+        for v in path[1:]:
+            _, _, length_m, time_s = pred[v]
+            dist_m += length_m
+            total_time_s += time_s
+        # From a list: tuple() of a generator regrows its block as it goes,
+        # which fragments the heap over many routes.
+        return Route(nodes=tuple([ids[v] for v in path]), distance_km=dist_m / 1000.0,
+                     time_s=total_time_s)
 
     def _certified_route(self, src: str, dst: str) -> Route | None:
         """The reverse-search path src -> dst if it passes the certificate,
         else None (also when src cannot reach dst)."""
+        graph = self.graph
         search = self._reverse.get(dst)
         if search is None:
-            search = self._reverse[dst] = _ReverseSearch(self.graph, dst)
-        graph = self.graph
+            search = self._reverse[dst] = _Search(graph.in_edges, graph.rank[dst])
         u = graph.rank[src]
         if not search.settle(u):
             return None
-        dist, succ, done = search.dist, search.succ, search.done
+        cost, pred, done = search.cost, search.pred, search.done
         # Unsettled nodes cost at least the last settled cost, or cannot
         # reach dst at all once the search is exhausted.
         floor = search.last if search.heap else math.inf
-        margin = CERTIFY_MARGIN_REL * dist[u] + CERTIFY_MARGIN_ABS
+        margin = CERTIFY_MARGIN_REL * cost[u] + CERTIFY_MARGIN_ABS
         out_edges, ids = graph.out_edges, graph.ids
         nodes = [src]
         dist_m = time_s = 0.0
-        while u != search.dst:
-            nxt, d_u = succ[u], dist[u]
-            edge = None
-            for e in out_edges[u]:
-                to = e[1]
-                if to == nxt:
-                    if edge is None or e[3] < edge[3]:
-                        edge = e
-                elif e[3] + (dist[to] if done[to] else floor) - d_u <= margin:
+        while u != search.src:
+            nxt, _, length_m, edge_s = pred[u]
+            d_u = cost[u]
+            for _, to, _, t in out_edges[u]:
+                if to != nxt and t + (cost[to] if done[to] else floor) - d_u <= margin:
                     return None
-            dist_m += edge[2]
-            time_s += edge[3]
+            dist_m += length_m
+            time_s += edge_s
             nodes.append(ids[nxt])
             u = nxt
         return Route(nodes=tuple(nodes), distance_km=dist_m / 1000.0, time_s=time_s)
@@ -345,10 +363,8 @@ class BuiltinRouter:
         other legs are searched once each.
         """
         self._check(start, stop)
-        search = self._forward.get(start)
-        if search is None:
-            search = self._forward[start] = _ForwardSearch(self.graph, start)
-        search.settle(self.graph.rank[stop])
+        if start not in self._forward:
+            self._forward[start] = _Search(self.graph.out_edges, self.graph.rank[start])
         waypoints = [start, stop] + list(remaining)
         legs = [self.shortest_route(a, b) for a, b in zip(waypoints, waypoints[1:])]
         nodes: tuple[str, ...] = legs[0].nodes
@@ -359,40 +375,47 @@ class BuiltinRouter:
                      time_s=sum(l.time_s for l in legs))
 
 
-class _ForwardSearch:
-    """Dijkstra from node `src`, advanced only as far as asked.
+class _Search:
+    """Dijkstra from rank `src` over the edge table `edges`, advanced only
+    as far as asked: over `RoadGraph.out_edges` from a departure, over the
+    reversed `RoadGraph.in_edges` into a destination, where `pred[u][0]` is
+    u's successor on the way there.
 
-    Indexed by rank: `pred[v]` is the edge into v (its `Edge` tuple); it is final for every node settled in `done`, which holds every settled
-    node's ancestors too. An exact cost tie goes to the smaller path,
-    reconstructed from `pred`, which gives the same paths as ordering the
-    heap by (cost, path). A search settled to any node has made the first
-    moves of the search of the whole graph, in its order, so its settled
-    paths are that search's paths.
+    Indexed by rank: `cost[v]` and `pred[v]`, the edge that reached v, are
+    final for every node settled in `done`, which holds every settled
+    node's ancestors too. `last`, the cost of the node settled last when
+    `settle` returned, bounds every unsettled node's cost from below. An
+    exact cost tie goes to the smaller path, reconstructed from `pred`,
+    which gives the same paths as ordering the heap by (cost, path). A
+    search settled to any node has made the first moves of the search of
+    the whole graph, in its order, so its settled paths are that search's
+    paths.
     """
 
-    def __init__(self, graph: RoadGraph, src: str):
-        self.graph = graph
-        self.src = graph.rank[src]
-        n = len(graph.ids)
+    def __init__(self, edges: list[tuple[Edge, ...]], src: int):
+        self.edges = edges
+        self.src = src
+        n = len(edges)
         self.cost: list[float | None] = [None] * n
-        self.cost[self.src] = 0.0
+        self.cost[src] = 0.0
         self.pred: list[Edge | None] = [None] * n
         self.done = bytearray(n)
-        self.heap = [(0.0, self.src)]
+        self.heap = [(0.0, src)]
+        self.last = 0.0
 
     def settle(self, node: int) -> bool:
         """Resume until `node` is settled; False if `src` cannot reach it."""
         done = self.done
         if done[node]:
             return True
-        out_edges, src = self.graph.out_edges, self.src
+        edges, src = self.edges, self.src
         cost, pred, heap = self.cost, self.pred, self.heap
         while heap:
             c, v = heapq.heappop(heap)
             if done[v]:
                 continue
             done[v] = 1
-            for edge in out_edges[v]:
+            for edge in edges[v]:
                 _, to, _, time_s = edge
                 if done[to]:
                     continue
@@ -414,71 +437,7 @@ class _ForwardSearch:
                           < _path(pred, src, prev[0]) + (to,)):
                         pred[to] = edge
             if v == node:
-                return True
-        return False
-
-    def route(self, dst: str) -> Route:
-        """The route src -> dst; Unreachable if there is none."""
-        ids, pred, src = self.graph.ids, self.pred, self.src
-        node = self.graph.rank[dst]
-        if not self.settle(node):
-            raise errors.Unreachable(f"no path {ids[src]}->{dst}")
-        path = _path(pred, src, node)
-        dist_m = 0.0
-        total_time_s = 0.0
-        for v in path[1:]:
-            _, _, length_m, time_s = pred[v]
-            dist_m += length_m
-            total_time_s += time_s
-        # From a list: tuple() of a generator regrows its block as it goes,
-        # which fragments the heap over many routes.
-        return Route(nodes=tuple([ids[v] for v in path]), distance_km=dist_m / 1000.0,
-                     time_s=total_time_s)
-
-
-class _ReverseSearch:
-    """Dijkstra into node `dst` over in-edges, advanced only as far as asked.
-
-    Indexed by rank: `dist[v]` is v's cost to dst and `succ[v]` the next
-    node on its path; both are final once v is settled in `done`. `last` is
-    the cost of the node settled last, a lower bound on the cost of every
-    unsettled node.
-    """
-
-    def __init__(self, graph: RoadGraph, dst: str):
-        self.graph = graph
-        self.dst = graph.rank[dst]
-        n = len(graph.ids)
-        self.dist: list[float | None] = [None] * n
-        self.dist[self.dst] = 0.0
-        self.succ: list[int | None] = [None] * n
-        self.done = bytearray(n)
-        self.heap = [(0.0, self.dst)]
-        self.last = 0.0
-
-    def settle(self, node: int) -> bool:
-        """Resume until `node` is settled; False if it cannot reach dst."""
-        done = self.done
-        if done[node]:
-            return True
-        in_edges = self.graph.in_edges
-        dist, succ, heap = self.dist, self.succ, self.heap
-        while heap:
-            c, v = heapq.heappop(heap)
-            if done[v]:
-                continue
-            done[v] = 1
-            self.last = c
-            for u, _, _, time_s in in_edges[v]:
-                if done[u]:
-                    continue
-                new = c + time_s
-                old = dist[u]
-                if old is None or new < old:
-                    dist[u] = new
-                    succ[u] = v
-                    heapq.heappush(heap, (new, u))
-            if v == node:
+                self.last = c
                 return True
         return False
 

@@ -23,7 +23,6 @@ from .telemetry import WEEKDAYS
 STATIONS_HEADER = ["station_id", "lat", "lon", "brand", "fuel_type",
                    "price_eur_l", "observed_date"]
 
-STALE_AFTER_DAYS = 14
 LOOKBACK_WEEKS = 4
 
 
@@ -51,7 +50,6 @@ class WeeklyPriceForecast:
     station_prices: dict[str, dict[str, float]]
     # weekday -> cheapest forecast €/L over stations
     area_prices: dict[str, float]
-    stale_stations: frozenset[str] = frozenset()
 
 
 def load_stations(path: str) -> tuple[list[Station], PriceHistory]:
@@ -118,15 +116,11 @@ def forecast_week(history: PriceHistory, fuel_type: str) -> WeeklyPriceForecast:
         raise errors.EmptyHistory(f"no observations for fuel type {fuel_type!r}")
     anchor = history.latest_date()
     horizon = anchor - timedelta(weeks=LOOKBACK_WEEKS)
-    stale_cutoff = anchor - timedelta(days=STALE_AFTER_DAYS)
 
     station_prices: dict[str, dict[str, float]] = {}
-    stale: set[str] = set()
     for sid, fuel in keys:
         obs = history.series[(sid, fuel)]
-        last_date, last_price = obs[-1]
-        if last_date < stale_cutoff:
-            stale.add(sid)
+        last_price = obs[-1][1]
         # Grouped in observation order, so each mean sums in date order.
         by_weekday: list[list[float]] = [[] for _ in WEEKDAYS]
         for d, p in obs:
@@ -138,7 +132,7 @@ def forecast_week(history: PriceHistory, fuel_type: str) -> WeeklyPriceForecast:
     area = {wd: min(prices[wd] for prices in station_prices.values())
             for wd in WEEKDAYS}
     return WeeklyPriceForecast(fuel_type=fuel_type, station_prices=station_prices,
-                               area_prices=area, stale_stations=frozenset(stale))
+                               area_prices=area)
 
 
 def cheapest_day(forecast: WeeklyPriceForecast, days: Iterable[str] = WEEKDAYS) -> str:

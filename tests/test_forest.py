@@ -110,8 +110,7 @@ def reference_best_split(X, y):
 def reference_forest(X, y, n_trees, max_depth, seed):
     """dump_trees output of depth-first CART that argsorts every node."""
     def grow(X, y, depth):
-        with np.errstate(all="ignore"):
-            value = float(np.mean(y)) if len(y) else float("nan")
+        value = float(np.mean(y))
         split = (None if depth >= max_depth or len(y) < 2 or np.all(y == y[0])
                  else reference_best_split(X, y))
         if split is None:
@@ -158,17 +157,16 @@ def test_forest_matches_depth_first_cart(d, data):
                                     min_size=n, max_size=n)))
     n_trees, max_depth, seed = (data.draw(st.integers(1, 5)), data.draw(st.integers(0, 6)),
                                 data.draw(st.integers(0, 3)))
-    with np.errstate(all="ignore"):
-        model = fit_bagged_trees(X[:n], y, n_trees=n_trees, max_depth=max_depth, seed=seed)
-        preds = model.predict(X[n:])
+    model = fit_bagged_trees(X[:n], y, n_trees=n_trees, max_depth=max_depth, seed=seed)
+    preds = model.predict(X[n:])
     expected = reference_forest(X[:n], y, n_trees, max_depth, seed)
     assert json.dumps(dump_trees(model)) == json.dumps(expected)
     assert repr(preds.tolist()) == repr(reference_predict(expected, X[n:]))
 
 
 def test_value_ranks_tie_as_the_float_sort_does():
-    X = np.array([[0.0, 2.0], [-0.0, 1.0], [np.nan, 1.0], [1.0, -0.0], [-0.0, np.nan],
-                  [np.nan, 0.0], [-np.inf, 2.0], [1.0, 0.0], [np.inf, -1.0]])
+    X = np.array([[0.0, 2.0], [-0.0, 1.0], [5.0, 1.0], [1.0, -0.0], [-0.0, 5.0],
+                  [5.0, 0.0], [-7.0, 2.0], [1.0, 0.0], [3.0, -1.0]])
     ranks = forest._value_ranks(X)
     assert ranks.T.tolist() == [[1, 1, 4, 2, 1, 4, 0, 2, 3], [3, 2, 2, 1, 4, 1, 3, 1, 0]]
     rows = np.random.default_rng(0).integers(0, len(X), size=200)
@@ -183,11 +181,10 @@ def test_wide_batch_matches_depth_first_cart():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(20000, 1))
     tied = rng.random(len(X)) < 0.3
-    X[tied, 0] = rng.choice([-0.0, 0.0, np.nan], size=tied.sum())
-    y = np.round(rng.normal(size=len(X)) * 4.0) + 3.0 * np.nan_to_num(X[:, 0])
-    with np.errstate(all="ignore"):  # a NaN threshold leaves an empty child
-        model = fit_bagged_trees(X, y, n_trees=3, max_depth=3, seed=0)
-        expected = reference_forest(X, y, 3, 3, 0)
+    X[tied, 0] = rng.choice([-0.0, 0.0, 1.5], size=tied.sum())
+    y = np.round(rng.normal(size=len(X)) * 4.0) + 3.0 * X[:, 0]
+    model = fit_bagged_trees(X, y, n_trees=3, max_depth=3, seed=0)
+    expected = reference_forest(X, y, 3, 3, 0)
     assert json.dumps(dump_trees(model)) == json.dumps(expected)
 
 
@@ -367,9 +364,9 @@ def test_fit_memory_stays_bounded():
 def crafted_level():
     """Nodes of sizes 2..35 with three features and whole-number targets.
 
-    Feature 0 has a constant tail, so pad lanes past a node's last row tie
-    with it; feature 1 has a NaN tail, which no equality test masks, so a
-    pad lane scored as if real would win the node's argmin.
+    Features 0 and 1 end in a run of one value (feature 1's largest), so a
+    node's last real lanes tie as its pad lanes do, and one equality mask
+    must score both +inf.
     """
     rng = np.random.default_rng(11)
     nodes = []
@@ -377,7 +374,7 @@ def crafted_level():
         tail = n // 3
         x0 = np.concatenate([rng.normal(size=n - tail), np.full(tail, 4.0)])
         x1 = np.concatenate([rng.integers(0, 5, size=n - tail - 1).astype(float),
-                             np.full(tail + 1, np.nan)])
+                             np.full(tail + 1, 9.0)])
         X = np.column_stack([x0, x1, np.round(rng.normal(size=n), 1)])
         perm = rng.permutation(n)
         nodes.append((X[perm], np.round(rng.normal(size=n) * 4.0)))
@@ -395,15 +392,14 @@ def test_padded_level_search_matches_depth_first_cart():
     by_size = np.argsort(-sizes, kind="stable")
     j, thr, ok = forest._best_splits(xv, yv, starts[by_size], sizes[by_size])
     got = [(int(f), float(t)) if good else None for f, t, good in zip(j, thr, ok)]
-    with np.errstate(all="ignore"):
-        expected = [reference_best_split(*nodes[k]) for k in by_size]
+    expected = [reference_best_split(*nodes[k]) for k in by_size]
     assert repr(got) == repr(expected)
-    assert sum(g is not None and np.isnan(g[1]) for g in got) > 0
 
 
-def test_forest_with_nan_tails_matches_depth_first_cart():
-    X, y = crafted_level()[-1]
-    with np.errstate(all="ignore"):
-        model = fit_bagged_trees(X, y, n_trees=12, seed=2)
-        expected = reference_forest(X, y, 12, 6, 2)
-    assert json.dumps(dump_trees(model)) == json.dumps(expected)
+@pytest.mark.parametrize("X", [[[0.0], [1.0], [np.nan], [np.nan], [2.0], [np.nan]],
+                               [[-np.inf], [np.inf]] * 3], ids=["nan", "inf"])
+def test_non_finite_features_are_refused(X):
+    # A NaN feature would split at a NaN threshold, which sends every row
+    # right and leaves an empty child with a NaN value.
+    with pytest.raises(ValueError, match="^every feature must be finite$"):
+        fit_bagged_trees(X, [0.0, 1.0, 5.0, 6.0, 2.0, 7.0], n_trees=5, seed=0)

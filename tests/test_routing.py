@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from refuelopt import errors
 from refuelopt.geo import haversine_m, haversine_m_array, point_polyline_distance_m
 from refuelopt.roadgraph import (SCREEN_BLOCK, BadRow, BuiltinRouter, RoadGraph, Route,
-                                 corridor_filter, generate_city,
+                                 _path, _Search, corridor_filter, generate_city,
                                  load_road_graph, save_road_graph)
 
 M_PER_DEG = 111_194.9
@@ -107,7 +107,7 @@ def test_constructor_checks_edge_rows_in_order():
         RoadGraph(AB, [good, ("A", "Z", 600.0, 60.0), ("B", "A", -1.0, 60.0)])
     g = RoadGraph(AB, [good, good, ("B", "A", 700.0, 70.0)])
     assert g.out_edges == [((0, 1, 600.0, 60.0),) * 2, ((1, 0, 700.0, 70.0),)]
-    assert g.in_edges == [((1, 0, 700.0, 70.0),), ((0, 1, 600.0, 60.0),) * 2]
+    assert g.in_edges == [((0, 1, 700.0, 70.0),), ((1, 0, 600.0, 60.0),) * 2]
     assert RoadGraph(AB, []).out_edges == [(), ()]
 
 
@@ -447,6 +447,37 @@ def test_router_matches_path_heap_router(data):
     # Every (src, dst) pair again on the same router: memo and trees hit.
     for a, b in itertools.product(ids, ids):
         assert outcome(router.shortest_route, a, b) == outcome(ref.shortest_route, a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_reverse_search_is_the_forward_search_of_the_reversed_graph(data):
+    g = data.draw(small_graphs())
+    rows = [(g.ids[v], g.ids[u], length_m, time_s)
+            for leaving in g.out_edges for u, v, length_m, time_s in leaving]
+    # Shuffled rows reorder parallel edges, which must not move a cost.
+    flipped = RoadGraph([(nid, *g.nodes[nid]) for nid in g.ids],
+                        data.draw(st.permutations(rows)))
+    dst = data.draw(st.integers(0, len(g.ids) - 1))
+    reverse, forward = _Search(g.in_edges, dst), _Search(flipped.out_edges, dst)
+    for node in data.draw(st.lists(st.integers(0, len(g.ids) - 1), max_size=len(g.ids))):
+        assert reverse.settle(node) == forward.settle(node)
+        assert reverse.done == forward.done
+        settled = [v for v in range(len(g.ids)) if reverse.done[v]]
+        assert [reverse.cost[v] for v in settled] == [forward.cost[v] for v in settled]
+        for u in settled:
+            # u's successor chain into dst is the reversed graph's path from
+            # dst to u, read backwards, its ties broken the same way.
+            chain = [u]
+            while chain[-1] != dst:
+                chain.append(reverse.pred[chain[-1]][0])
+            assert tuple(reversed(chain)) == _path(forward.pred, dst, u)
+            if u != dst:
+                # The edge to the successor is the forward rule's: the first
+                # fastest parallel edge in row order.
+                nxt = reverse.pred[u][0]
+                first = min((e for e in g.out_edges[u] if e[1] == nxt), key=lambda e: e[3])
+                assert reverse.pred[u] == (nxt, u, *first[2:])
 
 
 class ForwardRouter(BuiltinRouter):

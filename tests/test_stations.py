@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from refuelopt import errors
-from refuelopt.stations import (STALE_AFTER_DAYS, STATIONS_HEADER, PriceHistory,
-                                WeeklyPriceForecast, cheapest_day, forecast_week,
-                                load_stations, save_stations)
+from refuelopt.stations import (STATIONS_HEADER, PriceHistory, WeeklyPriceForecast,
+                                cheapest_day, forecast_week, load_stations, save_stations)
 from refuelopt.telemetry import WEEKDAYS
 
 MONDAY = date(2025, 1, 6)
@@ -158,13 +157,6 @@ def test_area_price_is_cheapest_station():
     assert set(fc.station_prices) == {"S1", "S2"}  # other fuel excluded
 
 
-def test_stale_stations_flagged():
-    obs = {("S1", "diesel"): [(MONDAY, 1.80)],
-           ("S2", "diesel"): [(MONDAY + timedelta(days=20), 1.75)]}
-    fc = forecast_week(history(obs), "diesel")
-    assert fc.stale_stations == {"S1"}
-
-
 def test_unknown_fuel_type_raises():
     obs = {("S1", "diesel"): [(MONDAY, 1.80)]}
     with pytest.raises(errors.EmptyHistory):
@@ -184,13 +176,10 @@ def reference_forecast_week(history, fuel_type):
     keys = [k for k in history.series if k[1] == fuel_type]
     anchor = history.latest_date()
     horizon = anchor - timedelta(weeks=4)
-    stale_cutoff = anchor - timedelta(days=STALE_AFTER_DAYS)
-    station_prices, stale = {}, set()
+    station_prices = {}
     for sid, fuel in keys:
         obs = history.series[(sid, fuel)]
-        last_date, last_price = obs[-1]
-        if last_date < stale_cutoff:
-            stale.add(sid)
+        last_price = obs[-1][1]
         per_day = {}
         for wd_index, wd in enumerate(WEEKDAYS):
             vals = [p for d, p in obs if d.weekday() == wd_index and d > horizon]
@@ -198,7 +187,7 @@ def reference_forecast_week(history, fuel_type):
         station_prices[sid] = per_day
     area = {wd: min(prices[wd] for prices in station_prices.values()) for wd in WEEKDAYS}
     return WeeklyPriceForecast(fuel_type=fuel_type, station_prices=station_prices,
-                               area_prices=area, stale_stations=frozenset(stale))
+                               area_prices=area)
 
 
 @settings(max_examples=60, deadline=None)
