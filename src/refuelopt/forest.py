@@ -346,7 +346,7 @@ def _grow_batch(X: np.ndarray, y: np.ndarray, ranks: np.ndarray, trees: range, s
         np.take(yv[j], ranked, out=xv[j])
         np.take(yb, ranked, out=yv[j])
     del boot, tree_base, key, ranked  # the levels' temporaries set a fit's peak memory
-    top = np.abs(y[np.isfinite(y)]).max(initial=0.0)
+    top = np.abs(y).max(initial=0.0)
     if top >= 2.0 ** SCORE_EXP:  # a power of two scales every score exactly; yb is kept
         yv *= 2.0 ** (SCORE_EXP - np.frexp(top)[1])
     goes_left = np.zeros(width, dtype=bool)
@@ -375,8 +375,8 @@ def _grow_batch(X: np.ndarray, y: np.ndarray, ranks: np.ndarray, trees: range, s
             np.copyto(rows, -0.0, where=span >= sizes[sel, None])
             value[sel] = np.add.reduce(rows, axis=1) / sizes[sel]
         if depth < max_depth:
-            # Nodes with at least MIN_SAMPLES_SPLIT rows whose targets differ
-            # (NaN differs from everything), largest first.
+            # Nodes with at least MIN_SAMPLES_SPLIT rows whose targets differ,
+            # largest first.
             big = np.flatnonzero(sizes >= MIN_SAMPLES_SPLIT)
             used = starts[-1] + sizes[-1]
             changes = np.concatenate([[0], np.cumsum(yb[1:used] != yb[:used - 1])])
@@ -445,6 +445,8 @@ def fit_bagged_trees(X: np.ndarray, y: np.ndarray, n_trees: int = DEFAULT_N_TREE
         raise ValueError(f"X must have at least one row and one feature, got shape {X.shape}")
     if not np.isfinite(X).all():
         raise ValueError("every feature must be finite")
+    if not np.isfinite(y).all():
+        raise ValueError("every target must be finite")
     # Equal batches of at most BATCH_ELEMENTS order entries each.
     per_tree = max(1, len(y) * (X.shape[1] + 1))
     n_batches = max(1, -(-n_trees * per_tree // BATCH_ELEMENTS))

@@ -9,7 +9,10 @@ holds them in out-edge lists by node rank (the position in sorted id
 order). Its in-edge lists, each entering edge reversed, and unit vectors
 are built on first use, and it remembers every snap by (lat, lon);
 `scenario.load_scenarios` snaps the whole station catalogue once, so no run
-snaps a station again.
+snaps a station again. On a twin-edge graph, where every road has a twin
+of equal length and time listed in the same order (as `generate_city` and
+`save_road_graph` write them), the reversed in-edges are the out-edges, and
+the graph keeps one edge table.
 
 A `BuiltinRouter` memoises every route it returns and runs one resumable
 search both ways: over the out-edges from each one-stop start node (every
@@ -18,7 +21,9 @@ for), and over the reversed in-edges into each destination (every stop ->
 first waypoint leg, and the waypoint tail). A reverse-search path is used
 only when a certificate shows that no other path comes within rounding of
 it, which makes it the path the forward search returns; otherwise a
-forward search runs. The harness builds one router per scenario run.
+forward search runs. On a twin-edge graph the search into a node is the
+search out of it, so the router runs one search per node. The harness
+builds one router per scenario run.
 
 Snapping screens by unit-vector dot products, the edges' geodesic check
 and corridor filtering by numpy distances (the corridor in one pass of
@@ -105,8 +110,9 @@ class RoadGraph:
     the edges (u, v, length_m, time_s) leaving rank u and `in_edges[v]` the
     edges entering v, each reversed as (v, u, length_m, time_s), so an
     edge's second rank is always the node it reaches; parallel edges keep
-    row order in both. Ranks follow the sorted ids, so the searches index
-    lists, not string-keyed dicts.
+    row order in both. On a twin-edge graph `in_edges` is `out_edges`.
+    Ranks follow the sorted ids, so the searches index lists, not
+    string-keyed dicts.
     """
 
     def __init__(self, nodes: Sequence[tuple[str, float, float]],
@@ -181,12 +187,19 @@ class RoadGraph:
 
     @cached_property
     def in_edges(self) -> list[tuple[Edge, ...]]:
-        """The edges entering each rank, reversed, built on first use."""
+        """The edges entering each rank, reversed, built on first use, by
+        the rank they leave, parallel edges in row order.
+
+        On a twin-edge graph these lists equal the out-edge lists, tuple for
+        tuple, and the out-edge table itself is returned: one table, so a
+        search into a node and a search out of it are the same search.
+        """
         into: list[list[Edge]] = [[] for _ in self.ids]
         for edges in self.out_edges:
             for u, v, length_m, time_s in edges:
                 into[v].append((v, u, length_m, time_s))
-        return [tuple(edges) for edges in into]
+        reversed_edges = [tuple(edges) for edges in into]
+        return self.out_edges if reversed_edges == self.out_edges else reversed_edges
 
     @cached_property
     def _units(self) -> np.ndarray:
@@ -262,6 +275,9 @@ class BuiltinRouter:
     from each one-stop start node, and over the reversed in-edges into each
     destination. Each is kept for the router's life and resumed only until
     the node asked for is settled; every route is memoised by (src, dst).
+    On a twin-edge graph (`graph.in_edges is graph.out_edges`) the two
+    directions share one dict of searches, one per node: a node's search
+    serves the legs out of it and the legs into it.
     A leg from a start node reads its forward search's path. A leg whose
     source has no forward search resumes the destination's reverse search
     until the source is settled, then walks the successor chain. The chain
@@ -284,8 +300,14 @@ class BuiltinRouter:
         self.graph = graph
         self._routes: dict[tuple[str, str], Route] = {}
         self._forward: dict[str, _Search] = {}
-        self._reverse: dict[str, _Search] = {}
         self.fallbacks = 0
+
+    @cached_property
+    def _reverse(self) -> dict[str, _Search]:
+        """The searches into each destination, over `graph.in_edges`: the
+        forward searches' dict itself when that is the out-edge table."""
+        graph = self.graph
+        return self._forward if graph.in_edges is graph.out_edges else {}
 
     def _check(self, src: str, dst: str) -> None:
         if src not in self.graph.nodes or dst not in self.graph.nodes:
@@ -547,4 +569,5 @@ def generate_city(seed: int, rows: int = 12, cols: int = 12) -> RoadGraph:
                 speed_ms = rng.uniform(30.0, 60.0) / 3.6
                 time_s = length / speed_ms
                 edges += [(a, b, length, time_s), (b, a, length, time_s)]
-    return RoadGraph([(node_id, *point) for node_id, point in nodes.items()], edges)
+    # Each node's roads in id order, so the graph keeps one edge table.
+    return RoadGraph([(node_id, *point) for node_id, point in nodes.items()], sorted(edges))

@@ -403,3 +403,12 @@ def test_non_finite_features_are_refused(X):
     # right and leaves an empty child with a NaN value.
     with pytest.raises(ValueError, match="^every feature must be finite$"):
         fit_bagged_trees(X, [0.0, 1.0, 5.0, 6.0, 2.0, 7.0], n_trees=5, seed=0)
+
+
+@pytest.mark.parametrize("y", [[0.0, np.nan, 1.0, 2.0], [0.0, 1.0, np.inf, 2.0]],
+                         ids=["nan", "inf"])
+def test_non_finite_targets_are_refused(y):
+    # A NaN target would make every node mean above it NaN, and with it
+    # every prediction.
+    with pytest.raises(ValueError, match="^every target must be finite$"):
+        fit_bagged_trees([[0.0], [1.0], [2.0], [3.0]], y, n_trees=3, seed=0)

@@ -4,22 +4,25 @@ import inspect
 import math
 import re
 import tempfile
+from collections import Counter
 from dataclasses import fields, replace
 from datetime import date, timedelta
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from refuelopt import errors, forest, harness, mileage, telemetry
+from refuelopt import errors, forest, harness, mileage, roadgraph, telemetry
 from refuelopt.cli import build_parser, main
-from refuelopt.geo import haversine_m
+from refuelopt.geo import haversine_m, haversine_m_array
 from refuelopt.harness import (STRATEGIES, build_context, run_cohort,
                                run_scenario, write_per_run_csv,
                                write_report_csv)
 from refuelopt.optimizer import DEFAULT_REFUEL_DURATION_S, MODES, Mode, VehicleState
-from refuelopt.roadgraph import DEFAULT_CORRIDOR_RADIUS_M, BuiltinRouter, RoadGraph
+from refuelopt.roadgraph import (CORRIDOR_MARGIN_M, DEFAULT_CORRIDOR_RADIUS_M, BuiltinRouter,
+                                 RoadGraph)
 from refuelopt.scenario import (OBSERVATION_START, PROFILE_TEMPLATES, Scenario,
                                 generate_scenario_dir, load_scenarios, make_profile,
                                 make_station_catalog, parse_mode)
@@ -448,7 +451,8 @@ def test_invalid_generated_log_fails_only_its_driver(cohort):
 
 def test_baselines_rank_by_one_shared_distance_table(cohort, monkeypatch):
     # The two distance-ranked baselines must order stations exactly as a
-    # per-call scalar scan does, computing each departure distance once.
+    # per-call scalar scan does. They screen with numpy and compute a
+    # station's scalar distance only where the screen cannot decide, once.
     ctx = build_context(cohort[0])
     lat, lon = ctx.departure_coords
     twin = (lat + 0.01, lon - 0.01)
@@ -488,8 +492,47 @@ def test_baselines_rank_by_one_shared_distance_table(cohort, monkeypatch):
     assert list(orders.values()) == list(expected.values())
     assert orders["no station in fuel range"].index("T1") + 1 == \
         orders["no station in fuel range"].index("T2")
-    assert ctx.station_distance_m == scan
-    assert len(calls) == len(priced)
+    assert Counter(args[2:] for args in calls) <= Counter((s.lat, s.lon) for s in priced)
+    assert len(calls) < len(priced)
+    # The T1/T2 tie is one the screen leaves to the scalar distance.
+    assert twin in {args[2:] for args in calls}
+
+
+@pytest.fixture(scope="module")
+def cohort_context(cohort):
+    return build_context(cohort[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_screened_distance_ranking_matches_the_scalar_sort(cohort_context, data):
+    # Points a few ulps apart, on mirrored offsets, tie or nearly tie in
+    # distance; the radius is one station's scalar distance, an ulp off. The
+    # screen is made off by up to half the margin, the most the ranking
+    # allows for.
+    lat, lon = cohort_context.departure_coords
+    offsets = st.sampled_from([(0.01, 0.0), (-0.01, 0.0), (0.0, 0.014), (0.0, -0.014)])
+    points = data.draw(st.lists(st.tuples(offsets, st.integers(-3, 3), st.integers(-3, 3)),
+                                min_size=1, max_size=12))
+    stations = [Station(f"S{i}", lat + dlat + a * math.ulp(lat + dlat),
+                        lon + dlon + b * math.ulp(lon + dlon), "x")
+                for i, ((dlat, dlon), a, b) in enumerate(points)]
+    prices = {s.station_id: data.draw(st.sampled_from([1.5, 1.6])) for s in stations}
+    ctx = replace(cohort_context, day_prices=prices,
+                  scenario=replace(cohort_context.scenario, stations=stations))
+    errors_m = np.array(data.draw(st.lists(st.floats(-0.49, 0.49), min_size=len(stations),
+                                           max_size=len(stations)))) * CORRIDOR_MARGIN_M
+    scalar = {s.station_id: haversine_m(lat, lon, s.lat, s.lon) for s in stations}
+    radius = data.draw(st.sampled_from(sorted(scalar.values())))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "haversine_m_array",
+                      lambda *args: haversine_m_array(*args) + errors_m)
+        assert ctx.by_distance() == sorted(
+            stations, key=lambda s: (scalar[s.station_id], s.station_id))
+        for edge in (math.nextafter(radius, 0.0), radius, math.nextafter(radius, math.inf)):
+            assert ctx.by_distance(edge, by_price=True) == sorted(
+                (s for s in stations if scalar[s.station_id] <= edge),
+                key=lambda s: (prices[s.station_id], scalar[s.station_id], s.station_id))
 
 
 # sha256 of (per_run.csv, report.csv) for every preset mode on the demo
@@ -507,16 +550,20 @@ PINNED_DIGESTS = [
 ]
 
 
+def csv_digests(report, tmp_path):
+    """sha256 of the report's (per_run.csv, report.csv)."""
+    pp, rp = tmp_path / "per_run.csv", tmp_path / "report.csv"
+    write_per_run_csv(report, str(pp))
+    write_report_csv(report, str(rp))
+    return hashlib.sha256(pp.read_bytes()).hexdigest(), hashlib.sha256(rp.read_bytes()).hexdigest()
+
+
 @pytest.mark.parametrize("overrides,per_run_sha,report_sha", PINNED_DIGESTS)
 def test_cohort_csv_bytes_are_pinned(cohort, tmp_path, overrides, per_run_sha,
                                      report_sha):
     report = run_cohort([replace(s, **overrides) for s in cohort],
                         modes=tuple(MODES.values()))
-    pp, rp = tmp_path / "per_run.csv", tmp_path / "report.csv"
-    write_per_run_csv(report, str(pp))
-    write_report_csv(report, str(rp))
-    assert hashlib.sha256(pp.read_bytes()).hexdigest() == per_run_sha
-    assert hashlib.sha256(rp.read_bytes()).hexdigest() == report_sha
+    assert csv_digests(report, tmp_path) == (per_run_sha, report_sha)
 
 
 def test_accepted_gate_bytes_are_pinned(tmp_path):
@@ -527,13 +574,9 @@ def test_accepted_gate_bytes_are_pinned(tmp_path):
     report = run_cohort(load_scenarios(config), modes=tuple(MODES.values()))
     accepted = {(o.scenario, round(o.delta_km, 3)) for o in report.outcomes if o.gate_accepted}
     assert accepted == {("commuter_1", 7.612)}
-    pp, rp = tmp_path / "per_run.csv", tmp_path / "report.csv"
-    write_per_run_csv(report, str(pp))
-    write_report_csv(report, str(rp))
-    assert hashlib.sha256(pp.read_bytes()).hexdigest() == \
-        "4bee8b9c08cabaf4e90ec27deaca0558526c2ba0e793489f6d0265dbe098b820"
-    assert hashlib.sha256(rp.read_bytes()).hexdigest() == \
-        "97915aa3c56a41a42a5d93763c7056c8e015e9c40c53ddf0a58adc7afa7e7862"
+    assert csv_digests(report, tmp_path) == (
+        "4bee8b9c08cabaf4e90ec27deaca0558526c2ba0e793489f6d0265dbe098b820",
+        "97915aa3c56a41a42a5d93763c7056c8e015e9c40c53ddf0a58adc7afa7e7862")
 
 
 @pytest.fixture(scope="module")
@@ -566,29 +609,60 @@ PINNED_METRO_DIGESTS = [
 def test_metro_cohort_csv_bytes_are_pinned(metro_cohort, tmp_path, overrides,
                                            per_run_sha, report_sha):
     report = run_cohort([replace(s, **overrides) for s in metro_cohort], modes=METRO_MODES)
-    pp, rp = tmp_path / "per_run.csv", tmp_path / "report.csv"
-    write_per_run_csv(report, str(pp))
-    write_report_csv(report, str(rp))
-    assert hashlib.sha256(pp.read_bytes()).hexdigest() == per_run_sha
-    assert hashlib.sha256(rp.read_bytes()).hexdigest() == report_sha
+    assert csv_digests(report, tmp_path) == (per_run_sha, report_sha)
+
+
+@pytest.mark.parametrize("name", ["demo", "metro"])
+def test_a_separate_reversed_table_keeps_the_bytes(cohort, metro_cohort, tmp_path, name):
+    # The same city with its edge rows reversed keeps a reversed in-edge
+    # table of its own, which the router searches into each destination.
+    scenarios, modes, (_, *digests) = {
+        "demo": (cohort, tuple(MODES.values()), PINNED_DIGESTS[0]),
+        "metro": (metro_cohort, METRO_MODES, PINNED_METRO_DIGESTS[0])}[name]
+    graph = scenarios[0].graph
+    assert all(s.graph is graph for s in scenarios) and graph.in_edges is graph.out_edges
+    rows = [(graph.ids[u], graph.ids[v], length_m, time_s)
+            for leaving in graph.out_edges for u, v, length_m, time_s in leaving]
+    flipped = RoadGraph([(nid, *graph.nodes[nid]) for nid in graph.ids], rows[::-1])
+    assert flipped.in_edges is not flipped.out_edges
+    report = run_cohort([replace(s, graph=flipped) for s in scenarios], modes=modes)
+    assert csv_digests(report, tmp_path) == tuple(digests)
 
 
 @pytest.mark.parametrize("overrides", [o for o, _p, _r in PINNED_METRO_DIGESTS])
 def test_metro_cohort_routes_without_fallbacks(metro_cohort, monkeypatch, overrides):
     # A router that fell back to the forward search on every leg would keep
     # every pinned byte; only its counter shows it.
-    routers = []
+    # On this twin-edge city each router also runs one search per node it
+    # routes from or into: the search into a departure is the search out of it.
+    routers, searches = [], []
 
     class CountingRouter(BuiltinRouter):
         def __init__(self, graph):
             super().__init__(graph)
             routers.append(self)
 
+    class CountingSearch(roadgraph._Search):
+        def __init__(self, edges, src):
+            super().__init__(edges, src)
+            searches.append(self)
+
     monkeypatch.setattr(harness, "BuiltinRouter", CountingRouter)
+    monkeypatch.setattr(roadgraph, "_Search", CountingSearch)
     run_cohort([replace(s, **overrides) for s in metro_cohort], modes=METRO_MODES)
     assert len(routers) == len(metro_cohort)
     assert all(r._reverse for r in routers)
     assert [r.fallbacks for r in routers] == [0] * len(routers)
+    both_ways = 0
+    for r in routers:
+        assert r._reverse is r._forward
+        assert [s.src for s in r._forward.values()] == [r.graph.rank[n] for n in r._forward]
+        legs = [key for key in r._routes if key[0] != key[1]]
+        assert set(r._forward) <= {n for leg in legs for n in leg}
+        both_ways += len(set(r._forward) & {a for a, _ in legs} & {b for _, b in legs})
+    # Every search made is one router's search of one node.
+    assert len(searches) == sum(len(r._forward) for r in routers)
+    assert both_ways > 0
 
 
 def test_metro_cohort_screens_no_station_in_a_run(metro_cohort, monkeypatch):

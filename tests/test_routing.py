@@ -431,10 +431,33 @@ def small_graphs(draw):
     return RoadGraph(nodes, edges)
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_router_matches_path_heap_router(data):
-    g = data.draw(small_graphs())
+@st.composite
+def twin_graphs(draw):
+    """Twin-edge graphs: each drawn road (a, b, length, time) comes with its
+    twin (b, a, length, time), parallel roads and exact ties included. The
+    rows are sorted stably by (from, to), so each node's out-edges and
+    reversed in-edges hold the same tuples in the same order."""
+    ids = draw(st.lists(NODE_IDS, min_size=2, max_size=7, unique=True))
+    nodes = [(nid, 44.65 + i * 1e-6, 10.92) for i, nid in enumerate(ids)]
+    roads = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids),
+                                    WEIGHTS, WEIGHTS), max_size=12))
+    rows = [row for a, b, length, time in roads for row in ((a, b, length, time),
+                                                             (b, a, length, time))]
+    return RoadGraph(nodes, sorted(rows, key=lambda row: row[:2]))
+
+
+def edge_rows(g):
+    """The graph's edge rows, by rank and, for parallel edges, in row order."""
+    return [(g.ids[u], g.ids[v], length_m, time_s)
+            for leaving in g.out_edges for u, v, length_m, time_s in leaving]
+
+
+def same_graph(g, rows):
+    """A RoadGraph of g's nodes with the edge rows `rows`."""
+    return RoadGraph([(nid, *g.nodes[nid]) for nid in g.ids], rows)
+
+
+def assert_matches_path_heap_router(data, g):
     ids = sorted(g.nodes) + ["missing"]
     router, ref = BuiltinRouter(g), PathHeapRouter(g)
     queries = data.draw(st.lists(st.one_of(
@@ -447,17 +470,72 @@ def test_router_matches_path_heap_router(data):
     # Every (src, dst) pair again on the same router: memo and trees hit.
     for a, b in itertools.product(ids, ids):
         assert outcome(router.shortest_route, a, b) == outcome(ref.shortest_route, a, b)
+    return router
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_router_matches_path_heap_router(data):
+    assert_matches_path_heap_router(data, data.draw(small_graphs()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_twin_edge_graph_keeps_one_table_and_matches_path_heap_router(data):
+    g = data.draw(twin_graphs())
+    assert g.in_edges is g.out_edges
+    router = assert_matches_path_heap_router(data, g)
+    assert router._reverse is router._forward
+
+
+def test_generated_city_and_its_files_keep_one_table(tmp_path):
+    city = generate_city(seed=3, rows=12, cols=12)
+    assert city.in_edges is city.out_edges
+    n, e = str(tmp_path / "n.csv"), str(tmp_path / "e.csv")
+    save_road_graph(city, n, e)
+    loaded = load_road_graph(n, e)
+    assert loaded.in_edges is loaded.out_edges
+
+
+@pytest.mark.parametrize("change", ["reversed rows", "slower twin", "one-way road"])
+def test_other_graphs_keep_a_separate_reversed_table(change):
+    city = generate_city(seed=9, rows=6, cols=6)
+    rows = edge_rows(city)
+    if change == "reversed rows":
+        rows.reverse()
+    elif change == "slower twin":
+        a, b, length_m, time_s = rows[7]
+        rows[7] = (a, b, length_m, time_s * 2)
+    else:
+        del rows[7]
+    g = same_graph(city, rows)
+    assert g.in_edges is not g.out_edges
+    router, ref = BuiltinRouter(g), PathHeapRouter(g)
+    assert router._reverse is not router._forward
+    tail = ["N05_05", "N00_05"]
+    for stop in sorted(g.nodes):
+        assert outcome(router.one_stop_route, "N02_03", stop, tail) == \
+            outcome(ref.one_stop_route, "N02_03", stop, tail)
+
+
+def test_a_round_trip_runs_one_search_per_node():
+    # Out of the departure and back into it: on a twin-edge graph the leg
+    # home is read from the departure's own search.
+    g = generate_city(seed=3, rows=12, cols=12)
+    router = BuiltinRouter(g)
+    route = router.one_stop_route("N02_03", "N08_09", ["N02_03"])
+    assert route == PathHeapRouter(g).one_stop_route("N02_03", "N08_09", ["N02_03"])
+    assert router._reverse is router._forward and list(router._forward) == ["N02_03"]
+    assert router.fallbacks == 0
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_reverse_search_is_the_forward_search_of_the_reversed_graph(data):
     g = data.draw(small_graphs())
-    rows = [(g.ids[v], g.ids[u], length_m, time_s)
-            for leaving in g.out_edges for u, v, length_m, time_s in leaving]
+    rows = [(v, u, length_m, time_s) for u, v, length_m, time_s in edge_rows(g)]
     # Shuffled rows reorder parallel edges, which must not move a cost.
-    flipped = RoadGraph([(nid, *g.nodes[nid]) for nid in g.ids],
-                        data.draw(st.permutations(rows)))
+    flipped = same_graph(g, data.draw(st.permutations(rows)))
     dst = data.draw(st.integers(0, len(g.ids) - 1))
     reverse, forward = _Search(g.in_edges, dst), _Search(flipped.out_edges, dst)
     for node in data.draw(st.lists(st.integers(0, len(g.ids) - 1), max_size=len(g.ids))):
