@@ -30,15 +30,19 @@ from .tripgraph import (DEFAULT_CLUSTER_RADIUS_M, assign_clusters, build_daily_f
                         export_graph_csv, select_pois)
 
 
-def _mode_from_args(args) -> Mode:
-    if args.mode == "custom":
-        if args.k1 is None or args.k2 is None:
-            raise errors.SchemaError("--mode custom requires --k1 and --k2")
-        try:
-            return Mode(name="custom", k_cost=args.k1, k_time=args.k2)
-        except ValueError as exc:
-            raise errors.SchemaError(f"--mode custom: {exc}") from None
-    return MODES[args.mode]
+def _mode_from_args(args) -> Mode | None:
+    """The --mode preset, or None for the config's mode; run before the config is read."""
+    if args.mode != "custom":
+        for flag, weight in (("--k1", args.k1), ("--k2", args.k2)):
+            if weight is not None:
+                raise errors.SchemaError(f"{flag} is only read with --mode custom")
+        return MODES[args.mode] if args.mode else None
+    if args.k1 is None or args.k2 is None:
+        raise errors.SchemaError("--mode custom requires --k1 and --k2")
+    try:
+        return Mode(name="custom", k_cost=args.k1, k_time=args.k2)
+    except ValueError as exc:
+        raise errors.SchemaError(f"--mode custom: {exc}") from None
 
 
 def _add_mode_flags(p: argparse.ArgumentParser) -> None:
@@ -122,7 +126,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    mode = _mode_from_args(args) if args.mode else None
+    mode = _mode_from_args(args)
     scenarios = scenario_mod.load_scenarios(args.config)
     if args.driver:
         matching = [s for s in scenarios if s.name == args.driver]
@@ -152,7 +156,8 @@ def cmd_plan(args) -> int:
 def cmd_simulate(args) -> int:
     if args.jobs < 1:
         raise errors.SchemaError(f"--jobs must be >= 1, got {args.jobs}")
-    modes = (_mode_from_args(args),) if args.mode else None
+    mode = _mode_from_args(args)
+    modes = (mode,) if mode else None
     scenarios = scenario_mod.load_scenarios(args.config)
     if args.seed is not None:
         scenarios = [replace(s, seed=args.seed) for s in scenarios]

@@ -44,15 +44,9 @@ bit:
   before it, so the mask of tied neighbours makes it +inf, and the
   column-major argmin over (feature, lane) picks the same lowest feature,
   then lowest threshold;
-- node values are `np.add.reduce(rows, axis=1) / n`, which equals
-  `np.mean` of each row, one reduction per size class. numpy's pairwise sum
-  adds a row of up to PAIRWISE_BLOCK values in eight accumulators over its
-  whole blocks of eight, then the rest one by one. A row of n values below
-  that, padded with -0.0 to `n | 7` lanes, has the same whole blocks and
-  adds only -0.0, IEEE addition's identity, after the rest; so the nodes
-  with one `n // 8` share a reduction. Longer rows are halved by length, so
-  each larger size has its own, as has each size below 8 (`_sum_lanes`;
-  tests/test_forest.py guards the rule).
+- node values are sums of one `np.add.reduce(rows, axis=1)` per node size
+  n, over rows that are never padded, divided by n; so each equals
+  `np.mean` of its node's targets (tests/test_forest.py guards the rule).
 
 A fitted forest is stored flat: node k has `feature[k]` (-1 for a leaf),
 `threshold[k]`, children `left[k]`/`right[k]` and `value[k]`, the mean
@@ -82,9 +76,6 @@ CHUNK_ELEMENTS = 1 << 12
 # The split search scales targets beyond 2**SCORE_EXP down below it, so that
 # squares of sums of up to 2**20 targets stay finite.
 SCORE_EXP = 480
-# numpy's pairwise sum adds rows of up to this many values in one block of
-# eight accumulators, then the rest one by one; longer rows are halved.
-PAIRWISE_BLOCK = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,16 +290,6 @@ def _value_ranks(X: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _sum_lanes(sizes: np.ndarray) -> np.ndarray:
-    """Lanes, padded with -0.0, over which a node of each size sums its targets.
-
-    Nodes of fewer than 8 rows, most of a deep level's, keep one sum per
-    size: merged into one, they left the heap more fragmented, and a long
-    replay's peak RSS grew with every pass.
-    """
-    return np.where((sizes >= 8) & (sizes < PAIRWISE_BLOCK), sizes | 7, sizes)
-
-
 def _grow_batch(X: np.ndarray, y: np.ndarray, ranks: np.ndarray, trees: range, seed: int,
                 max_depth: int, first_id: int, out: list) -> np.ndarray:
     """Grow `trees` level by level; append each level's node arrays to `out`.
@@ -327,10 +308,7 @@ def _grow_batch(X: np.ndarray, y: np.ndarray, ranks: np.ndarray, trees: range, s
     # and the target of row order[1 + j, c].
     order = np.empty((d + 1, width), dtype=np.int32)
     order[0] = np.arange(width)
-    # Seven spare lanes: a node's padded values may reach seven lanes past
-    # its last row.
-    yb = np.empty(width + 7)
-    np.take(y, boot, out=yb[:width])
+    yb = y.take(boot)
     xv = np.empty((d, width))
     yv = np.empty((d, width))
     # Keys tree · n + rank sort each tree's rows by feature j, stably, in one
@@ -358,22 +336,19 @@ def _grow_batch(X: np.ndarray, y: np.ndarray, ranks: np.ndarray, trees: range, s
     while len(ids):
         k = len(ids)
         starts = np.cumsum(sizes) - sizes
-        value = np.empty(k)
         feature = np.full(k, -1)
         threshold = np.zeros(k)
-        lanes = _sum_lanes(sizes)
-        by_class = np.argsort(lanes, kind="stable")
-        cuts = [0, *(np.flatnonzero(np.diff(lanes[by_class])) + 1).tolist(), k]
+        by_size = np.argsort(sizes, kind="stable")
+        ordered, first = sizes[by_size], starts[by_size]
+        cuts = [0, *(np.flatnonzero(np.diff(ordered)) + 1).tolist(), k]
+        sums = np.empty(k)
         for a, b in zip(cuts, cuts[1:]):
-            sel = by_class[a:b]
-            span = np.arange(lanes[sel[0]])
-            # Every window of len(span) lanes of yb, as a view; built directly, as
-            # sliding_window_view's checks cost more than the sums here.
-            windows = np.ndarray((len(yb) - len(span) + 1, len(span)), buffer=yb,
-                                 strides=2 * yb.strides)
-            rows = windows[starts[sel]]
-            np.copyto(rows, -0.0, where=span >= sizes[sel, None])
-            value[sel] = np.add.reduce(rows, axis=1) / sizes[sel]
+            size = int(ordered[a])
+            # Every window of `size` targets as a view: sliding_window_view's checks cost more.
+            windows = np.ndarray((len(yb) - size + 1, size), buffer=yb, strides=2 * yb.strides)
+            np.add.reduce(windows[first[a:b]], axis=1, out=sums[a:b])
+        value = np.empty(k)
+        value[by_size] = sums / ordered
         if depth < max_depth:
             # Nodes with at least MIN_SAMPLES_SPLIT rows whose targets differ,
             # largest first.

@@ -130,18 +130,19 @@ def fuel_cost(candidate: CandidateStop, vehicle: VehicleState) -> float:
 def time_cost(candidate: CandidateStop,
               refuel_duration_s: float = DEFAULT_REFUEL_DURATION_S) -> float:
     """Routed one-stop time plus a fixed refueling duration, in seconds."""
-    if refuel_duration_s < 0:
-        raise ValueError("refuel duration must be non-negative")
+    if not 0 <= refuel_duration_s < math.inf:
+        raise ValueError(f"refuel duration must be non-negative and finite, "
+                         f"got {refuel_duration_s}")
     return candidate.time_s + refuel_duration_s
 
 
 def objective(candidate: CandidateStop, vehicle: VehicleState, mode: Mode,
               refuel_duration_s: float = DEFAULT_REFUEL_DURATION_S) -> float:
     """Weighted cost: k_cost * euros + k_time * minutes; inf if unreachable."""
+    seconds = time_cost(candidate, refuel_duration_s)  # checks the duration either way
     if not candidate.reachable(vehicle):
         return math.inf
-    return (mode.k_cost * fuel_cost(candidate, vehicle)
-            + mode.k_time * time_cost(candidate, refuel_duration_s) / 60.0)
+    return mode.k_cost * fuel_cost(candidate, vehicle) + mode.k_time * seconds / 60.0
 
 
 def select_stop(candidates: list[CandidateStop], vehicle: VehicleState, mode: Mode,

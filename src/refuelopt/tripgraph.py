@@ -109,8 +109,8 @@ def assign_clusters(events: list[StopEvent],
     Events must be sorted by timestamp; the result is deterministic given
     that order. Identifiers STOP_### are assigned in founding order.
     """
-    if cluster_radius_m <= 0:
-        raise ValueError("cluster_radius_m must be positive")
+    if not 0 < cluster_radius_m < math.inf:
+        raise ValueError(f"cluster_radius_m must be positive and finite, got {cluster_radius_m}")
     clusters: list[StopCluster] = []
     for ev in events:
         best = None

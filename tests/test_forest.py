@@ -252,22 +252,21 @@ def test_predict_sums_trees_in_order_from_zero():
 
 
 def test_node_means_match_np_mean():
-    # Node values are np.add.reduce(rows, axis=1) / n over nodes of one size
-    # class, each row padded with -0.0 to its class's lanes; the pinned bytes
-    # rely on that equalling np.mean of each unpadded row, which a numpy
-    # release could change by summing in another order.
+    # Node values are np.add.reduce(rows, axis=1) / n over the nodes of one
+    # size, read unpadded through a strided view of the batch's targets; the
+    # pinned bytes rely on that equalling np.mean of each row, which a numpy
+    # release could change by summing in another order. A depth-0 forest's
+    # nodes are its roots, whose rows are the bootstraps at offsets t * n of
+    # one buffer; sizes reach past numpy's halving of rows over 128 values.
     rng = np.random.default_rng(0)
-    sizes = np.arange(1, 257)
-    for n, lanes in zip(sizes.tolist(), forest._sum_lanes(sizes).tolist()):
-        rows = rng.normal(size=(4, n)) * 10.0 ** rng.integers(-8, 9, size=(4, n))
-        rows[1, rng.random(n) < 0.3] = -0.0
-        rows[2] = rng.choice([-0.0, 0.0], size=n)
-        rows[3] = -0.0
-        padded = np.full((4, lanes), -0.0)
-        padded[:, :n] = rows
-        for summed in (rows, padded):
-            assert ((np.add.reduce(summed, axis=1) / n).tobytes()
-                    == np.array([np.mean(r) for r in rows]).tobytes()), (n, lanes)
+    for n in range(1, 1025):
+        wide = rng.normal(size=n) * 10.0 ** rng.integers(-8, 9, size=n)
+        mixed = np.where(rng.random(n) < 0.3, -0.0, wide)
+        boots = default_rng_rows(n, range(3), n)
+        for y in (wide, mixed, rng.choice([-0.0, 0.0], size=n), np.full(n, -0.0)):
+            model = fit_bagged_trees(np.zeros((n, 1)), y, n_trees=3, max_depth=0, seed=n)
+            expected = [np.mean(y[boot]) for boot in boots]
+            assert model.value.tobytes() == np.array(expected).tobytes(), n
 
 
 @pytest.mark.parametrize("chunk", [64, 1 << 20])

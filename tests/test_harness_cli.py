@@ -696,11 +696,13 @@ def test_report_csv_layout(cohort, tmp_path):
     rp, pp = tmp_path / "report.csv", tmp_path / "per_run.csv"
     write_report_csv(report, str(rp))
     write_per_run_csv(report, str(pp))
-    rows = list(csv.reader(rp.open()))
+    with open(rp) as fh:
+        rows = list(csv.reader(fh))
     assert rows[0] == ["strategy", "mode", "K1", "K2", "cost_mean", "cost_std",
                        "time_mean", "time_std", "n_runs", "n_failed"]
     assert len(rows) == 1 + len(report.rows)
-    runs = list(csv.reader(pp.open()))
+    with open(pp) as fh:
+        runs = list(csv.reader(fh))
     assert runs[0][:5] == ["scenario", "strategy", "mode", "K1", "K2"]
     assert len(runs) == 1 + len(report.outcomes)
 
@@ -735,7 +737,8 @@ def test_cli_plan_writes_csv_and_geojson(demo_scenario_config, tmp_path, capsys)
     out = tmp_path / "plan"
     assert main(["plan", "--config", demo_scenario_config,
                  "--out-dir", str(out), "--mode", "fuel"]) == 0
-    rows = list(csv.reader((out / "plan.csv").open()))
+    with open(out / "plan.csv") as fh:
+        rows = list(csv.reader(fh))
     assert rows[0] == ["day", "station_id", "lat", "lon", "price_eur_l",
                        "C_eur", "T_min", "L", "mode"]
     assert (out / "plan.geojson").exists()
@@ -773,6 +776,18 @@ def test_cli_custom_mode_requires_weights(demo_scenario_config, tmp_path, capsys
     assert main(["plan", "--config", demo_scenario_config,
                  "--out-dir", str(out), "--mode", "custom",
                  "--k1", "1", "--k2", "4"]) == 0
+
+
+@pytest.mark.parametrize("flag", ["--k1", "--k2"])
+@pytest.mark.parametrize("preset", [[], ["--mode", "fuel"]])
+@pytest.mark.parametrize("command", ["plan", "simulate"])
+def test_weight_flags_without_custom_mode_are_rejected(tmp_path, capsys, command, preset, flag):
+    # `simulate --k1 0 --k2 1` ran the config's mode and exited 0. The config
+    # is missing: the flags are checked before it is read.
+    assert main([command, "--config", str(tmp_path / "missing.yaml"), "--out-dir",
+                 str(tmp_path), *preset, flag, "1"]) == 2
+    assert f"{flag} is only read with --mode custom" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])

@@ -64,6 +64,16 @@ def test_time_cost_adds_refuel_duration():
     assert time_cost(c, refuel_duration_s=0.0) == pytest.approx(900.0)
 
 
+@pytest.mark.parametrize("duration", [-1.0, math.nan, math.inf])
+def test_select_stop_rejects_a_non_finite_refuel_duration(duration):
+    # NaN picked the slowest candidate with objective nan; inf reported every
+    # candidate out of fuel range. Out of range, the duration is still checked.
+    cands = [cand("S1", time_s=900.0), cand("S2", time_s=600.0), cand("S3", time_s=1200.0)]
+    for candidates in (cands, [cand("far", distance_km=1e4)]):
+        with pytest.raises(ValueError, match="refuel duration must be non-negative and finite"):
+            select_stop(candidates, VEHICLE, MODES["balanced"], refuel_duration_s=duration)
+
+
 def test_objective_combines_euros_and_minutes():
     c = cand(distance_km=12.0, time_s=900.0, price=1.80)
     mode = Mode("custom", 2.0, 3.0)
@@ -256,7 +266,8 @@ def test_plan_csv_layout(tmp_path):
     plan = select_stop([cand("S1", price=1.80)], VEHICLE, MODES["balanced"], day="Wed")
     p = tmp_path / "plan.csv"
     export_plan_csv(plan, str(p))
-    rows = list(csv.reader(p.open()))
+    with open(p) as fh:
+        rows = list(csv.reader(fh))
     assert rows[0] == ["day", "station_id", "lat", "lon", "price_eur_l",
                        "C_eur", "T_min", "L", "mode"]
     assert rows[1][0] == "Wed"

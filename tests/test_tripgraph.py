@@ -101,8 +101,10 @@ def test_cluster_assignment_invariants(stream, radius):
 
 
 def test_invalid_radius_rejected():
-    with pytest.raises(ValueError):
-        assign_clusters([], cluster_radius_m=0.0)
+    # NaN started a new cluster for every event.
+    for radius in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="cluster_radius_m must be positive and finite"):
+            assign_clusters([], cluster_radius_m=radius)
 
 
 # --- frequency categories -------------------------------------------------------
