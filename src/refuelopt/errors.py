@@ -35,14 +35,6 @@ class IoError(RefuelOptError):
     pass
 
 
-class DuplicateId(RefuelOptError):
-    pass
-
-
-class DanglingEdge(RefuelOptError):
-    pass
-
-
 # --- trip graph --------------------------------------------------------------
 
 class InvalidFrequency(RefuelOptError):

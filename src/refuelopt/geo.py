@@ -1,17 +1,28 @@
 """Geodesic primitives: great-circle distance and point-to-polyline distance.
 
-The scalar functions are the definitions. `haversine_m_array` evaluates the
-same formula over numpy arrays; its results may differ from the scalar ones
-in the last bits (numpy's sin/cos/arcsin are not libm's), so callers use it
-only to screen candidates and let the scalar functions decide near a
-threshold.
+The scalar functions are the definitions. `haversine_m_each` is
+`haversine_m` over arrays, bit for bit: numpy does the steps IEEE 754 rounds
+exactly and `libm` the rest. `haversine_m_array` and
+`point_segment_distance_m_array` are screens only: their sin, cos, arcsin
+and squares are numpy's, whose results may differ from libm's in the last
+bits, so callers let the scalar functions decide near a threshold.
 """
 
 import math
+from itertools import repeat
 
 import numpy as np
 
 EARTH_RADIUS_M = 6_371_000.0
+_DEG = math.pi / 180.0  # math.radians's factor
+
+
+def libm(fn, *columns) -> np.ndarray:
+    """`fn`, a `math` function or `pow` (both call libm), applied to the
+    columns' values in step, as a float64 array. numpy's own log, sin, cos,
+    arcsin and power may differ from libm's in the last bit."""
+    lists = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    return np.fromiter(map(fn, *lists), float, len(lists[0]))
 
 
 def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
@@ -23,8 +34,20 @@ def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(a)))
 
 
+def haversine_m_each(lat: float, lon: float, lats, lons) -> np.ndarray:
+    """`haversine_m(lat, lon, lats[i], lons[i])` for every i, bit for bit."""
+    phi1, lam1 = math.radians(lat), math.radians(lon)
+    phi2, lam2 = np.asarray(lats, dtype=float) * _DEG, np.asarray(lons, dtype=float) * _DEG
+    # `x ** 2` is libm's pow(x, 2.0), which may differ from x * x in the last bit.
+    a = (libm(pow, libm(math.sin, (phi2 - phi1) / 2.0), repeat(2))
+         + math.cos(phi1) * libm(math.cos, phi2)
+         * libm(pow, libm(math.sin, (lam2 - lam1) / 2.0), repeat(2)))
+    return 2.0 * EARTH_RADIUS_M * libm(math.asin, np.minimum(1.0, np.sqrt(a)))
+
+
 def haversine_m_array(lat1, lon1, lat2, lon2) -> np.ndarray:
-    """`haversine_m` over numpy arrays (broadcast), with the same operations."""
+    """`haversine_m`'s formula over numpy arrays (broadcast), a screen: its
+    sin, cos, arcsin and squares (`x * x`) are numpy's, not libm's."""
     phi1, lam1, phi2, lam2 = (np.radians(x) for x in (lat1, lon1, lat2, lon2))
     a = (np.sin((phi2 - phi1) / 2.0) ** 2
          + np.cos(phi1) * np.cos(phi2) * np.sin((lam2 - lam1) / 2.0) ** 2)

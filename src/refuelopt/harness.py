@@ -32,13 +32,13 @@ from functools import cached_property
 import numpy as np
 
 from . import errors
-from .geo import haversine_m, haversine_m_array
+from .geo import haversine_m_each
 from .mileage import (DailyFeatureRow, PredictionMetrics, build_features,
                       evaluate_metrics, extra_mileage_delta, fill_weeks, fit_forest,
                       forecast_next_week, gate, predict_week)
 from .optimizer import (CandidateStop, Mode, fuel_cost, generate_candidates,
                         route_candidate, select_stop)
-from .roadgraph import CORRIDOR_MARGIN_M, BuiltinRouter, Route
+from .roadgraph import BuiltinRouter, Route
 from .scenario import Scenario
 from .stations import Station, cheapest_day, forecast_week
 from .tables import write_table
@@ -76,61 +76,22 @@ class ScenarioContext:
 
     @cached_property
     def _priced(self) -> tuple[list[Station], np.ndarray, np.ndarray]:
-        """The priced stations in catalogue order, their day prices and their
-        screened distances from the departure point. `haversine_m_array`
-        may differ from `haversine_m` in the last bits, far less than
-        `CORRIDOR_MARGIN_M`, so `distance_m` decides every close call."""
-        stations = [s for s in self.scenario.stations if s.station_id in self.day_prices]
-        lat, lon = (np.array([s.lat for s in stations], dtype=float),
-                    np.array([s.lon for s in stations], dtype=float))
+        """The priced stations sorted by id, their day prices and their
+        `haversine_m` from the departure point."""
+        stations = sorted((s for s in self.scenario.stations if s.station_id in self.day_prices),
+                          key=lambda s: s.station_id)
         prices = np.array([self.day_prices[s.station_id] for s in stations], dtype=float)
-        return stations, prices, haversine_m_array(*self.departure_coords, lat, lon)
-
-    @cached_property
-    def _distances_m(self) -> dict[str, float]:
-        return {}
-
-    def distance_m(self, station: Station) -> float:
-        """`haversine_m` from the departure point to `station`, computed once."""
-        known = self._distances_m
-        if station.station_id not in known:
-            known[station.station_id] = haversine_m(*self.departure_coords,
-                                                    station.lat, station.lon)
-        return known[station.station_id]
+        return stations, prices, haversine_m_each(*self.departure_coords,
+                                                  [s.lat for s in stations],
+                                                  [s.lon for s in stations])
 
     def by_distance(self, radius_m: float = math.inf, by_price: bool = False) -> list[Station]:
         """The priced stations within `radius_m` of the departure point,
-        sorted by (day price if `by_price`, `distance_m`, id), as a scan
-        computing `distance_m` for every station gives them.
-
-        `distance_m` decides each station screened within the margin of the
-        radius, and the order inside each run of stations with equal leads
-        whose screened distances are each within the margin of the one
-        before. The screened distances decide the rest: farther apart, they
-        are in `haversine_m`'s order.
-        """
-        stations, prices, screened = self._priced
-        keep = screened < radius_m
-        for i in np.flatnonzero(np.abs(screened - radius_m) <= CORRIDOR_MARGIN_M).tolist():
-            keep[i] = self.distance_m(stations[i]) <= radius_m
-        kept = np.flatnonzero(keep)
-        lead = prices[kept] if by_price else np.zeros(len(kept))
-        dist = screened[kept]
-        order = np.lexsort((dist, lead))
-        lead, dist = lead[order], dist[order]
-        ranked = [stations[i] for i in kept[order].tolist()]
-        # The first and last position of each run of two or more stations.
-        runs: list[list[int]] = []
-        for k in np.flatnonzero((lead[1:] == lead[:-1])
-                                & (dist[1:] - dist[:-1] <= CORRIDOR_MARGIN_M)).tolist():
-            if runs and runs[-1][1] == k:
-                runs[-1][1] = k + 1
-            else:
-                runs.append([k, k + 1])
-        for a, b in runs:
-            ranked[a:b + 1] = sorted(ranked[a:b + 1],
-                                     key=lambda s: (self.distance_m(s), s.station_id))
-        return ranked
+        sorted by (day price if `by_price`, `haversine_m`, id)."""
+        stations, prices, dist = self._priced
+        kept = np.flatnonzero(dist <= radius_m)
+        keys = (dist[kept], prices[kept]) if by_price else (dist[kept],)
+        return [stations[i] for i in kept[np.lexsort(keys)].tolist()]
 
 
 @dataclass(frozen=True)

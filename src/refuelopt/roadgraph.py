@@ -122,11 +122,11 @@ class RoadGraph:
 
         The first bad row decides the error, node rows first. A node row is
         a BadRow if its id came before or its coordinates are invalid. An
-        edge row is DanglingEdge if it names an unknown node, else a BadRow
-        if its length or time is not finite and positive or its length is
-        under 0.999 of the geodesic (TypeError if one is not a real
-        number). A numpy haversine over every edge row screens that bound;
-        `haversine_m` decides each row within the edge margin of it.
+        edge row is a BadRow if it names an unknown node, or if its length
+        or time is not finite and positive or its length is under 0.999 of
+        the geodesic (TypeError if one is not a real number). A numpy
+        haversine over every edge row screens that bound; `haversine_m`
+        decides each row within the edge margin of it.
         """
         self.nodes: dict[str, tuple[float, float]] = {}
         for i, (node_id, lat, lon) in enumerate(nodes):
@@ -182,7 +182,7 @@ class RoadGraph:
             raise BadRow("edges", i, f"edge {src}->{dst} " + message.format(length_m, time_s, geo))
         if dangling < len(rows):
             src, dst, _, _ = rows[dangling]
-            raise errors.DanglingEdge(f"edge {src}->{dst} references unknown node")
+            raise BadRow("edges", dangling, f"edge {src}->{dst} references unknown node")
         return ends.tolist()
 
     @cached_property

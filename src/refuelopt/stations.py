@@ -17,7 +17,7 @@ from datetime import date, timedelta
 
 from . import errors
 from .geo import valid_coords
-from .tables import read_table, write_table
+from .tables import read_table, row_line, write_table
 from .telemetry import WEEKDAYS
 
 STATIONS_HEADER = ["station_id", "lat", "lon", "brand", "fuel_type",
@@ -57,7 +57,8 @@ def load_stations(path: str) -> tuple[list[Station], PriceHistory]:
 
     Each distinct coordinate pair and date string is parsed once. A station's
     rows must agree on its identity as parsed floats, so `44.6` and `44.60`
-    are one latitude.
+    are one latitude. The first row that redefines a station or repeats an
+    observation is a ParseError on its line.
     """
     points: dict[tuple[str, str], tuple[float, float, bool]] = {}
     days: dict[str, date] = {}
@@ -84,14 +85,16 @@ def load_stations(path: str) -> tuple[list[Station], PriceHistory]:
 
     identity: dict[str, tuple[float, float, str]] = {}
     series: dict[tuple[str, str], dict[date, float]] = {}
-    for sid, lat, lon, brand, fuel, price, observed in rows:
+    for i, (sid, lat, lon, brand, fuel, price, observed) in enumerate(rows):
         if identity.setdefault(sid, (lat, lon, brand)) != (lat, lon, brand):
-            raise errors.DuplicateId(f"station {sid} redefined with different identity")
+            raise errors.ParseError(row_line(path, i),
+                                    f"station {sid} redefined with different identity")
         obs = series.get((sid, fuel))
         if obs is None:
             obs = series[(sid, fuel)] = {}
         elif observed in obs:
-            raise errors.DuplicateId(f"duplicate observation for {sid}/{fuel} on {observed}")
+            raise errors.ParseError(row_line(path, i),
+                                    f"duplicate observation for {sid}/{fuel} on {observed}")
         obs[observed] = price
 
     history = PriceHistory(series={k: tuple(sorted(v.items())) for k, v in series.items()})

@@ -14,10 +14,10 @@ stays distinct from a NaN one) and for the rows that are bus messages
 sample rule, which `load_trip_log` applies row by row, and the rows are in
 time order. So `load_trip_log` of a saved log gives back an equal log.
 
-A synthetic log is a pure function of (profile, weeks, sample_period_s),
-and its bytes are pinned by tests. `random.Random(profile.seed)`
-is its only source of randomness, so the order of the draws is part of the
-output and must not change:
+A synthetic log is a pure function of (profile, weeks), and its bytes are
+pinned by tests. `random.Random(profile.seed)` is its only source of
+randomness, so the order of the draws is part of the output and must not
+change:
 
 1. For each week in turn, the errands: `_poisson` draws `random()` until
    the product falls under exp(-errand_rate); each errand then draws
@@ -42,10 +42,10 @@ fixes in two phases over one buffer of draws:
   finds the fix count by bisection. Days sum their time steps the same way.
 - Phase 2 (`_place`) places the fixes of any rows asked for: the position
   on the leg plus the GPS offset, with the operations of a per-fix loop in
-  its order. `log`, `sin` and `cos` go through `math` one value at a time,
-  because numpy's versions may differ from libm's in the last bit. Every
-  operation is elementwise, so a row gets the same bits whichever other
-  rows are placed with it.
+  its order. `log`, `sin` and `cos` go through `geo.libm`, one `math` call
+  a value, because numpy's versions may differ from libm's in the last
+  bit. Every operation is elementwise, so a row gets the same bits
+  whichever other rows are placed with it.
 
 Phase 2 runs on demand: the log keeps the draws and the legs, `detect_halts`
 places only the fixes at its gap starts, and reading `lat` or `lon` places
@@ -72,7 +72,7 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from . import errors
-from .geo import haversine_m, valid_coords
+from .geo import haversine_m, libm, valid_coords
 from .tables import read_table, write_table
 
 WEEKDAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
@@ -82,7 +82,7 @@ TRIP_LOG_HEADER = ["timestamp", "speed_kmh", "lat", "lon", "fuel_l", "can_msg"]
 DEFAULT_GAP_THRESHOLD_S = 120.0
 DROPOUT_CUTOFF_S = 60.0
 OBSERVATION_START = date(2025, 1, 6)  # a Monday; schedules align to weekdays
-MIN_SAMPLE_PERIOD_S = 1.0  # a leg's fixes grow as 1 / period (see DriverProfile)
+SAMPLE_PERIOD_S = 5.0  # between a synthetic log's moving fixes
 
 
 # The timestamps `ts_to_date` converts: UTC years 1 to 9999.
@@ -281,9 +281,8 @@ class DriverProfile:
     anchors, a positive errand rate has targets, 0 < cruise_speed_kmh and 0
     <= errand_rate, speed_noise_pct, gps_noise_m, each at most its MAX_*
     (which keep a week's distance modest). Since a fix moves at least 1 km/h,
-    a leg then takes at most about MAX_ANCHOR_SPREAD_KM * 3600 /
-    sample_period_s fixes: 72 000 at a 5 s period, ≈1 440 at 50 km/h, and
-    360 000 at MIN_SAMPLE_PERIOD_S.
+    a leg then takes at most MAX_ANCHOR_SPREAD_KM * 3600 / SAMPLE_PERIOD_S
+    = 72 000 fixes, ≈1 440 at 50 km/h.
     """
 
     MAX_ANCHOR_SPREAD_KM: ClassVar[float] = 100.0  # a city's span; bounds a leg's fixes
@@ -470,7 +469,6 @@ _ROUNDING_DEG = 1e-9  # far above the rounding of a fix's arithmetic or of the b
 
 
 def generate_synthetic_log(profile: DriverProfile, weeks: int,
-                           sample_period_s: float = 5.0,
                            ) -> tuple[TripLog, dict[date, float]]:
     """Simulate `weeks` of driving for a synthetic driver, from the Monday
     OBSERVATION_START.
@@ -488,9 +486,6 @@ def generate_synthetic_log(profile: DriverProfile, weeks: int,
     """
     if weeks < 1:
         raise ValueError("weeks must be >= 1")
-    if not sample_period_s >= MIN_SAMPLE_PERIOD_S:
-        raise ValueError(f"sample_period_s must be >= {MIN_SAMPLE_PERIOD_S} s, "
-                         f"got {sample_period_s}")
 
     rng = random.Random(profile.seed)
 
@@ -529,8 +524,7 @@ def generate_synthetic_log(profile: DriverProfile, weeks: int,
             dist_km = haversine_m(a[0], a[1], b[0], b[1]) / 1000.0
             truth[cal_day] += dist_km
             legs.append((a[0], a[1], b[0], b[1], dist_km))
-    with np.errstate(all="ignore"):  # a huge period overflows to an invalid timestamp
-        ts, speed, place = _drive(profile, rng, days, sample_period_s)
+    ts, speed, place = _drive(profile, rng, days)
     try:
         if _fixes_in_range(profile):
             return TripLog(ts, speed, place=place), truth
@@ -561,10 +555,9 @@ def _draw_stream(rng: random.Random) -> np.random.Generator:
     return np.random.Generator(bits)
 
 
-def _fixes_at(dist_km: float, speed: float, period: float) -> int:
+def _fixes_at(dist_km: float, speed: float) -> int:
     """About how many fixes a leg takes at `speed` km/h (floored at 1)."""
-    fixes = dist_km * 3600.0 / (period * (speed if speed > 1.0 else 1.0))
-    return int(fixes) if fixes < 1e6 else 1_000_000
+    return int(dist_km * 3600.0 / (SAMPLE_PERIOD_S * (speed if speed > 1.0 else 1.0)))
 
 
 def _grown(a: np.ndarray, need: int) -> np.ndarray:
@@ -593,8 +586,8 @@ class _Draws:
             self.factor[old:] = 1.0 + self.noise_frac * (-1.0 + 2.0 * self.u[old:])
 
 
-def _drive(profile: DriverProfile, rng: random.Random, days: list[tuple[float, list[tuple]]],
-           period: float) -> tuple[np.ndarray, np.ndarray, partial]:
+def _drive(profile: DriverProfile, rng: random.Random,
+           days: list[tuple[float, list[tuple]]]) -> tuple[np.ndarray, np.ndarray, partial]:
     """Phase 1 over `days` (each a 07:00 start and its legs): every fix's
     timestamp and speed, and the placement of its coordinates, pending.
 
@@ -603,12 +596,12 @@ def _drive(profile: DriverProfile, rng: random.Random, days: list[tuple[float, l
     """
     cruise = profile.cruise_speed_kmh
     # A leg takes 3 draws per moving fix and 4 more.
-    estimate = sum(_fixes_at(leg[4], cruise, period) + 2 for _, legs in days for leg in legs)
+    estimate = sum(_fixes_at(leg[4], cruise) + 2 for _, legs in days for leg in legs)
     draws = _Draws(rng, 3 * estimate + estimate // 8 + 64, profile.speed_noise_pct / 100.0)
     # Row 0 holds time steps until each day is summed, and row 2 the km
     # covered before each moving fix, which `_place` turns into a position.
     cols = np.empty((3, estimate + estimate // 16 + 16))
-    cols[0] = period
+    cols[0] = SAMPLE_PERIOD_S
     p = n = 0  # the leg's first draw and first fix
     leg_rows: list[tuple] = []
     for start, legs in days:
@@ -618,19 +611,19 @@ def _drive(profile: DriverProfile, rng: random.Random, days: list[tuple[float, l
             trip_speed = cruise * (1.0 + (-0.1 + 0.2 * draws.u.item(p)))
             # w moving fixes are computed at once, k of them kept; a leg of
             # length 0 has none, only its arrival fix.
-            w = _fixes_at(dist_km, trip_speed, period) + 8 if dist_km > 0.0 else 0
+            w = _fixes_at(dist_km, trip_speed) + 8 if dist_km > 0.0 else 0
             k = 0
             while True:  # widen the window until the leg ends inside it
                 draws.reserve(p + 3 * w + 4)
                 if n + w + 1 > cols.shape[1]:
                     old = cols.shape[1]
                     cols = _grown(cols, n + w + 1)
-                    cols[0, old:] = period
+                    cols[0, old:] = SAMPLE_PERIOD_S
                 if not w:
                     break
                 speed = np.fmax(trip_speed * draws.factor[p + 1:p + 1 + 3 * w:3], 1.0,
                                 out=cols[1, n:n + w])
-                covered = (speed * period / 3600.0).cumsum()
+                covered = (speed * SAMPLE_PERIOD_S / 3600.0).cumsum()
                 k = int(covered.searchsorted(dist_km)) + 1  # fixes while covered < dist_km
                 if k <= w:
                     cols[2, n + 1:n + k] = covered[:k - 1]
@@ -651,11 +644,6 @@ def _drive(profile: DriverProfile, rng: random.Random, days: list[tuple[float, l
     return cols[0, :n], cols[1, :n], partial(_place, track)
 
 
-def _libm(fn, values: list) -> np.ndarray:
-    # numpy's log, sin and cos may differ from libm's in the last bit.
-    return np.fromiter(map(fn, values), float, len(values))
-
-
 def _place(track: tuple, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The lat and lon of `rows` (row indices of the log `_drive` made
     `track` for): each fix's spot on its leg plus one `gauss(0, sigma)` pair
@@ -670,10 +658,10 @@ def _place(track: tuple, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lon = np.where(arrival, b_lon[leg], a_lon[leg] + frac * d_lon[leg])
     g = p[leg] + 2 + 3 * i - arrival  # the pair's first draw
     x2pi = (u[g] * _TWOPI).tolist()
-    g2rad = np.sqrt(-2.0 * _libm(math.log, (1.0 - u[g + 1]).tolist()))
-    dx = 0.0 + _libm(math.cos, x2pi) * g2rad * sigma
-    dy = 0.0 + _libm(math.sin, x2pi) * g2rad * sigma
-    c = np.fmax(_libm(math.cos, (lat * _DEG).tolist()), 0.01)
+    g2rad = np.sqrt(-2.0 * libm(math.log, 1.0 - u[g + 1]))
+    dx = 0.0 + libm(math.cos, x2pi) * g2rad * sigma
+    dy = 0.0 + libm(math.sin, x2pi) * g2rad * sigma
+    c = np.fmax(libm(math.cos, lat * _DEG), 0.01)
     return lat + dy / 111_194.9, lon + dx / (111_194.9 * c)
 
 

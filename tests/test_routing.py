@@ -73,8 +73,9 @@ AB = [("A", *grid_coords(0, 0)), ("B", *grid_coords(0, 1))]  # ~500 m apart
 
 
 def test_dangling_edge_rejected():
-    with pytest.raises(errors.DanglingEdge):
+    with pytest.raises(BadRow, match="^edge A->Z references unknown node$") as exc:
         RoadGraph([("A", 44.0, 11.0)], [("A", "Z", 100.0, 10.0)])
+    assert (exc.value.table, exc.value.index) == ("edges", 0)
 
 
 def test_edge_shorter_than_geodesic_rejected():
@@ -103,8 +104,9 @@ def test_constructor_checks_edge_rows_in_order():
     with pytest.raises(BadRow, match="^edge B->A must have positive length") as exc:
         RoadGraph(AB, [good, ("B", "A", -1.0, 60.0), ("A", "Z", 600.0, 60.0)])
     assert (exc.value.table, exc.value.index) == ("edges", 1)
-    with pytest.raises(errors.DanglingEdge, match="^edge A->Z references unknown node$"):
+    with pytest.raises(BadRow, match="^edge A->Z references unknown node$") as exc:
         RoadGraph(AB, [good, ("A", "Z", 600.0, 60.0), ("B", "A", -1.0, 60.0)])
+    assert (exc.value.table, exc.value.index) == ("edges", 1)
     g = RoadGraph(AB, [good, good, ("B", "A", 700.0, 70.0)])
     assert g.out_edges == [((0, 1, 600.0, 60.0),) * 2, ((1, 0, 700.0, 70.0),)]
     assert g.in_edges == [((0, 1, 700.0, 70.0),), ((1, 0, 600.0, 60.0),) * 2]
@@ -256,7 +258,7 @@ def test_save_load_save_is_byte_identical(tmp_path):
 def test_load_rejects_dangling_edge(tmp_path):
     (tmp_path / "n.csv").write_text("id,lat,lon\nA,44.0,11.0\n")
     (tmp_path / "e.csv").write_text("from,to,length_m,time_s\nA,Z,100.0,10.0\n")
-    with pytest.raises(errors.DanglingEdge):
+    with pytest.raises(errors.ParseError, match="^line 2: edge A->Z references unknown node$"):
         load_road_graph(str(tmp_path / "n.csv"), str(tmp_path / "e.csv"))
 
 
@@ -269,7 +271,7 @@ SHORT = "edge B->A shorter than the geodesic (10.0 m < 80.0 m)"
 
 @pytest.mark.parametrize("rows,error,line,message", [
     ([GOOD_EDGE, SHORT_EDGE, DANGLING_EDGE], errors.ParseError, 3, SHORT),
-    ([GOOD_EDGE, DANGLING_EDGE, SHORT_EDGE], errors.DanglingEdge, None,
+    ([GOOD_EDGE, DANGLING_EDGE, SHORT_EDGE], errors.ParseError, 3,
      "edge A->Z references unknown node"),
     ([GOOD_EDGE, SHORT_EDGE, "A,B,x,1.0"], errors.ParseError, 3, SHORT),
     ([GOOD_EDGE, "A,B,x,1.0", SHORT_EDGE], errors.ParseError, 3,
@@ -288,8 +290,8 @@ def test_load_reports_the_first_bad_edge_row_in_file_order(tmp_path, rows, error
     (tmp_path / "e.csv").write_text("from,to,length_m,time_s\n" + "".join(f"{r}\n" for r in rows))
     with pytest.raises(error) as exc:
         load_road_graph(str(tmp_path / "n.csv"), str(tmp_path / "e.csv"))
-    assert getattr(exc.value, "line", None) == line
-    assert str(exc.value) == (message if line is None else f"line {line}: {message}")
+    assert exc.value.line == line
+    assert str(exc.value) == f"line {line}: {message}"
 
 
 def test_load_rejects_non_finite_edge_with_its_line(tmp_path):

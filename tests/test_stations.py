@@ -41,8 +41,9 @@ def test_load_rejects_identity_conflict(tmp_path):
     p = tmp_path / "stations.csv"
     p.write_text(HEADER + row("S1", 1.80, MONDAY)
                  + row("S1", 1.78, MONDAY + timedelta(days=1), lat=45.0))
-    with pytest.raises(errors.DuplicateId):
+    with pytest.raises(errors.ParseError) as exc:
         load_stations(str(p))
+    assert exc.value.line == 3
 
 
 def test_load_compares_identity_as_parsed_floats(tmp_path):
@@ -56,7 +57,8 @@ def test_load_compares_identity_as_parsed_floats(tmp_path):
     assert len(hist.series[("S1", "diesel")]) == 2
     p.write_text(HEADER + row("S1", 1.80, MONDAY, lat="44.6")
                  + row("S1", 1.78, MONDAY + timedelta(days=1), lat="44.60", brand="Other"))
-    with pytest.raises(errors.DuplicateId, match="^station S1 redefined with different identity$"):
+    with pytest.raises(errors.ParseError,
+                       match="^line 3: station S1 redefined with different identity$"):
         load_stations(str(p))
 
 
@@ -78,8 +80,9 @@ def test_load_rejects_non_finite_price(tmp_path, price):
 def test_load_rejects_duplicate_observation(tmp_path):
     p = tmp_path / "stations.csv"
     p.write_text(HEADER + row("S1", 1.80, MONDAY) + row("S1", 1.81, MONDAY))
-    with pytest.raises(errors.DuplicateId):
+    with pytest.raises(errors.ParseError) as exc:
         load_stations(str(p))
+    assert exc.value.line == 3
     # The same day under another fuel or station is no duplicate; a repeat
     # far down a long series is.
     days = [MONDAY + timedelta(days=k) for k in range(400)]
@@ -88,8 +91,8 @@ def test_load_rejects_duplicate_observation(tmp_path):
     p.write_text(HEADER + rows)
     assert len(load_stations(str(p))[1].series[("S1", "petrol")]) == 400
     p.write_text(HEADER + rows + row("S1", 1.79, days[123], fuel="petrol"))
-    with pytest.raises(errors.DuplicateId,
-                       match=r"^duplicate observation for S1/petrol on 2025-05-09$"):
+    with pytest.raises(errors.ParseError,
+                       match=r"^line 1202: duplicate observation for S1/petrol on 2025-05-09$"):
         load_stations(str(p))
 
 

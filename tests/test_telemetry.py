@@ -484,7 +484,7 @@ def checked(row):
     return row
 
 
-def reference_log(profile, weeks, sample_period_s=5.0, start_day=date(2025, 1, 6)):
+def reference_log(profile, weeks, start_day=date(2025, 1, 6)):
     def offset_deg(lat, dx_m, dy_m):
         dlat = dy_m / 111_194.9
         dlon = dx_m / (111_194.9 * max(0.01, math.cos(math.radians(lat))))
@@ -527,8 +527,8 @@ def reference_log(profile, weeks, sample_period_s=5.0, start_day=date(2025, 1, 6
                                         rng.gauss(0.0, profile.gps_noise_m))
                 samples.append(checked(TripSample(timestamp=t, speed_kmh=speed,
                                                   lat=lat + dlat, lon=lon + dlon)))
-                covered += speed * sample_period_s / 3600.0
-                t += sample_period_s
+                covered += speed * 5.0 / 3600.0  # a fix every 5 s
+                t += 5.0
             dlat, dlon = offset_deg(b[0], rng.gauss(0.0, profile.gps_noise_m),
                                     rng.gauss(0.0, profile.gps_noise_m))
             samples.append(checked(TripSample(timestamp=t, speed_kmh=0.0,
@@ -632,12 +632,12 @@ def driver_profiles(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(driver_profiles(), st.integers(1, 2), st.sampled_from([5.0, 1.0, 37.5]))
-def test_generator_matches_reference(kwargs, weeks, period):
+@given(driver_profiles(), st.integers(1, 2))
+def test_generator_matches_reference(kwargs, weeks):
     p = built(kwargs)
     if p is not None:
-        assert (outcome(generate_synthetic_log, p, weeks, sample_period_s=period)
-                == outcome(reference_generate_synthetic_log, p, weeks, sample_period_s=period))
+        assert (outcome(generate_synthetic_log, p, weeks)
+                == outcome(reference_generate_synthetic_log, p, weeks))
 
 
 @st.composite
@@ -663,21 +663,21 @@ def long_leg_profiles(draw):
 
 
 @settings(max_examples=15, deadline=None)
-@given(long_leg_profiles(), st.integers(3, 4), st.sampled_from([5.0, 37.5]))
-def test_generator_matches_reference_on_long_logs(kwargs, weeks, period):
+@given(long_leg_profiles(), st.integers(3, 4))
+def test_generator_matches_reference_on_long_logs(kwargs, weeks):
     p = built(kwargs)
     if p is not None:
-        assert (outcome(generate_synthetic_log, p, weeks, sample_period_s=period)
-                == outcome(reference_generate_synthetic_log, p, weeks, sample_period_s=period))
+        assert (outcome(generate_synthetic_log, p, weeks)
+                == outcome(reference_generate_synthetic_log, p, weeks))
 
 
 # --- coordinates placed on demand ------------------------------------------------
 
-def generated(kwargs, weeks, period):
+def generated(kwargs, weeks):
     """The log of DriverProfile(**kwargs), or None if the profile or its log is rejected."""
     p = built(kwargs)
     try:
-        return None if p is None else generate_synthetic_log(p, weeks, sample_period_s=period)[0]
+        return None if p is None else generate_synthetic_log(p, weeks)[0]
     except errors.InvalidProfile:
         return None
 
@@ -690,11 +690,11 @@ any_profiles = driver_profiles() | long_leg_profiles()
 
 
 @settings(max_examples=60, deadline=None)
-@given(any_profiles, st.integers(1, 2), st.sampled_from([5.0, 1.0, 37.5]), st.data())
-def test_fixes_on_demand_match_the_placed_columns(kwargs, weeks, period, data):
+@given(any_profiles, st.integers(1, 2), st.data())
+def test_fixes_on_demand_match_the_placed_columns(kwargs, weeks, data):
     # Placement is elementwise, so any subset of rows gets the bits that
     # placing every row gives them.
-    log = generated(kwargs, weeks, period)
+    log = generated(kwargs, weeks)
     if log is None:
         return
     subsets = st.sets(st.integers(0, len(log) - 1), max_size=60) if len(log) else st.just(())
@@ -707,14 +707,15 @@ def test_fixes_on_demand_match_the_placed_columns(kwargs, weeks, period, data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(any_profiles, st.integers(1, 2), st.sampled_from([5.0, 1.0, 37.5]), st.data())
-def test_detect_halts_on_a_pending_log_matches_the_placed_log(kwargs, weeks, period, data):
+@given(any_profiles, st.integers(1, 2), st.data())
+def test_detect_halts_on_a_pending_log_matches_the_placed_log(kwargs, weeks, data):
     # Gap thresholds below the sample period make every row a gap start.
-    pending = generated(kwargs, weeks, period)
+    pending = generated(kwargs, weeks)
     if pending is None:
         return
+    period = telemetry.SAMPLE_PERIOD_S
     gap = data.draw(st.sampled_from([period / 2, period, 120.0]) | st.floats(0.01, 7200.0))
-    placed = generated(kwargs, weeks, period)
+    placed = generated(kwargs, weeks)
     eager = TripLog(placed.timestamp, placed.speed_kmh, placed.lat, placed.lon,
                     message=placed.message)
     was_pending = pending._place is not None
@@ -744,11 +745,11 @@ def bound_profiles(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(bound_profiles(), st.sampled_from([5.0, 37.5]))
-def test_generator_matches_reference_at_the_pending_bound(kwargs, period):
+@given(bound_profiles())
+def test_generator_matches_reference_at_the_pending_bound(kwargs):
     p = DriverProfile(**kwargs)
-    got = outcome(generate_synthetic_log, p, 1, sample_period_s=period)
-    assert got == outcome(reference_generate_synthetic_log, p, 1, sample_period_s=period)
+    got = outcome(generate_synthetic_log, p, 1)
+    assert got == outcome(reference_generate_synthetic_log, p, 1)
     if telemetry._fixes_in_range(p):
         assert got[0] == "ok"
 
@@ -860,13 +861,6 @@ def test_daily_distance_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 1.0e6
-
-
-def test_generator_rejects_non_positive_period():
-    # A tiny positive period made a leg's fix window double until memory ran out.
-    for period in (0.0, -5.0, math.nan, 0.5, 1e-300):
-        with pytest.raises(ValueError, match="sample_period_s"):
-            generate_synthetic_log(profile(), weeks=1, sample_period_s=period)
 
 
 # --- TripSample -----------------------------------------------------------------
