@@ -17,7 +17,7 @@ from datetime import date, timedelta
 
 from . import errors
 from .geo import valid_coords
-from .tables import read_table, row_line, write_table
+from .tables import read_table, write_table
 from .telemetry import WEEKDAYS
 
 STATIONS_HEADER = ["station_id", "lat", "lon", "brand", "fuel_type",
@@ -57,11 +57,14 @@ def load_stations(path: str) -> tuple[list[Station], PriceHistory]:
 
     Each distinct coordinate pair and date string is parsed once. A station's
     rows must agree on its identity as parsed floats, so `44.6` and `44.60`
-    are one latitude. The first row that redefines a station or repeats an
-    observation is a ParseError on its line.
+    are one latitude. Each row is checked as it is read, its identity and
+    repeated observations included, so the first bad row in file order is a
+    ParseError on its line.
     """
     points: dict[tuple[str, str], tuple[float, float, bool]] = {}
     days: dict[str, date] = {}
+    identity: dict[str, tuple[float, float, str]] = {}
+    series: dict[tuple[str, str], dict[date, float]] = {}
 
     def parse(row):
         point = points.get((row[1], row[2]))
@@ -79,24 +82,17 @@ def load_stations(path: str) -> tuple[list[Station], PriceHistory]:
             raise ValueError(f"price must be positive, got {price}")
         if not price < math.inf:
             raise ValueError(f"price must be finite, got {price}")
-        return row[0], lat, lon, row[3], row[4], price, observed
-
-    rows = read_table(path, STATIONS_HEADER, parse)
-
-    identity: dict[str, tuple[float, float, str]] = {}
-    series: dict[tuple[str, str], dict[date, float]] = {}
-    for i, (sid, lat, lon, brand, fuel, price, observed) in enumerate(rows):
+        sid, brand, fuel = row[0], row[3], row[4]
         if identity.setdefault(sid, (lat, lon, brand)) != (lat, lon, brand):
-            raise errors.ParseError(row_line(path, i),
-                                    f"station {sid} redefined with different identity")
+            raise ValueError(f"station {sid} redefined with different identity")
         obs = series.get((sid, fuel))
         if obs is None:
             obs = series[(sid, fuel)] = {}
         elif observed in obs:
-            raise errors.ParseError(row_line(path, i),
-                                    f"duplicate observation for {sid}/{fuel} on {observed}")
+            raise ValueError(f"duplicate observation for {sid}/{fuel} on {observed}")
         obs[observed] = price
 
+    read_table(path, STATIONS_HEADER, parse)
     history = PriceHistory(series={k: tuple(sorted(v.items())) for k, v in series.items()})
     return [Station(sid, *ident) for sid, ident in identity.items()], history
 

@@ -347,15 +347,21 @@ def test_cli_rejects_a_city_node_defined_twice(tmp_path, capsys):
      "duplicate observation for PS_001/petrol on 2025-01-28"),
     ("stations.csv", "PS_001,44.7,10.889248828633917,Vento,petrol,1.8,2025-03-01",
      "station PS_001 redefined with different identity"),
-], ids=["dangling_edge", "duplicate_observation", "redefined_station"])
+    ("stations.csv", "PS_001,44.63469592124779,10.889248828633917,Vento,petrol,1.8,2025-01-28\n"
+     "PS_001,44.63469592124779,10.889248828633917,Vento,petrol,-1,2025-03-01",
+     "duplicate observation for PS_001/petrol on 2025-01-28"),
+], ids=["dangling_edge", "duplicate_observation", "redefined_station",
+        "duplicate_before_bad_price"])
 def test_cli_reports_a_bad_row_of_a_whole_file_check_at_its_line(tmp_path, capsys, file, row,
                                                                  message):
     # Checks made after the whole file is read exited 1 with no line number.
+    # The edge check still runs after the read; station rows are checked as
+    # they are read, so a repeat beats a bad price on the row after it.
     config = generate_scenario_dir(str(tmp_path), seed=3, n_seeds_per_profile=1)
     path = tmp_path / file
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(row + "\n")
-    line = len(path.read_text(encoding="utf-8").splitlines())
+    line = len(path.read_text(encoding="utf-8").splitlines()) - row.count("\n")
     assert main(["simulate", "--config", config, "--out-dir", str(tmp_path / "out")]) == 2
     assert f"error: line {line}: {message}" in capsys.readouterr().err
 

@@ -96,6 +96,35 @@ def test_load_rejects_duplicate_observation(tmp_path):
         load_stations(str(p))
 
 
+GOOD = row("S1", 1.80, MONDAY, fuel="petrol")
+REPEAT = row("S1", 1.81, MONDAY, fuel="petrol")
+REDEFINED = row("S1", 1.78, MONDAY + timedelta(days=1), lat=45.0, fuel="petrol")
+BAD_PRICE = row("S2", -1, MONDAY, lat=44.66)
+DUPLICATE = "duplicate observation for S1/petrol on 2025-01-06"
+REDEFINITION = "station S1 redefined with different identity"
+
+
+@pytest.mark.parametrize("rows,line,message", [
+    ([GOOD, REPEAT, BAD_PRICE], 3, DUPLICATE),
+    ([GOOD, BAD_PRICE, REPEAT], 3, "price must be positive, got -1.0"),
+    ([GOOD, REDEFINED, "S2,44.66,10.92,AcmeFuel,diesel,1.8,not-a-date\n"], 3, REDEFINITION),
+    ([GOOD, "S2,44.66,10.92,AcmeFuel,diesel,x,2025-01-06\n", REDEFINED], 3,
+     "could not convert string to float: 'x'"),
+    # A quoted line break: that row ends on line 4, so the repeat is line 5.
+    ([GOOD, 'S3,44.67,10.92,"Acme\nFuel",diesel,1.8,2025-01-06\n', REPEAT, BAD_PRICE], 5,
+     DUPLICATE),
+])
+def test_load_reports_the_first_bad_station_row_in_file_order(tmp_path, rows, line, message):
+    # Every check runs as its row is read, the identity and repeat checks
+    # included, so a bad row further down never wins. Line 1 is the header.
+    p = tmp_path / "stations.csv"
+    p.write_text(HEADER + "".join(rows))
+    with pytest.raises(errors.ParseError) as exc:
+        load_stations(str(p))
+    assert exc.value.line == line
+    assert str(exc.value) == f"line {line}: {message}"
+
+
 def test_load_rejects_nonpositive_price_and_bad_date(tmp_path):
     p = tmp_path / "stations.csv"
     p.write_text(HEADER + row("S1", -1.0, MONDAY))
